@@ -122,10 +122,10 @@ def _cmd_eval(args, q: QuadratureSpec):
         z_re, z_im = (zc.real, zc.imag) if zc is not None else (None, None)
     else:  # oracle
         eta = eta_oracle(p, tol=1e-12)
-        gam = Gamma(p, q).value.value
-        fc = gam * eta.value
+        gam = Gamma(p, q)
+        fc = gam.value.value * eta.value
         f_re, f_im = fc.real, fc.imag
-        err = 1e-12 * abs(fc)
+        err = abs(eta.value) * gam.err + 1e-12 * abs(fc)
         z = zeta_oracle(p, tol=1e-12)
         z_re, z_im = z.re, z.im
     payload = {"a": p.a, "b": p.b, "method": method,

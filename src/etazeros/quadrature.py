@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "QuadratureError", "QuadratureSpec", "IntegrandSpec",
@@ -228,9 +228,7 @@ _gauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n not in _gauss_cache:
-        x, w = roots_legendre(n)
-        _gauss_cache[n] = (np.asarray(x, dtype=np.float64),
-                           np.asarray(w, dtype=np.float64))
+        _gauss_cache[n] = leggauss(n)
     return _gauss_cache[n]
 
 

@@ -165,9 +165,10 @@ class LocatedZero:
 
 
 def _line_eval(b: float, q: QuadratureSpec, method: str):
-    """(re, im, magnitude, noise) of the line indicator at s = 1/2 + ib, all
-    on the gamma-normalized (eta) scale so magnitudes are comparable across a
-    window where |gamma| itself drops by e^(-pi/2) per unit of b.
+    """(re, im, magnitude, noise, raw) of the line indicator at s = 1/2 + ib.
+    The first four are on the gamma-normalized (eta) scale so magnitudes are
+    comparable across a window where |gamma| itself drops by e^(-pi/2) per
+    unit of b; ``raw`` is the method's unscaled value (F or eta).
 
     The integral indicator is F / |gamma| (components keep F's signs); the
     oracle indicator is eta itself (same zeros: F = gamma eta, gamma != 0).
@@ -177,11 +178,11 @@ def _line_eval(b: float, q: QuadratureSpec, method: str):
         gam = gamma_modulus_critical(b)
         noise = (ev.err_re + ev.err_im) / gam
         return (ev.value.re / gam, ev.value.im / gam,
-                math.hypot(ev.value.re, ev.value.im) / gam, noise)
+                math.hypot(ev.value.re, ev.value.im) / gam, noise, ev.value)
     if method == "oracle":
         eta = eta_oracle(ComplexPoint(0.5, b), tol=1e-11)
         mag = math.hypot(eta.re, eta.im)
-        return eta.re, eta.im, mag, eta_err_floor(ComplexPoint(0.5, b))
+        return eta.re, eta.im, mag, eta_err_floor(ComplexPoint(0.5, b)), eta
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -204,7 +205,8 @@ _MEDIAN_HALF_WINDOW = 8
 
 def scan_critical_line(b_min: float, b_max: float, step: float,
                        q: QuadratureSpec | None = None,
-                       method: str = "integral") -> list[ZeroBracket]:
+                       method: str = "integral", *,
+                       _raw: list | None = None) -> list[ZeroBracket]:
     """March s = 1/2 + ib over the grid and emit brackets where one indicator
     component changes sign *and* the interpolated |indicator| minimum dips a
     factor DIP_FACTOR below the neighborhood median.
@@ -215,6 +217,9 @@ def scan_critical_line(b_min: float, b_max: float, step: float,
     floor.  Magnitudes are compared on the gamma-normalized (eta) scale so
     the median is meaningful across a window where |gamma| itself drops by
     e^(-pi step w / 2) per w steps.
+
+    ``_raw``, if given, receives (b, unscaled F or eta) at every grid point,
+    so :func:`find_zeros` reuses the scan instead of evaluating it again.
     """
     if not 0 < step <= 0.5:
         raise ValueError("step must be in (0, 0.5]")
@@ -224,6 +229,8 @@ def scan_critical_line(b_min: float, b_max: float, step: float,
     n = int(math.floor((b_max - b_min) / step + 1e-9)) + 1
     bs = [b_min + i * step for i in range(n)]
     evals = [_line_eval(b, q, method) for b in bs]
+    if _raw is not None:
+        _raw.extend((b, e[4]) for b, e in zip(bs, evals))
     re = [e[0] for e in evals]
     im = [e[1] for e in evals]
     mag = [e[2] for e in evals]
@@ -279,7 +286,7 @@ def refine_zero(bracket: ZeroBracket, zero_tol: float = 1e-6,
     cidx = bracket.component
 
     def component(b: float) -> tuple[float, float, float]:
-        r, i, mag, noise = _line_eval(b, q, method)
+        r, i, mag, noise, _ = _line_eval(b, q, method)
         return (i if cidx else r), mag, noise
 
     lo, hi = bracket.b_lo, bracket.b_hi
@@ -343,7 +350,9 @@ def find_zeros(b_min: float, b_max: float, step: float = 0.25,
     """
     q = q or DEFAULT_SPEC
     oracle_brackets = scan_critical_line(b_min, b_max, step, q, method="oracle")
-    integral_brackets = scan_critical_line(b_min, b_max, step, q, method="integral")
+    integral_raw: list = []
+    integral_brackets = scan_critical_line(b_min, b_max, step, q,
+                                           method="integral", _raw=integral_raw)
 
     merged: list[tuple[ZeroBracket, ZeroBracket | None]] = []
     used = set()
@@ -377,8 +386,8 @@ def find_zeros(b_min: float, b_max: float, step: float = 0.25,
         if int_bracket is None:
             # the oracle bracket still gives the integral route something to
             # bisect; rebuild the integral indicator at its endpoints
-            r_lo, i_lo, _, _ = _line_eval(ob.b_lo, q, "integral")
-            r_hi, i_hi, _, _ = _line_eval(ob.b_hi, q, "integral")
+            r_lo, i_lo, _, _, _ = _line_eval(ob.b_lo, q, "integral")
+            r_hi, i_hi, _, _, _ = _line_eval(ob.b_hi, q, "integral")
             for cidx, vlo, vhi in ((1, i_lo, i_hi), (0, r_lo, r_hi)):
                 if (vlo > 0) != (vhi > 0):
                     int_bracket = ZeroBracket(
@@ -415,10 +424,5 @@ def find_zeros(b_min: float, b_max: float, step: float = 0.25,
         })
     zeros.sort(key=lambda z: z["b_star"])
 
-    n = int(math.floor((b_max - b_min) / step + 1e-9)) + 1
-    scan_rows = []
-    for i in range(n):
-        b = b_min + i * step
-        ev = F(ComplexPoint(0.5, b), q)
-        scan_rows.append((b, ev.value.re, ev.value.im, abs(ev.value)))
+    scan_rows = [(b, f.re, f.im, abs(f)) for b, f in integral_raw]
     return zeros, scan_rows

@@ -70,6 +70,23 @@ def test_eval_methods_agree(capsys):
     assert abs(vals["integral"] - vals["oracle"]) < 1e-10
 
 
+@pytest.mark.parametrize("a,b", [(0.5, 14.1), (0.3, 21.0), (0.7, 30.0),
+                                 (0.5, 45.0), (0.2, 8.0)])
+def test_eval_oracle_err_est_bounds_error_against_mpmath(capsys, a, b):
+    # the oracle route's F is Gamma (quadrature) times eta (series), so its
+    # err_est must carry Gamma's quadrature error, not only the series'
+    mpmath = pytest.importorskip("mpmath")
+    code, out, _ = run(capsys, "eval", "--a", str(a), "--b", str(b),
+                       "--method", "oracle")
+    assert code == 0
+    obj = json.loads(out)
+    with mpmath.workdps(40):
+        s = mpmath.mpc(a, b)
+        ref = mpmath.gamma(s) * mpmath.altzeta(s)
+        err = abs(mpmath.mpc(obj["F_re"], obj["F_im"]) - ref)
+    assert err <= obj["err_est"], (a, b, float(err), obj["err_est"])
+
+
 def test_eval_csv(capsys):
     code, out, _ = run(capsys, "eval", "--a", "0.5", "--b", "5",
                        "--format", "csv")
@@ -260,6 +277,23 @@ def test_module_entry_point():
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == \
         "n,g_n_numerator,g_n_denominator,g_n_over_n_factorial"
+
+
+def test_runs_without_scipy():
+    # scipy is a test-only dependency: the CLI must start and compute with
+    # it unimportable
+    import subprocess
+    import sys
+    blocker = ("import runpy, sys; sys.modules['scipy'] = None; "
+               "runpy.run_module('etazeros', run_name='__main__', "
+               "alter_sys=True)")
+    for argv in (["coeffs", "--n-max", "5"],
+                 ["eval", "--a", "0.5", "--b", "14.134725",
+                  "--method", "integral"]):
+        proc = subprocess.run([sys.executable, "-c", blocker, *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert json.loads(proc.stdout)
 
 
 def test_cross_process_determinism():

@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etazeros.quadrature import (
+    _RULE_HI,
+    _RULE_LO,
     IntegrandSpec,
     QuadratureError,
     QuadratureSpec,
+    _gauss,
     eval_integrand,
     integrate_finite,
     integrate_line,
@@ -91,6 +94,33 @@ def test_pair_fermi_matches_naive_difference(a, b, t):
     got = eval_integrand(spec, t)
     scale = t ** (a - 1.0) * max(q_(t), lam * q_(c * t), 1e-300)
     assert got == pytest.approx(naive, abs=5e-14 * scale)
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Legendre rules.
+
+@pytest.mark.parametrize("n", [_RULE_LO, _RULE_HI])
+def test_gauss_rule_exact_for_polynomials(n):
+    # an n-node rule integrates x^k exactly on [-1, 1] for k <= 2n - 1
+    x, w = _gauss(n)
+    for k in range(2 * n):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(float(np.dot(w, x ** k)) - exact) < 1e-14, k
+
+
+@pytest.mark.parametrize("n", [_RULE_LO, _RULE_HI])
+def test_gauss_rule_matches_scipy(n):
+    # scipy serves only as an independent reference here.  Nodes agree
+    # within 4 ulps of each node.  Weights cannot be held to that: against
+    # the exact rule (40-digit mpmath) both libraries' weights are off by up
+    # to ~7 eps absolute, hundreds of ulps of the small end weights, so the
+    # two are held to 16 eps of each other.
+    sps = pytest.importorskip("scipy.special")
+    eps = np.finfo(np.float64).eps
+    x, w = _gauss(n)
+    x_ref, w_ref = sps.roots_legendre(n)
+    assert np.all(np.abs(x - x_ref) <= 4 * np.spacing(np.abs(x_ref)))
+    assert np.all(np.abs(w - w_ref) <= 16 * eps)
 
 
 # ---------------------------------------------------------------------------
