@@ -24,12 +24,11 @@ consequences checked by :func:`check_theorem4` are:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-
-import numpy as np
 
 from .report import VerificationReport
 
@@ -129,28 +128,59 @@ def zeta_even(m: int, tol: float = 1e-12) -> float:
     return float(rational) * (2.0 * math.pi) ** (2 * m)
 
 
-def zeta_direct_bracket(m: int, tol: float = 1e-12) -> tuple[float, float]:
-    """Rigorous bracket [lo, hi] for zeta(2m) by direct summation.
+def _power_sum_bracket(p: int, n0: int, h: int, tol: float) -> tuple[float, float]:
+    """Bracket [lo, hi] of width <= ``tol`` for sum_{k>=0} (n0 + h k)^(-p), p >= 2.
 
-    Uses S_N plus the integral tail bounds
-    (N+1)^(1-2m)/(2m-1) <= sum_{n>N} n^(-2m) <= N^(1-2m)/(2m-1),
-    with N chosen so the bracket width N^(-2m)-ish is below ``tol``.
+    The terms below a = n0 + h N are summed directly; the tail is the
+    Euler-Maclaurin series (DLMF 2.10.1 with the upper end sent to infinity)
+
+        sum_{k>=0} f(a + h k) = int_a^inf f / h + f(a)/2
+                                - sum_{j>=1} B_2j/(2j)! h^(2j-1) f^(2j-1)(a),
+
+    for f(x) = x^(-p).  Every even-order derivative of f is positive, so the
+    remainder R_j left after j-1 correction terms has the sign (-1)^(j+1) of
+    the j-th term, and R_j - R_(j+1) is that term (DLMF 2.10.2): R_j lies
+    between 0 and the j-th term, so the sum lies between the partial sum
+    through term j-1 and the one through term j.  Each term is rounded once
+    from an exact rational and ``math.fsum`` rounds the total once, so lo and
+    hi are the exact bracket ends to within a few ulps.
+
+    Term j+1 over term j is at most ((p + 2j) h / (2 pi a))^2, since
+    |B_2j|/(2j)! = 2 zeta(2j)/(2 pi)^(2j); with N = p + ln(1/tol) direct
+    terms, a > h (p + ln(1/tol)), so it stays below 1/pi^2 for
+    j <= ln(1/tol) and the loop ends within that many terms.
+    """
+    n_direct = p + max(0, math.ceil(-math.log(tol)))
+    a = n0 + h * n_direct
+    parts = [1 / (n0 + h * k) ** p for k in range(n_direct)]
+    parts.append(1 / (h * (p - 1) * a ** (p - 1)))      # integral
+    parts.append(1 / (2 * a ** p))                        # f(a)/2
+    rising = p                                            # p (p+1) ... (p+2j-2)
+    for j in itertools.count(1):
+        term = Fraction(bernoulli(2 * j) * h ** (2 * j - 1) * rising,
+                        factorial(2 * j) * a ** (p + 2 * j - 1))
+        if abs(term) <= tol / 2:
+            break
+        parts.append(float(term))
+        rising *= (p + 2 * j - 1) * (p + 2 * j)
+    inner = math.fsum(parts)
+    outer = math.fsum(parts + [float(term)])
+    return min(inner, outer), max(inner, outer)
+
+
+def zeta_direct_bracket(m: int, tol: float = 1e-12) -> tuple[float, float]:
+    """Bracket [lo, hi] for zeta(2m) of width <= ``tol``, from the definition.
+
+    sum_{n>=1} n^(-2m) is summed directly up to n = 2m + ln(1/tol) and its
+    tail is bracketed by Euler-Maclaurin with the signed remainder (see
+    :func:`_power_sum_bracket`).  It does not use the B_{2m} closed form of
+    :func:`zeta_even`: Bernoulli numbers enter only as Euler-Maclaurin
+    weights on a tail that starts past n = 2m.  The ends carry a few ulps of
+    rounding, so ``tol`` should exceed a few ulps of zeta(2m).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    p = 2 * m
-    # bracket width ~ N^(-p); cap N for very flat cases
-    n_terms = int(min(4.0e6, max(16.0, tol ** (-1.0 / p) * 2.0)))
-    n = np.arange(1, n_terms + 1, dtype=np.float64)
-    s = float(np.sum(n ** (-float(p))))
-    lo = s + (n_terms + 1.0) ** (1 - p) / (p - 1)
-    hi = s + float(n_terms) ** (1 - p) / (p - 1)
-    return lo, hi
-
-
-def zeta_direct(m: int, tol: float = 1e-12) -> float:
-    lo, hi = zeta_direct_bracket(m, tol)
-    return 0.5 * (lo + hi)
+    return _power_sum_bracket(2 * m, 1, 1, tol)
 
 
 def odd_zeta_margin(m: int) -> float:
@@ -158,21 +188,15 @@ def odd_zeta_margin(m: int) -> float:
     without cancellation.
 
     This is the strict slack in 2/pi^(2m) < |g^(2m-1)(0)|/(2m-1)!; at large m
-    it is ~3^(-2m) and would vanish entirely if formed by subtraction.
+    it is ~3^(-2m) and would vanish entirely if formed by subtraction.  The
+    sum is the midpoint of an Euler-Maclaurin bracket with step 2 (see
+    :func:`_power_sum_bracket`) whose width is 2^(-60) of the leading term
+    3^(-2m), so the result is correct to a few ulps.
     """
-    p = 2 * m
-    total = 0.0
-    n = 3
-    # geometric-ish decay: stop when the integral tail over odd n is negligible
-    while True:
-        term = float(n) ** (-p)
-        total += term
-        n += 2
-        tail = 0.5 * float(n) ** (1 - p) / (p - 1)  # sum over odd >= n
-        if tail < 1e-18 * total or n > 4_000_000:
-            total += tail
-            break
-    return total
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    lo, hi = _power_sum_bracket(2 * m, 3, 2, 3.0 ** (-2 * m) * 2.0 ** -60)
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +226,14 @@ def ratio_over_pi2_minus_one(m: int) -> float:
     return float(r) / pi2 - 1.0
 
 
+def _ratio_verdicts(r: Fraction) -> tuple[bool, bool]:
+    return r > PI_HI * PI_HI, r < Fraction(100013814, 10 ** 8) * PI_LO * PI_LO
+
+
 def ratio_bounds_exact(m: int) -> tuple[bool, bool]:
     """Exact verdicts (r_m > pi^2, r_m < RATIO_UPPER_BOUND * pi^2), decided in
     rational arithmetic against the 35-digit pi bracket."""
-    r = coefficient_ratio_exact(m)
-    above = r > PI_HI * PI_HI
-    below = r < Fraction(100013814, 10 ** 8) * PI_LO * PI_LO
-    return above, below
+    return _ratio_verdicts(coefficient_ratio_exact(m))
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +244,15 @@ def check_theorem4(m_max: int = 15, tol: float = 1e-12) -> VerificationReport:
     of the odd derivatives, for derivative orders n <= 2*m_max + 1.
 
     The zeta values used in the equality rows come from the direct-sum
-    bracket, not from the B_{2m} closed form, so the two routes are
-    independent.  The strict part of the lower bound 2/pi^(2m) < ... is
-    evaluated through the cancellation-free odd-harmonic margin.
+    Euler-Maclaurin bracket, not from the B_{2m} closed form, so the two
+    routes are independent.  The bracket is taken to width 1e-15, near the
+    float resolution of zeta(2m) in [1, 1.65]; its width, scaled by
+    (1 - 4^(-m)) 2/pi^(2m) to the size of the coefficient, is added to the
+    relative tolerance ``tol``.  The strict lower bound
+    2/pi^(2m) < |g^(2m-1)(0)|/(2m-1)! is decided exactly, as
+    |g^(2m-1)(0)|/(2m-1)! * PI_LO^(2m)/2 > 1 in rationals (PI_LO < pi); its
+    reported margin is the cancellation-free odd-harmonic sum
+    (1 - 2^(-2m)) zeta(2m) - 1.
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
@@ -240,19 +271,21 @@ def check_theorem4(m_max: int = 15, tol: float = 1e-12) -> VerificationReport:
     rep.add("n=4m-1 derivatives positive", ok_pos)
 
     pi2 = math.pi * math.pi
-    for m in range(1, m_max + 1):
-        exact = float(g_over_factorial(2 * m - 1))
-        zl, zh = zeta_direct_bracket(m, tol / 4)
-        zeta_m = 0.5 * (zl + zh)
-        closed = (-1.0) ** m * (1.0 - 0.25 ** m) * zeta_m * 2.0 / math.pi ** (2 * m)
+    odd = {m: g_over_factorial(2 * m - 1) for m in range(1, m_max + 1)}
+    for m, coef in odd.items():
+        exact = float(coef)
+        zl, zh = zeta_direct_bracket(m, 1e-15)
+        scale = (1.0 - 0.25 ** m) * 2.0 / math.pi ** (2 * m)
+        closed = (-1.0) ** m * scale * (0.5 * (zl + zh))
         rep.add_equality(f"odd-coefficient zeta form m={m}", exact, closed,
-                         tol * abs(exact) + (zh - zl))
+                         tol * abs(exact) + scale * (zh - zl))
 
-    # strict lower bound: |g^(2m-1)(0)|/(2m-1)! * pi^(2m)/2 - 1 > 0,
-    # slack computed as the odd-harmonic tail (no subtraction).
-    for m in range(1, m_max + 1):
-        rep.add_inequality(f"strict lower bound slack m={m}", odd_zeta_margin(m),
-                           note="(1-2^-2m) zeta(2m) - 1 via odd-harmonic sum")
+    for m, coef in odd.items():
+        lhs = abs(coef) * PI_LO ** (2 * m) / 2
+        rep.add(f"strict lower bound slack m={m}", lhs > 1,
+                margin=odd_zeta_margin(m), lhs=float(lhs), rhs=1.0,
+                note="exact-rational comparison; margin (1-2^-2m) zeta(2m) - 1 "
+                     "via odd-harmonic sum")
 
     # ratio sandwich for consecutive odd magnitudes, m >= 2; pass/fail decided
     # exactly (the slack shrinks like 3^(-4m)), float margins for reporting.
@@ -260,15 +293,16 @@ def check_theorem4(m_max: int = 15, tol: float = 1e-12) -> VerificationReport:
     for m in range(1, 2 * m_max // 4 + 1):
         if 4 * m + 1 > n_cap:
             break
-        rel = ratio_over_pi2_minus_one(m)
-        above, below = ratio_bounds_exact(m)
+        r = coefficient_ratio_exact(m)
+        above, below = _ratio_verdicts(r)
+        r_over_pi2 = float(r) / pi2
+        rel = r_over_pi2 - 1.0
         gating = m >= 2
         rep.add(f"ratio lower bound m={m}", above, gating=gating, margin=rel,
-                lhs=float(coefficient_ratio_exact(m)) / pi2, rhs=1.0,
-                note="exact-rational comparison")
+                lhs=r_over_pi2, rhs=1.0, note="exact-rational comparison")
         rep.add(f"ratio upper bound m={m}", below, gating=gating,
                 margin=RATIO_UPPER_BOUND - 1.0 - rel,
-                lhs=float(coefficient_ratio_exact(m)) / pi2, rhs=RATIO_UPPER_BOUND,
+                lhs=r_over_pi2, rhs=RATIO_UPPER_BOUND,
                 note="exact-rational comparison" if gating
                 else "hypothesis needs m >= 2")
 

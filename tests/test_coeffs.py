@@ -153,6 +153,26 @@ def test_odd_zeta_margin_positive_and_tiny():
     assert coeffs.odd_zeta_margin(1) == pytest.approx(math.pi ** 2 / 8 - 1, rel=1e-9)
 
 
+def test_zeta_direct_bracket_contains_mpmath_zeta():
+    mpmath = pytest.importorskip("mpmath")
+    for tol in (1e-12, 2.5e-13):
+        for m in range(1, 21):
+            lo, hi = coeffs.zeta_direct_bracket(m, tol)
+            with mpmath.workdps(40):
+                ref = mpmath.zeta(2 * m)
+            slack = 4 * math.ulp(float(ref))
+            assert lo - slack <= ref <= hi + slack, (tol, m)
+            assert 0 <= hi - lo <= tol, (tol, m)
+
+
+def test_odd_zeta_margin_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for m in range(1, 21):
+        with mpmath.workdps(40):
+            ref = (1 - mpmath.mpf(2) ** (-2 * m)) * mpmath.zeta(2 * m) - 1
+        assert abs(coeffs.odd_zeta_margin(m) - ref) <= 1e-14 * ref, m
+
+
 # ---------------------------------------------------------------------------
 # Coefficient ratio bounds.
 
@@ -215,6 +235,31 @@ def test_check_theorem4_m1_ratio_informational():
 def test_check_theorem4_reports_margins():
     rep = coeffs.check_theorem4(m_max=10, tol=1e-12)
     assert rep.min_margin() is not None and rep.min_margin() > 0
+
+
+def test_check_theorem4_strict_lower_bound_reads_coefficient(monkeypatch):
+    # halving |g^(5)(0)/5!| puts it below 2/pi^6: the m = 3 row must fail
+    true_g = coeffs.g_over_factorial
+
+    def halved(n):
+        return true_g(n) / 2 if n == 5 else true_g(n)
+
+    monkeypatch.setattr(coeffs, "g_over_factorial", halved)
+    rep = coeffs.check_theorem4(m_max=5, tol=1e-12)
+    rows = {r.label: r for r in rep.rows}
+    assert not rows["strict lower bound slack m=3"].passed
+    assert all(rows[f"strict lower bound slack m={m}"].passed for m in (1, 2, 4, 5))
+
+
+def test_check_theorem4_zeta_form_tol_is_relative():
+    # the zeta bracket width enters scaled to the coefficient's size, so it
+    # adds at most a few ulps to the relative tolerance
+    eps = 2.0 ** -52
+    rep = coeffs.check_theorem4(m_max=20, tol=1e-12)
+    rows = [r for r in rep.rows if "zeta form" in r.label]
+    assert len(rows) == 20
+    for r in rows:
+        assert r.tol <= (1e-12 + 8 * eps) * abs(r.lhs), r.label
 
 
 def test_tanh_form_at_zero():
