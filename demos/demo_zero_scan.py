@@ -2,12 +2,13 @@
 
 The scan watches both components of the line indicator; a bracket needs a
 component sign change *and* a tenfold dip of |indicator| under its local
-median (one component alone vanishes on harmless nodal curves).  Brackets
-are bisected by the integral route (quadrature of F on a rotated ray) and by
-the oracle route (accelerated alternating series).  |gamma(1/2 + ib)|
-shrinks like e^(-pi b/2), and so does F's own error estimate, so the
-integral route's ordinate resolution, err_est / (|gamma| |eta'|), stays
-near 1e-11 from b = 14 to b = 60.
+median (one component alone vanishes on harmless nodal curves).  Each
+bracket is shrunk to width 1e-9 by ITP steps (regula falsi kept within a
+bisection-derived radius), once by the integral route (quadrature of F on a
+rotated ray) and once by the oracle route (accelerated alternating series).
+|gamma(1/2 + ib)| shrinks like e^(-pi b/2), and so does F's own error
+estimate, so the integral route's ordinate resolution,
+err_est / (|gamma| |eta'|), stays near 1e-11 from b = 14 to b = 60.
 """
 
 from etazeros import F, scan_critical_line

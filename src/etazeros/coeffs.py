@@ -111,19 +111,16 @@ def g_value(t: float) -> float:
 # ---------------------------------------------------------------------------
 # zeta(2m): closed form from B_{2m}, plus an independent direct-sum bracket.
 
-def zeta_even(m: int, tol: float = 1e-12) -> float:
+def zeta_even(m: int) -> float:
     """zeta(2m) = (-1)^(m+1) (2 pi)^(2m) B_{2m} / (2 (2m)!).
 
     The rational factor is exact; the only rounding is the float conversion
-    and the (2 pi)^(2m) power, so the result is accurate to a few ulp
-    (far below any supported ``tol``).
+    and the (2 pi)^(2m) power, so the result is accurate to a few ulp.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if 2 * m > MAX_INDEX + 1:
         raise ValueError(f"2m exceeds the exact table cap {MAX_INDEX + 1}")
-    if tol < 1e-13:
-        raise ValueError("tol below the closed-form accuracy floor 1e-13")
     rational = Fraction((-1) ** (m + 1), 2 * factorial(2 * m)) * bernoulli(2 * m)
     return float(rational) * (2.0 * math.pi) ** (2 * m)
 
@@ -216,24 +213,28 @@ def coefficient_ratio(m: int) -> float:
 
 
 def ratio_over_pi2_minus_one(m: int) -> float:
-    """coefficient_ratio(m)/pi^2 - 1, floating, small-positive at large m.
+    """coefficient_ratio(m)/pi^2 - 1, small-positive at large m.
 
-    At m >= 9 the true value drops below one ulp of pi^2; use
-    :func:`ratio_bounds_exact` when the strict sign matters.
+    Formed exactly as r/PI_HI^2 - 1 and rounded once, so it is a lower bound
+    on the true value, short of it by under 1e-35 absolute; at m >= 9 the
+    true value is below one ulp of pi^2 and float(r)/pi^2 - 1 reads 0.
     """
-    r = coefficient_ratio_exact(m)
-    pi2 = math.pi * math.pi
-    return float(r) / pi2 - 1.0
+    return float(_ratio_margins(coefficient_ratio_exact(m))[0])
 
 
-def _ratio_verdicts(r: Fraction) -> tuple[bool, bool]:
-    return r > PI_HI * PI_HI, r < Fraction(100013814, 10 ** 8) * PI_LO * PI_LO
+def _ratio_margins(r: Fraction) -> tuple[Fraction, Fraction]:
+    """Exact lower bounds on r/pi^2 - 1 and RATIO_UPPER_BOUND - r/pi^2 from
+    the 35-digit pi bracket; each is positive exactly when its strict bound
+    holds for every pi in [PI_LO, PI_HI]."""
+    return (r / (PI_HI * PI_HI) - 1,
+            Fraction(100013814, 10 ** 8) - r / (PI_LO * PI_LO))
 
 
 def ratio_bounds_exact(m: int) -> tuple[bool, bool]:
     """Exact verdicts (r_m > pi^2, r_m < RATIO_UPPER_BOUND * pi^2), decided in
     rational arithmetic against the 35-digit pi bracket."""
-    return _ratio_verdicts(coefficient_ratio_exact(m))
+    lower, upper = _ratio_margins(coefficient_ratio_exact(m))
+    return lower > 0, upper > 0
 
 
 # ---------------------------------------------------------------------------
@@ -287,22 +288,22 @@ def check_theorem4(m_max: int = 15, tol: float = 1e-12) -> VerificationReport:
                 note="exact-rational comparison; margin (1-2^-2m) zeta(2m) - 1 "
                      "via odd-harmonic sum")
 
-    # ratio sandwich for consecutive odd magnitudes, m >= 2; pass/fail decided
-    # exactly (the slack shrinks like 3^(-4m)), float margins for reporting.
+    # ratio sandwich for consecutive odd magnitudes, m >= 2; pass/fail and
+    # margins decided exactly (the slack shrinks like 3^(-4m), below one ulp
+    # of pi^2 from m = 9), each margin rounded once for reporting.
     # The m = 1 cell is informational: the upper bound genuinely fails there.
     for m in range(1, 2 * m_max // 4 + 1):
         if 4 * m + 1 > n_cap:
             break
         r = coefficient_ratio_exact(m)
-        above, below = _ratio_verdicts(r)
+        lower, upper = _ratio_margins(r)
         r_over_pi2 = float(r) / pi2
-        rel = r_over_pi2 - 1.0
         gating = m >= 2
-        rep.add(f"ratio lower bound m={m}", above, gating=gating, margin=rel,
-                lhs=r_over_pi2, rhs=1.0, note="exact-rational comparison")
-        rep.add(f"ratio upper bound m={m}", below, gating=gating,
-                margin=RATIO_UPPER_BOUND - 1.0 - rel,
-                lhs=r_over_pi2, rhs=RATIO_UPPER_BOUND,
+        rep.add(f"ratio lower bound m={m}", lower > 0, gating=gating,
+                margin=float(lower), lhs=r_over_pi2, rhs=1.0,
+                note="exact-rational comparison")
+        rep.add(f"ratio upper bound m={m}", upper > 0, gating=gating,
+                margin=float(upper), lhs=r_over_pi2, rhs=RATIO_UPPER_BOUND,
                 note="exact-rational comparison" if gating
                 else "hypothesis needs m >= 2")
 

@@ -264,3 +264,24 @@ def test_check_theorem4_zeta_form_tol_is_relative():
 
 def test_tanh_form_at_zero():
     assert coeffs.g_value(0.0) == 0.5
+
+
+def test_check_theorem4_ratio_margins_match_mpmath():
+    # the slack of the ratio sandwich is about (8/9) 3^(-4m) on the lower
+    # side, under one ulp of pi^2 from m = 9, so a margin formed in floats
+    # reads 0 there; the exact margins must stay positive and accurate
+    mpmath = pytest.importorskip("mpmath")
+    rep = coeffs.check_theorem4(m_max=20, tol=1e-12)
+    rows = {r.label: r for r in rep.rows}
+    with mpmath.workdps(60):
+        for m in range(2, 11):
+            r = coeffs.coefficient_ratio_exact(m)
+            over = mpmath.mpf(r.numerator) / r.denominator / mpmath.pi ** 2
+            refs = {"lower": over - 1,
+                    "upper": mpmath.mpf("1.00013814") - over}
+            for side, ref in refs.items():
+                margin = rows[f"ratio {side} bound m={m}"].margin
+                assert margin > 0, (side, m)
+                assert abs(margin - ref) <= 0.01 * ref, (side, m)
+            assert coeffs.ratio_over_pi2_minus_one(m) == \
+                rows[f"ratio lower bound m={m}"].margin

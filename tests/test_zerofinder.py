@@ -1,9 +1,12 @@
 import math
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import etazeros.zerofinder as zerofinder
 from etazeros.quadrature import QuadratureSpec
 from etazeros.special import ComplexPoint, F, Gamma
 from etazeros.zerofinder import (
@@ -194,6 +197,65 @@ def test_refine_rejects_spurious_integral_bracket():
         refine_zero(fake, 1e-6, Q)
 
 
+def _count_evals(monkeypatch):
+    """Count the F and eta evaluations the zero finder makes from here on."""
+    counts = {"F": 0, "eta": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(zerofinder, "F", counted("F", zerofinder.F))
+    monkeypatch.setattr(zerofinder, "eta_oracle",
+                        counted("eta", zerofinder.eta_oracle))
+    return counts
+
+
+@pytest.mark.parametrize("method", ["oracle", "integral"])
+def test_refine_first_zero_takes_few_evaluations(monkeypatch, method):
+    # the scan step's bracket [14, 14.25]: bisection to width 1e-9 would
+    # take 28 steps, plus the evaluation at b* and the cross-check
+    bracket = scan_critical_line(10.0, 30.0, 0.25, Q, method=method)[0]
+    assert bracket.b_hi - bracket.b_lo == 0.25
+    counts = _count_evals(monkeypatch)
+    z = refine_zero(bracket, 1e-6, Q)
+    assert z.b_star == pytest.approx(ZERO_1, abs=1e-5)
+    assert counts["F"] + counts["eta"] <= 12, counts
+
+
+# bisection needs 28 halvings to take 0.25 below 1e-9; ITP with n0 = 1
+# allows one step more, then come b* and the cross-check
+_WORST_CASE_EVALS = 28 + 1 + 2
+
+
+@pytest.mark.parametrize("shape", [
+    lambda x: x ** 3,                        # triple root: secants crawl
+    lambda x: math.tanh(x * 1e7),            # a step 1e-7 wide
+], ids=["triple-root", "steep-tanh"])
+@pytest.mark.parametrize("b0", [14.0 + 0.25 / math.e, 14.000001, 14.2])
+def test_refine_worst_case_is_bounded(monkeypatch, shape, b0):
+    counts = _count_evals(monkeypatch)
+    line_evals = []
+
+    def line_eval(b, q, method):
+        line_evals.append(b)
+        v = shape(b - b0)
+        return v, 0.0, abs(v), 0.0, complex(v)
+
+    monkeypatch.setattr(zerofinder, "_line_eval", line_eval)
+    bracket = ZeroBracket(b_lo=14.0, b_hi=14.25, indicator_lo=shape(14.0 - b0),
+                          indicator_hi=shape(14.25 - b0), component=0,
+                          method="integral", dip=0.0, median=1.0)
+    try:
+        b_star = refine_zero(bracket, 1e-6, Q).b_star
+    except ZeroRefinementError as exc:      # the oracle sees no zero at b0
+        b_star = exc.b_best
+    assert abs(b_star - b0) < 5e-10
+    assert len(line_evals) + counts["F"] + counts["eta"] <= _WORST_CASE_EVALS
+
+
 # ---------------------------------------------------------------------------
 # The full pipeline and cross-route agreement.
 
@@ -237,3 +299,29 @@ def test_find_zeros_empty_range():
     zeros, scan_rows = find_zeros(2.0, 8.0, 0.25, 1e-6, Q)
     assert zeros == []
     assert len(scan_rows) == 25
+
+
+def test_find_zeros_budget_and_accuracy(monkeypatch):
+    # each scan takes 121 evaluations of its route; the 12 refinements
+    # (6 zeros, two routes) add about 10 each
+    counts = _count_evals(monkeypatch)
+    zeros, _ = find_zeros(10.0, 40.0, 0.25, 1e-6, Q)
+    assert counts["F"] <= 200 and counts["eta"] <= 200, counts
+    assert len(zeros) == 6
+    assert all(z["integral_certified"] and z["route_gap"] <= 1e-9
+               for z in zeros)
+    mpmath = pytest.importorskip("mpmath")
+    for k, z in enumerate(zeros, start=1):
+        assert abs(z["b_star"] - float(mpmath.zetazero(k).imag)) <= 5e-10
+
+
+def test_scan_leaves_numpy_ma_unimported():
+    # np.median on a list imports numpy.ma (13-25 ms per process)
+    code = ("import sys\n"
+            "from etazeros.zerofinder import find_zeros\n"
+            "find_zeros(13.0, 15.0)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
