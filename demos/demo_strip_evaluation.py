@@ -2,8 +2,10 @@
 
 F(s) = int t^(s-1)/(e^t+1) dt is entire in the strip and ties to zeta by
 (1 - 2^(1-s)) G(s) = F(s) with G = gamma * zeta, so zeta inherits its zeros.
-The quadrature route and the accelerated alternating series agree to the
-quadrature noise floor.
+F and gamma are both integrated on a ray rotated towards the imaginary axis,
+so each keeps its relative accuracy as it decays like e^(-pi b/2): the
+quadrature route and gamma times the accelerated alternating series agree to
+better than 1e-12 of |F|, out to b = 100 where |F| is near 2e-68.
 """
 
 import math
@@ -20,12 +22,12 @@ print(f"  zeta(1/2) = {zeta_strip(0.5).value.re:.12f}")
 
 print()
 print("on the critical line the integral and series routes agree:")
-for b in (5.0, 14.2, 21.0):
+for b in (5.0, 14.2, 21.0, 100.0):
     s = ComplexPoint(0.5, b)
     f = F(s).value.value
     rhs = Gamma(s).value.value * eta_oracle(s).value
     print(f"  b={b:5.1f}:  F = {f: .6e}   gamma*eta = {rhs: .6e}   "
-          f"|diff| = {abs(f - rhs):.2e}")
+          f"|diff|/|F| = {abs(f - rhs) / abs(f):.2e}")
 
 print()
 print("near the first zero ordinate the value collapses:")

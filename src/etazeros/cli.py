@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import verify
@@ -98,13 +97,8 @@ def _cmd_eval(args, q: QuadratureSpec):
     method = args.method
     if method == "integral":
         ev = F(p, q)
-        f_re, f_im = ev.value.re, ev.value.im
+        f = ev.value.value
         err = ev.err
-        try:
-            z = zeta_strip(p, q)
-            z_re, z_im = z.value.re, z.value.im
-        except QuadratureError:
-            z_re = z_im = None   # gamma below its noise floor: no quotient
     elif method == "series+decomposition":
         from .decomposition import upper_integral
         if p.b <= 0:
@@ -113,24 +107,32 @@ def _cmd_eval(args, q: QuadratureSpec):
         head = series_lower_integral(p.a, p.b, K, R, tol=1e-13)
         plan = make_plan(p.a, p.b, q)
         tail, tail_err = upper_integral(plan, q)
-        f_im = head.value + tail
-        f_re = F(p, q).value.re     # no closed series for the cos head
-        err = head.tail_bound + tail_err
-        denom = one_minus_two_pow(p)
-        gam = Gamma(p, q).value.value
-        zc = complex(f_re, f_im) / denom / gam if gam != 0 else None
-        z_re, z_im = (zc.real, zc.imag) if zc is not None else (None, None)
+        ev = F(p, q)                # no closed series for the cos head
+        f = complex(ev.value.re, head.value + tail)
+        err = head.tail_bound + tail_err + ev.err_re
     else:  # oracle
         eta = eta_oracle(p, tol=1e-12)
         gam = Gamma(p, q)
-        fc = gam.value.value * eta.value
-        f_re, f_im = fc.real, fc.imag
-        err = abs(eta.value) * gam.err + 1e-12 * abs(fc)
-        z = zeta_oracle(p, tol=1e-12)
-        z_re, z_im = z.re, z.im
+        f = gam.value.value * eta.value
+        err = abs(eta.value) * gam.err + 1e-12 * abs(f)
+    # an F unresolved above its error says nothing about zeta, and over a
+    # tiny gamma it would print noise or an overflow
+    z = None
+    if abs(f) <= 4.0 * err:
+        pass
+    elif method == "oracle":
+        z = zeta_oracle(p, tol=1e-12).value
+    elif method == "integral":
+        try:
+            z = zeta_strip(p, q).value.value
+        except QuadratureError:
+            pass    # gamma underflows where F does not yet
+    else:
+        z = f / one_minus_two_pow(p) / Gamma(p, q).value.value
     payload = {"a": p.a, "b": p.b, "method": method,
-               "F_re": f_re, "F_im": f_im, "F_abs": math.hypot(f_re, f_im),
-               "zeta_re": z_re, "zeta_im": z_im, "err_est": err}
+               "F_re": f.real, "F_im": f.imag, "F_abs": abs(f),
+               "zeta_re": None if z is None else z.real,
+               "zeta_im": None if z is None else z.imag, "err_est": err}
     if args.fmt == "csv":
         keys = ["a", "b", "F_re", "F_im", "F_abs", "zeta_re", "zeta_im",
                 "err_est"]

@@ -1,5 +1,21 @@
-"""Panel-based quadrature for power-weighted decaying kernels, with dedicated
-handling of the two hard features of this integrand family:
+"""Quadrature for power-weighted decaying kernels, by two engines.
+
+Whole half-line integrals int_0^inf t^(s-1) k(t) dt of the fermi, exp and
+bose kernels (F, gamma and G of :mod:`etazeros.special`) go to
+:func:`integrate_line`, which integrates on a ray rotated towards the
+imaginary axis.  Each kernel is analytic on Re t > 0 with its poles on the
+imaginary axis, so by Cauchy's theorem
+
+    int_0^inf t^(s-1) k(t) dt = e^(i theta s) int_0^inf r^(s-1) k(r e^(i theta)) dr
+
+for 0 <= theta < pi/2.  With theta = pi/2 - delta the factor e^(-theta b)
+comes out analytically, and what is left to quadrature is only about
+e^(delta b) worse conditioned than the integral, which decays like
+e^(-pi b / 2).  Gauss panels run in u = log r; the head near r = 0 and the
+tail are taken analytically.
+
+The paper's real-axis pieces (head integrals to R, paired tails, half
+periods) go to :func:`integrate_finite` and :func:`integrate_to_infinity`:
 
 * an integrable endpoint singularity t^(a-1) at t = 0, removed exactly by the
   substitution t = u^(1/alpha) on [0, min(1, hi)] for non-oscillatory kinds,
@@ -17,18 +33,20 @@ the paired difference kernel
 
     h(t, a, b) = t^(a-1) (q(t) - e^(a pi/b) q(t e^(pi/b))),    q = 1/(e^t + 1)
 
-over the half period [t_2k, t_2k+1] (and likewise for the e^(-t) kernel).
-``paired=True`` selects that form.  It is what keeps the absolute rounding
-noise near machine scale when the half-waves of each period cancel almost
-exactly, which for this family they do, to a factor ~ e^(-pi b / 2).
+over the half period [t_2k, t_2k+1].  ``paired=True`` selects that form.  It
+is what keeps the absolute rounding noise near machine scale when the
+half-waves of each period cancel almost exactly, which for this family they
+do, to a factor ~ e^(-pi b / 2).
 
-Panel sums are compensated (Kahan) and accumulated in ascending panel order,
-so results are bit-reproducible at fixed settings.
+Panel sums are compensated (Kahan or fsum) and accumulated in ascending panel
+order, so results are bit-reproducible at fixed settings.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,9 +101,8 @@ class QuadratureSpec:
 
 DEFAULT_SPEC = QuadratureSpec()
 
-_KERNELS = ("fermi", "pair_fermi", "exp", "pair_exp", "bose", "unit")
+_KERNELS = ("fermi", "pair_fermi", "exp", "unit")
 _TRIGS = (None, "sin", "cos")
-_PAIR_OF = {"fermi": "pair_fermi", "exp": "pair_exp"}
 
 
 @dataclass(frozen=True)
@@ -96,8 +113,6 @@ class IntegrandSpec:
       ``fermi``       t^(a-1) / (e^(scale * t) + 1)
       ``pair_fermi``  t^(a-1) (q(t) - e^(a pi/b) q(t e^(pi/b))),  q = 1/(e^t+1)
       ``exp``         t^(a-1) e^(-t)
-      ``pair_exp``    t^(a-1) (e^(-t) - e^(a pi/b) e^(-t e^(pi/b)))
-      ``bose``        t^(a-1) / (e^t - 1)     (needs a > 1 near 0)
       ``unit``        1  (bare trig carrier; a ignored)
     trig: None, "sin", or "cos" of (b log t).
     """
@@ -115,9 +130,9 @@ class IntegrandSpec:
             raise ValueError(f"unknown trig {self.trig!r}")
         if self.trig is not None and not self.b > 0:
             raise ValueError("oscillatory kinds need b > 0")
-        if self.kernel in ("pair_fermi", "pair_exp") and not self.b > 0:
+        if self.kernel == "pair_fermi" and not self.b > 0:
             raise ValueError("paired kernels need b > 0")
-        if self.kernel in ("fermi", "pair_fermi", "exp", "pair_exp") and not self.a > 0:
+        if self.kernel != "unit" and not self.a > 0:
             raise ValueError("power-weighted kernels need a > 0")
         if not self.scale > 0:
             raise ValueError("scale must be positive")
@@ -125,24 +140,20 @@ class IntegrandSpec:
     @property
     def singular_exponent(self) -> float | None:
         """alpha with integrand ~ t^(alpha-1) * bounded near 0 (None: regular)."""
-        if self.kernel in ("fermi", "pair_fermi", "exp", "pair_exp"):
-            return self.a
-        if self.kernel == "bose":
-            return self.a - 1.0
-        return None
+        if self.kernel == "unit":
+            return None
+        return self.a
 
     @property
     def paired(self) -> "IntegrandSpec":
         """The analytically cancelled counterpart (full period -> half period)."""
-        if self.kernel in ("pair_fermi", "pair_exp"):
+        if self.kernel == "pair_fermi":
             return self
-        try:
-            pk = _PAIR_OF[self.kernel]
-        except KeyError:
-            raise ValueError(f"kernel {self.kernel!r} has no paired form") from None
+        if self.kernel != "fermi":
+            raise ValueError(f"kernel {self.kernel!r} has no paired form")
         if self.scale != 1.0:
             raise ValueError("paired form defined only at scale 1")
-        return IntegrandSpec(pk, self.trig, self.a, self.b)
+        return IntegrandSpec("pair_fermi", self.trig, self.a, self.b)
 
     # ---- stable evaluation (vectorized; t > 0) ----
 
@@ -157,17 +168,11 @@ class IntegrandSpec:
             return e / (1.0 + e)
         if k == "exp":
             return np.exp(-t)
-        if k == "bose":
-            # t / (e^t - 1) = t e^-t / (1 - e^-t), exact at t -> 0 via expm1
-            return t * np.exp(-t) / (-np.expm1(-t))
-        # paired difference kernels; c = e^(pi/b), lambda = e^(a pi / b)
+        # pair_fermi: q(t) - lambda q(c t), c = e^(pi/b), lambda = e^(a pi/b);
+        # numerator written with expm1 so the near-cancellation at large b
+        # costs no precision
         apb = self.a * math.pi / self.b
         d = math.expm1(math.pi / self.b)          # c - 1
-        if k == "pair_exp":
-            # e^-t - e^(a pi/b) e^-(c t) = -e^-t expm1(a pi/b - (c-1) t)
-            return -np.exp(-t) * np.expm1(apb - d * t)
-        # pair_fermi: q(t) - lambda q(c t); numerator written with expm1 so
-        # the near-cancellation at large b costs no precision
         lam_m1 = math.expm1(apb)
         e1 = np.exp(-t)
         e2 = np.exp(-(1.0 + d) * t)
@@ -208,8 +213,7 @@ def eval_integrand(spec: IntegrandSpec, t):
         vals = spec(safe)
         at0 = {"fermi": 0.5 if spec.a == 1.0 else 0.0,
                "exp": 1.0 if spec.a == 1.0 else 0.0,
-               "unit": 1.0,
-               "bose": 1.0 if spec.a == 2.0 else 0.0}.get(spec.kernel, 0.0)
+               "unit": 1.0}.get(spec.kernel, 0.0)
         if alpha is not None and alpha > 1.0:
             at0 = 0.0
         out = np.where(arr == 0.0, at0, vals)
@@ -380,14 +384,10 @@ def _lower_tail_bound(spec: IntegrandSpec, t: float) -> float:
         return 0.5 * t ** a / a
     if k == "exp":
         return t ** a / a
-    if k == "bose":
-        return t ** (a - 1.0) / (a - 1.0)
-    # paired: |delta(t)| <= (c-1) t / 4 + (e^(a pi/b) - 1)/2 for the fermi
-    # form, twice that covers the exp form
+    # paired: |delta(t)| <= (c-1) t / 4 + (e^(a pi/b) - 1)/2
     d = math.expm1(math.pi / spec.b)
     lam_m1 = math.expm1(a * math.pi / spec.b)
-    s = 2.0 if k == "pair_exp" else 1.0
-    return s * (0.25 * d * t ** (a + 1.0) / (a + 1.0) + 0.5 * lam_m1 * t ** a / a)
+    return 0.25 * d * t ** (a + 1.0) / (a + 1.0) + 0.5 * lam_m1 * t ** a / a
 
 
 def _upper_tail_bound(spec: IntegrandSpec, t_cut: float) -> float:
@@ -396,10 +396,8 @@ def _upper_tail_bound(spec: IntegrandSpec, t_cut: float) -> float:
         raise ValueError("bare trig carrier has no convergent upper tail")
     a = spec.a
     extra = 1.0
-    if spec.kernel in ("pair_fermi", "pair_exp"):
+    if spec.kernel == "pair_fermi":
         extra = 1.0 + math.exp(spec.a * math.pi / spec.b)
-    if spec.kernel == "bose":
-        extra = 1.0 / -math.expm1(-t_cut)
     if spec.kernel == "fermi" and spec.scale != 1.0:
         # kernel <= e^(-scale t); reuse the t substitution
         t_cut = t_cut * spec.scale
@@ -437,8 +435,7 @@ def _oscillatory(spec: IntegrandSpec, lo: float, hi: float | None,
     tail_hi = 0.0
     edge_hi = None          # (phi_lo, phi_hi) partial top panel
     if hi is None:
-        T = q.truncation_point(spec.a if spec.kernel != "unit" else 1.0,
-                               max(floor, 1e-2 * q.target_tol))
+        T = q.truncation_point(spec.a, max(floor, 1e-2 * q.target_tol))
         k_hi = math.ceil(_phase_of(T, b))
         if k_hi % 2:
             k_hi += 1
@@ -578,6 +575,119 @@ def _oscillatory(spec: IntegrandSpec, lo: float, hi: float | None,
 
 
 # ---------------------------------------------------------------------------
+# Whole half-line integrals on the rotated ray t = r e^(i theta).
+
+_EPS = math.ulp(1.0)
+_RAY_DELTA_MAX = 0.2    # tilt of the ray off the imaginary axis ...
+_RAY_DELTA_B = 4.0      # ... capped at this / |b|: conditioning e^(delta |b|) <= e^4
+_RAY_TAIL = 40.0        # the tail beyond the last panel is below e^(-40)
+_RAY_HEAD = 46.0        # the head remainder is below e^(-46)
+_RAY_PHASE = 12.0       # change of the integrand's log per panel
+
+
+def _fermi_values(z):
+    # with Re z >= 0, 1/(e^z + 1) = w/(1 + w), w = e^(-z), never overflows;
+    # 1 + w cancels near a pole, by about |k(z)|
+    w = np.exp(-z)
+    g = w / (1.0 + w)
+    return g, np.abs(g)
+
+
+def _exp_values(z):
+    return np.exp(-z), 0.0
+
+
+def _bose_values(z):
+    # 1 - e^(-z) by expm1, exact as z -> 0; near a pole 2 pi i m it cancels
+    # the rounding of z, by about |z k(z)|
+    g = np.exp(-z) / -np.expm1(-z)
+    return g, np.abs(z * g)
+
+
+@dataclass(frozen=True)
+class _RayKernel:
+    """A kernel k(z) of :func:`integrate_line`, analytic on Re z > 0.
+
+    ``values(z)`` gives k(z) and the relative rounding of that evaluation,
+    in units of eps, beyond the rounding of z itself.  For |z| <= 1,
+    k(z) = c0 z^j0 + c1 z^(j0+1) + rest with |rest| <= |z|^p / head_div;
+    the integral needs Re s > -j0.  Once Re z >= 1,
+    |k(z)| <= tail_mul e^(-Re z).  The poles nearest the positive real axis
+    lie at +-i pole (inf: none).
+    """
+
+    values: Callable
+    j0: int
+    c0: float
+    c1: float
+    p: float
+    head_div: float
+    tail_mul: float
+    pole: float
+
+
+_RAY_KERNELS = {
+    # 1/(e^z + 1) = 1/2 - z/4 + z^3/48 - z^5/480 + ...: rest < 0.024 |z|^3
+    "fermi": _RayKernel(_fermi_values, j0=0, c0=0.5, c1=-0.25, p=3.0,
+                        head_div=40.0, tail_mul=2.0, pole=math.pi),
+    # e^(-z) = 1 - z + rest, |rest| <= (e - 2) |z|^2 < |z|^2 / 1.39
+    "exp": _RayKernel(_exp_values, j0=0, c0=1.0, c1=-1.0, p=2.0,
+                      head_div=1.39, tail_mul=1.0, pole=math.inf),
+    # 1/(e^z - 1) = 1/z - 1/2 + sum_n B_2n z^(2n-1) / (2n)!, and
+    # sum_n |B_2n| / (2n)! = 1 - cot(1/2) / 2 < 1/11 bounds the rest by |z|/11
+    "bose": _RayKernel(_bose_values, j0=-1, c0=1.0, c1=-0.5, p=1.0,
+                       head_div=11.0, tail_mul=2.0, pole=2.0 * math.pi),
+}
+
+
+def _ray_panels(rate: float, delta: float, log_pole: float, u_lo: float,
+                u_hi: float) -> np.ndarray:
+    """Panel breakpoints in u = log r on [u_lo, u_hi].
+
+    Each panel keeps the change of the integrand's log under _RAY_PHASE (its
+    rate in u is at most |s| + r) and its width under the distance, in the u
+    plane, to the kernel's poles log(pole) + i delta, ...: the first pole
+    for r < pole, the line of poles at distance delta beyond it.  Panels the
+    rule gets wrong are bisected by the G24/G12 test afterwards.
+    """
+    xs = [u_lo]
+    x = u_lo
+    while x < u_hi:
+        h = min(_RAY_PHASE / (rate + math.exp(x)),
+                max(delta, 0.5 * (log_pole - x)))
+        x = min(x + h, u_hi)
+        xs.append(x)
+    return np.asarray(xs)
+
+
+def _ray_integrand(kernel: _RayKernel, s: complex, rot: complex,
+                   u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The integrand e^(s u) k(e^u rot) in u = log r, and its node-wise
+    relative rounding in units of eps: the phase b u and the argument r rot
+    (each rounded relative to its size) and the kernel's own."""
+    r = np.exp(u)
+    g, cond = kernel.values(r * rot)
+    f = np.exp(s * u) * g
+    rel = 4.0 + abs(s) * np.abs(u) + r + cond
+    return f, rel
+
+
+def _ray_batch(kernel: _RayKernel, s: complex, rot: complex, lo: np.ndarray,
+               hi: np.ndarray):
+    """(G24 values, |G24 - G12|, rounding floors) of panels [lo, hi]."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    xh, wh = _gauss(_RULE_HI)
+    xl, wl = _gauss(_RULE_LO)
+    fh, rel = _ray_integrand(kernel, s, rot, mid[:, None] + half[:, None] * xh)
+    fl, _ = _ray_integrand(kernel, s, rot, mid[:, None] + half[:, None] * xl)
+    vh = half * (fh @ wh)
+    vl = half * (fl @ wl)
+    noise = 2.0 * _EPS * half * ((np.abs(fh) * rel) @ wh)
+    return vh, np.abs(vh - vl), noise
+
+
+# ---------------------------------------------------------------------------
 # Public operations.
 
 def integrate_finite(spec: IntegrandSpec, lo: float, hi: float,
@@ -631,23 +741,90 @@ def integrate_to_infinity(spec: IntegrandSpec, lo: float,
     return value, err + _upper_tail_bound(spec, T)
 
 
-def integrate_line(spec: IntegrandSpec, q: QuadratureSpec | None = None, *,
-                   paired: bool = True,
-                   abs_tol: float | None = None) -> tuple[float, float]:
-    """Integral over the whole half-line [0, infinity).
+def integrate_line(kernel: str, s: complex,
+                   q: QuadratureSpec | None = None) -> tuple[complex, float]:
+    """int_0^inf t^(s-1) k(t) dt and a bound on the modulus of its error,
+    for k = ``fermi`` 1/(e^t + 1) or ``exp`` e^(-t) (Re s > 0), or ``bose``
+    1/(e^t - 1) (Re s > 1).
 
-    For oscillatory kinds this is the workhorse behind the real-axis
-    complex-plane evaluations (gamma, the direct G); the default paired form
-    keeps absolute accuracy near machine scale even when the true value is
-    exponentially small in b.
+    For b = Im s != 0 the ray has angle theta = pi/2 - delta with
+    delta = min(0.2, 4/|b|), so the error scales with the integral itself;
+    at b = 0 it is the real axis, and a real s gives an imaginary part of
+    exactly 0.  The value at -b is the exact conjugate of the value at |b|.
+    err is |e^(i theta s)| times the sum of the panel errors |G24 - G12|,
+    the head remainder and tail bounds and the rounding floor.  Raises
+    :class:`QuadratureError` when a panel stalls above its rounding floor.
     """
+    if kernel not in _RAY_KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r} for the whole line")
+    k = _RAY_KERNELS[kernel]
     q = q or DEFAULT_SPEC
-    if spec.trig is not None:
-        return _oscillatory(spec, 0.0, None, q, paired, abs_tol)
-    alpha = spec.singular_exponent
-    if alpha is not None and alpha <= 0.0:
-        raise ValueError("integrand not integrable at 0")
-    floor = 0.0 if abs_tol is None else abs_tol
-    T = q.truncation_point(spec.a, max(floor, 1e-2 * q.target_tol))
-    value, err = _integrate_smooth(spec, 0.0, T, q, floor)
-    return value, err + _upper_tail_bound(spec, T)
+    s = complex(s)
+    a, b = s.real, abs(s.imag)
+    if not a > -k.j0:
+        raise ValueError(f"the {kernel} integral needs Re s > {-k.j0}")
+    delta = min(_RAY_DELTA_MAX, _RAY_DELTA_B / b) if b else 0.5 * math.pi
+    theta = 0.5 * math.pi - delta
+    sigma = math.sin(delta)          # Re of the ray's direction
+    rot = complex(sigma, math.cos(delta) if b else 0.0)
+    conj = s.imag < 0
+    s = complex(a, b)
+
+    # head: below rho = e^u_lo the kernel's first two series terms integrate
+    # in closed form, and the rest leaves rho^p' / (head_div p') <= e^(-46)
+    p = a + k.p
+    u_lo = -_RAY_HEAD / p
+    rho = math.exp(u_lo)
+    j = k.j0
+    head = (k.c0 * rot ** j * cmath.exp((s + j) * u_lo) / (s + j)
+            + k.c1 * rot ** (j + 1) * cmath.exp((s + j + 1) * u_lo)
+            / (s + j + 1))
+    head_bound = rho ** p / (k.head_div * p)
+
+    # tail: |k(z)| <= tail_mul e^(-sigma r) once sigma r >= 1, so beyond
+    # r = X / sigma it is below tail_mul sigma^-a int_X^inf x^(a-1) e^-x dx
+    x_top = _RAY_TAIL
+    for _ in range(4):
+        x_top = _RAY_TAIL + max(a - 1.0, 0.0) * math.log(x_top) \
+            - a * math.log(sigma)
+    tail_bound = k.tail_mul * sigma ** -a * _upper_tail_bound(
+        IntegrandSpec("exp", a=a), x_top)
+    u_hi = math.log(x_top / sigma)
+
+    xs = _ray_panels(abs(s), delta, math.log(k.pole), u_lo, u_hi)
+    lo, hi = xs[:-1], xs[1:]
+    vals, errs, floors = _ray_batch(k, s, rot, lo, hi)
+    noise = float(np.sum(floors))
+    # a panel is done when G24 and G12 agree to its own rounding floor or
+    # its share of the whole integral's floor; the others are bisected
+    share = noise / len(lo)
+    kept = []
+    for _ in range(q.max_refinement_depth):
+        done = (errs <= 64.0 * floors) | (errs <= share)
+        kept.append((lo[done], vals[done], errs[done], floors[done]))
+        lo, hi = lo[~done], hi[~done]
+        if not len(lo):
+            break
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        vals, errs, floors = _ray_batch(k, s, rot, lo, hi)
+    else:
+        kept.append((lo, vals, errs, floors))
+    lo, vals, errs, floors = (np.concatenate(c) for c in zip(*kept))
+    vals = vals[np.argsort(lo, kind="stable")]
+    integral = complex(math.fsum(vals.real), math.fsum(vals.imag)) + head
+    panel_err = float(np.sum(errs))
+    noise = float(np.sum(floors)) \
+        + _EPS * (4.0 + theta * b) * abs(integral)
+    if panel_err > max(64.0 * noise, q.target_tol * abs(integral)):
+        raise QuadratureError(
+            f"ray integral stalled: panel error {panel_err:.3e}",
+            value=None, err_est=panel_err)
+
+    scale = math.exp(-theta * b)     # |e^(i theta s)|
+    value = cmath.exp(1j * theta * s) * integral
+    # past b ~ 470 the scale underflows and the value rounds to 0; the
+    # smallest subnormal then bounds the error of that rounding
+    err = max(scale * (panel_err + head_bound + tail_bound + noise),
+              math.ulp(0.0))
+    return (value.conjugate() if conj else value), err

@@ -10,26 +10,13 @@ with the bridging identity (1 - 2^(1-s)) G(s) = F(s), which both extends G
 into the strip 0 < Re s <= 1 (where its own integral diverges at 0) and makes
 F and zeta share their zero sets there.
 
-Writing s = a + ib, |F(s)| decays like e^(-pi |b| / 2) while the integrand
-mass on the real axis stays O(1), so any real-axis quadrature of F carries an
-absolute rounding floor near 1e-18 that swamps F itself past |b| ~ 25.  That
-floor belongs to the contour, not to the integral.  The poles of
-1/(e^t + 1) sit on the imaginary axis, so for 0 <= theta < pi/2 Cauchy's
-theorem gives
-
-    F(s) = e^(i theta s) int_0^inf r^(s-1) / (exp(r e^(i theta)) + 1) dr,
-
-and with theta = pi/2 - delta the factor e^(-theta b) comes out analytically;
-what is left to quadrature is only about e^(delta b) worse conditioned than F
-itself.  For b != 0, :func:`F` integrates on that ray (Gauss panels in log r,
-the head near r = 0 and the tail beyond the last panel taken analytically);
-b = 0 stays on the real axis.
-
-Gamma and the direct G stay on the real axis as two real quadratures, the cos
-and sin kinds of the same kernel; for b != 0 Gamma uses the
-oscillation-paired form (half-period panels of the difference kernel), which
-keeps its *absolute* error near machine scale.  That is still above
-|Gamma(1/2 + ib)| past |b| ~ 25, where :func:`zeta_strip` refuses.
+Writing s = a + ib, F, Gamma and G all decay like e^(-pi |b| / 2) while
+their integrand mass on the real axis stays O(1), so a real-axis quadrature
+carries an absolute rounding floor near 1e-18 that swamps them past
+|b| ~ 25.  All three are therefore taken by
+:func:`etazeros.quadrature.integrate_line` on a ray rotated towards the
+imaginary axis, whose error scales with the value itself; the functions here
+only name the kernel and package the result.
 """
 
 from __future__ import annotations
@@ -38,17 +25,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .quadrature import (
-    _RULE_HI,
-    _RULE_LO,
     DEFAULT_SPEC,
-    IntegrandSpec,
     QuadratureError,
     QuadratureSpec,
-    _gauss,
-    _upper_tail_bound,
     integrate_line,
 )
 from .report import VerificationReport
@@ -78,9 +58,6 @@ class ComplexPoint:
     def s(self) -> complex:
         return complex(self.a, self.b)
 
-    def conjugate(self) -> "ComplexPoint":
-        return ComplexPoint(self.a, -self.b)
-
     def in_strip(self) -> bool:
         return 0.0 < self.a < 1.0
 
@@ -101,9 +78,6 @@ class ComplexValue:
     def __abs__(self) -> float:
         return math.hypot(self.re, self.im)
 
-    def conjugate(self) -> "ComplexValue":
-        return ComplexValue(self.re, -self.im)
-
 
 @dataclass(frozen=True)
 class StripEval:
@@ -119,191 +93,25 @@ class StripEval:
         return self.err_re + self.err_im
 
 
-def _complex_line_integral(kernel: str, a: float, b: float,
-                           q: QuadratureSpec) -> StripEval:
-    """(re, im) = int_0^inf t^(a-1) kernel(t) (cos + i sin)(b log t) dt on the
-    real axis, by the paired form wherever the kernel has one."""
-    if b == 0.0:
-        re, err = integrate_line(IntegrandSpec(kernel, a=a), q, paired=False)
-        return StripEval(ComplexValue(re, 0.0), err, 0.0, "integral")
-    paired = kernel != "bose"
-    sign = 1.0 if b > 0 else -1.0
-    babs = abs(b)
-    re, err_re = integrate_line(IntegrandSpec(kernel, "cos", a=a, b=babs),
-                                q, paired=paired)
-    im, err_im = integrate_line(IntegrandSpec(kernel, "sin", a=a, b=babs),
-                                q, paired=paired)
-    # conjugate symmetry: value at -b is the conjugate of the value at b
-    return StripEval(ComplexValue(re, sign * im), err_re, err_im,
-                     "integral-paired" if paired else "integral-direct")
-
-
-# ---------------------------------------------------------------------------
-# F on the rotated ray t = r e^(i theta), theta = pi/2 - delta.
-
-_EPS = math.ulp(1.0)
-_RAY_DELTA_MAX = 0.2    # tilt of the ray off the imaginary axis ...
-_RAY_DELTA_B = 4.0      # ... capped at this / b: conditioning e^(delta b) <= e^4
-_RAY_TAIL = 40.0        # the tail beyond the last panel is below e^(-40)
-_RAY_HEAD = 46.0        # the head remainder is below e^(-46)
-_RAY_PHASE = 12.0       # change of the integrand's log per panel
-_LOG_PI = math.log(math.pi)
-
-
-def _ray_panels(rate: float, delta: float, u_lo: float,
-                u_hi: float) -> np.ndarray:
-    """Panel breakpoints in u = log r on [u_lo, u_hi].
-
-    Each panel keeps the change of the integrand's log under _RAY_PHASE (its
-    rate in u is at most |s| + r) and its width under the distance, in the u
-    plane, to the poles log(pi (2k+1)) + i pi/2 of the kernel: the first
-    pole for r < pi, the line of poles at distance delta beyond it.  Panels
-    the rule gets wrong are bisected by the G24/G12 test afterwards.
-    """
-    xs = [u_lo]
-    x = u_lo
-    while x < u_hi:
-        h = min(_RAY_PHASE / (rate + math.exp(x)),
-                max(delta, 0.5 * (_LOG_PI - x)))
-        x = min(x + h, u_hi)
-        xs.append(x)
-    return np.asarray(xs)
-
-
-def _ray_kernel(s: complex, rot: complex,
-                u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The integrand e^(s u) / (exp(e^u rot) + 1) in u = log r, and its
-    node-wise relative rounding in units of eps.
-
-    With Re rot > 0, 1/(e^z + 1) = w/(1 + w), w = e^(-z), never overflows.
-    The rounding counts the phase b u and the argument r rot (each rounded
-    relative to its size) and the cancellation in 1 + w near a pole (|g|).
-    """
-    r = np.exp(u)
-    w = np.exp(-r * rot)
-    g = w / (1.0 + w)
-    f = np.exp(s * u) * g
-    rel = 4.0 + abs(s) * np.abs(u) + r + np.abs(g)
-    return f, rel
-
-
-def _ray_batch(s: complex, rot: complex, lo: np.ndarray, hi: np.ndarray):
-    """(G24 values, |G24 - G12|, rounding floors) of panels [lo, hi]."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    xh, wh = _gauss(_RULE_HI)
-    xl, wl = _gauss(_RULE_LO)
-    fh, rel = _ray_kernel(s, rot, mid[:, None] + half[:, None] * xh)
-    fl, _ = _ray_kernel(s, rot, mid[:, None] + half[:, None] * xl)
-    vh = half * (fh @ wh)
-    vl = half * (fl @ wl)
-    noise = 2.0 * _EPS * half * ((np.abs(fh) * rel) @ wh)
-    return vh, np.abs(vh - vl), noise
-
-
-def _fermi_ray(a: float, b: float, q: QuadratureSpec) -> StripEval:
-    """F(a + ib), b > 0, by quadrature on the ray of angle pi/2 - delta.
-
-    err_est bounds |F - value| by |e^(i theta s)| times the sum of the panel
-    errors |G24 - G12|, the head and tail bounds and the rounding floor.
-    """
-    delta = min(_RAY_DELTA_MAX, _RAY_DELTA_B / b)
-    theta = 0.5 * math.pi - delta
-    sigma = math.sin(delta)          # Re of the ray's direction
-    rot = complex(sigma, math.cos(delta))
-    s = complex(a, b)
-
-    # head: 1/(e^z + 1) = 1/2 - z/4 + c3 z^3 + ..., with sum |c_n| |z|^n below
-    # |z|^3 / 40 for |z| <= 1; the first two terms integrate in closed form
-    u_lo = -_RAY_HEAD / (a + 3.0)
-    rho = math.exp(u_lo)
-    head = (cmath.exp(s * u_lo) / (2.0 * s)
-            - rot * cmath.exp((s + 1.0) * u_lo) / (4.0 * (s + 1.0)))
-    head_bound = rho ** (a + 3.0) / (40.0 * (a + 3.0))
-
-    # tail: |1/(e^z + 1)| <= 2 e^(-sigma r) once sigma r >= 1, so beyond
-    # r = X / sigma the tail is below 2 sigma^-a int_X^inf x^(a-1) e^-x dx
-    x_top = _RAY_TAIL
-    for _ in range(4):
-        x_top = _RAY_TAIL + max(a - 1.0, 0.0) * math.log(x_top) \
-            - a * math.log(sigma)
-    tail_bound = 2.0 * sigma ** -a * _upper_tail_bound(
-        IntegrandSpec("exp", a=a), x_top)
-    u_hi = math.log(x_top / sigma)
-
-    xs = _ray_panels(abs(s), delta, u_lo, u_hi)
-    lo, hi = xs[:-1], xs[1:]
-    vals, errs, floors = _ray_batch(s, rot, lo, hi)
-    noise = float(np.sum(floors))
-    # a panel is done when G24 and G12 agree to its own rounding floor or
-    # its share of the whole integral's floor; the others are bisected
-    share = noise / len(lo)
-    keep_lo, keep_v, keep_e, keep_n = [], [], [], []
-    for _ in range(q.max_refinement_depth):
-        done = (errs <= 64.0 * floors) | (errs <= share)
-        keep_lo.append(lo[done])
-        keep_v.append(vals[done])
-        keep_e.append(errs[done])
-        keep_n.append(floors[done])
-        lo, hi = lo[~done], hi[~done]
-        if not len(lo):
-            break
-        mid = 0.5 * (lo + hi)
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        vals, errs, floors = _ray_batch(s, rot, lo, hi)
-    else:
-        keep_lo.append(lo)
-        keep_v.append(vals)
-        keep_e.append(errs)
-        keep_n.append(floors)
-    order = np.argsort(np.concatenate(keep_lo), kind="stable")
-    vals = np.concatenate(keep_v)[order]
-    integral = complex(math.fsum(vals.real), math.fsum(vals.imag)) + head
-    panel_err = float(np.sum(np.concatenate(keep_e)))
-    noise = float(np.sum(np.concatenate(keep_n))) \
-        + _EPS * (4.0 + theta * b) * abs(integral)
-    if panel_err > max(64.0 * noise, q.target_tol * abs(integral)):
-        raise QuadratureError(
-            f"ray integral stalled: panel error {panel_err:.3e}",
-            value=None, err_est=panel_err)
-
-    scale = math.exp(-theta * b)     # |e^(i theta s)|
-    value = cmath.exp(1j * theta * s) * integral
-    # past b ~ 470 the scale underflows and F rounds to 0; the smallest
-    # subnormal then bounds the error of that rounding
-    err = max(scale * (panel_err + head_bound + tail_bound + noise),
-              math.ulp(0.0))
-    return StripEval(ComplexValue(value.real, value.imag), err, err,
-                     "integral-ray")
+def _ray(kernel: str, s, q: QuadratureSpec | None,
+         method: str = "integral-ray") -> StripEval:
+    value, err = integrate_line(kernel, ComplexPoint.of(s).s, q)
+    return StripEval(ComplexValue(value.real, value.imag), err, err, method)
 
 
 def F(s, q: QuadratureSpec | None = None) -> StripEval:
     """F(s) = int_0^inf t^(s-1)/(e^t+1) dt as (F1, F2); requires Re s > 0.
 
-    For b != 0 the integral is taken on the ray of angle pi/2 - delta (see
-    the module docstring), so its error scales with |F| ~ e^(-pi |b|/2)
-    rather than with the O(1) real-axis integrand mass: err_re and err_im
-    each bound the error of that component.  The value at -b is the exact
-    conjugate of the value at |b|.  At b = 0, one real quadrature.
+    err_re and err_im each bound the error of that component; both scale
+    with |F| ~ e^(-pi |b|/2), not with the real-axis integrand mass.  The
+    value at -b is the exact conjugate of the value at |b|.
     """
-    p = ComplexPoint.of(s)
-    if not p.a > 0:
-        raise ValueError("F needs Re s > 0")
-    q = q or DEFAULT_SPEC
-    if p.b == 0.0:
-        return _complex_line_integral("fermi", p.a, 0.0, q)
-    ev = _fermi_ray(p.a, abs(p.b), q)
-    if p.b > 0:
-        return ev
-    return StripEval(ev.value.conjugate(), ev.err_re, ev.err_im, ev.method)
+    return _ray("fermi", s, q)
 
 
 def Gamma(s, q: QuadratureSpec | None = None) -> StripEval:
-    """gamma(s) = int_0^inf t^(s-1) e^(-t) dt by real-axis paired quadrature."""
-    p = ComplexPoint.of(s)
-    if not p.a > 0:
-        raise ValueError("gamma integral needs Re s > 0")
-    return _complex_line_integral("exp", p.a, p.b, q or DEFAULT_SPEC)
+    """gamma(s) = int_0^inf t^(s-1) e^(-t) dt; requires Re s > 0."""
+    return _ray("exp", s, q)
 
 
 def one_minus_two_pow(s) -> complex:
@@ -320,10 +128,8 @@ def G(s, q: QuadratureSpec | None = None) -> StripEval:
     method field records the route taken.
     """
     p = ComplexPoint.of(s)
-    q = q or DEFAULT_SPEC
     if p.a > 1.0:
-        ev = _complex_line_integral("bose", p.a, p.b, q)
-        return StripEval(ev.value, ev.err_re, ev.err_im, "direct")
+        return _ray("bose", p, q, "direct")
     if not p.a > 0:
         raise ValueError("G needs Re s > 0")
     f = F(p, q)
@@ -337,9 +143,9 @@ def G(s, q: QuadratureSpec | None = None) -> StripEval:
 def zeta_strip(s, q: QuadratureSpec | None = None) -> StripEval:
     """zeta(s) = G(s)/gamma(s), with G routed per Re s.
 
-    The quotient of two machine-noise-limited quadratures loses all relative
-    accuracy once |gamma(s)| sinks to the noise floor (|b| beyond ~ 25 on the
-    critical line); the guard below refuses rather than returning noise.
+    Both sides keep their relative accuracy until gamma(s) underflows
+    (|b| beyond ~ 470 on the critical line); there the guard below refuses
+    rather than returning a meaningless quotient.
     """
     p = ComplexPoint.of(s)
     q = q or DEFAULT_SPEC
@@ -358,15 +164,14 @@ def zeta_strip(s, q: QuadratureSpec | None = None) -> StripEval:
 
 
 def check_theorem1(points, q: QuadratureSpec | None = None,
-                   eta_fn=None, rel_floor: float = 1e-9) -> VerificationReport:
+                   eta_fn=None) -> VerificationReport:
     """Bridge identity on a strip grid: F(s) computed by quadrature must match
     (1 - 2^(1-s)) * G(s) with G obtained *independently* as zeta_ref * gamma,
     i.e. the right side is gamma(s) * eta_ref(s) with eta_ref the accelerated
     alternating series.
 
-    The relative discrepancy uses max(|F|, rel_floor) in the denominator: at
-    large |b| both sides sink below the quadrature noise floor and the test
-    becomes an absolute one at rel_floor * tol scale.
+    Every cell is relative to |F|; where F underflows to 0 the cell cannot
+    be checked and fails.
     """
     q = q or DEFAULT_SPEC
     if eta_fn is None:
@@ -384,9 +189,8 @@ def check_theorem1(points, q: QuadratureSpec | None = None,
         eta = eta_fn(p.s)
         # (1 - 2^(1-s)) G = (1 - 2^(1-s)) zeta gamma = eta * gamma
         rhs = gam.value.value * eta
-        disc = abs(f.value.value - rhs)
-        denom = max(abs(f.value), rel_floor)
-        rep.add(f"a={p.a:g} b={p.b:g}", disc / denom <= 1e-7,
-                discrepancy=disc / denom, tol=1e-7,
-                lhs=abs(f.value), rhs=abs(rhs))
+        f_abs = abs(f.value)
+        rel = abs(f.value.value - rhs) / f_abs if f_abs else None
+        rep.add(f"a={p.a:g} b={p.b:g}", rel is not None and rel <= 1e-7,
+                discrepancy=rel, tol=1e-7, lhs=f_abs, rhs=abs(rhs))
     return rep

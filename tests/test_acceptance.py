@@ -69,7 +69,7 @@ def test_c02_bridge_identity_grid():
     dt = time.perf_counter() - t0
     worst = max(r.discrepancy for r in rep.rows if r.discrepancy is not None)
     ok = rep.passed and dt < 30.0
-    assert report(2, ok, f"15-point strip grid, worst floored-relative "
+    assert report(2, ok, f"15-point strip grid, worst relative "
                          f"discrepancy {worst:.2e} (tol 1e-7), {dt:.1f}s"), \
         rep.to_text()
 

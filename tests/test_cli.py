@@ -87,6 +87,43 @@ def test_eval_oracle_err_est_bounds_error_against_mpmath(capsys, a, b):
     assert err <= obj["err_est"], (a, b, float(err), obj["err_est"])
 
 
+@pytest.mark.parametrize("method", ["integral", "oracle"])
+def test_eval_resolves_F_and_zeta_at_b_100(capsys, method):
+    # |F(1/2 + 100i)| ~ 2e-68 and |gamma| ~ 1e-68: both come off the ray
+    # resolved, so F lies within err_est and zeta keeps its digits
+    mpmath = pytest.importorskip("mpmath")
+    code, out, _ = run(capsys, "eval", "--a", "0.5", "--b", "100",
+                       "--method", method)
+    assert code == 0
+    obj = json.loads(out)
+    with mpmath.workdps(40):
+        s = mpmath.mpc(0.5, 100.0)
+        f_err = abs(mpmath.mpc(obj["F_re"], obj["F_im"])
+                    - mpmath.gamma(s) * mpmath.altzeta(s))
+        z_ref = mpmath.zeta(s)
+        z_err = abs(mpmath.mpc(obj["zeta_re"], obj["zeta_im"]) - z_ref)
+        assert f_err <= obj["err_est"], (float(f_err), obj["err_est"])
+        assert z_err <= 1e-9 * abs(z_ref), float(z_err)
+    assert obj["err_est"] <= 1e-9 * obj["F_abs"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("b", ["100", "470"])
+def test_eval_unresolved_F_prints_null_zeta(capsys, b):
+    # series+decomposition's F2 = head + tail cancels from O(1/b) down to
+    # |F| ~ e^(-pi b/2), so it is unresolved here; divided by gamma (1e-68
+    # at b = 100, subnormal at b = 470) it would print 1e53 or Infinity
+    code, out, _ = run(capsys, "eval", "--a", "0.5", "--b", b,
+                       "--method", "series+decomposition")
+    assert code == 0
+    obj = json.loads(out, parse_constant=_reject_constant)
+    assert obj["F_abs"] <= 4.0 * obj["err_est"]
+    assert obj["zeta_re"] is None and obj["zeta_im"] is None
+
+
 def test_eval_csv(capsys):
     code, out, _ = run(capsys, "eval", "--a", "0.5", "--b", "5",
                        "--format", "csv")

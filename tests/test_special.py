@@ -84,9 +84,21 @@ def test_zeta_near_first_zero():
 
 
 def test_zeta_refuses_noise_quotient():
-    # |gamma(1/2 + 40i)| ~ 5e-28 is far below the quadrature noise floor
+    # |gamma(1/2 + 500i)| ~ e^-785 underflows to 0: no quotient to return
     with pytest.raises(QuadratureError):
-        zeta_strip(ComplexPoint(0.5, 40.0), Q)
+        zeta_strip(ComplexPoint(0.5, 500.0), Q)
+
+
+@pytest.mark.parametrize("b", [40.0, 100.0])
+def test_zeta_strip_within_err_est_of_mpmath(b):
+    # |gamma(1/2 + ib)| is 5e-28 at b = 40 and 1e-68 at b = 100; the ray
+    # resolves it, so the quotient keeps its relative accuracy
+    mpmath = pytest.importorskip("mpmath")
+    z = zeta_strip(ComplexPoint(0.5, b), Q)
+    with mpmath.workdps(40):
+        ref = mpmath.zeta(mpmath.mpc(0.5, b))
+        assert abs(mpmath.mpf(z.value.re) - ref.real) <= z.err_re
+        assert abs(mpmath.mpf(z.value.im) - ref.imag) <= z.err_im
 
 
 def test_conjugate_symmetry():
@@ -98,8 +110,8 @@ def test_conjugate_symmetry():
 
 
 def test_identity_chain_strip_grid():
-    # |F - (1 - 2^(1-s)) gamma zeta_ref| / max(|F|, 1e-9) < 1e-7 on the
-    # 3 x 5 strip grid; the right side is gamma * eta_ref
+    # |F - (1 - 2^(1-s)) gamma zeta_ref| / |F| < 1e-7 on the 3 x 5 strip
+    # grid; the right side is gamma * eta_ref
     points = [ComplexPoint(a, b)
               for a in (0.2, 0.5, 0.8)
               for b in (5.0, 10.0, 14.1347, 50.0, 100.0)]
@@ -128,16 +140,18 @@ def test_small_b_against_library_gamma():
 
 
 def test_imaginary_part_matches_series_plus_decomposition():
-    # F2 from the complex evaluation vs head series + paired tail
+    # F2 from the complex evaluation vs head series + paired tail, within
+    # the sum of the three stated error bounds
     from etazeros.decomposition import make_plan, upper_integral
     from etazeros.series import choose_K_R, series_lower_integral
     for b in (100.0, 200.0):
         s = ComplexPoint(0.5, b)
-        f2 = F(s, Q).value.im
+        f = F(s, Q)
         K, R = choose_K_R(b, 2.0)
         head = series_lower_integral(0.5, b, K, R, tol=1e-13)
-        tail, _ = upper_integral(make_plan(0.5, b, Q), Q)
-        assert abs(f2 - (head.value + tail)) < 1e-8
+        tail, tail_err = upper_integral(make_plan(0.5, b, Q), Q)
+        assert abs(f.value.im - (head.value + tail)) \
+            <= head.tail_bound + tail_err + f.err_im
 
 
 ERR_GRID_A = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -174,3 +188,32 @@ def test_F_is_quadrature_only_and_reproducible(monkeypatch):
     assert (first.value.re, first.value.im, first.err_re) == \
         (again.value.re, again.value.im, again.err_re)
     assert first.method == "integral-ray"
+
+
+def _assert_within_err(ev, ref, mpmath):
+    d_re = abs(mpmath.mpf(ev.value.re) - ref.real)
+    d_im = abs(mpmath.mpf(ev.value.im) - ref.imag)
+    assert d_re <= ev.err_re, (float(d_re), ev.err_re)
+    assert d_im <= ev.err_im, (float(d_im), ev.err_im)
+
+
+@pytest.mark.parametrize("b", [0.0, 5.0, 14.13, 40.0, 100.0, 300.0])
+def test_gamma_err_est_bounds_error_against_mpmath(b):
+    mpmath = pytest.importorskip("mpmath")
+    for a in (0.1, 0.5, 0.9, 2.0, 5.0):
+        ev = Gamma(ComplexPoint(a, b), Q)
+        with mpmath.workdps(40):
+            _assert_within_err(ev, mpmath.gamma(mpmath.mpc(a, b)), mpmath)
+        assert ev.err_re <= 1e-8 * abs(ev.value), (a, b)
+
+
+@pytest.mark.parametrize("a,b", [(2.0, 0.0), (4.0, 0.0), (2.0, 10.0),
+                                 (1.5, 30.0), (3.0, 100.0)])
+def test_G_direct_matches_mpmath(a, b):
+    mpmath = pytest.importorskip("mpmath")
+    ev = G(ComplexPoint(a, b), Q)
+    assert ev.method == "direct"
+    with mpmath.workdps(40):
+        s = mpmath.mpc(a, b)
+        _assert_within_err(ev, mpmath.gamma(s) * mpmath.zeta(s), mpmath)
+    assert ev.err_re <= 1e-10 * abs(ev.value), (a, b)
