@@ -1,37 +1,35 @@
 """Hunting critical-line zeros with two independent routes.
 
-The scan watches both components of the line indicator; a bracket needs a
-component sign change *and* a tenfold dip of |indicator| under its local
-median (one component alone vanishes on harmless nodal curves).  Each
-bracket is shrunk to width 1e-9 by ITP steps (regula falsi kept within a
-bisection-derived radius), once by the integral route (quadrature of F on a
-rotated ray) and once by the oracle route (accelerated alternating series).
-|gamma(1/2 + ib)| shrinks like e^(-pi b/2), and so does F's own error
-estimate, so the integral route's ordinate resolution,
-err_est / (|gamma| |eta'|), stays near 1e-11 from b = 14 to b = 60.
+Both routes watch Hardy's function Z(b) = e^(i theta(b)) zeta(1/2 + ib),
+which is real on the critical line, so every simple zero is a sign change
+of one real function and a bracket is any scan step where Z changes sign.
+Each bracket is shrunk to width 1e-9 by ITP steps (regula falsi kept within
+a bisection-derived radius), once by the integral route (quadrature of F on
+a rotated ray, divided by Gamma in log form) and once by the oracle route
+(accelerated alternating series for eta).  Because the ray integral and
+Stirling's log Gamma meet in log form, the integral route keeps its
+resolution where F and Gamma themselves underflow (past b ~ 470).
 """
 
-from etazeros import F, scan_critical_line
-from etazeros.special import ComplexPoint
-from etazeros.zerofinder import find_zeros, gamma_modulus_critical
+from etazeros import scan_critical_line
+from etazeros.zerofinder import find_zeros
 
 brackets = scan_critical_line(10.0, 30.0, 0.25, method="oracle")
-print("oracle-scan brackets on [10, 30]:")
+print("oracle-scan brackets on [10, 30] (Z at the step ends):")
 for br in brackets:
-    print(f"  [{br.b_lo:.2f}, {br.b_hi:.2f}]  dip {br.dip:.3e} vs "
-          f"median {br.median:.2f}")
+    print(f"  [{br.b_lo:.2f}, {br.b_hi:.2f}]  Z = {br.indicator_lo:+.3e} -> "
+          f"{br.indicator_hi:+.3e}")
 
 zeros, _ = find_zeros(10.0, 30.0, 0.25)
 print("\nrefined zeros (oracle route) and the integral route next to them:")
 for z in zeros:
     gap = "n/a" if z["route_gap"] is None else f"{z['route_gap']:.2e}"
-    print(f"  b* = {z['b_star']:.9f}   |F| = {z['residual']:.1e}   "
+    print(f"  b* = {z['b_star']:.9f}   |Z| = {z['residual_eta']:.1e}   "
           f"integral route: {z['b_star_integral']:.9f}  (gap {gap})")
 
-print("\nwhy the integral route keeps its resolution with height: F's "
-      "err_est decays\nwith |gamma(1/2+ib)|")
-for b in (14.0, 21.0, 25.0, 30.0, 60.0):
-    gam = gamma_modulus_critical(b)
-    err = F(ComplexPoint(0.5, b)).err
-    print(f"  b={b:5.1f}:  |gamma| = {gam:.3e}   F err_est = {err:.1e} -> "
-          f"ordinate resolution ~ {err / (gam * 4):.1e}")
+print("\npast b ~ 476 |Gamma(1/2+ib)| and F underflow to 0; Z does not:")
+zeros, _ = find_zeros(480.0, 483.0, 0.25)
+for z in zeros:
+    print(f"  b* = {z['b_star']:.9f}   raw |F| = {z['residual']:.1e}   "
+          f"|Z| = {z['residual_eta']:.1e}   gap {z['route_gap']:.1e}   "
+          f"certified on both routes: {z['integral_certified']}")

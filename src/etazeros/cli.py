@@ -115,20 +115,15 @@ def _cmd_eval(args, q: QuadratureSpec):
         gam = Gamma(p, q)
         f = gam.value.value * eta.value
         err = abs(eta.value) * gam.err + 1e-12 * abs(f)
-    # an F unresolved above its error says nothing about zeta, and over a
-    # tiny gamma it would print noise or an overflow
+    # zeta stays null where F is not resolved above its error (it says
+    # nothing about zeta, and over a tiny gamma would print noise or an
+    # overflow), where gamma is not, and where 1 - 2^(1-s) vanishes
     z = None
-    if abs(f) <= 4.0 * err:
-        pass
-    elif method == "oracle":
-        z = zeta_oracle(p, tol=1e-12).value
-    elif method == "integral":
+    if abs(f) > 4.0 * err:
         try:
-            z = zeta_strip(p, q).value.value
-        except QuadratureError:
-            pass    # gamma underflows where F does not yet
-    else:
-        z = f / one_minus_two_pow(p) / Gamma(p, q).value.value
+            z = _zeta(p, f, method, q)
+        except (QuadratureError, ZeroDivisionError):
+            pass
     payload = {"a": p.a, "b": p.b, "method": method,
                "F_re": f.real, "F_im": f.imag, "F_abs": abs(f),
                "zeta_re": None if z is None else z.real,
@@ -145,6 +140,19 @@ def _cmd_eval(args, q: QuadratureSpec):
                  for k, v in payload.items()]
         return 0, "\n".join(lines) + "\n"
     return 0, json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _zeta(p: ComplexPoint, f: complex, method: str, q: QuadratureSpec):
+    """zeta(p) on the route of ``method``, from the F already in hand where
+    the route has one: zeta = F / ((1 - 2^(1-s)) gamma) for 0 < a <= 1."""
+    if method == "oracle":
+        return zeta_oracle(p, tol=1e-12).value
+    if method == "integral" and p.a > 1.0:
+        return zeta_strip(p, q).value.value     # G by its own integral
+    gam = Gamma(p, q)
+    if abs(gam.value) <= 4.0 * gam.err:     # gamma underflows before F does
+        raise QuadratureError("gamma(s) is not resolved above its error")
+    return f / one_minus_two_pow(p) / gam.value.value
 
 
 def _cmd_coeffs(args, q: QuadratureSpec):

@@ -33,10 +33,10 @@ the paired difference kernel
 
     h(t, a, b) = t^(a-1) (q(t) - e^(a pi/b) q(t e^(pi/b))),    q = 1/(e^t + 1)
 
-over the half period [t_2k, t_2k+1].  ``paired=True`` selects that form.  It
-is what keeps the absolute rounding noise near machine scale when the
-half-waves of each period cancel almost exactly, which for this family they
-do, to a factor ~ e^(-pi b / 2).
+over the half period [t_2k, t_2k+1].  ``integrate_to_infinity(paired=True)``
+selects that form.  It is what keeps the absolute rounding noise near
+machine scale when the half-waves of each period cancel almost exactly,
+which for this family they do, to a factor ~ e^(-pi b / 2).
 
 Panel sums are compensated (Kahan or fsum) and accumulated in ascending panel
 order, so results are bit-reproducible at fixed settings.
@@ -423,13 +423,14 @@ def _oscillatory(spec: IntegrandSpec, lo: float, hi: float | None,
                  abs_tol: float | None) -> tuple[float, float]:
     """Oscillatory integral over [lo, hi] (hi None = infinity, lo may be 0).
 
-    paired=True integrates the cancelled kernel over half periods and
-    requires lo/hi at even phase nodes (0 and infinity always qualify).
+    paired=True (upper range only) integrates the cancelled kernel over half
+    periods and requires lo at an even phase node (0 always qualifies).
     """
+    # stride-2 half-period device; an explicit pair kernel with
+    # paired=False integrates literally
     work = spec.paired if paired else spec
-    is_paired = paired    # stride-2 half-period device; an explicit pair
-    b = spec.b            # kernel with paired=False integrates literally
-    stride = 2 if is_paired else 1
+    stride = 2 if paired else 1
+    b = spec.b
     floor = 0.0 if abs_tol is None else abs_tol
 
     tail_hi = 0.0
@@ -443,12 +444,7 @@ def _oscillatory(spec: IntegrandSpec, lo: float, hi: float | None,
     else:
         ph = _phase_of(hi, b)
         k = _snap_node(ph)
-        if is_paired:
-            if k is None or k % 2:
-                raise ValueError("paired integration needs the upper endpoint "
-                                 "on an even phase node exp(2k pi / b)")
-            k_hi = k
-        elif k is None:
+        if k is None:
             k_hi = math.floor(ph)
             edge_hi = (k_hi * math.pi, ph * math.pi)
         else:
@@ -459,7 +455,7 @@ def _oscillatory(spec: IntegrandSpec, lo: float, hi: float | None,
     if not dynamic_lower:
         ph = _phase_of(lo, b)
         k = _snap_node(ph)
-        if is_paired:
+        if paired:
             if k is None or k % 2:
                 raise ValueError("paired integration needs the lower endpoint "
                                  "on an even phase node exp(2k pi / b)")
@@ -674,24 +670,35 @@ def _ray_integrand(kernel: _RayKernel, s: complex, rot: complex,
 
 def _ray_batch(kernel: _RayKernel, s: complex, rot: complex, lo: np.ndarray,
                hi: np.ndarray):
-    """(G24 values, |G24 - G12|, rounding floors) of panels [lo, hi]."""
+    """(G24 values, |G24 - G12|, rounding floors) of panels [lo, hi].
+
+    Raises :class:`QuadratureError` when any of them is not finite: r^(s-1)
+    overflows once r^a does (Re s beyond ~ 100), and bisecting such panels
+    would never converge.
+    """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     xh, wh = _gauss(_RULE_HI)
     xl, wl = _gauss(_RULE_LO)
-    fh, rel = _ray_integrand(kernel, s, rot, mid[:, None] + half[:, None] * xh)
-    fl, _ = _ray_integrand(kernel, s, rot, mid[:, None] + half[:, None] * xl)
-    vh = half * (fh @ wh)
-    vl = half * (fl @ wl)
-    noise = 2.0 * _EPS * half * ((np.abs(fh) * rel) @ wh)
-    return vh, np.abs(vh - vl), noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        fh, rel = _ray_integrand(kernel, s, rot,
+                                 mid[:, None] + half[:, None] * xh)
+        fl, _ = _ray_integrand(kernel, s, rot,
+                               mid[:, None] + half[:, None] * xl)
+        vh = half * (fh @ wh)
+        vl = half * (fl @ wl)
+        err = np.abs(vh - vl)
+        noise = 2.0 * _EPS * half * ((np.abs(fh) * rel) @ wh)
+    if not (np.isfinite(err).all() and np.isfinite(noise).all()):
+        raise QuadratureError(f"ray panel values overflow at s = {s}")
+    return vh, err, noise
 
 
 # ---------------------------------------------------------------------------
 # Public operations.
 
 def integrate_finite(spec: IntegrandSpec, lo: float, hi: float,
-                     q: QuadratureSpec | None = None, *, paired: bool = False,
+                     q: QuadratureSpec | None = None, *,
                      abs_tol: float | None = None) -> tuple[float, float]:
     """Integral over [lo, hi] with an error estimate.
 
@@ -711,9 +718,7 @@ def integrate_finite(spec: IntegrandSpec, lo: float, hi: float,
         if alpha is not None and alpha <= 0.0:
             raise ValueError("integrand not integrable at 0")
     if spec.trig is not None:
-        return _oscillatory(spec, lo, hi, q, paired, abs_tol)
-    if paired:
-        raise ValueError("paired form applies to oscillatory kinds only")
+        return _oscillatory(spec, lo, hi, q, False, abs_tol)
     return _integrate_smooth(spec, lo, hi, q,
                              0.0 if abs_tol is None else abs_tol)
 
@@ -753,8 +758,25 @@ def integrate_line(kernel: str, s: complex,
     exactly 0.  The value at -b is the exact conjugate of the value at |b|.
     err is |e^(i theta s)| times the sum of the panel errors |G24 - G12|,
     the head remainder and tail bounds and the rounding floor.  Raises
-    :class:`QuadratureError` when a panel stalls above its rounding floor.
+    :class:`QuadratureError` when a panel stalls above its rounding floor,
+    or when a panel value or a bound is not finite.
     """
+    integral, err, theta = _ray_integral(kernel, s, q)
+    s = complex(s)
+    b = abs(s.imag)
+    value = cmath.exp(1j * theta * complex(s.real, b)) * integral
+    # past b ~ 470 the scale underflows and the value rounds to 0; the
+    # smallest subnormal then bounds the error of that rounding
+    err = max(math.exp(-theta * b) * err, math.ulp(0.0))
+    return (value.conjugate() if s.imag < 0 else value), err
+
+
+def _ray_integral(kernel: str, s: complex, q: QuadratureSpec | None = None
+                  ) -> tuple[complex, float, float]:
+    """(I, err, theta): at s' = a + i|b| the integral of :func:`integrate_line`
+    is e^(i theta s') I, and err bounds the error of I.  Callers dividing
+    e^(-theta |b|) by a factor of like size do it in log form, where neither
+    underflows."""
     if kernel not in _RAY_KERNELS:
         raise ValueError(f"unknown kernel {kernel!r} for the whole line")
     k = _RAY_KERNELS[kernel]
@@ -767,7 +789,6 @@ def integrate_line(kernel: str, s: complex,
     theta = 0.5 * math.pi - delta
     sigma = math.sin(delta)          # Re of the ray's direction
     rot = complex(sigma, math.cos(delta) if b else 0.0)
-    conj = s.imag < 0
     s = complex(a, b)
 
     # head: below rho = e^u_lo the kernel's first two series terms integrate
@@ -787,8 +808,13 @@ def integrate_line(kernel: str, s: complex,
     for _ in range(4):
         x_top = _RAY_TAIL + max(a - 1.0, 0.0) * math.log(x_top) \
             - a * math.log(sigma)
-    tail_bound = k.tail_mul * sigma ** -a * _upper_tail_bound(
-        IntegrandSpec("exp", a=a), x_top)
+    try:
+        tail_bound = k.tail_mul * sigma ** -a * _upper_tail_bound(
+            IntegrandSpec("exp", a=a), x_top)
+    except OverflowError:
+        tail_bound = math.inf
+    if not math.isfinite(tail_bound):
+        raise QuadratureError(f"ray tail bound overflows at s = {s}")
     u_hi = math.log(x_top / sigma)
 
     xs = _ray_panels(abs(s), delta, math.log(k.pole), u_lo, u_hi)
@@ -820,11 +846,4 @@ def integrate_line(kernel: str, s: complex,
         raise QuadratureError(
             f"ray integral stalled: panel error {panel_err:.3e}",
             value=None, err_est=panel_err)
-
-    scale = math.exp(-theta * b)     # |e^(i theta s)|
-    value = cmath.exp(1j * theta * s) * integral
-    # past b ~ 470 the scale underflows and the value rounds to 0; the
-    # smallest subnormal then bounds the error of that rounding
-    err = max(scale * (panel_err + head_bound + tail_bound + noise),
-              math.ulp(0.0))
-    return (value.conjugate() if conj else value), err
+    return integral, panel_err + head_bound + tail_bound + noise, theta

@@ -17,6 +17,10 @@ carries an absolute rounding floor near 1e-18 that swamps them past
 :func:`etazeros.quadrature.integrate_line` on a ray rotated towards the
 imaginary axis, whose error scales with the value itself; the functions here
 only name the kernel and package the result.
+
+Stirling's series gives log Gamma independently of any quadrature: it
+cross-checks :func:`Gamma`, and it supplies the Riemann-Siegel theta that
+turns zeta on the critical line into the real function Z.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from .coeffs import bernoulli
 from .quadrature import (
     DEFAULT_SPEC,
     QuadratureError,
@@ -36,6 +41,7 @@ from .report import VerificationReport
 __all__ = [
     "ComplexPoint", "ComplexValue", "StripEval",
     "F", "G", "Gamma", "zeta_strip", "check_theorem1",
+    "log_gamma", "riemann_siegel_theta",
 ]
 
 
@@ -112,6 +118,52 @@ def F(s, q: QuadratureSpec | None = None) -> StripEval:
 def Gamma(s, q: QuadratureSpec | None = None) -> StripEval:
     """gamma(s) = int_0^inf t^(s-1) e^(-t) dt; requires Re s > 0."""
     return _ray("exp", s, q)
+
+
+# Stirling's series: log Gamma(z) = (z - 1/2) log z - z + log(2 pi)/2
+#   + sum_{k=1}^{K} B_2k / (2k (2k-1) z^(2k-1)) + R_K(z), used once |z| >= 10
+# (smaller z are shifted up by log Gamma(z) = log Gamma(z + 1) - log z).
+# For Re z > 0, |R_K| is at most the first omitted term times
+# sec^(2K+2)(arg z / 2) <= 2^(K+1) (DLMF 5.11.ii): with K = 10 and |z| >= 10
+# that is below 3e-17.
+_STIRLING_MIN_ABS = 10.0
+_STIRLING_TERMS = tuple(float(bernoulli(2 * k)) / (2 * k * (2 * k - 1))
+                        for k in range(1, 12))
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_EPS = math.ulp(1.0)
+
+
+def log_gamma(s) -> tuple[complex, float]:
+    """log Gamma(s) for Re s > 0, on the branch continuous from the real axis
+    (so Im log Gamma(1/2 + ib) grows like b log b), by Stirling's series;
+    returns the value and a bound on its error, remainder plus rounding.
+    """
+    z = ComplexPoint.of(s).s
+    if not z.real > 0:
+        raise ValueError("log_gamma needs Re s > 0")
+    shift, size = 0j, 0.0   # size: sum of the terms' moduli, for rounding
+    while abs(z) < _STIRLING_MIN_ABS:
+        term = cmath.log(z)
+        shift, size, z = shift + term, size + abs(term), z + 1.0
+    lead = (z - 0.5) * cmath.log(z) - z
+    inv2 = 1.0 / (z * z)
+    series = 0j
+    for c in reversed(_STIRLING_TERMS[:-1]):
+        series = series * inv2 + c
+    r, k = abs(z), len(_STIRLING_TERMS)
+    sec2 = 2.0 / (1.0 + z.real / r)             # sec^2(arg z / 2)
+    remainder = abs(_STIRLING_TERMS[-1]) * sec2 ** k / r ** (2 * k - 1)
+    size += abs(lead) + r + 2.0
+    return (lead + _HALF_LOG_2PI + series / z - shift,
+            remainder + 8.0 * _EPS * size)
+
+
+def riemann_siegel_theta(b: float) -> tuple[float, float]:
+    """theta(b) = Im log Gamma(1/4 + ib/2) - (b/2) log pi and a bound on its
+    error; e^(i theta(b)) zeta(1/2 + ib) is real (Hardy's Z)."""
+    lg, err = log_gamma(complex(0.25, 0.5 * b))
+    half_log_pi = 0.5 * b * math.log(math.pi)
+    return lg.imag - half_log_pi, err + 2.0 * _EPS * abs(half_log_pi)
 
 
 def one_minus_two_pow(s) -> complex:

@@ -1,50 +1,57 @@
 """Critical-line zero location for the Riemann zeta function through the
 alternating-kernel integral F: inside the strip, zeta and F share zeros, so
-ordinates can be hunted by watching F(1/2 + ib).
+ordinates can be hunted on either.
 
-Two independent routes are kept strictly separate:
+On the critical line the indicator is Hardy's function
 
-* the *integral* route evaluates F by quadrature on a rotated ray (module
-  ``special``), and
-* the *oracle* route evaluates the alternating series
-  eta(s) = sum (-1)^(n-1) n^(-s) with iterated binomial averaging of the
-  partial sums, so that F = gamma * eta never touches the quadrature code.
+    Z(b) = e^(i theta(b)) zeta(1/2 + ib),
 
-|gamma(1/2 + ib)| = sqrt(pi / cosh(pi b)) decays like e^(-pi b / 2), so both
-routes are compared on the gamma-normalized (eta) scale.  The integral
-route's resolution there is its own error estimate, (err_re + err_im) /
-|gamma|: the ray quadrature carries an error that scales with |F| itself,
-about 1e-12 on the eta scale up to b ~ 100, so it resolves ordinates as
-sharply as the oracle.  (Real-axis quadrature of F, with its absolute floor
-near 1e-18 against an O(1) integrand mass, could not: ~4e-5 near b = 21,
-~1e-3 near b = 25, and no dips at all past b ~ 30.)
+real for real b, with theta the Riemann-Siegel theta of Stirling's series
+(:func:`etazeros.special.riemann_siegel_theta`).  Its zeros are the zeta
+zeros, and each simple one is a sign change, so a bracket is any scan step
+where Z changes sign.  Two independent routes evaluate it:
 
-Each route refines its own brackets by ITP steps on the sign-changing
-component (regula falsi, truncated toward the midpoint and projected into a
-radius that keeps bisection's worst case within one step): about 10
-evaluations per zero, at most 31 from a 0.25-wide scan step, with b* within
-1e-9 of the other route's.  Each located zero records both its raw residual
-|F| and its gamma-normalized (eta-scale) residual, and refinement rejects
-brackets whose eta-scale residual stays above what the refining method
-could possibly resolve (that is what unmasks a sign change of one component
-that is not a zero of F).
+* the *oracle* route from the alternating series
+  eta(s) = sum (-1)^(n-1) n^(-s) (iterated binomial averaging of the
+  partial sums):  Z = Re(e^(i theta) eta / (1 - 2^(1/2 - ib))), and
+* the *integral* route from F by quadrature on a rotated ray:
+  Z = Re(e^(i theta) F / ((1 - 2^(1/2 - ib)) Gamma(1/2 + ib))).  The ray
+  integral comes unscaled, as F = e^(i phi s) I, and Gamma from Stirling's
+  log Gamma, so the factors e^(-phi b) and |Gamma| ~ e^(-pi b / 2), which
+  underflow past b ~ 470, cancel in log form to at most e^4.
+
+Each route carries its own error bound on Z, which also bounds the rounding
+left in Im(e^(i theta) zeta).  Each refines its own brackets by ITP steps
+(regula falsi, truncated toward the midpoint and projected into a radius
+that keeps bisection's worst case within one step): about 10 evaluations
+per zero with the one at b* and the cross-check, at most 31 from a
+0.25-wide scan step, with b* within 1e-9 of the other route's.  A refined
+point is certified only where |Z| sits below what the refining route can
+resolve and the other route agrees.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from statistics import median
 
 import numpy as np
 
-from .quadrature import DEFAULT_SPEC, QuadratureSpec
-from .special import ComplexPoint, ComplexValue, F
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, _ray_integral
+from .special import (
+    ComplexPoint,
+    ComplexValue,
+    F,  # noqa: F401  (re-exported; perfbench's tracer test rebinds zerofinder.F)
+    log_gamma,
+    one_minus_two_pow,
+    riemann_siegel_theta,
+)
 
 __all__ = [
     "EtaConvergenceError", "ZeroRefinementError",
     "ZeroBracket", "LocatedZero",
-    "eta_oracle", "zeta_oracle", "gamma_modulus_critical",
+    "eta_oracle", "zeta_oracle",
     "scan_critical_line", "refine_zero", "find_zeros",
 ]
 
@@ -114,17 +121,9 @@ def eta_oracle(s, tol: float = 1e-12) -> ComplexValue:
         f"eta series reached {err:.2e}, requested {tol:.2e}", value, err)
 
 
-def eta_err_floor(s) -> float:
-    """Rounding floor of the eta oracle at s (used for honest gating)."""
-    p = ComplexPoint.of(s)
-    n_terms = int(math.ceil(2.4 * abs(p.b))) + 52
-    return (n_terms + 4.0 * abs(p.b)) * 3e-16
-
-
 def zeta_oracle(s, tol: float = 1e-12) -> ComplexValue:
     """zeta(s) = eta(s) / (1 - 2^(1-s)), valid off the zeros of the
     denominator, which all sit on Re s = 1."""
-    from .special import one_minus_two_pow
     p = ComplexPoint.of(s)
     eta = eta_oracle(p, tol)
     denom = one_minus_two_pow(p)
@@ -134,31 +133,18 @@ def zeta_oracle(s, tol: float = 1e-12) -> ComplexValue:
     return ComplexValue(val.real, val.imag)
 
 
-def gamma_modulus_critical(b: float) -> float:
-    """|gamma(1/2 + ib)| = sqrt(pi / cosh(pi b)), in log form for large b."""
-    x = math.pi * abs(b)
-    if x > 700.0:
-        return math.exp(0.5 * (math.log(2.0 * math.pi) - x))
-    return math.sqrt(math.pi / math.cosh(x))
-
-
 # ---------------------------------------------------------------------------
 # Scan indicator.
 
 @dataclass(frozen=True)
 class ZeroBracket:
-    """A sign-change step of one component of the line indicator, with a
-    certified |value| dip (interpolated local minimum under a tenth of the
-    neighborhood median)."""
+    """A scan step over which Z changes sign, with Z at its ends."""
 
     b_lo: float
     b_hi: float
     indicator_lo: float
     indicator_hi: float
-    component: int          # 0: real part, 1: imaginary part
     method: str             # "integral" or "oracle"
-    dip: float              # interpolated eta-scale minimum inside the step
-    median: float           # neighborhood eta-scale median
 
 
 @dataclass(frozen=True)
@@ -166,64 +152,50 @@ class LocatedZero:
     b_star: float
     residual: float         # raw |F(1/2 + i b_star)|
     method: str
-    residual_eta: float     # gamma-normalized residual (eta scale)
-    noise_eta: float        # method's own eta-scale resolution floor there
+    residual_eta: float     # |Z(b_star)| = |zeta(1/2 + i b_star)|
+    noise_eta: float        # the method's own error bound on Z there
     bracket: ZeroBracket | None = None
 
 
+_ORACLE_TOL = 1e-11
+
+
 def _line_eval(b: float, q: QuadratureSpec, method: str):
-    """(re, im, magnitude, noise, raw) of the line indicator at s = 1/2 + ib.
-    The first four are on the gamma-normalized (eta) scale so magnitudes are
-    comparable across a window where |gamma| itself drops by e^(-pi/2) per
-    unit of b; ``raw`` is the method's unscaled value (F or eta).
+    """(zc, err, raw) at s = 1/2 + ib.
 
-    The integral indicator is F / |gamma| (components keep F's signs); the
-    oracle indicator is eta itself (same zeros: F = gamma eta, gamma != 0).
+    zc = e^(i theta(b)) zeta(1/2 + ib): its real part is Hardy's Z(b) and
+    its imaginary part only rounding; err bounds |zc - Z(b)|.  raw is the
+    method's own value (F or eta).  Z is even in b, so both routes work at
+    |b| and conjugate raw back.
     """
+    s = complex(0.5, abs(b))
+    theta, theta_err = riemann_siegel_theta(s.imag)
+    denom = one_minus_two_pow(s)
     if method == "integral":
-        ev = F(ComplexPoint(0.5, b), q)
-        gam = gamma_modulus_critical(b)
-        noise = (ev.err_re + ev.err_im) / gam
-        return (ev.value.re / gam, ev.value.im / gam,
-                math.hypot(ev.value.re, ev.value.im) / gam, noise, ev.value)
-    if method == "oracle":
-        eta = eta_oracle(ComplexPoint(0.5, b), tol=1e-11)
-        mag = math.hypot(eta.re, eta.im)
-        return eta.re, eta.im, mag, eta_err_floor(ComplexPoint(0.5, b)), eta
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _crossing_dip(comp_lo, comp_hi, other_lo, other_hi) -> float:
-    """|non-flipping component| linearly interpolated at the crossing point
-    of the flipping one.
-
-    Near a simple zero *both* components pass through zero, so this
-    interpolation lands small; at a nodal crossing of one component alone the
-    other stays at neighborhood scale.  That is the dip measure behind the
-    bracket filter.
-    """
-    frac = abs(comp_lo) / max(abs(comp_lo) + abs(comp_hi), 1e-300)
-    return abs(other_lo + (other_hi - other_lo) * frac)
-
-
-DIP_FACTOR = 10.0   # the dip must undercut the neighborhood median tenfold
-_MEDIAN_HALF_WINDOW = 8
+        integral, ray_err, phi = _ray_integral("fermi", s, q)
+        lg, lg_err = log_gamma(s)
+        # F = e^(i phi s) integral; e^(i theta) e^(i phi s) / Gamma(s) is
+        # formed in one exponential
+        w = cmath.exp(complex(-phi * s.imag - lg.real,
+                              theta + 0.5 * phi - lg.imag)) / denom
+        zc = w * integral
+        err = abs(w) * ray_err + abs(zc) * (theta_err + lg_err)
+        raw = cmath.exp(1j * phi * s) * integral
+    elif method == "oracle":
+        raw = eta_oracle(s, tol=_ORACLE_TOL).value
+        zc = cmath.exp(1j * theta) * raw / denom
+        err = _ORACLE_TOL / abs(denom) + abs(zc) * theta_err
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return zc, err, (raw.conjugate() if b < 0 else raw)
 
 
 def scan_critical_line(b_min: float, b_max: float, step: float,
                        q: QuadratureSpec | None = None,
                        method: str = "integral", *,
                        _raw: list | None = None) -> list[ZeroBracket]:
-    """March s = 1/2 + ib over the grid and emit brackets where one indicator
-    component changes sign *and* the interpolated |indicator| minimum dips a
-    factor DIP_FACTOR below the neighborhood median.
-
-    The sign change alone is not enough (each component vanishes on curves
-    that are not zeros of F); the dip alone is not enough either (noise);
-    together they bracket simple zeros reliably down to the method's noise
-    floor.  Magnitudes are compared on the gamma-normalized (eta) scale so
-    the median is meaningful across a window where |gamma| itself drops by
-    e^(-pi step w / 2) per w steps.
+    """March s = 1/2 + ib over the grid b_min + i step and emit a bracket
+    at every step where Z(b) changes sign.
 
     ``_raw``, if given, receives (b, unscaled F or eta) at every grid point,
     so :func:`find_zeros` reuses the scan instead of evaluating it again.
@@ -237,34 +209,12 @@ def scan_critical_line(b_min: float, b_max: float, step: float,
     bs = [b_min + i * step for i in range(n)]
     evals = [_line_eval(b, q, method) for b in bs]
     if _raw is not None:
-        _raw.extend((b, e[4]) for b, e in zip(bs, evals))
-    re = [e[0] for e in evals]
-    im = [e[1] for e in evals]
-    mag = [e[2] for e in evals]
-
-    brackets: list[ZeroBracket] = []
-    for i in range(n - 1):
-        flips = [c for c, comp in ((0, re), (1, im))
-                 if comp[i] == 0.0 or (comp[i] > 0) != (comp[i + 1] > 0)]
-        if not flips:
-            continue
-        lo_w = max(0, i - _MEDIAN_HALF_WINDOW)
-        hi_w = min(n, i + 2 + _MEDIAN_HALF_WINDOW)
-        med = median(mag[lo_w:hi_w])
-        dips = {}
-        for c in flips:
-            comp, other = (re, im) if c == 0 else (im, re)
-            dips[c] = _crossing_dip(comp[i], comp[i + 1], other[i], other[i + 1])
-        cidx = min(dips, key=dips.get)
-        dip = dips[cidx]
-        if dip >= med / DIP_FACTOR:
-            continue
-        comp = im if cidx else re
-        brackets.append(ZeroBracket(
-            b_lo=bs[i], b_hi=bs[i + 1],
-            indicator_lo=comp[i], indicator_hi=comp[i + 1],
-            component=cidx, method=method, dip=dip, median=med))
-    return brackets
+        _raw.extend((b, e[2]) for b, e in zip(bs, evals))
+    z = [e[0].real for e in evals]
+    return [ZeroBracket(b_lo=bs[i], b_hi=bs[i + 1], indicator_lo=z[i],
+                        indicator_hi=z[i + 1], method=method)
+            for i in range(n - 1)
+            if z[i] == 0.0 or (z[i] > 0) != (z[i + 1] > 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -281,16 +231,16 @@ _MIN_STEP = REFINE_WIDTH / 4
 
 def refine_zero(bracket: ZeroBracket, zero_tol: float = 1e-6,
                 q: QuadratureSpec | None = None) -> LocatedZero:
-    """Shrink the bracket around the sign change of its component to width
-    < 1e-9 by ITP steps, take b* at the midpoint, then certify the point:
+    """Shrink the bracket around the sign change of Z to width < 1e-9 by ITP
+    steps, take b* at the midpoint, then certify the point:
 
     * the raw residual |F(1/2 + i b*)| must be below ``zero_tol``, and
-    * the eta-scale residual must be below max(zero_tol, 8 x the refining
-      method's own eta-scale noise floor at b*) -- this is the test with
-      discriminating power, since |F| alone sinks below any absolute
-      threshold at large b whether or not a zero is present, and
-    * the independent route's eta-scale residual at b* must be below
-      max(zero_tol, 8 x that route's floor).
+    * |Z(b*)| must be below max(zero_tol, 8 x the refining method's error
+      bound on Z at b*) -- this is the test with discriminating power, since
+      |F| alone sinks below any absolute threshold at large b whether or not
+      a zero is present, and
+    * the independent route's |Z(b*)| must be below max(zero_tol, 8 x that
+      route's bound).
 
     ITP (interpolate, truncate, project; Oliveira & Takahashi, ACM TOMS 47,
     2020) takes the regula falsi point of the bracket w = hi - lo, moves it
@@ -304,17 +254,10 @@ def refine_zero(bracket: ZeroBracket, zero_tol: float = 1e-6,
     cross-check.
 
     Failure raises :class:`ZeroRefinementError` carrying the best point (the
-    designed outcome for a spurious bracket: a component sign change where
-    the full indicator stays at its neighborhood scale).
+    designed outcome for a bracket whose ends do not bound a zero).
     """
     q = q or DEFAULT_SPEC
     method = bracket.method
-    cidx = bracket.component
-
-    def component(b: float) -> tuple[float, float, float]:
-        r, i, mag, noise, _ = _line_eval(b, q, method)
-        return (i if cidx else r), mag, noise
-
     lo, hi = bracket.b_lo, bracket.b_hi
     f_lo, f_hi = bracket.indicator_lo, bracket.indicator_hi
     if not (f_lo > 0) != (f_hi > 0):
@@ -331,7 +274,7 @@ def refine_zero(bracket: ZeroBracket, zero_tol: float = 1e-6,
         radius = w0 / 2 ** step - 0.5 * w     # n0 = 1 step over bisection
         x = x_t if abs(x_t - mid) <= radius else mid - toward * radius
         step += 1
-        f_x, _, _ = component(x)
+        f_x = _line_eval(x, q, method)[0].real
         if f_x == 0.0:
             lo = hi = x
             break
@@ -341,114 +284,77 @@ def refine_zero(bracket: ZeroBracket, zero_tol: float = 1e-6,
             hi, f_hi = x, f_x
     b_star = 0.5 * (lo + hi)
 
-    _, mag_eta, noise_eta = component(b_star)
-    gam = gamma_modulus_critical(b_star)
-    residual_raw = mag_eta * gam
+    zc, noise = _line_eval(b_star, q, method)[:2]
+    z_residual = abs(zc.real)
+    s_star = complex(0.5, b_star)
+    residual_raw = (z_residual * abs(one_minus_two_pow(s_star))
+                    * math.exp(log_gamma(s_star)[0].real))
+    # cross-check on the independent route, gated by *that* route's bound
+    zc_cross, noise_cross = _line_eval(
+        b_star, q, "oracle" if method == "integral" else "integral")[:2]
+    z_gate = max(zero_tol, 8.0 * noise)
+    cross_gate = max(zero_tol, 8.0 * noise_cross)
 
-    # cross-check on the independent route, gated by *that* route's floor
-    s_star = ComplexPoint(0.5, b_star)
-    if method == "integral":
-        eta = eta_oracle(s_star, tol=1e-11)
-        cross = math.hypot(eta.re, eta.im)
-        cross_gate = max(zero_tol, 8.0 * eta_err_floor(s_star))
-    else:
-        ev = F(s_star, q)
-        cross = math.hypot(ev.value.re, ev.value.im) / gam
-        cross_gate = max(zero_tol, 8.0 * (ev.err_re + ev.err_im) / gam)
-    eta_residual = max(mag_eta, 0.0)
-    eta_gate = max(zero_tol, 8.0 * noise_eta)
-
-    ok = (residual_raw < zero_tol and eta_residual < eta_gate
-          and cross < cross_gate)
+    ok = (residual_raw < zero_tol and z_residual < z_gate
+          and abs(zc_cross.real) < cross_gate)
     if not ok:
         raise ZeroRefinementError(
             f"bracket [{bracket.b_lo:.4f}, {bracket.b_hi:.4f}] did not "
-            f"certify: residual {residual_raw:.3e}, eta-scale "
-            f"{eta_residual:.3e} vs gate {eta_gate:.3e}",
-            b_best=b_star, residual=residual_raw, residual_eta=eta_residual)
+            f"certify: residual {residual_raw:.3e}, |Z| "
+            f"{z_residual:.3e} vs gate {z_gate:.3e}",
+            b_best=b_star, residual=residual_raw, residual_eta=z_residual)
     return LocatedZero(b_star=b_star, residual=residual_raw, method=method,
-                       residual_eta=eta_residual, noise_eta=noise_eta,
+                       residual_eta=z_residual, noise_eta=noise,
                        bracket=bracket)
 
 
 def find_zeros(b_min: float, b_max: float, step: float = 0.25,
                zero_tol: float = 1e-6, q: QuadratureSpec | None = None):
-    """Full pipeline: scan with both routes, merge overlapping brackets, and
-    refine each bracket with both routes.
+    """Full pipeline: scan Z with both routes on one grid, pair the brackets
+    by grid step, and refine each bracket with its own route.
 
     Returns (zeros, scan_rows):
       zeros: list of dicts, one per located zero, with the oracle ordinate,
-        the integral ordinate (None where that route found no component
-        sign change to refine), residuals, and route agreement;
+        the integral ordinate (None where the integral scan saw no sign
+        change in that step), residuals, and route agreement;
       scan_rows: the integral-route scan (b, F1, F2, |F|) for plotting.
     """
     q = q or DEFAULT_SPEC
     oracle_brackets = scan_critical_line(b_min, b_max, step, q, method="oracle")
     integral_raw: list = []
-    integral_brackets = scan_critical_line(b_min, b_max, step, q,
-                                           method="integral", _raw=integral_raw)
-
-    merged: list[tuple[ZeroBracket, ZeroBracket | None]] = []
-    used = set()
-    for ob in oracle_brackets:
-        partner = None
-        for j, ib in enumerate(integral_brackets):
-            if j not in used and abs(ib.b_lo - ob.b_lo) < step / 2:
-                partner = ib
-                used.add(j)
-                break
-        merged.append((ob, partner))
-    extras = [ib for j, ib in enumerate(integral_brackets) if j not in used]
+    integral_brackets = {
+        ib.b_lo: ib for ib in scan_critical_line(
+            b_min, b_max, step, q, method="integral", _raw=integral_raw)}
 
     zeros = []
-    for ob, ib in merged:
+    for ob in oracle_brackets:
+        ib = integral_brackets.pop(ob.b_lo, None)
         try:
             oracle_zero = refine_zero(ob, zero_tol, q)
         except ZeroRefinementError:
-            continue  # spurious oracle bracket
-        entry = {
-            "b_star": oracle_zero.b_star,
-            "residual": oracle_zero.residual,
-            "residual_eta": oracle_zero.residual_eta,
-            "method": "oracle",
-            "b_star_integral": None,
-            "residual_integral": None,
-            "residual_eta_integral": None,
-            "route_gap": None,
-        }
-        int_bracket = ib
-        if int_bracket is None:
-            # the oracle bracket still gives the integral route something to
-            # refine; rebuild the integral indicator at its endpoints
-            r_lo, i_lo, _, _, _ = _line_eval(ob.b_lo, q, "integral")
-            r_hi, i_hi, _, _, _ = _line_eval(ob.b_hi, q, "integral")
-            for cidx, vlo, vhi in ((1, i_lo, i_hi), (0, r_lo, r_hi)):
-                if (vlo > 0) != (vhi > 0):
-                    int_bracket = ZeroBracket(
-                        b_lo=ob.b_lo, b_hi=ob.b_hi, indicator_lo=vlo,
-                        indicator_hi=vhi, component=cidx, method="integral",
-                        dip=ob.dip, median=ob.median)
-                    break
-        if int_bracket is not None:
+            continue  # the oracle cannot certify a zero here
+        entry = {"b_star": oracle_zero.b_star, "method": "oracle",
+                 "residual": oracle_zero.residual,
+                 "residual_eta": oracle_zero.residual_eta,
+                 "b_star_integral": None, "residual_integral": None,
+                 "residual_eta_integral": None, "route_gap": None,
+                 "integral_certified": False}
+        if ib is not None:
             try:
-                int_zero = refine_zero(int_bracket, zero_tol, q)
-                entry["b_star_integral"] = int_zero.b_star
-                entry["residual_integral"] = int_zero.residual
-                entry["residual_eta_integral"] = int_zero.residual_eta
-                entry["route_gap"] = abs(int_zero.b_star - oracle_zero.b_star)
+                z = refine_zero(ib, zero_tol, q)
+                b_int, res, res_eta = z.b_star, z.residual, z.residual_eta
+                entry["integral_certified"] = True
             except ZeroRefinementError as exc:
-                entry["b_star_integral"] = exc.b_best
-                entry["residual_integral"] = exc.residual
-                entry["residual_eta_integral"] = exc.residual_eta
-                entry["route_gap"] = abs(exc.b_best - oracle_zero.b_star)
-                entry["integral_certified"] = False
-        entry.setdefault("integral_certified", entry["b_star_integral"] is not None)
+                b_int, res, res_eta = exc.b_best, exc.residual, exc.residual_eta
+            entry.update(b_star_integral=b_int, residual_integral=res,
+                         residual_eta_integral=res_eta,
+                         route_gap=abs(b_int - oracle_zero.b_star))
         zeros.append(entry)
-    for ib in extras:
+    for ib in integral_brackets.values():
         try:
             z = refine_zero(ib, zero_tol, q)
         except ZeroRefinementError:
-            continue  # spurious integral bracket, rejected
+            continue  # the integral route cannot certify a zero here
         zeros.append({
             "b_star": z.b_star, "residual": z.residual,
             "residual_eta": z.residual_eta, "method": "integral",
@@ -458,5 +364,5 @@ def find_zeros(b_min: float, b_max: float, step: float = 0.25,
         })
     zeros.sort(key=lambda z: z["b_star"])
 
-    scan_rows = [(b, f.re, f.im, abs(f)) for b, f in integral_raw]
+    scan_rows = [(b, f.real, f.imag, abs(f)) for b, f in integral_raw]
     return zeros, scan_rows

@@ -124,6 +124,51 @@ def test_eval_unresolved_F_prints_null_zeta(capsys, b):
     assert obj["zeta_re"] is None and obj["zeta_im"] is None
 
 
+def test_eval_integral_evaluates_F_once(capsys, monkeypatch):
+    # zeta on 0 < a <= 1 comes from the F already computed for the payload
+    import etazeros.cli as cli_mod
+    import etazeros.special as special
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli_mod, "F", counted(cli_mod.F))
+    monkeypatch.setattr(special, "F", counted(special.F))
+    code, out, _ = run(capsys, "eval", "--a", "0.5", "--b", "30",
+                       "--method", "integral")
+    assert code == 0
+    assert json.loads(out)["zeta_re"] is not None
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("method", ["integral", "oracle"])
+def test_eval_at_the_pole_prints_null_zeta(capsys, method):
+    # 1 - 2^(1-s) vanishes at s = 1, the pole of zeta; F(1) = log 2
+    code, out, _ = run(capsys, "eval", "--a", "1", "--b", "0",
+                       "--method", method)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["F_re"] == pytest.approx(math.log(2.0), rel=1e-12)
+    assert obj["zeta_re"] is None and obj["zeta_im"] is None
+
+
+@pytest.mark.parametrize("a", ["100", "120"])
+def test_eval_overflowing_ray_exits_2_quickly(a):
+    # r^(s-1) overflows on the ray (a = 100) and so does its tail bound
+    # (a = 120): numerical non-convergence, not a traceback or a hang
+    import subprocess
+    import sys
+    proc = subprocess.run(
+        [sys.executable, "-m", "etazeros", "eval", "--a", a, "--b", "1"],
+        capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
 def test_eval_csv(capsys):
     code, out, _ = run(capsys, "eval", "--a", "0.5", "--b", "5",
                        "--format", "csv")

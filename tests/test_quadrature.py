@@ -265,6 +265,13 @@ def test_non_convergence_raises_with_payload():
     assert ei.value.err_est is not None and ei.value.err_est > 0
 
 
+@pytest.mark.parametrize("a", [100.0, 120.0])
+def test_line_overflow_raises(a):
+    # r^(s-1) on the ray (a = 100) or the tail bound (a = 120) overflows
+    with pytest.raises(QuadratureError):
+        integrate_line("fermi", complex(a, 1.0), Q)
+
+
 def test_refinement_consistency():
     # doubling the refinement depth must not move a converged value by more
     # than its reported error estimate

@@ -9,7 +9,9 @@ from etazeros.special import (
     G,
     Gamma,
     check_theorem1,
+    log_gamma,
     one_minus_two_pow,
+    riemann_siegel_theta,
     zeta_strip,
 )
 
@@ -217,3 +219,51 @@ def test_G_direct_matches_mpmath(a, b):
         s = mpmath.mpc(a, b)
         _assert_within_err(ev, mpmath.gamma(s) * mpmath.zeta(s), mpmath)
     assert ev.err_re <= 1e-10 * abs(ev.value), (a, b)
+
+
+# ---------------------------------------------------------------------------
+# Stirling's log Gamma and the Riemann-Siegel theta.
+
+STIRLING_B = (1.0, 14.13, 100.3, 401.0, 1000.7)
+
+
+@pytest.mark.parametrize("b", STIRLING_B)
+def test_log_gamma_within_err_of_mpmath(b):
+    mpmath = pytest.importorskip("mpmath")
+    for a in (0.25, 0.5, 3.0):
+        value, err = log_gamma(complex(a, b))
+        ref = mpmath.loggamma(mpmath.mpc(a, b))
+        assert abs(value - complex(ref)) <= err, (a, b)
+        assert err <= 1e-13 * max(1.0, abs(value)), (a, b, err)
+
+
+@pytest.mark.parametrize("b", STIRLING_B)
+def test_riemann_siegel_theta_within_err_of_mpmath(b):
+    mpmath = pytest.importorskip("mpmath")
+    for sign in (1.0, -1.0):
+        value, err = riemann_siegel_theta(sign * b)
+        assert abs(value - float(mpmath.siegeltheta(sign * b))) <= err, b
+
+
+def test_log_gamma_shift_and_branch():
+    # small |z| is shifted up by log Gamma(z) = log Gamma(z + 1) - log z;
+    # the branch is the continuous one, not the principal log of Gamma
+    value, err = log_gamma(0.5)
+    assert abs(value - 0.5 * math.log(math.pi)) <= err
+    value, _ = log_gamma(complex(0.5, 100.0))
+    assert value.imag > 300.0
+    with pytest.raises(ValueError):
+        log_gamma(complex(-0.5, 3.0))
+
+
+@pytest.mark.parametrize("b", [0.0, 5.0, 14.13, 40.0, 100.0])
+def test_gamma_quadrature_matches_stirling(b):
+    # the two independent routes to Gamma(s): the exp kernel on the ray and
+    # Stirling's series, compared in log form
+    for a in (0.1, 0.5, 2.0):
+        ev = Gamma(ComplexPoint(a, b), Q)
+        lg, lg_err = log_gamma(complex(a, b))
+        rel = abs(ev.value.value / complex(math.cos(lg.imag),
+                                           math.sin(lg.imag))
+                  / math.exp(lg.real) - 1.0)
+        assert rel <= ev.err / abs(ev.value) + 2.0 * lg_err, (a, b, rel)

@@ -13,10 +13,8 @@ from etazeros.zerofinder import (
     EtaConvergenceError,
     ZeroBracket,
     ZeroRefinementError,
-    eta_err_floor,
     eta_oracle,
     find_zeros,
-    gamma_modulus_critical,
     refine_zero,
     scan_critical_line,
     zeta_oracle,
@@ -101,13 +99,6 @@ def test_zeta_oracle_known_values():
     assert zeta_oracle(3.0).re == pytest.approx(1.2020569031595943, rel=1e-12)
 
 
-def test_gamma_modulus_closed_form_matches_quadrature():
-    for b in (5.0, 10.0, 14.0):
-        closed = gamma_modulus_critical(b)
-        quad = abs(Gamma(ComplexPoint(0.5, b), Q).value)
-        assert quad == pytest.approx(closed, rel=1e-9)
-
-
 # ---------------------------------------------------------------------------
 # Scanning.
 
@@ -167,38 +158,33 @@ def test_refine_first_zero_integral():
     assert z.residual < 1e-6
 
 
+def _fabricated_bracket(lo_b, hi_b, method):
+    # endpoint signs made up for a step where Z keeps one sign (|Z| ~ 2.3
+    # between the zeros at 14.13 and 21.02): a bracket that is not a zero
+    return ZeroBracket(b_lo=lo_b, b_hi=hi_b, indicator_lo=1.0,
+                       indicator_hi=-1.0, method=method)
+
+
 def test_refine_rejects_spurious_bracket():
-    # near b = 18 one component of eta changes sign while |eta| stays at
-    # neighborhood scale: a sign change that is not a zero of F
-    lo_b, hi_b = 18.0, 18.25
-    lo = eta_oracle(ComplexPoint(0.5, lo_b), tol=1e-11)
-    hi = eta_oracle(ComplexPoint(0.5, hi_b), tol=1e-11)
-    assert (lo.im > 0) != (hi.im > 0)  # the sign change is real
-    fake = ZeroBracket(b_lo=lo_b, b_hi=hi_b, indicator_lo=lo.im,
-                       indicator_hi=hi.im, component=1, method="oracle",
-                       dip=0.0, median=1.0)
+    lo = zerofinder._line_eval(18.0, Q, "oracle")[0].real
+    hi = zerofinder._line_eval(18.25, Q, "oracle")[0].real
+    assert lo > 0 and hi > 0        # no sign change of Z in this step
     with pytest.raises(ZeroRefinementError) as ei:
-        refine_zero(fake, 1e-6, Q)
+        refine_zero(_fabricated_bracket(18.0, 18.25, "oracle"), 1e-6, Q)
     assert 18.0 <= ei.value.b_best <= 18.25
-    assert ei.value.residual_eta > 0.1  # |eta| stayed at O(1): not a zero
+    assert ei.value.residual_eta > 0.1  # |Z| stayed at O(1): not a zero
 
 
 def test_refine_rejects_spurious_integral_bracket():
-    # F2 crosses zero between 18.50 and 18.75 while |F| stays at
-    # neighborhood scale (a nodal crossing, not a zero of F)
-    f_lo = F(ComplexPoint(0.5, 18.50), Q).value
-    f_hi = F(ComplexPoint(0.5, 18.75), Q).value
-    gam = gamma_modulus_critical(18.6)
-    assert (f_lo.im > 0) != (f_hi.im > 0)
-    fake = ZeroBracket(b_lo=18.50, b_hi=18.75,
-                       indicator_lo=f_lo.im / gam, indicator_hi=f_hi.im / gam,
-                       component=1, method="integral", dip=0.0, median=1.0)
-    with pytest.raises(ZeroRefinementError):
-        refine_zero(fake, 1e-6, Q)
+    with pytest.raises(ZeroRefinementError) as ei:
+        refine_zero(_fabricated_bracket(18.50, 18.75, "integral"), 1e-6, Q)
+    assert 18.50 <= ei.value.b_best <= 18.75
+    assert ei.value.residual_eta > 0.1
 
 
 def _count_evals(monkeypatch):
-    """Count the F and eta evaluations the zero finder makes from here on."""
+    """Count the F (ray integral) and eta evaluations the zero finder makes
+    from here on."""
     counts = {"F": 0, "eta": 0}
 
     def counted(name, fn):
@@ -207,7 +193,8 @@ def _count_evals(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(zerofinder, "F", counted("F", zerofinder.F))
+    monkeypatch.setattr(zerofinder, "_ray_integral",
+                        counted("F", zerofinder._ray_integral))
     monkeypatch.setattr(zerofinder, "eta_oracle",
                         counted("eta", zerofinder.eta_oracle))
     return counts
@@ -222,6 +209,7 @@ def test_refine_first_zero_takes_few_evaluations(monkeypatch, method):
     counts = _count_evals(monkeypatch)
     z = refine_zero(bracket, 1e-6, Q)
     assert z.b_star == pytest.approx(ZERO_1, abs=1e-5)
+    assert counts["F"] >= 1 and counts["eta"] >= 1, counts
     assert counts["F"] + counts["eta"] <= 12, counts
 
 
@@ -241,13 +229,12 @@ def test_refine_worst_case_is_bounded(monkeypatch, shape, b0):
 
     def line_eval(b, q, method):
         line_evals.append(b)
-        v = shape(b - b0)
-        return v, 0.0, abs(v), 0.0, complex(v)
+        v = complex(shape(b - b0))
+        return v, 0.0, v
 
     monkeypatch.setattr(zerofinder, "_line_eval", line_eval)
     bracket = ZeroBracket(b_lo=14.0, b_hi=14.25, indicator_lo=shape(14.0 - b0),
-                          indicator_hi=shape(14.25 - b0), component=0,
-                          method="integral", dip=0.0, median=1.0)
+                          indicator_hi=shape(14.25 - b0), method="integral")
     try:
         b_star = refine_zero(bracket, 1e-6, Q).b_star
     except ZeroRefinementError as exc:      # the oracle sees no zero at b0
@@ -290,11 +277,6 @@ def test_oracle_integral_agreement_off_zero():
         assert abs(f - rhs) / denom < 1e-7
 
 
-def test_eta_err_floor_scales_with_b():
-    assert eta_err_floor(ComplexPoint(0.5, 100.0)) > \
-        eta_err_floor(ComplexPoint(0.5, 10.0))
-
-
 def test_find_zeros_empty_range():
     zeros, scan_rows = find_zeros(2.0, 8.0, 0.25, 1e-6, Q)
     assert zeros == []
@@ -303,9 +285,10 @@ def test_find_zeros_empty_range():
 
 def test_find_zeros_budget_and_accuracy(monkeypatch):
     # each scan takes 121 evaluations of its route; the 12 refinements
-    # (6 zeros, two routes) add about 10 each
+    # (6 zeros, two routes) add about 10 each, one of them on the other route
     counts = _count_evals(monkeypatch)
     zeros, _ = find_zeros(10.0, 40.0, 0.25, 1e-6, Q)
+    assert counts["F"] >= 121 and counts["eta"] >= 121, counts
     assert counts["F"] <= 200 and counts["eta"] <= 200, counts
     assert len(zeros) == 6
     assert all(z["integral_certified"] and z["route_gap"] <= 1e-9
@@ -325,3 +308,38 @@ def test_scan_leaves_numpy_ma_unimported():
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# Hardy's Z on both routes, and windows past b = 400.
+
+@pytest.mark.parametrize("b", [14.13, 100.3, 480.3, 1000.7])
+@pytest.mark.parametrize("method", ["oracle", "integral"])
+def test_hardy_z_within_err_of_mpmath(method, b):
+    mpmath = pytest.importorskip("mpmath")
+    zc, err, _ = zerofinder._line_eval(b, Q, method)
+    assert abs(zc.real - float(mpmath.siegelz(b))) <= err, (zc, err)
+    assert abs(zc.imag) <= err
+    assert err <= 1e-8
+
+
+def test_hardy_z_is_even():
+    for method in ("oracle", "integral"):
+        up, _, raw_up = zerofinder._line_eval(30.5, Q, method)
+        dn, _, raw_dn = zerofinder._line_eval(-30.5, Q, method)
+        assert up == dn and raw_dn == raw_up.conjugate()
+
+
+@pytest.mark.parametrize("b_min,b_max,count", [(400.0, 405.0, 3),
+                                               (480.0, 490.0, 7)])
+def test_find_zeros_high_windows(b_min, b_max, count):
+    # zeros 0.25 to 1 apart, and past b ~ 476 |Gamma(1/2 + ib)| and F
+    # underflow to 0: each zero is still a sign change of Z on both routes
+    mpmath = pytest.importorskip("mpmath")
+    zeros, scan_rows = find_zeros(b_min, b_max, 0.25, 1e-6, Q)
+    assert len(zeros) == count
+    first = int(mpmath.nzeros(b_min)) + 1
+    for k, z in enumerate(zeros, start=first):
+        assert z["integral_certified"] and z["route_gap"] <= 1e-9
+        assert abs(z["b_star"] - float(mpmath.zetazero(k).imag)) <= 5e-10
+    assert len(scan_rows) == int((b_max - b_min) / 0.25) + 1
