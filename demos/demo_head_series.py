@@ -16,7 +16,7 @@ K, R = choose_K_R(b, 2.0)
 print(f"largest admissible node under 2 at b = {b}: K = {K}, R = {R:.10f}")
 
 ev = series_lower_integral(a, b, K, R, tol=1e-13)
-quad, quad_err = lower_integral_by_quadrature(a, b, R, abs_tol=1e-12)
+quad, quad_err = lower_integral_by_quadrature(a, b, R)
 print(f"series     : {ev.value:.15e}  ({ev.terms_used} terms, "
       f"tail bound {ev.tail_bound:.1e})")
 print(f"quadrature : {quad:.15e}  (err est {quad_err:.1e})")
@@ -35,7 +35,7 @@ print()
 print("phase alignment matters: shift R by a quarter half-period")
 r_shift = R * math.exp(math.pi / (2.0 * b))
 v_series, _, _ = _series_sum(a, b, r_shift, tol=1e-13)
-v_quad, _ = lower_integral_by_quadrature(a, b, r_shift, abs_tol=1e-12)
+v_quad, _ = lower_integral_by_quadrature(a, b, r_shift)
 print(f"  series formula at R' : {v_series:.10e}")
 print(f"  true integral at R'  : {v_quad:.10e}")
 print(f"  mismatch             : {abs(v_series - v_quad):.2e}  "

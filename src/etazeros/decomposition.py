@@ -112,7 +112,7 @@ def interval_contributions(plan: DecompositionPlan, count: int,
     running = 0.0
     for k in range(plan.K, plan.K + count):
         lo, hi = plan.half_period(k)
-        val, err = integrate_finite(spec, lo, hi, q, abs_tol=1e-16)
+        val, err = integrate_finite(spec, lo, hi, q)
         running += val
         rows.append({"k": k, "t_lo": lo, "t_hi": hi,
                      "contribution": val, "cumulative": running,
@@ -145,9 +145,8 @@ def check_theorem7(a: float, b: float, R: float,
     tag = f"a={a:g} b={b:g} R={R:g}"
 
     lhs, lhs_err = integrate_to_infinity(
-        IntegrandSpec("pair_fermi", a=a, b=b), R, q, abs_tol=1e-15)
-    rhs, rhs_err = integrate_finite(
-        IntegrandSpec("fermi", a=a), R, c * R, q, abs_tol=1e-15)
+        IntegrandSpec("pair_fermi", a=a, b=b), R, q)
+    rhs, rhs_err = integrate_finite(IntegrandSpec("fermi", a=a), R, c * R, q)
     rep.add_equality(f"tail telescopes {tag}", lhs, rhs,
                      tol_equality * max(1.0, abs(rhs)) + lhs_err + rhs_err)
 
@@ -168,9 +167,9 @@ def scaling_identity_discrepancy(alpha: float, beta: float, a: float,
         - c^(-a) int_(c alpha)^(c beta) u^(a-1)/(e^u+1) du|."""
     q = q or DEFAULT_SPEC
     lhs, _ = integrate_finite(IntegrandSpec("fermi", a=a, scale=c),
-                              alpha, beta, q, abs_tol=1e-15)
+                              alpha, beta, q)
     rhs, _ = integrate_finite(IntegrandSpec("fermi", a=a),
-                              c * alpha, c * beta, q, abs_tol=1e-15)
+                              c * alpha, c * beta, q)
     return abs(lhs - c ** (-a) * rhs)
 
 
@@ -187,14 +186,13 @@ def telescoping_partial_sums(a: float, b: float, m: int,
     lhs = 0.0
     for k in range(plan.K, plan.K + m + 1):
         v, _ = integrate_finite(h, plan.endpoint(2 * k),
-                                plan.endpoint(2 * k + 2), q, abs_tol=1e-15)
+                                plan.endpoint(2 * k + 2), q)
         lhs += v
     lo_strip, _ = integrate_finite(f, plan.endpoint(2 * plan.K),
-                                   plan.endpoint(2 * plan.K + 1), q,
-                                   abs_tol=1e-15)
+                                   plan.endpoint(2 * plan.K + 1), q)
     top = 2 * (plan.K + m) + 2
     hi_strip, _ = integrate_finite(f, plan.endpoint(top),
-                                   plan.endpoint(top + 1), q, abs_tol=1e-15)
+                                   plan.endpoint(top + 1), q)
     return lhs, lo_strip - hi_strip
 
 
@@ -218,7 +216,7 @@ def interval_average(k: int, b: float,
     lo = math.exp(2 * k * math.pi / b)
     hi = math.exp((2 * k + 1) * math.pi / b)
     integral, _ = integrate_finite(IntegrandSpec("unit", "sin", b=b),
-                                   lo, hi, q, abs_tol=1e-15 * max(1.0, hi))
+                                   lo, hi, q)
     width = lo * math.expm1(math.pi / b)
     return closed, integral / width
 
@@ -281,7 +279,7 @@ def check_theorem9(k: int, b: float, a: float,
     uncertainty = float(np.max(np.abs(np.diff(hs)))) * (t1 - t0)
 
     mid, mid_err = integrate_finite(IntegrandSpec("pair_fermi", "sin", a=a, b=b),
-                                    t0, t1, q, abs_tol=1e-16)
+                                    t0, t1, q)
     lower = (2.0 / math.pi - 2.0 / (math.pi * b * b)) * m1 * (t1 - t0)
     upper = (2.0 / math.pi) * m2 * (t1 - t0)
     tag = f"a={a:g} b={b:g} k={k}"

@@ -1,31 +1,35 @@
-"""Quadrature for power-weighted decaying kernels, by two engines.
+"""Quadrature for power-weighted decaying kernels: one engine, two contours.
 
-Whole half-line integrals int_0^inf t^(s-1) k(t) dt of the fermi, exp and
-bose kernels (F, gamma and G of :mod:`etazeros.special`) go to
-:func:`integrate_line`, which integrates on a ray rotated towards the
-imaginary axis.  Each kernel is analytic on Re t > 0 with its poles on the
-imaginary axis, so by Cauchy's theorem
+Every integral here is int t^(s-1) k(t) dt over a range of t, taken in
+u = log t as int e^(s u) k(e^u rot) du on Gauss panels.  One batch gives each
+panel's G24 value, its error |G24 - G12| and its rounding floor; one loop
+bisects every panel whose error stands above its floor.  Below a small rho
+the head comes in closed form from the kernel's first two Taylor terms, and
+beyond the last panel the tail is bounded analytically.  Panel sums go
+through ``math.fsum`` in panel order, so results are bit-reproducible at
+fixed settings.
+
+Whole half-line integrals of the fermi, exp and bose kernels (F, gamma and G
+of :mod:`etazeros.special`) go to :func:`integrate_line`, which runs on a ray
+rotated towards the imaginary axis.  Each kernel is analytic on Re t > 0
+with its poles on the imaginary axis, so by Cauchy's theorem
 
     int_0^inf t^(s-1) k(t) dt = e^(i theta s) int_0^inf r^(s-1) k(r e^(i theta)) dr
 
 for 0 <= theta < pi/2.  With theta = pi/2 - delta the factor e^(-theta b)
 comes out analytically, and what is left to quadrature is only about
 e^(delta b) worse conditioned than the integral, which decays like
-e^(-pi b / 2).  Gauss panels run in u = log r; the head near r = 0 and the
-tail are taken analytically.
+e^(-pi b / 2).
 
-The paper's real-axis pieces (head integrals to R, paired tails, half
-periods) go to :func:`integrate_finite` and :func:`integrate_to_infinity`:
-
-* an integrable endpoint singularity t^(a-1) at t = 0, removed exactly by the
-  substitution t = u^(1/alpha) on [0, min(1, hi)] for non-oscillatory kinds,
-  and graded away geometrically by node-aligned panels for oscillatory kinds;
-
-* log-periodic oscillation sin(b log t) / cos(b log t), integrated on panels
-  whose endpoints are the phase nodes t_k = exp(k pi / b).  Panels are
-  parameterized by the phase variable phi = b log t, so the trig factor is
-  evaluated at exact multiples of pi plus a local offset and never picks up
-  phase error of size b * ulp(log t).
+The paper's real-axis pieces (head integrals to R, direct and paired tails,
+half periods, telescoping integrals) go to :func:`integrate_finite` and
+:func:`integrate_to_infinity`, which run on the real axis, rot = 1.  There
+t^(a-1) k(t) sin(b log t) is Im e^(s u) k(e^u) with s = a + ib (Re for cos,
+b = 0 without a trig factor).  The panels run in the phase p = b u / pi,
+counted from a finite endpoint, and stop at every phase node.  The
+oscillating factor comes from exact offsets to the integer phase nodes,
+trig(pi p) = (-1)^k trig(pi (p - k)), so it never picks up a phase error of
+size b * ulp(u).
 
 Oscillatory tails admit a second, analytically cancelled form: the integral
 of the fermi kernel over a full period [t_2k, t_2k+2] equals the integral of
@@ -37,9 +41,6 @@ over the half period [t_2k, t_2k+1].  ``integrate_to_infinity(paired=True)``
 selects that form.  It is what keeps the absolute rounding noise near
 machine scale when the half-waves of each period cancel almost exactly,
 which for this family they do, to a factor ~ e^(-pi b / 2).
-
-Panel sums are compensated (Kahan or fsum) and accumulated in ascending panel
-order, so results are bit-reproducible at fixed settings.
 """
 
 from __future__ import annotations
@@ -72,13 +73,15 @@ class QuadratureError(RuntimeError):
         self.err_est = err_est
 
 
+_TRUNCATION_MARGIN = 5.0     # extra e-foldings beyond the tail target
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and truncation policy shared by all integral evaluations."""
+    """Tolerance and refinement depth shared by all integral evaluations."""
 
     target_tol: float = 1e-10          # relative
     max_refinement_depth: int = 24
-    truncation_margin: float = 5.0     # extra e-foldings beyond the tail target
 
     def __post_init__(self):
         if self.target_tol < 1e-14:
@@ -88,11 +91,11 @@ class QuadratureSpec:
 
     def truncation_point(self, a: float, tol: float) -> float:
         """Upper cutoff T whose analytic tail int_T^inf t^(a-1) e^-t dt is
-        below ``tol``: solves t - (a-1) log t = -log(tol) + margin, floored
+        below ``tol``: solves t - (a-1) log t = -log(tol) + 5, floored
         at 60 (kernel mass e^-60 is negligible at every supported tolerance).
         """
         tol = max(tol, 1e-300)
-        rhs = -math.log(tol) + self.truncation_margin
+        rhs = -math.log(tol) + _TRUNCATION_MARGIN
         t = max(rhs, 2.0)
         for _ in range(4):
             t = max(2.0, rhs + (a - 1.0) * math.log(t))
@@ -236,158 +239,102 @@ def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _gauss_cache[n]
 
 
-def _kahan_sum(values) -> float:
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        y = float(v) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
 # ---------------------------------------------------------------------------
-# Adaptive integration of a smooth vectorized function on [lo, hi].
+# The panel engine: one batch and one refinement loop for both contours.
 
-def _gauss_segment(f, lo: float, hi: float) -> tuple[float, float]:
+_EPS = math.ulp(1.0)
+_HEAD = 46.0            # the head remainder is below e^(-46)
+_PHASE = 12.0           # change of the integrand's log per panel
+
+
+def _panels(rate: float, decay: float, delta: float, log_pole: float,
+            v_lo: float, v_hi: float, u0: float = 0.0, unit: float = 1.0,
+            nodes: bool = False) -> np.ndarray:
+    """Panel breakpoints on [v_lo, v_hi] of v = (u - u0) / unit, u = log r,
+    r = |t|; with ``nodes`` no panel crosses an integer of v.
+
+    Each panel keeps the change of the integrand's log under _PHASE (its
+    rate in u is at most |s| + decay r) and its width under the distance,
+    in the u plane, to the kernel's poles log(pole) + i delta, ...: the
+    first pole for r < pole, the line of poles at distance delta beyond it.
+    Panels the rule gets wrong are bisected by the G24/G12 test afterwards.
+    """
+    xs = [v_lo]
+    x = v_lo
+    while x < v_hi:
+        u = u0 + unit * x
+        h = min(_PHASE / (rate + decay * math.exp(u)),
+                max(delta, 0.5 * (log_pole - u))) / unit
+        x = min(x + h, v_hi)
+        if nodes:
+            x = min(x, math.floor(xs[-1]) + 1.0)
+        xs.append(x)
+    return np.asarray(xs)
+
+
+def _panel_batch(integrand: Callable, lo: np.ndarray, hi: np.ndarray):
+    """(G24 values, |G24 - G12|, rounding floors) of panels [lo, hi].
+
+    ``integrand(lo, hi, x)`` takes the panels' ends as columns and the rule's
+    nodes x on [-1, 1], and gives the values at the nodes and their absolute
+    rounding in units of eps.  Raises :class:`QuadratureError` when any
+    result is not finite: r^(s-1) overflows once r^a does (Re s beyond
+    ~ 100), and bisecting such panels would never converge.
+    """
     half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
     xh, wh = _gauss(_RULE_HI)
     xl, wl = _gauss(_RULE_LO)
-    vh = half * float(np.dot(wh, f(mid + half * xh)))
-    vl = half * float(np.dot(wl, f(mid + half * xl)))
-    return vh, abs(vh - vl)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fh, rounding = integrand(lo[:, None], hi[:, None], xh)
+        fl, _ = integrand(lo[:, None], hi[:, None], xl)
+        vh = half * (fh @ wh)
+        vl = half * (fl @ wl)
+        err = np.abs(vh - vl)
+        noise = 2.0 * _EPS * half * (rounding @ wh)
+    if not (np.isfinite(err).all() and np.isfinite(noise).all()):
+        raise QuadratureError("panel values overflow")
+    return vh, err, noise
 
 
-def _adaptive(f, lo: float, hi: float, q: QuadratureSpec,
-              abs_tol: float) -> tuple[float, float]:
-    segs = [(lo, hi, 0, *_gauss_segment(f, lo, hi))]
-    while True:
-        total_err = sum(s[4] for s in segs)
-        total_val = sum(abs(s[3]) for s in segs)
-        budget = max(abs_tol, q.target_tol * total_val)
-        if total_err <= budget:
+def _integrate_panels(integrand: Callable, lo: np.ndarray, hi: np.ndarray,
+                      head, cond: float, q: QuadratureSpec):
+    """(value, panel error, rounding floor): head plus the sum of the panels
+    [lo, hi], refined.
+
+    A panel is done when G24 and G12 agree to 64 times its own rounding
+    floor or to its share of the whole floor; the others are bisected, at
+    most ``q.max_refinement_depth`` times.  The floor adds cond eps |value|
+    for the rounding of the sum and of the factors applied to it.  Raises
+    :class:`QuadratureError`, carrying the value and its error, when the
+    panel error stays above max(64 floor, target_tol |value|).
+    """
+    vals, errs, floors = _panel_batch(integrand, lo, hi)
+    share = float(np.sum(floors)) / len(lo)
+    kept = []
+    for _ in range(q.max_refinement_depth):
+        done = (errs <= 64.0 * floors) | (errs <= share)
+        kept.append((lo[done], vals[done], errs[done], floors[done]))
+        lo, hi = lo[~done], hi[~done]
+        if not len(lo):
             break
-        worst = max(range(len(segs)), key=lambda i: (segs[i][4], -segs[i][0]))
-        s_lo, s_hi, depth, _v, _e = segs[worst]
-        if depth >= q.max_refinement_depth:
-            segs.sort()
-            value = _kahan_sum([s[3] for s in segs])
-            raise QuadratureError(
-                f"no convergence at depth {depth}: err {total_err:.3e} > "
-                f"budget {budget:.3e}", value=value, err_est=total_err)
-        mid = 0.5 * (s_lo + s_hi)
-        segs[worst] = (s_lo, mid, depth + 1, *_gauss_segment(f, s_lo, mid))
-        segs.append((mid, s_hi, depth + 1, *_gauss_segment(f, mid, s_hi)))
-    segs.sort()
-    value = _kahan_sum([s[3] for s in segs])
-    return value, sum(s[4] for s in segs)
-
-
-def _integrate_smooth(spec: IntegrandSpec, lo: float, hi: float,
-                      q: QuadratureSpec, abs_tol: float) -> tuple[float, float]:
-    """Non-oscillatory finite integral; substitutes away the t^(alpha-1) cusp
-    wherever the interval reaches into the cusp region (lo < 1).
-
-    Oscillatory kinds never come here (any b > 0 routes to phase panels,
-    whose log-spaced geometry is what resolves trig factors near 0).
-    """
-    if spec.trig is not None:
-        raise ValueError("oscillatory kinds belong to the phase-panel path")
-    alpha = spec.singular_exponent
-    # the substitution pays off for any fractional exponent below 2: at
-    # alpha in (1, 2) the integrand is continuous but its derivative still
-    # carries a branch point that starves plain bisection
-    if alpha is not None and alpha <= 0.0 and lo == 0.0:
-        raise ValueError("integrand not integrable at 0 (exponent <= 0)")
-    fractional_cusp = (alpha is not None and 0.0 < alpha < 2.0
-                       and abs(alpha - round(alpha)) > 1e-9)
-    if not fractional_cusp or lo >= 1.0:
-        return _adaptive(spec, lo, hi, q, abs_tol)
-    split = min(1.0, hi)
-    inv = 1.0 / alpha
-
-    def transformed(u: np.ndarray) -> np.ndarray:
-        # int t^(alpha-1) psi(t) dt = (1/alpha) int psi(u^(1/alpha)) du,  u = t^alpha
-        t = np.maximum(u, 5e-324) ** inv
-        return spec.smooth_factor(t) * inv
-
-    v1, e1 = _adaptive(transformed, lo ** alpha, split ** alpha, q, 0.5 * abs_tol)
-    v2, e2 = (0.0, 0.0) if hi <= split else _adaptive(spec, split, hi, q, 0.5 * abs_tol)
-    return v1 + v2, e1 + e2
-
-
-# ---------------------------------------------------------------------------
-# Oscillatory integration on phase-node panels.
-
-_CHUNK = 4096
-_LOG_FLOOR = -660.0          # lower phase floor: t = e^-660 (far below underflow of t^a)
-
-
-class _PhasePanels:
-    """Panel engine in the phase variable phi = b log t.
-
-    Panel k covers phi in [k pi, (k+1) pi]; its contribution is
-    (1/b) int kernel(e^(phi/b)) e^(phi/b) trig(phi) dphi, and with the node
-    offset u in [0, 1], trig(k pi + pi u) = (-1)^k trig(pi u) for both trigs.
-    """
-
-    def __init__(self, spec: IntegrandSpec, q: QuadratureSpec):
-        self.spec = spec
-        self.q = q
-        self.b = spec.b
-        for attr, n in (("hi", _RULE_HI), ("lo", _RULE_LO)):
-            x, w = _gauss(n)
-            u = 0.5 * (x + 1.0)
-            trig = np.sin if spec.trig == "sin" else np.cos
-            tu = trig(np.pi * u)
-            setattr(self, f"u_{attr}", u)
-            setattr(self, f"wt_{attr}", 0.5 * w * tu)
-
-    def batch(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(values, error estimates, absolute masses) for panels ks."""
-        b = self.b
-        t = np.exp((ks[:, None] + self.u_hi[None, :]) * (math.pi / b))
-        g = self.spec.kernel_values(t) * t
-        out_v = (math.pi / b) * (g @ self.wt_hi)
-        mass = (math.pi / b) * (np.abs(g) @ np.abs(self.wt_hi))
-        t_lo = np.exp((ks[:, None] + self.u_lo[None, :]) * (math.pi / b))
-        g_lo = self.spec.kernel_values(t_lo) * t_lo
-        out_lo = (math.pi / b) * (g_lo @ self.wt_lo)
-        signs = np.where(ks % 2 == 0, 1.0, -1.0)
-        return signs * out_v, np.abs(out_v - out_lo), mass
-
-    def adaptive_phi(self, phi_lo: float, phi_hi: float,
-                     abs_tol: float) -> tuple[float, float]:
-        """Adaptive integral over an arbitrary phase range (edge panels,
-        refinement of flagged panels).  Trig sign is evaluated in place."""
-        b = self.b
-        trig_fn = np.sin if self.spec.trig == "sin" else np.cos
-
-        def f(phi: np.ndarray) -> np.ndarray:
-            t = np.exp(phi / b)
-            return self.spec.kernel_values(t) * t * trig_fn(phi) / b
-
-        return _adaptive(f, phi_lo, phi_hi, self.q, abs_tol)
-
-
-def _lower_tail_bound(spec: IntegrandSpec, t: float) -> float:
-    """Analytic bound on |int_0^t integrand| (|trig| <= 1)."""
-    a = spec.a
-    k = spec.kernel
-    if t <= 0.0:
-        return 0.0
-    if k == "unit":
-        return t
-    if k == "fermi":
-        return 0.5 * t ** a / a
-    if k == "exp":
-        return t ** a / a
-    # paired: |delta(t)| <= (c-1) t / 4 + (e^(a pi/b) - 1)/2
-    d = math.expm1(math.pi / spec.b)
-    lam_m1 = math.expm1(a * math.pi / spec.b)
-    return 0.25 * d * t ** (a + 1.0) / (a + 1.0) + 0.5 * lam_m1 * t ** a / a
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        vals, errs, floors = _panel_batch(integrand, lo, hi)
+    else:
+        kept.append((lo, vals, errs, floors))
+    lo, vals, errs, floors = (np.concatenate(c) for c in zip(*kept))
+    vals = vals[np.argsort(lo, kind="stable")]
+    if np.iscomplexobj(vals):
+        value = complex(math.fsum(vals.real), math.fsum(vals.imag)) + head
+    else:
+        value = math.fsum(vals) + head
+    panel_err = float(np.sum(errs))
+    noise = float(np.sum(floors)) + _EPS * cond * abs(value)
+    if panel_err > max(64.0 * noise, q.target_tol * abs(value)):
+        raise QuadratureError(
+            f"panel error {panel_err:.3e} stalled above the rounding floor "
+            f"{noise:.3e}", value=value, err_est=panel_err + noise)
+    return value, panel_err, noise
 
 
 def _upper_tail_bound(spec: IntegrandSpec, t_cut: float) -> float:
@@ -407,178 +354,12 @@ def _upper_tail_bound(spec: IntegrandSpec, t_cut: float) -> float:
     return extra * geo * t_cut ** (a - 1.0) * math.exp(-t_cut)
 
 
-def _phase_of(x: float, b: float) -> float:
-    return b * math.log(x) / math.pi
-
-
-def _snap_node(phase: float) -> int | None:
-    k = round(phase)
-    if abs(phase - k) <= 1e-9 * max(1.0, abs(phase)) + 1e-12:
-        return int(k)
-    return None
-
-
-def _oscillatory(spec: IntegrandSpec, lo: float, hi: float | None,
-                 q: QuadratureSpec, paired: bool,
-                 abs_tol: float | None) -> tuple[float, float]:
-    """Oscillatory integral over [lo, hi] (hi None = infinity, lo may be 0).
-
-    paired=True (upper range only) integrates the cancelled kernel over half
-    periods and requires lo at an even phase node (0 always qualifies).
-    """
-    # stride-2 half-period device; an explicit pair kernel with
-    # paired=False integrates literally
-    work = spec.paired if paired else spec
-    stride = 2 if paired else 1
-    b = spec.b
-    floor = 0.0 if abs_tol is None else abs_tol
-
-    tail_hi = 0.0
-    edge_hi = None          # (phi_lo, phi_hi) partial top panel
-    if hi is None:
-        T = q.truncation_point(spec.a, max(floor, 1e-2 * q.target_tol))
-        k_hi = math.ceil(_phase_of(T, b))
-        if k_hi % 2:
-            k_hi += 1
-        tail_hi = _upper_tail_bound(work, math.exp(k_hi * math.pi / b))
-    else:
-        ph = _phase_of(hi, b)
-        k = _snap_node(ph)
-        if k is None:
-            k_hi = math.floor(ph)
-            edge_hi = (k_hi * math.pi, ph * math.pi)
-        else:
-            k_hi = k
-
-    dynamic_lower = lo <= 0.0
-    edge_lo = None
-    if not dynamic_lower:
-        ph = _phase_of(lo, b)
-        k = _snap_node(ph)
-        if paired:
-            if k is None or k % 2:
-                raise ValueError("paired integration needs the lower endpoint "
-                                 "on an even phase node exp(2k pi / b)")
-            k_lo = k
-        elif k is None:
-            k_lo = math.ceil(ph)
-            edge_lo = (ph * math.pi, k_lo * math.pi)
-        else:
-            k_lo = k
-
-    if (not dynamic_lower and hi is not None and k_lo > k_hi):
-        # both endpoints inside one panel: a single adaptive span suffices
-        panels = _PhasePanels(work, q)
-        v, e = panels.adaptive_phi(_phase_of(lo, b) * math.pi,
-                                   _phase_of(hi, b) * math.pi,
-                                   max(floor * 0.5, 1e-18))
-        return v, e
-
-    panels = _PhasePanels(work, q)
-
-    ks_parts: list[np.ndarray] = []
-    vals_parts: list[np.ndarray] = []
-    errs_parts: list[np.ndarray] = []
-    mass_parts: list[np.ndarray] = []
-    acc = 0.0
-    mass_acc = 0.0
-    tail_lo = 0.0
-
-    def take(ks: np.ndarray):
-        nonlocal acc, mass_acc
-        vals, errs, mass = panels.batch(ks)
-        ks_parts.append(ks)
-        vals_parts.append(vals)
-        errs_parts.append(errs)
-        mass_parts.append(mass)
-        acc += float(np.sum(vals))
-        mass_acc += float(np.sum(mass))
-
-    if dynamic_lower:
-        # never descend past t = e^LOG_FLOOR (well above the t^a underflow)
-        k_floor = stride * math.ceil(_LOG_FLOOR * b / math.pi / stride)
-        k_cur = k_hi
-        while k_cur > k_floor:
-            k_next = max(k_cur - stride * _CHUNK, k_floor)
-            take(np.arange(k_next, k_cur, stride, dtype=np.int64)[::-1])
-            k_cur = k_next
-            tail_lo = _lower_tail_bound(work, math.exp(k_cur * math.pi / b))
-            stop_tol = 0.05 * max(floor, 1e-16 * mass_acc,
-                                  q.target_tol * abs(acc))
-            if tail_lo < stop_tol:
-                break
-        order = slice(None, None, -1)
-    else:
-        ks = np.arange(k_lo, k_hi, stride, dtype=np.int64)
-        for i in range(0, len(ks), _CHUNK):
-            take(ks[i:i + _CHUNK])
-        order = slice(None)
-
-    if ks_parts:
-        ks_all = np.concatenate(ks_parts)[order]
-        vals_all = np.concatenate(vals_parts)[order]
-        errs_all = np.concatenate(errs_parts)[order]
-        mass_all = np.concatenate(mass_parts)[order]
-    else:
-        ks_all = np.empty(0, dtype=np.int64)
-        vals_all = np.empty(0)
-        errs_all = np.empty(0)
-        mass_all = np.empty(0)
-
-    def edge_contributions(tol: float) -> tuple[float, float]:
-        ev_total, ee_total = 0.0, 0.0
-        for edge in (edge_lo, edge_hi):
-            if edge is not None:
-                ev, ee = panels.adaptive_phi(edge[0], edge[1], tol)
-                ev_total += ev
-                ee_total += ee
-        return ev_total, ee_total
-
-    value = _kahan_sum(vals_all)
-    edge_v, edge_e = edge_contributions(max(floor * 0.25, 1e-18))
-    value += edge_v
-    err = float(np.sum(errs_all)) + tail_lo + tail_hi + edge_e
-
-    # panels whose G24/G12 difference is at rounding scale are converged;
-    # refining them cannot help, and errors that are absolutely negligible
-    # against the budget are not worth chasing either
-    rounding_scale = 64.0 * 2.3e-16 * mass_all
-    noise_floor = 2e-16 * mass_acc
-    budget = max(floor, q.target_tol * abs(value), noise_floor)
-    if err > budget and len(errs_all):
-        refinable = (errs_all > rounding_scale) & (errs_all > 1e-3 * budget)
-        order_idx = np.argsort(np.where(refinable, errs_all, -1.0))[::-1]
-        for idx in order_idx[:512]:
-            if not refinable[idx]:
-                break
-            if float(np.sum(errs_all)) + tail_lo + tail_hi <= budget:
-                break
-            k = int(ks_all[idx])
-            v, e = panels.adaptive_phi(k * math.pi, (k + 1) * math.pi,
-                                       max(budget / 64.0, rounding_scale[idx]))
-            vals_all[idx] = v
-            errs_all[idx] = e
-        value = _kahan_sum(vals_all) + edge_v
-        err = float(np.sum(errs_all)) + tail_lo + tail_hi + edge_e
-        if err > max(floor, q.target_tol * abs(value), noise_floor):
-            stuck = (errs_all > 2.0 * rounding_scale) & (errs_all > 0.01 * budget)
-            if np.any(stuck):
-                raise QuadratureError(
-                    f"oscillatory integral stalled: err {err:.3e} > budget "
-                    f"{budget:.3e}", value=value, err_est=err)
-            # remaining error is machine-floor rounding; report it honestly
-    return value, err
-
-
 # ---------------------------------------------------------------------------
 # Whole half-line integrals on the rotated ray t = r e^(i theta).
 
-_EPS = math.ulp(1.0)
 _RAY_DELTA_MAX = 0.2    # tilt of the ray off the imaginary axis ...
 _RAY_DELTA_B = 4.0      # ... capped at this / |b|: conditioning e^(delta |b|) <= e^4
 _RAY_TAIL = 40.0        # the tail beyond the last panel is below e^(-40)
-_RAY_HEAD = 46.0        # the head remainder is below e^(-46)
-_RAY_PHASE = 12.0       # change of the integrand's log per panel
 
 
 def _fermi_values(z):
@@ -636,114 +417,18 @@ _RAY_KERNELS = {
 }
 
 
-def _ray_panels(rate: float, delta: float, log_pole: float, u_lo: float,
-                u_hi: float) -> np.ndarray:
-    """Panel breakpoints in u = log r on [u_lo, u_hi].
-
-    Each panel keeps the change of the integrand's log under _RAY_PHASE (its
-    rate in u is at most |s| + r) and its width under the distance, in the u
-    plane, to the kernel's poles log(pole) + i delta, ...: the first pole
-    for r < pole, the line of poles at distance delta beyond it.  Panels the
-    rule gets wrong are bisected by the G24/G12 test afterwards.
-    """
-    xs = [u_lo]
-    x = u_lo
-    while x < u_hi:
-        h = min(_RAY_PHASE / (rate + math.exp(x)),
-                max(delta, 0.5 * (log_pole - x)))
-        x = min(x + h, u_hi)
-        xs.append(x)
-    return np.asarray(xs)
-
-
 def _ray_integrand(kernel: _RayKernel, s: complex, rot: complex,
-                   u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The integrand e^(s u) k(e^u rot) in u = log r, and its node-wise
-    relative rounding in units of eps: the phase b u and the argument r rot
-    (each rounded relative to its size) and the kernel's own."""
+                   lo: np.ndarray, hi: np.ndarray, x: np.ndarray):
+    """The integrand e^(s u) k(e^u rot) at u = mid + half x on panels
+    [lo, hi] of u = log r, and its node-wise rounding: |f| times the
+    relative rounding in units of eps of the phase b u and the argument
+    r rot (each rounded relative to its size) and of the kernel itself."""
+    u = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
     r = np.exp(u)
     g, cond = kernel.values(r * rot)
     f = np.exp(s * u) * g
     rel = 4.0 + abs(s) * np.abs(u) + r + cond
-    return f, rel
-
-
-def _ray_batch(kernel: _RayKernel, s: complex, rot: complex, lo: np.ndarray,
-               hi: np.ndarray):
-    """(G24 values, |G24 - G12|, rounding floors) of panels [lo, hi].
-
-    Raises :class:`QuadratureError` when any of them is not finite: r^(s-1)
-    overflows once r^a does (Re s beyond ~ 100), and bisecting such panels
-    would never converge.
-    """
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    xh, wh = _gauss(_RULE_HI)
-    xl, wl = _gauss(_RULE_LO)
-    with np.errstate(over="ignore", invalid="ignore"):
-        fh, rel = _ray_integrand(kernel, s, rot,
-                                 mid[:, None] + half[:, None] * xh)
-        fl, _ = _ray_integrand(kernel, s, rot,
-                               mid[:, None] + half[:, None] * xl)
-        vh = half * (fh @ wh)
-        vl = half * (fl @ wl)
-        err = np.abs(vh - vl)
-        noise = 2.0 * _EPS * half * ((np.abs(fh) * rel) @ wh)
-    if not (np.isfinite(err).all() and np.isfinite(noise).all()):
-        raise QuadratureError(f"ray panel values overflow at s = {s}")
-    return vh, err, noise
-
-
-# ---------------------------------------------------------------------------
-# Public operations.
-
-def integrate_finite(spec: IntegrandSpec, lo: float, hi: float,
-                     q: QuadratureSpec | None = None, *,
-                     abs_tol: float | None = None) -> tuple[float, float]:
-    """Integral over [lo, hi] with an error estimate.
-
-    The error contract is |value - true| <= max(err_est, target_tol * |value|)
-    barring pathological integrands outside the declared family.  A singular
-    lower endpoint (lo = 0 with exponent in (0, 1)) is handled by exact
-    substitution for non-oscillatory kinds and by geometric node panels for
-    oscillatory ones.  Raises :class:`QuadratureError` on non-convergence.
-    """
-    q = q or DEFAULT_SPEC
-    if not hi > lo:
-        raise ValueError("need hi > lo")
-    if lo < 0:
-        raise ValueError("need lo >= 0")
-    if lo == 0.0:
-        alpha = spec.singular_exponent
-        if alpha is not None and alpha <= 0.0:
-            raise ValueError("integrand not integrable at 0")
-    if spec.trig is not None:
-        return _oscillatory(spec, lo, hi, q, False, abs_tol)
-    return _integrate_smooth(spec, lo, hi, q,
-                             0.0 if abs_tol is None else abs_tol)
-
-
-def integrate_to_infinity(spec: IntegrandSpec, lo: float,
-                          q: QuadratureSpec | None = None, *,
-                          paired: bool = False,
-                          abs_tol: float | None = None) -> tuple[float, float]:
-    """Integral over [lo, infinity), truncated at the policy cutoff with the
-    analytic tail folded into the error estimate.  For oscillatory kinds the
-    cutoff is snapped up to the next phase node."""
-    q = q or DEFAULT_SPEC
-    if not lo > 0:
-        raise ValueError("need lo > 0 (use integrate_line for [0, inf))")
-    if spec.kernel == "unit":
-        raise ValueError("bare trig carrier is not integrable to infinity")
-    if spec.trig is not None:
-        return _oscillatory(spec, lo, None, q, paired, abs_tol)
-    if paired:
-        raise ValueError("paired form applies to oscillatory kinds only")
-    floor = 0.0 if abs_tol is None else abs_tol
-    T = q.truncation_point(spec.a, max(floor, 1e-2 * q.target_tol))
-    T = max(T, 2.0 * lo)
-    value, err = _integrate_smooth(spec, lo, T, q, floor)
-    return value, err + _upper_tail_bound(spec, T)
+    return f, np.abs(f) * rel
 
 
 def integrate_line(kernel: str, s: complex,
@@ -758,8 +443,9 @@ def integrate_line(kernel: str, s: complex,
     exactly 0.  The value at -b is the exact conjugate of the value at |b|.
     err is |e^(i theta s)| times the sum of the panel errors |G24 - G12|,
     the head remainder and tail bounds and the rounding floor.  Raises
-    :class:`QuadratureError` when a panel stalls above its rounding floor,
-    or when a panel value or a bound is not finite.
+    :class:`QuadratureError` when a panel stalls above its rounding floor
+    (carrying the unrotated integral of :func:`_ray_integral`), or when a
+    panel value or a bound is not finite.
     """
     integral, err, theta = _ray_integral(kernel, s, q)
     s = complex(s)
@@ -794,7 +480,7 @@ def _ray_integral(kernel: str, s: complex, q: QuadratureSpec | None = None
     # head: below rho = e^u_lo the kernel's first two series terms integrate
     # in closed form, and the rest leaves rho^p' / (head_div p') <= e^(-46)
     p = a + k.p
-    u_lo = -_RAY_HEAD / p
+    u_lo = -_HEAD / p
     rho = math.exp(u_lo)
     j = k.j0
     head = (k.c0 * rot ** j * cmath.exp((s + j) * u_lo) / (s + j)
@@ -817,33 +503,151 @@ def _ray_integral(kernel: str, s: complex, q: QuadratureSpec | None = None
         raise QuadratureError(f"ray tail bound overflows at s = {s}")
     u_hi = math.log(x_top / sigma)
 
-    xs = _ray_panels(abs(s), delta, math.log(k.pole), u_lo, u_hi)
-    lo, hi = xs[:-1], xs[1:]
-    vals, errs, floors = _ray_batch(k, s, rot, lo, hi)
-    noise = float(np.sum(floors))
-    # a panel is done when G24 and G12 agree to its own rounding floor or
-    # its share of the whole integral's floor; the others are bisected
-    share = noise / len(lo)
-    kept = []
-    for _ in range(q.max_refinement_depth):
-        done = (errs <= 64.0 * floors) | (errs <= share)
-        kept.append((lo[done], vals[done], errs[done], floors[done]))
-        lo, hi = lo[~done], hi[~done]
-        if not len(lo):
-            break
-        mid = 0.5 * (lo + hi)
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        vals, errs, floors = _ray_batch(k, s, rot, lo, hi)
-    else:
-        kept.append((lo, vals, errs, floors))
-    lo, vals, errs, floors = (np.concatenate(c) for c in zip(*kept))
-    vals = vals[np.argsort(lo, kind="stable")]
-    integral = complex(math.fsum(vals.real), math.fsum(vals.imag)) + head
-    panel_err = float(np.sum(errs))
-    noise = float(np.sum(floors)) \
-        + _EPS * (4.0 + theta * b) * abs(integral)
-    if panel_err > max(64.0 * noise, q.target_tol * abs(integral)):
-        raise QuadratureError(
-            f"ray integral stalled: panel error {panel_err:.3e}",
-            value=None, err_est=panel_err)
+    xs = _panels(abs(s), 1.0, delta, math.log(k.pole), u_lo, u_hi)
+    integral, panel_err, noise = _integrate_panels(
+        lambda lo, hi, x: _ray_integrand(k, s, rot, lo, hi, x),
+        xs[:-1], xs[1:], head, 4.0 + theta * b, q)
     return integral, panel_err + head_bound + tail_bound + noise, theta
+
+
+# ---------------------------------------------------------------------------
+# Real-axis integrals, in the phase counted from a finite endpoint.
+
+def _axis_integral(spec: IntegrandSpec, lo: float, hi: float,
+                   q: QuadratureSpec, paired: bool = False
+                   ) -> tuple[float, float]:
+    """int_lo^hi spec(t) dt for 0 <= lo < hi <= inf: (value, err).
+
+    The panels run in v = (u - u0) / unit, u = log t, from the anchor
+    u0 = log lo (log hi for a head from 0), with unit = pi/b for the
+    oscillatory kinds and 1 otherwise.  The anchor's phase b u0 / pi is
+    n0 + f0 with n0 an integer, so at v = k + off the trig factor is
+    (-1)^(n0 + k) trig(pi (f0 + off)) from small numbers alone.
+    ``paired`` integrates the pair kernel on the even half periods
+    [2j, 2j + 1] of v.
+    """
+    work = spec.paired if paired else spec
+    trig = {"sin": np.sin, "cos": np.cos}.get(spec.trig)
+    sr = 1.0 if spec.kernel == "unit" else spec.a       # Re s
+    s = complex(sr, 0.0 if trig is None else spec.b)
+    unit = 1.0 if trig is None else math.pi / spec.b
+    u0 = math.log(lo if lo > 0.0 else hi)
+    p0 = s.imag * u0 / math.pi
+    n0 = round(p0)
+    f0 = p0 - n0
+    # the kernel decays like e^(-decay t); its poles nearest the real axis
+    # lie at +-i pole
+    scale = work.scale if work.kernel == "fermi" else 1.0
+    decay = 0.0 if work.kernel == "unit" else scale
+    if work.kernel == "fermi":
+        pole = math.pi / scale
+    elif work.kernel == "pair_fermi":
+        pole = math.pi * math.exp(-math.pi / spec.b)
+    else:
+        pole = math.inf
+
+    # head: below rho = e^(u0 + unit v_lo) the kernel is c0 + c1 scale t
+    # + rest, |rest| <= (scale t)^p / head_div, and the two terms integrate
+    # in closed form; rho is small enough that scale rho <= 1 and the rest
+    # leaves at most e^(-46)
+    head = head_bound = v_lo = 0.0
+    if lo == 0.0:
+        if work.kernel == "pair_fermi":
+            raise ValueError("the pair kernel has no head series at t = 0")
+        if work.kernel == "unit":
+            c0, c1, p, bound_mul = 1.0, 0.0, 0.0, 0.0
+        else:
+            rk = _RAY_KERNELS[work.kernel]
+            c0, c1, p = rk.c0, rk.c1 * scale, rk.p
+            bound_mul = scale ** p / rk.head_div
+        u_cut = min(-(_HEAD + p * max(math.log(scale), 0.0)) / (sr + p),
+                    u0 - 1.0)
+        v_lo = (u_cut - u0) / unit
+        if trig is not None:
+            v_lo = math.floor(v_lo)
+        u_c = u0 + unit * v_lo
+        z = math.exp(sr * u_c) * (c0 / s + c1 * math.exp(u_c) / (s + 1.0))
+        if trig is not None:       # e^(i b u_c) = e^(i pi (n0 + f0 + v_lo))
+            z *= (-1) ** ((n0 + v_lo) % 2) * cmath.exp(1j * math.pi * f0)
+        head = z.imag if spec.trig == "sin" else z.real
+        head_bound = bound_mul * math.exp((sr + p) * u_c) / (sr + p)
+
+    tail_bound = 0.0
+    if math.isinf(hi):
+        top = max(q.truncation_point(sr, 1e-2 * q.target_tol), 2.0 * lo)
+        v_hi = math.log(top / lo) / unit
+        if paired:
+            v_hi = 2.0 * math.ceil(0.5 * v_hi)
+        tail_bound = _upper_tail_bound(work, lo * math.exp(unit * v_hi))
+    else:
+        v_hi = 0.0 if lo == 0.0 else math.log(hi / lo) / unit
+
+    # oscillatory panels stay inside half periods, where the node rounding
+    # of the Gauss rule is not amplified by cancellation within a panel
+    vs = _panels(abs(s), decay, 0.5 * math.pi, math.log(pole), v_lo, v_hi,
+                 u0, unit, nodes=trig is not None)
+    lo_v, hi_v = vs[:-1], vs[1:]
+    if paired:
+        even = np.floor(lo_v) % 2.0 == 0.0
+        lo_v, hi_v = lo_v[even], hi_v[even]
+
+    def integrand(lo, hi, x):
+        k = np.floor(lo)
+        off = (lo - k) + 0.5 * (hi - lo) * (x + 1.0)
+        u = u0 + unit * (k + off)
+        t = np.exp(u)
+        g = unit * np.exp(sr * u) * work.smooth_factor(t)
+        # relative rounding of g: e^(sr u) and the kernel move with the
+        # rounding of u, by at most sr + decay t per unit of u
+        rel = 4.0 + (sr + decay * t) * (1.0 + abs(u0) + np.abs(u))
+        if trig is None:
+            return g, np.abs(g) * rel
+        phase = f0 + off                 # b u / pi = n0 + k + phase
+        sign = 1.0 - 2.0 * ((n0 + k) % 2.0)
+        return (g * sign * trig(math.pi * phase),
+                np.abs(g) * (rel + 2.0 * math.pi * np.abs(phase)))
+
+    value, panel_err, noise = _integrate_panels(integrand, lo_v, hi_v, head,
+                                                4.0, q)
+    return value, panel_err + head_bound + tail_bound + noise
+
+
+# ---------------------------------------------------------------------------
+# Public real-axis operations.
+
+def integrate_finite(spec: IntegrandSpec, lo: float, hi: float,
+                     q: QuadratureSpec | None = None) -> tuple[float, float]:
+    """Integral over [lo, hi] with an error estimate.
+
+    The error contract is |value - true| <= max(err_est, target_tol * |value|)
+    barring pathological integrands outside the declared family.  From
+    lo = 0 the head below rho = e^(-46/(a+p)) comes in closed form from the
+    kernel's first two Taylor terms: fermi at any scale, exp and unit (the
+    pair kernel has none and raises ValueError).  Raises
+    :class:`QuadratureError` on non-convergence.
+    """
+    if not lo < hi < math.inf:
+        raise ValueError("need lo < hi < inf")
+    if lo < 0:
+        raise ValueError("need lo >= 0")
+    return _axis_integral(spec, lo, hi, q or DEFAULT_SPEC)
+
+
+def integrate_to_infinity(spec: IntegrandSpec, lo: float,
+                          q: QuadratureSpec | None = None, *,
+                          paired: bool = False) -> tuple[float, float]:
+    """Integral over [lo, infinity), truncated at the policy cutoff with the
+    analytic tail folded into the error estimate.
+
+    ``paired=True`` sums the pair kernel over the half periods
+    [lo c^(2j), lo c^(2j+1)], c = e^(pi/b), one per full period of the
+    direct integrand; the pairing holds from any lo, and the paper takes
+    lo = R on an even phase node.
+    """
+    if not lo > 0:
+        raise ValueError("need lo > 0 (use integrate_line for [0, inf))")
+    if spec.kernel == "unit":
+        raise ValueError("bare trig carrier is not integrable to infinity")
+    if paired and spec.trig is None:
+        raise ValueError("paired form applies to oscillatory kinds only")
+    return _axis_integral(spec, lo, math.inf, q or DEFAULT_SPEC, paired)

@@ -34,7 +34,12 @@ import math
 from dataclasses import dataclass
 
 from .coeffs import CoefficientTable, MAX_INDEX, g_value
-from .quadrature import DEFAULT_SPEC, IntegrandSpec, QuadratureSpec
+from .quadrature import (
+    DEFAULT_SPEC,
+    IntegrandSpec,
+    QuadratureSpec,
+    integrate_finite,
+)
 from .report import VerificationReport
 
 __all__ = [
@@ -287,9 +292,8 @@ def check_theorem5(a: float, b: float) -> VerificationReport:
 
 
 def lower_integral_by_quadrature(a: float, b: float, R: float,
-                                 q: QuadratureSpec | None = None,
-                                 abs_tol: float = 1e-12) -> tuple[float, float]:
+                                 q: QuadratureSpec | None = None
+                                 ) -> tuple[float, float]:
     """Direct panel quadrature of the head integral (the series' oracle)."""
-    from .quadrature import integrate_finite
     spec = IntegrandSpec("fermi", "sin", a=a, b=b)
-    return integrate_finite(spec, 0.0, R, q or DEFAULT_SPEC, abs_tol=abs_tol)
+    return integrate_finite(spec, 0.0, R, q or DEFAULT_SPEC)

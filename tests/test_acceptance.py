@@ -81,7 +81,8 @@ def test_c03_series_equivalence_grid():
     worst = max(r.discrepancy for r in rep.rows)
     ok = rep.passed and dt < 20.0
     assert report(3, ok, f"9 (a, b) combinations, worst |series - quadrature|"
-                         f" {worst:.2e} (tol 1e-9 absolute), {dt:.1f}s"), \
+                         f" {worst:.2e} (tol: series tail + quadrature err),"
+                         f" {dt:.1f}s"), \
         rep.to_text()
 
 
@@ -119,7 +120,8 @@ def test_c06_pairing_and_tail_telescoping():
     worst6 = max(r.discrepancy for r in rep6.rows)
     eq7 = [r for r in rep7.rows if r.discrepancy is not None]
     ok = rep6.passed and rep7.passed and worst6 < 1e-9
-    assert report(6, ok, f"paired vs direct tail {worst6:.2e} (tol 1e-9); "
+    assert report(6, ok, f"paired vs direct tail {worst6:.2e} (tol: the two "
+                         f"err estimates); "
                          f"telescoping equality and strict bounds over "
                          f"{len(eq7)} cells"), rep6.to_text() + rep7.to_text()
 

@@ -378,14 +378,19 @@ def test_runs_without_scipy():
         assert json.loads(proc.stdout)
 
 
-def test_cross_process_determinism():
+@pytest.mark.parametrize("argv,min_bytes", [
+    (["verify", "--theorem", "8", "--format", "json"], 500),
+    (["decompose", "--a", "0.5", "--b", "700", "--format", "json"], 500),
+    (["eval", "--a", "0.3", "--b", "800", "--method", "series+decomposition"],
+     200),
+], ids=["verify8", "decompose", "eval-series"])
+def test_cross_process_determinism(argv, min_bytes):
     # byte-identity must hold across fresh interpreter processes, not just
     # repeated in-process calls
     import subprocess
     import sys
-    cmd = [sys.executable, "-m", "etazeros", "verify", "--theorem", "8",
-           "--format", "json"]
+    cmd = [sys.executable, "-m", "etazeros", *argv]
     a = subprocess.run(cmd, capture_output=True, timeout=120)
     b = subprocess.run(cmd, capture_output=True, timeout=120)
     assert a.returncode == b.returncode == 0
-    assert a.stdout == b.stdout and len(a.stdout) > 500
+    assert a.stdout == b.stdout and len(a.stdout) > min_bytes

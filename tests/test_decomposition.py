@@ -69,9 +69,9 @@ def test_single_interval_regroups():
     spec = IntegrandSpec("fermi", "sin", a=0.5, b=100.0)
     t0, t1 = plan.half_period(k)
     t2 = plan.endpoint(2 * k + 2)
-    whole, _ = integrate_finite(spec, t0, t2, Q, abs_tol=1e-15)
-    part1, _ = integrate_finite(spec, t0, t1, Q, abs_tol=1e-15)
-    part2, _ = integrate_finite(spec, t1, t2, Q, abs_tol=1e-15)
+    whole, _ = integrate_finite(spec, t0, t2, Q)
+    part1, _ = integrate_finite(spec, t0, t1, Q)
+    part2, _ = integrate_finite(spec, t1, t2, Q)
     assert whole == pytest.approx(part1 + part2, abs=2e-15)
 
 
@@ -84,11 +84,10 @@ def test_half_wave_change_of_variable():
     t0, t1 = plan.half_period(k)
     t2 = plan.endpoint(2 * k + 2)
     lhs, _ = integrate_finite(IntegrandSpec("fermi", "sin", a=0.5, b=b),
-                              t1, t2, Q, abs_tol=1e-16)
+                              t1, t2, Q)
     # c * f(u c) = c^a u^(a-1) q(c u): the scaled kernel times c^a
     rhs, _ = integrate_finite(IntegrandSpec("fermi", "sin", a=0.5, b=b,
-                                            scale=c), t0, t1, Q,
-                              abs_tol=1e-16)
+                                            scale=c), t0, t1, Q)
     assert lhs == pytest.approx(-c ** 0.5 * rhs, abs=5e-15)
 
 
@@ -177,8 +176,7 @@ def test_sandwich_reduces_to_average_bounds_for_flat_kernel():
     b, k = 100.0, 11
     t0 = math.exp(2 * k * math.pi / b)
     t1 = math.exp((2 * k + 1) * math.pi / b)
-    mid, _ = integrate_finite(IntegrandSpec("unit", "sin", b=b), t0, t1, Q,
-                              abs_tol=1e-15)
+    mid, _ = integrate_finite(IntegrandSpec("unit", "sin", b=b), t0, t1, Q)
     lower = (2.0 / math.pi - 2.0 / (math.pi * b * b)) * (t1 - t0)
     upper = (2.0 / math.pi) * (t1 - t0)
     assert lower < mid < upper

@@ -141,8 +141,9 @@ def test_power_singularity():
 
 
 def test_pure_power_cusp():
-    # int_0^1 t^(-1/2) dt = 2, exercised through the substitution path with
-    # a kernel that is ~ 1 on [0, 1]: fermi at scale 1e-8 gives 1/(e^(st)+1)
+    # int_0^1 t^(-1/2) dt = 2, exercised through the closed-form head below
+    # rho and the panels in u = log t above it, with a kernel that is ~ 1 on
+    # [0, 1]: fermi at scale 1e-8 gives 1/(e^(st)+1)
     # = 1/2 - st/4 + O((st)^2); double it and the correction is ~ 2.5e-9·2/3
     spec = IntegrandSpec("fermi", a=0.5, scale=1e-8)
     val, err = integrate_finite(spec, 0.0, 1.0, Q)
@@ -257,12 +258,15 @@ def test_cos_kind_runs():
 # Error handling and stability contracts.
 
 def test_non_convergence_raises_with_payload():
+    # gamma(1/2) on the real axis: the panel rule spans the e^(-t) kernel's
+    # head in a few panels that two bisections cannot resolve, and the
+    # stall carries the best value with an error that bounds it
     qq = QuadratureSpec(target_tol=1e-10, max_refinement_depth=2)
-    spec = IntegrandSpec("fermi", a=0.05)
     with pytest.raises(QuadratureError) as ei:
-        integrate_finite(spec, 1e-9, 50.0, qq)
+        integrate_line("exp", 0.5, qq)
     assert ei.value.value is not None
     assert ei.value.err_est is not None and ei.value.err_est > 0
+    assert abs(ei.value.value - math.sqrt(math.pi)) <= ei.value.err_est
 
 
 @pytest.mark.parametrize("a", [100.0, 120.0])
@@ -301,7 +305,8 @@ def test_slow_oscillation_through_the_cusp():
     # int_0^1 t^(a-1) cos(beta log t) dt = a/(a^2 + beta^2) and the sin
     # variant gives -beta/(a^2 + beta^2); with a near-unit kernel (fermi at
     # scale 1e-12 is 1/2 + O(1e-13)) both closed forms are sharp oracles for
-    # the slow-oscillation route (b < 0.1 bypasses the phase panels)
+    # a slow oscillation, whose half periods of pi/b = 63 in log t leave the
+    # panel rule in charge and the closed-form head below rho
     a, beta = 0.5, 0.05
     for trig, closed in (("cos", a / (a * a + beta * beta)),
                          ("sin", -beta / (a * a + beta * beta))):
@@ -312,8 +317,8 @@ def test_slow_oscillation_through_the_cusp():
 
 def test_arbitrary_endpoint_oscillatory_panels():
     # antiderivative of sin(b log t) is t (sin(b log t) - b cos(b log t))
-    # / (1 + b^2); endpoints deliberately off the phase nodes exercise the
-    # partial edge panels
+    # / (1 + b^2); endpoints deliberately off the phase nodes exercise a
+    # phase anchored off the node lattice and a partial top half period
     b = 40.0
     spec = IntegrandSpec("unit", "sin", b=b)
 
@@ -343,3 +348,45 @@ def test_scaled_fermi_kernel():
     lhs, _ = integrate_finite(IntegrandSpec("fermi", a=a, scale=c), 1.0, 2.0, Q)
     rhs, _ = integrate_finite(IntegrandSpec("fermi", a=a), c, 2.0 * c, Q)
     assert lhs == pytest.approx(c ** -a * rhs, rel=1e-12)
+
+
+def test_real_axis_err_est_bounds_error_against_mpmath():
+    # |value - ref| <= err_est for the real-axis pieces the verify suites
+    # compare: suite 6's direct and paired tails, suite 7's telescoping
+    # pair and one suite-9 half period, against 30-digit mpmath
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    a, b = 0.5, 100.0
+    K = int(b * math.log(2.0) / (2.0 * math.pi))
+    R = node(2 * K, b)
+
+    def f_u(u):       # Im e^(su) / (e^(e^u) + 1), s = a + ib
+        return mp.exp(a * u) * mp.sin(b * u) / (mp.exp(mp.exp(u)) + 1)
+
+    u_lo, u_hi = mp.log(R), mp.log(70)
+    tail_ref = mp.quad(f_u, mp.linspace(u_lo, u_hi, 31))
+    spec = IntegrandSpec("fermi", "sin", a=a, b=b)
+    for paired in (False, True):
+        v, e = integrate_to_infinity(spec, R, Q, paired=paired)
+        assert abs(v - tail_ref) <= e, paired
+
+    c = mp.exp(mp.pi / b)
+
+    def q_(t):
+        return 1 / (mp.exp(t) + 1)
+
+    def h(t):
+        return t ** (a - 1) * (q_(t) - c ** a * q_(c * t))
+
+    v, e = integrate_to_infinity(IntegrandSpec("pair_fermi", a=a, b=b), 1.0, Q)
+    assert abs(v - mp.quad(h, [1, 2, 5, 10, 20, 40, 80])) <= e
+    v, e = integrate_finite(IntegrandSpec("fermi", a=a), 1.0,
+                            math.exp(math.pi / b), Q)
+    ref = mp.quad(lambda t: t ** (a - 1) * q_(t), [1, mp.mpf(math.exp(math.pi / b))])
+    assert abs(v - ref) <= e
+
+    t0, t1 = node(2 * K, b), node(2 * K + 1, b)
+    v, e = integrate_finite(IntegrandSpec("pair_fermi", "sin", a=a, b=b),
+                            t0, t1, Q)
+    ref = mp.quad(lambda t: h(t) * mp.sin(b * mp.log(t)), [t0, t1])
+    assert abs(v - ref) <= e

@@ -71,7 +71,7 @@ def test_choose_K_R_postconditions(b):
 def test_series_matches_quadrature_spot():
     K, R = choose_K_R(100.0, 2.0)
     ev = series_lower_integral(0.5, 100.0, K, R, tol=1e-13)
-    qv, _ = lower_integral_by_quadrature(0.5, 100.0, R, abs_tol=1e-12)
+    qv, _ = lower_integral_by_quadrature(0.5, 100.0, R)
     assert abs(ev.value - qv) < 1e-10
 
 
@@ -80,7 +80,7 @@ def test_series_matches_quadrature_spot():
 def test_series_matches_quadrature_grid(a, b):
     K, R = choose_K_R(b, 2.0)
     ev = series_lower_integral(a, b, K, R, tol=1e-13)
-    qv, _ = lower_integral_by_quadrature(a, b, R, abs_tol=1e-12)
+    qv, _ = lower_integral_by_quadrature(a, b, R)
     assert abs(ev.value - qv) < 1e-9
 
 
@@ -100,7 +100,7 @@ def test_phase_alignment_is_load_bearing():
     K, R = choose_K_R(b, 2.0)
     r_shift = R * math.exp(math.pi / (2.0 * b))
     v_series, _, _ = _series_sum(a, b, r_shift, tol=1e-13)
-    v_quad, _ = lower_integral_by_quadrature(a, b, r_shift, abs_tol=1e-12)
+    v_quad, _ = lower_integral_by_quadrature(a, b, r_shift)
     assert abs(v_series - v_quad) > 1e-6
 
 
