@@ -114,7 +114,7 @@ def _cmd_eval(args, q: QuadratureSpec):
         eta = eta_oracle(p, tol=1e-12)
         gam = Gamma(p, q)
         f = gam.value.value * eta.value
-        err = abs(eta.value) * gam.err + 1e-12 * abs(f)
+        err = abs(eta.value) * gam.err + abs(gam.value) * 1e-12
     # zeta stays null where F is not resolved above its error (it says
     # nothing about zeta, and over a tiny gamma would print noise or an
     # overflow), where gamma is not, and where 1 - 2^(1-s) vanishes

@@ -259,17 +259,44 @@ def _panels(rate: float, decay: float, delta: float, log_pole: float,
     first pole for r < pole, the line of poles at distance delta beyond it.
     Panels the rule gets wrong are bisected by the G24/G12 test afterwards.
     """
-    xs = [v_lo]
-    x = v_lo
-    while x < v_hi:
+    exp = math.exp
+
+    # min and max spelled as comparisons: the builtins cost more than the
+    # rest of the loop
+    def step(x):
         u = u0 + unit * x
-        h = min(_PHASE / (rate + decay * math.exp(u)),
-                max(delta, 0.5 * (log_pole - u))) / unit
-        x = min(x + h, v_hi)
-        if nodes:
-            x = min(x, math.floor(xs[-1]) + 1.0)
+        phase = _PHASE / (rate + decay * exp(u))
+        pole = 0.5 * (log_pole - u)
+        if pole < delta:
+            pole = delta
+        return (phase if phase <= pole else pole) / unit
+
+    x = v_lo
+    whole = np.empty(0)
+    if nodes and v_lo == math.floor(v_lo):
+        # the step never grows along v, so from an integer start every panel
+        # is [k, k + 1] up to the last k with step(k) >= 1 and k + 1 <= v_hi:
+        # bisect for that k in the loop's own arithmetic, then emit the
+        # stretch at once
+        good, bad = v_lo - 1.0, float(math.floor(v_hi))
+        while bad - good > 1.0:
+            mid = float(math.floor(0.5 * (good + bad)))
+            if step(mid) >= 1.0:
+                good = mid
+            else:
+                bad = mid
+        whole = np.arange(v_lo, good + 1.0)
+        x = good + 1.0
+    xs = [x]
+    while x < v_hi:
+        cap = math.floor(x) + 1.0 if nodes else v_hi
+        x += step(x)
+        if x > v_hi:
+            x = v_hi
+        if x > cap:
+            x = cap
         xs.append(x)
-    return np.asarray(xs)
+    return np.concatenate((whole, xs))
 
 
 def _panel_batch(integrand: Callable, lo: np.ndarray, hi: np.ndarray):

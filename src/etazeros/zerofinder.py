@@ -12,8 +12,9 @@ zeros, and each simple one is a sign change, so a bracket is any scan step
 where Z changes sign.  Two independent routes evaluate it:
 
 * the *oracle* route from the alternating series
-  eta(s) = sum (-1)^(n-1) n^(-s) (iterated binomial averaging of the
-  partial sums):  Z = Re(e^(i theta) eta / (1 - 2^(1/2 - ib))), and
+  eta(s) = sum (-1)^(n-1) n^(-s) (one binomial-tail-weighted sum of the
+  terms, O(n), equal to iterated binomial averaging of the partial sums):
+  Z = Re(e^(i theta) eta / (1 - 2^(1/2 - ib))), and
 * the *integral* route from F by quadrature on a rotated ray:
   Z = Re(e^(i theta) F / ((1 - 2^(1/2 - ib)) Gamma(1/2 + ib))).  The ray
   integral comes unscaled, as F = e^(i phi s) I, and Gamma from Stirling's
@@ -33,6 +34,8 @@ resolve and the other route agrees.
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -77,25 +80,66 @@ class ZeroRefinementError(RuntimeError):
 # ---------------------------------------------------------------------------
 # The accelerated alternating series.
 
-def _eta_averaged(s: complex, n_terms: int, keep: int = 6) -> tuple[complex, float]:
-    n = np.arange(1, n_terms + 1, dtype=np.float64)
+@functools.lru_cache(maxsize=128)
+def _binomial_weights(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(tail, pmf) of Binomial(m, 1/2): tail[j] = P(X >= j) and
+    pmf[j] = P(X = j) for j = 0 .. m.
+
+    Each is rounded once from exact integers; int / int division rounds
+    correctly and cannot overflow, so m > 1023, where 2^m leaves the float
+    range, needs no scaling.
+    """
+    comb = [1] * (m + 1)
+    for j in range(m):
+        comb[j + 1] = comb[j] * (m - j) // (j + 1)
+    tails = [*itertools.accumulate(reversed(comb))][::-1]
+    denom = 1 << m
+    tail = np.array([t / denom for t in tails])
+    pmf = np.array([c / denom for c in comb])
+    tail.flags.writeable = pmf.flags.writeable = False  # shared via the cache
+    return tail, pmf
+
+
+def _alternating_terms(s: complex, lo: int, hi: int) -> np.ndarray:
+    """(-1)^(l-1) l^(-s) for l = lo + 1 .. hi."""
+    n = np.arange(lo + 1, hi + 1, dtype=np.float64)
     signs = np.where(n % 2 == 1, 1.0, -1.0)
-    terms = signs * np.exp(-s * np.log(n))
-    partial = np.cumsum(terms)
-    while len(partial) > keep:
-        partial = 0.5 * (partial[:-1] + partial[1:])
-    drift = abs(partial[-1] - partial[-2]) + abs(partial[-2] - partial[-3])
-    return complex(partial[-1]), float(drift)
+    return signs * np.exp(-s * np.log(n))
+
+
+def _eta_averaged(terms: np.ndarray, keep: int = 6) -> tuple[complex, float]:
+    """(value, drift) of m = n - keep passes of pairwise averaging over the
+    n partial sums of ``terms``, as weighted sums of the terms.
+
+    After m passes, kept entry i (from 0) is sum_l a_l tail[l - i] over the
+    terms a_l (l from 0), with tail[j <= 0] = 1 and tail[j > m] = 0 (P.
+    Borwein, "An efficient algorithm for the Riemann zeta function", CMS
+    Conf. Proc. 27, 2000, Algorithm 1).  The value is entry keep - 1, and
+    the drift is |e_(keep-1) - e_(keep-2)| + |e_(keep-2) - e_(keep-3)|,
+    each step e_i - e_(i-1) summed directly as sum_l a_l pmf[l - i]: as a
+    difference of two tail sums it would cancel to about eps sum |a_l|,
+    far above the step itself.
+    """
+    tail, pmf = _binomial_weights(len(terms) - keep)
+    # complex terms as (re, im) rows, so each weighted sum is a real product
+    ri = terms.view(np.float64).reshape(-1, 2)
+    v = ri[:keep - 1].sum(axis=0) + tail @ ri[keep - 1:]
+    step = pmf @ ri[keep - 1:]
+    step_prev = pmf @ ri[keep - 2:-1]
+    drift = math.hypot(*step) + math.hypot(*step_prev)
+    return complex(v[0], v[1]), drift
 
 
 def eta_oracle(s, tol: float = 1e-12) -> ComplexValue:
-    """eta(s) = sum (-1)^(n-1) n^(-s) by iterated binomial averaging of the
-    partial sums; needs Re s > 0.
+    """eta(s) = sum (-1)^(n-1) n^(-s) as one binomial-tail-weighted sum of
+    its terms, in O(n) (Borwein's Algorithm 1, equal to iterated binomial
+    averaging of the partial sums); needs Re s > 0.
 
-    Term count starts near 1.5|Im s| + 20 and grows until the last-transform
-    drift is under ``tol``.  The rounding floor of the averaged sum is about
-    (n_terms + 4 |Im s|) * eps; asking for less raises
-    :class:`EtaConvergenceError` with the achieved error.
+    Term count starts near 1.5|Im s| + 20 and grows, keeping the terms
+    already summed, until the last-transform drift is under ``tol``.  The
+    rounding floor of the weighted sum is about (n_terms + 4 |Im s|) * eps;
+    asking for less raises :class:`EtaConvergenceError` with the achieved
+    error.
     """
     p = ComplexPoint.of(s)
     if not p.a > 0:
@@ -103,9 +147,10 @@ def eta_oracle(s, tol: float = 1e-12) -> ComplexValue:
     sc = p.s
     babs = abs(p.b)
     n_terms = int(math.ceil(1.5 * babs)) + 20
+    terms = _alternating_terms(sc, 0, n_terms)
     best = None
     for _ in range(6):
-        value, drift = _eta_averaged(sc, n_terms)
+        value, drift = _eta_averaged(terms)
         floor = (n_terms + 4.0 * babs) * 3e-16 * max(1.0, abs(value))
         err = max(4.0 * drift, floor)
         if best is None or err < best[1]:
@@ -113,7 +158,10 @@ def eta_oracle(s, tol: float = 1e-12) -> ComplexValue:
         if err <= tol:
             return ComplexValue(value.real, value.imag)
         if drift > floor and n_terms < 40_000:
-            n_terms = min(int(n_terms * 1.6) + 16, 40_000)
+            grown = min(int(n_terms * 1.6) + 16, 40_000)
+            terms = np.concatenate(
+                (terms, _alternating_terms(sc, n_terms, grown)))
+            n_terms = grown
         else:
             break  # at the rounding floor; more terms cannot help
     value, err = best

@@ -71,10 +71,13 @@ def test_eval_methods_agree(capsys):
 
 
 @pytest.mark.parametrize("a,b", [(0.5, 14.1), (0.3, 21.0), (0.7, 30.0),
-                                 (0.5, 45.0), (0.2, 8.0)])
+                                 (0.5, 45.0), (0.2, 8.0),
+                                 (0.5, 14.134725141734695),
+                                 (0.5, 21.022039638771555)])
 def test_eval_oracle_err_est_bounds_error_against_mpmath(capsys, a, b):
     # the oracle route's F is Gamma (quadrature) times eta (series), so its
-    # err_est must carry Gamma's quadrature error, not only the series'
+    # err_est must carry Gamma's quadrature error and |Gamma| times eta's
+    # absolute tolerance, which dominates at the zeros, where eta ~ 0
     mpmath = pytest.importorskip("mpmath")
     code, out, _ = run(capsys, "eval", "--a", str(a), "--b", str(b),
                        "--method", "oracle")

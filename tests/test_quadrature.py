@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etazeros import quadrature
 from etazeros.quadrature import (
     _RULE_HI,
     _RULE_LO,
@@ -390,3 +391,55 @@ def test_real_axis_err_est_bounds_error_against_mpmath():
                             t0, t1, Q)
     ref = mp.quad(lambda t: h(t) * mp.sin(b * mp.log(t)), [t0, t1])
     assert abs(v - ref) <= e
+
+
+def _panels_by_loop(rate, decay, delta, log_pole, v_lo, v_hi, u0=0.0,
+                    unit=1.0, nodes=False):
+    """The reference: the breakpoint loop without the whole-panel stretch."""
+    xs = [v_lo]
+    x = v_lo
+    while x < v_hi:
+        u = u0 + unit * x
+        h = min(quadrature._PHASE / (rate + decay * math.exp(u)),
+                max(delta, 0.5 * (log_pole - u))) / unit
+        x = min(x + h, v_hi)
+        if nodes:
+            x = min(x, math.floor(xs[-1]) + 1.0)
+        xs.append(x)
+    return np.asarray(xs)
+
+
+def test_panels_fast_path_matches_loop(monkeypatch):
+    # every node-mode breakpoint set of suites 2, 6, 7 and 9 (heads from 0,
+    # direct and paired tails, half periods) is bit-identical to the loop's;
+    # so are tails at small b, where the step falls below one half period
+    # and the loop takes over from the stretch, and the rays of F
+    from etazeros import verify
+    panels = quadrature._panels
+    calls = []
+
+    def recorded(*args, **kwargs):
+        xs = panels(*args, **kwargs)
+        calls.append((args, kwargs, xs))
+        return xs
+
+    monkeypatch.setattr(quadrature, "_panels", recorded)
+    for n in (2, 6, 7, 9):
+        verify.run_theorem(n, Q)
+    for b in (3.0, 10.0, 30.0):
+        spec = IntegrandSpec("fermi", "sin", a=0.5, b=b)
+        integrate_to_infinity(spec, 1.0, Q)
+        integrate_to_infinity(spec, 1.0, Q, paired=True)
+        integrate_finite(spec, 0.0, 50.0, Q)
+    for b in (14.1, 485.0):
+        integrate_line("fermi", complex(0.5, b), Q)
+    whole = split = 0
+    for args, kwargs, xs in calls:
+        assert np.array_equal(xs, _panels_by_loop(*args, **kwargs)), args
+        if not kwargs.get("nodes"):
+            continue
+        widths = np.diff(xs)
+        whole += int(np.sum(widths == 1.0))
+        split += int(np.sum(widths[:-1] < 1.0))
+    assert whole > 10_000        # suite 2's heads: mostly whole half periods
+    assert split                 # and the loop ran past a stretch

@@ -2,8 +2,9 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import etazeros.zerofinder as zerofinder
@@ -21,6 +22,7 @@ from etazeros.zerofinder import (
 )
 
 Q = QuadratureSpec()
+EPS = math.ulp(1.0)
 
 # ordinates derived by bisecting the eta oracle itself (frozen at 1e-6)
 ZERO_1 = 14.134725
@@ -86,6 +88,78 @@ def test_eta_conjugate_symmetry(a, b):
     dn = eta_oracle(ComplexPoint(a, -b), tol=1e-10)
     assert dn.re == pytest.approx(up.re, abs=1e-12 + 1e-9 * abs(up.re))
     assert dn.im == pytest.approx(-up.im, abs=1e-12 + 1e-9 * abs(up.im))
+
+
+def _averaged_by_passes(s, n, keep=6):
+    """The reference: m = n - keep passes of pairwise averaging over the
+    partial sums, the value at the last kept entry and the drift over the
+    last three."""
+    l = np.arange(1, n + 1, dtype=np.float64)
+    terms = np.where(l % 2 == 1, 1.0, -1.0) * np.exp(-s * np.log(l))
+    partial = np.cumsum(terms)
+    while len(partial) > keep:
+        partial = 0.5 * (partial[:-1] + partial[1:])
+    drift = abs(partial[-1] - partial[-2]) + abs(partial[-2] - partial[-3])
+    return complex(partial[-1]), float(drift)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(min_value=0.1, max_value=0.9),
+       st.floats(min_value=-300.0, max_value=300.0),
+       st.integers(min_value=9, max_value=1200))
+@example(0.1, 0.0, 1200)        # m > 1023; real terms, the most cancellation
+@example(0.5, 300.0, 1200)
+def test_eta_weighted_sum_matches_averaging_passes(a, b, n):
+    s = complex(a, b)
+    value, drift = zerofinder._eta_averaged(
+        zerofinder._alternating_terms(s, 0, n))
+    ref_value, ref_drift = _averaged_by_passes(s, n)
+    tol = (n + 4.0 * abs(b)) * EPS * max(1.0, abs(ref_value))
+    assert abs(value - ref_value) <= tol
+    assert abs(drift - ref_drift) <= tol
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 7, 100, 1023, 1024, 1500])
+def test_binomial_weights(m):
+    # m > 1023: 2^m overflows a float, the rounded weights must not
+    tail, pmf = zerofinder._binomial_weights(m)
+    assert len(tail) == len(pmf) == m + 1
+    assert tail[0] == 1.0 and tail[m] == pmf[m] == 2.0 ** -m
+    assert np.all(np.diff(tail) <= 0.0)
+    for j in range(1, m + 1):
+        assert abs(tail[j] + tail[m + 1 - j] - 1.0) <= EPS
+    assert np.allclose(pmf[:-1], tail[:-1] - tail[1:], rtol=0.0, atol=4 * EPS)
+    assert math.fsum(pmf) == pytest.approx(1.0, abs=4 * EPS)
+
+
+def test_eta_extends_its_terms(monkeypatch):
+    # at b = 14.1 the 42 starting terms miss tol 1e-12; the second pass adds
+    # terms 43 .. 83 instead of starting over
+    made = []
+    terms = zerofinder._alternating_terms
+
+    def counted(s, lo, hi):
+        made.append((lo, hi))
+        return terms(s, lo, hi)
+
+    monkeypatch.setattr(zerofinder, "_alternating_terms", counted)
+    eta_oracle(complex(0.5, 14.1))
+    assert made == [(0, 42), (42, 83)]
+
+
+@pytest.mark.parametrize("b", [14.13, 37.0, 100.3, 480.3, 700.5, 1000.7])
+@pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
+def test_eta_within_tol_of_mpmath(a, b):
+    mpmath = pytest.importorskip("mpmath")
+    if (a, b) in {(0.2, 480.3), (0.2, 1000.7)}:
+        # the series' rounding floor (n + 4 b) eps sits above 1e-11 here
+        with pytest.raises(EtaConvergenceError):
+            eta_oracle(complex(a, b), tol=1e-11)
+        return
+    v = eta_oracle(complex(a, b), tol=1e-11)
+    with mpmath.workdps(30):
+        err = abs(mpmath.mpc(v.re, v.im) - mpmath.altzeta(mpmath.mpc(a, b)))
+    assert err <= 1e-11, (a, b, float(err))
 
 
 def test_zeta_oracle_at_half():
