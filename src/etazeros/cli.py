@@ -23,7 +23,7 @@ import sys
 from . import verify
 from .coeffs import CoefficientTable
 from .decomposition import interval_contributions, make_plan
-from .quadrature import QuadratureError, QuadratureSpec
+from .quadrature import QuadratureError
 from .report import fmt17
 from .series import SeriesError, choose_K_R, series_lower_integral
 from .special import ComplexPoint, F, Gamma, one_minus_two_pow, zeta_strip
@@ -43,8 +43,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-10,
-                        help="quadrature relative tolerance (default 1e-10)")
     common.add_argument("--format", choices=("json", "csv", "text"),
                         default="json", dest="fmt")
     common.add_argument("--out", type=str, default=None,
@@ -92,11 +90,11 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 # Subcommand implementations (each returns (exit_code, text)).
 
-def _cmd_eval(args, q: QuadratureSpec):
+def _cmd_eval(args):
     p = ComplexPoint(args.a, args.b)
     method = args.method
     if method == "integral":
-        ev = F(p, q)
+        ev = F(p)
         f = ev.value.value
         err = ev.err
     elif method == "series+decomposition":
@@ -105,14 +103,14 @@ def _cmd_eval(args, q: QuadratureSpec):
             raise UsageError("series+decomposition needs b > 0")
         K, R = choose_K_R(p.b, 2.0)
         head = series_lower_integral(p.a, p.b, K, R, tol=1e-13)
-        plan = make_plan(p.a, p.b, q)
-        tail, tail_err = upper_integral(plan, q)
-        ev = F(p, q)                # no closed series for the cos head
+        plan = make_plan(p.a, p.b)
+        tail, tail_err = upper_integral(plan)
+        ev = F(p)                # no closed series for the cos head
         f = complex(ev.value.re, head.value + tail)
         err = head.tail_bound + tail_err + ev.err_re
     else:  # oracle
         eta = eta_oracle(p, tol=1e-12)
-        gam = Gamma(p, q)
+        gam = Gamma(p)
         f = gam.value.value * eta.value
         err = abs(eta.value) * gam.err + abs(gam.value) * 1e-12
     # zeta stays null where F is not resolved above its error (it says
@@ -121,7 +119,7 @@ def _cmd_eval(args, q: QuadratureSpec):
     z = None
     if abs(f) > 4.0 * err:
         try:
-            z = _zeta(p, f, method, q)
+            z = _zeta(p, f, method)
         except (QuadratureError, ZeroDivisionError):
             pass
     payload = {"a": p.a, "b": p.b, "method": method,
@@ -142,20 +140,20 @@ def _cmd_eval(args, q: QuadratureSpec):
     return 0, json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _zeta(p: ComplexPoint, f: complex, method: str, q: QuadratureSpec):
+def _zeta(p: ComplexPoint, f: complex, method: str):
     """zeta(p) on the route of ``method``, from the F already in hand where
     the route has one: zeta = F / ((1 - 2^(1-s)) gamma) for 0 < a <= 1."""
     if method == "oracle":
         return zeta_oracle(p, tol=1e-12).value
     if method == "integral" and p.a > 1.0:
-        return zeta_strip(p, q).value.value     # G by its own integral
-    gam = Gamma(p, q)
+        return zeta_strip(p).value.value     # G by its own integral
+    gam = Gamma(p)
     if abs(gam.value) <= 4.0 * gam.err:     # gamma underflows before F does
         raise QuadratureError("gamma(s) is not resolved above its error")
     return f / one_minus_two_pow(p) / gam.value.value
 
 
-def _cmd_coeffs(args, q: QuadratureSpec):
+def _cmd_coeffs(args):
     if args.n_max < 0:
         raise UsageError("--n-max must be >= 0")
     table = CoefficientTable.build(args.n_max)
@@ -184,7 +182,7 @@ def _cmd_coeffs(args, q: QuadratureSpec):
     return 0, "\n".join(lines) + "\n"
 
 
-def _cmd_verify(args, q: QuadratureSpec):
+def _cmd_verify(args):
     b_grid = None
     if args.grid:
         try:
@@ -192,9 +190,9 @@ def _cmd_verify(args, q: QuadratureSpec):
         except ValueError as exc:
             raise UsageError(f"bad --grid: {exc}") from None
     if args.all:
-        reports = verify.run_all(q)
+        reports = verify.run_all()
     elif args.theorem is not None:
-        reports = [verify.run_theorem(args.theorem, q, b_grid)]
+        reports = [verify.run_theorem(args.theorem, b_grid)]
     else:
         raise UsageError("verify needs --theorem N or --all")
     ok = all(r.passed for r in reports)
@@ -208,11 +206,11 @@ def _cmd_verify(args, q: QuadratureSpec):
     return (0 if ok else 1), text
 
 
-def _cmd_decompose(args, q: QuadratureSpec):
+def _cmd_decompose(args):
     if not 0.0 < args.a < 1.0:
         raise UsageError("--a must lie in (0, 1)")
-    plan = make_plan(args.a, args.b, q)
-    rows = interval_contributions(plan, args.count, q)
+    plan = make_plan(args.a, args.b)
+    rows = interval_contributions(plan, args.count)
     if args.fmt == "csv":
         out = ["k,t_2k,t_2k_plus_1,contribution,cumulative"]
         for r in rows:
@@ -240,13 +238,13 @@ def _cmd_decompose(args, q: QuadratureSpec):
     return 0, json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _cmd_zeros(args, q: QuadratureSpec):
+def _cmd_zeros(args):
     if not 0 < args.b_min < args.b_max:
         raise UsageError("need 0 < b_min < b_max")
     if not 0 < args.step <= 0.5:
         raise UsageError("step must be in (0, 0.5]")
     zeros, scan_rows = find_zeros(args.b_min, args.b_max, args.step,
-                                  args.zero_tol, q)
+                                  args.zero_tol)
     if args.fmt == "csv":
         out = ["b,F1,F2,absF"]
         for b, f1, f2, fa in scan_rows:
@@ -278,11 +276,7 @@ _COMMANDS = {
 
 def dispatch(args) -> tuple[int, str]:
     """Resolve a parsed namespace to (exit_code, output text)."""
-    try:
-        qspec = QuadratureSpec(target_tol=args.tol)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    return _COMMANDS[args.command](args, qspec)
+    return _COMMANDS[args.command](args)
 
 
 def main(argv=None) -> int:

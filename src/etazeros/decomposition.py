@@ -30,9 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import (
-    DEFAULT_SPEC,
+    TAIL_CUTOFF,
     IntegrandSpec,
-    QuadratureSpec,
     integrate_finite,
     integrate_to_infinity,
 )
@@ -81,38 +80,32 @@ class DecompositionPlan:
         return self.endpoint(2 * k), self.endpoint(2 * k + 1)
 
 
-def make_plan(a: float, b: float,
-              q: QuadratureSpec | None = None) -> DecompositionPlan:
+def make_plan(a: float, b: float) -> DecompositionPlan:
     """Plan with the largest R = exp(2 K pi / b) <= 2 and the truncation
-    period index taken from the quadrature cutoff policy."""
-    q = q or DEFAULT_SPEC
+    period index taken from the quadrature cutoff t = TAIL_CUTOFF."""
     K, R = choose_K_R(b, 2.0)
-    T = q.truncation_point(a, 1e-2 * q.target_tol)
-    trunc_k = int(math.ceil(b * math.log(T) / (2.0 * math.pi))) + 1
+    trunc_k = int(math.ceil(b * math.log(TAIL_CUTOFF) / (2.0 * math.pi))) + 1
     return DecompositionPlan(a=a, b=b, K=K, R=R,
                              c=math.exp(math.pi / b), truncation_k=trunc_k)
 
 
-def upper_integral(plan: DecompositionPlan,
-                   q: QuadratureSpec | None = None) -> tuple[float, float]:
+def upper_integral(plan: DecompositionPlan) -> tuple[float, float]:
     """The tail integral int_R^inf f sin(b log t) dt evaluated as the paired
     half-period sum; (value, err_est)."""
-    q = q or DEFAULT_SPEC
     spec = IntegrandSpec("fermi", "sin", a=plan.a, b=plan.b)
-    return integrate_to_infinity(spec, plan.R, q, paired=True)
+    return integrate_to_infinity(spec, plan.R, paired=True)
 
 
-def interval_contributions(plan: DecompositionPlan, count: int,
-                           q: QuadratureSpec | None = None) -> list[dict]:
+def interval_contributions(plan: DecompositionPlan,
+                           count: int) -> list[dict]:
     """Per-period contributions int_{t_2k}^{t_2k+1} h sin dt for
     k = K .. K+count-1, with running cumulative sums."""
-    q = q or DEFAULT_SPEC
     spec = IntegrandSpec("pair_fermi", "sin", a=plan.a, b=plan.b)
     rows = []
     running = 0.0
     for k in range(plan.K, plan.K + count):
         lo, hi = plan.half_period(k)
-        val, err = integrate_finite(spec, lo, hi, q)
+        val, err = integrate_finite(spec, lo, hi)
         running += val
         rows.append({"k": k, "t_lo": lo, "t_hi": hi,
                      "contribution": val, "cumulative": running,
@@ -124,7 +117,6 @@ def interval_contributions(plan: DecompositionPlan, count: int,
 # Tail telescoping and its bounds.
 
 def check_theorem7(a: float, b: float, R: float,
-                   q: QuadratureSpec | None = None,
                    tol_equality: float = 1e-10) -> VerificationReport:
     """Tail telescoping int_R^inf h dt = int_R^(cR) f dt plus the strict
     bounds that follow from f decreasing:
@@ -139,14 +131,13 @@ def check_theorem7(a: float, b: float, R: float,
         raise ValueError("a must lie in (0, 1)")
     if not (b > 0 and R >= 1.0):
         raise ValueError("need b > 0, R >= 1")
-    q = q or DEFAULT_SPEC
     rep = VerificationReport(name="theorem7")
     c = math.exp(math.pi / b)
     tag = f"a={a:g} b={b:g} R={R:g}"
 
     lhs, lhs_err = integrate_to_infinity(
-        IntegrandSpec("pair_fermi", a=a, b=b), R, q)
-    rhs, rhs_err = integrate_finite(IntegrandSpec("fermi", a=a), R, c * R, q)
+        IntegrandSpec("pair_fermi", a=a, b=b), R)
+    rhs, rhs_err = integrate_finite(IntegrandSpec("fermi", a=a), R, c * R)
     rep.add_equality(f"tail telescopes {tag}", lhs, rhs,
                      tol_equality * max(1.0, abs(rhs)) + lhs_err + rhs_err)
 
@@ -161,46 +152,42 @@ def check_theorem7(a: float, b: float, R: float,
 
 
 def scaling_identity_discrepancy(alpha: float, beta: float, a: float,
-                                 c: float,
-                                 q: QuadratureSpec | None = None) -> float:
+                                 c: float) -> float:
     """|int_alpha^beta t^(a-1)/(e^(ct)+1) dt
         - c^(-a) int_(c alpha)^(c beta) u^(a-1)/(e^u+1) du|."""
-    q = q or DEFAULT_SPEC
     lhs, _ = integrate_finite(IntegrandSpec("fermi", a=a, scale=c),
-                              alpha, beta, q)
+                              alpha, beta)
     rhs, _ = integrate_finite(IntegrandSpec("fermi", a=a),
-                              c * alpha, c * beta, q)
+                              c * alpha, c * beta)
     return abs(lhs - c ** (-a) * rhs)
 
 
-def telescoping_partial_sums(a: float, b: float, m: int,
-                             q: QuadratureSpec | None = None) -> tuple[float, float]:
+def telescoping_partial_sums(a: float, b: float,
+                             m: int) -> tuple[float, float]:
     """(sum of int over [t_2k, t_2k+2] of h dt for k = K..K+m,
         int_{t_2K}^{t_2K+1-node} f dt - int over the shifted top edge),
     which telescoping makes equal: the interior node contributions cancel
     pairwise and only the two edge strips survive."""
-    q = q or DEFAULT_SPEC
-    plan = make_plan(a, b, q)
+    plan = make_plan(a, b)
     h = IntegrandSpec("pair_fermi", a=a, b=b)
     f = IntegrandSpec("fermi", a=a)
     lhs = 0.0
     for k in range(plan.K, plan.K + m + 1):
         v, _ = integrate_finite(h, plan.endpoint(2 * k),
-                                plan.endpoint(2 * k + 2), q)
+                                plan.endpoint(2 * k + 2))
         lhs += v
     lo_strip, _ = integrate_finite(f, plan.endpoint(2 * plan.K),
-                                   plan.endpoint(2 * plan.K + 1), q)
+                                   plan.endpoint(2 * plan.K + 1))
     top = 2 * (plan.K + m) + 2
     hi_strip, _ = integrate_finite(f, plan.endpoint(top),
-                                   plan.endpoint(top + 1), q)
+                                   plan.endpoint(top + 1))
     return lhs, lo_strip - hi_strip
 
 
 # ---------------------------------------------------------------------------
 # The half-period sine average.
 
-def interval_average(k: int, b: float,
-                     q: QuadratureSpec | None = None) -> tuple[float, float]:
+def interval_average(k: int, b: float) -> tuple[float, float]:
     """Average of sin(b log t) over [t_2k, t_2k+1], returned both ways:
     (closed form, direct quadrature).  The closed form
 
@@ -210,13 +197,11 @@ def interval_average(k: int, b: float,
     interval."""
     if not b >= 10.0:
         raise ValueError("average bounds stated for b >= 10")
-    q = q or DEFAULT_SPEC
     e = math.exp(-math.pi / b)
     closed = (1.0 + e) / (b * (b ** -2 + 1.0) * (-math.expm1(-math.pi / b)))
     lo = math.exp(2 * k * math.pi / b)
     hi = math.exp((2 * k + 1) * math.pi / b)
-    integral, _ = integrate_finite(IntegrandSpec("unit", "sin", b=b),
-                                   lo, hi, q)
+    integral, _ = integrate_finite(IntegrandSpec("unit", "sin", b=b), lo, hi)
     width = lo * math.expm1(math.pi / b)
     return closed, integral / width
 
@@ -232,14 +217,13 @@ def average_bound_margins(b: float) -> tuple[float, float]:
 def check_theorem8(b_values=(10.0, 31.6, 100.0, 316.0, 1000.0),
                    closed_vs_quad=((10.0, 0), (10.0, 5), (100.0, 0),
                                    (100.0, 5), (100.0, 50), (1000.0, 0),
-                                   (1000.0, 5), (1000.0, 50)),
-                   q: QuadratureSpec | None = None) -> VerificationReport:
+                                   (1000.0, 5), (1000.0, 50))
+                   ) -> VerificationReport:
     """Closed form vs quadrature for the sine average, plus its strict
     bracketing between 2/pi - 2/(pi b^2) and 2/pi."""
-    q = q or DEFAULT_SPEC
     rep = VerificationReport(name="theorem8")
     for b, k in closed_vs_quad:
-        closed, by_quad = interval_average(int(k), b, q)
+        closed, by_quad = interval_average(int(k), b)
         rep.add_equality(f"closed form vs quadrature b={b:g} k={k}", closed,
                          by_quad, 1e-12 * abs(closed))
     for b in b_values:
@@ -255,8 +239,7 @@ def check_theorem8(b_values=(10.0, 31.6, 100.0, 316.0, 1000.0),
 _SAMPLES = 2 ** 10
 
 
-def check_theorem9(k: int, b: float, a: float,
-                   q: QuadratureSpec | None = None) -> VerificationReport:
+def check_theorem9(k: int, b: float, a: float) -> VerificationReport:
     """Sandwich for one positive half-period:
 
         (2/pi - 2/(pi b^2)) M1 (t1 - t0)
@@ -268,7 +251,6 @@ def check_theorem9(k: int, b: float, a: float,
     """
     if not b >= 100.0:
         raise ValueError("stated for b >= 100")
-    q = q or DEFAULT_SPEC
     rep = VerificationReport(name="theorem9")
     t0 = math.exp(2 * k * math.pi / b)
     t1 = math.exp((2 * k + 1) * math.pi / b)
@@ -279,7 +261,7 @@ def check_theorem9(k: int, b: float, a: float,
     uncertainty = float(np.max(np.abs(np.diff(hs)))) * (t1 - t0)
 
     mid, mid_err = integrate_finite(IntegrandSpec("pair_fermi", "sin", a=a, b=b),
-                                    t0, t1, q)
+                                    t0, t1)
     lower = (2.0 / math.pi - 2.0 / (math.pi * b * b)) * m1 * (t1 - t0)
     upper = (2.0 / math.pi) * m2 * (t1 - t0)
     tag = f"a={a:g} b={b:g} k={k}"

@@ -6,8 +6,7 @@ panel's G24 value, its error |G24 - G12| and its rounding floor; one loop
 bisects every panel whose error stands above its floor.  Below a small rho
 the head comes in closed form from the kernel's first two Taylor terms, and
 beyond the last panel the tail is bounded analytically.  Panel sums go
-through ``math.fsum`` in panel order, so results are bit-reproducible at
-fixed settings.
+through ``math.fsum`` in panel order, so results are bit-reproducible.
 
 Whole half-line integrals of the fermi, exp and bose kernels (F, gamma and G
 of :mod:`etazeros.special`) go to :func:`integrate_line`, which runs on a ray
@@ -54,7 +53,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 __all__ = [
-    "QuadratureError", "QuadratureSpec", "IntegrandSpec",
+    "QuadratureError", "IntegrandSpec",
     "eval_integrand", "integrate_finite", "integrate_to_infinity",
     "integrate_line",
 ]
@@ -73,36 +72,13 @@ class QuadratureError(RuntimeError):
         self.err_est = err_est
 
 
-_TRUNCATION_MARGIN = 5.0     # extra e-foldings beyond the tail target
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerance and refinement depth shared by all integral evaluations."""
-
-    target_tol: float = 1e-10          # relative
-    max_refinement_depth: int = 24
-
-    def __post_init__(self):
-        if self.target_tol < 1e-14:
-            raise ValueError("target_tol below the binary64 floor 1e-14")
-        if not 0 < self.max_refinement_depth <= 30:
-            raise ValueError("max_refinement_depth must be in (0, 30]")
-
-    def truncation_point(self, a: float, tol: float) -> float:
-        """Upper cutoff T whose analytic tail int_T^inf t^(a-1) e^-t dt is
-        below ``tol``: solves t - (a-1) log t = -log(tol) + 5, floored
-        at 60 (kernel mass e^-60 is negligible at every supported tolerance).
-        """
-        tol = max(tol, 1e-300)
-        rhs = -math.log(tol) + _TRUNCATION_MARGIN
-        t = max(rhs, 2.0)
-        for _ in range(4):
-            t = max(2.0, rhs + (a - 1.0) * math.log(t))
-        return max(60.0, t)
-
-
-DEFAULT_SPEC = QuadratureSpec()
+# A panel error that stalls above its rounding floor raises only when it also
+# exceeds this share of the value; the panel loop itself never reads it.
+_STALL_TOL = 1e-10
+_MAX_DEPTH = 24         # bisections of one panel
+# Real-axis integrals to infinity stop at t = 60, where the kernel's mass is
+# below e^-60; the analytic tail bound beyond it goes into err for any a.
+TAIL_CUTOFF = 60.0
 
 _KERNELS = ("fermi", "pair_fermi", "exp", "unit")
 _TRIGS = (None, "sin", "cos")
@@ -324,21 +300,21 @@ def _panel_batch(integrand: Callable, lo: np.ndarray, hi: np.ndarray):
 
 
 def _integrate_panels(integrand: Callable, lo: np.ndarray, hi: np.ndarray,
-                      head, cond: float, q: QuadratureSpec):
+                      head, cond: float):
     """(value, panel error, rounding floor): head plus the sum of the panels
     [lo, hi], refined.
 
     A panel is done when G24 and G12 agree to 64 times its own rounding
     floor or to its share of the whole floor; the others are bisected, at
-    most ``q.max_refinement_depth`` times.  The floor adds cond eps |value|
+    most _MAX_DEPTH times.  The floor adds cond eps |value|
     for the rounding of the sum and of the factors applied to it.  Raises
     :class:`QuadratureError`, carrying the value and its error, when the
-    panel error stays above max(64 floor, target_tol |value|).
+    panel error stays above max(64 floor, _STALL_TOL |value|).
     """
     vals, errs, floors = _panel_batch(integrand, lo, hi)
     share = float(np.sum(floors)) / len(lo)
     kept = []
-    for _ in range(q.max_refinement_depth):
+    for _ in range(_MAX_DEPTH):
         done = (errs <= 64.0 * floors) | (errs <= share)
         kept.append((lo[done], vals[done], errs[done], floors[done]))
         lo, hi = lo[~done], hi[~done]
@@ -357,7 +333,7 @@ def _integrate_panels(integrand: Callable, lo: np.ndarray, hi: np.ndarray,
         value = math.fsum(vals) + head
     panel_err = float(np.sum(errs))
     noise = float(np.sum(floors)) + _EPS * cond * abs(value)
-    if panel_err > max(64.0 * noise, q.target_tol * abs(value)):
+    if panel_err > max(64.0 * noise, _STALL_TOL * abs(value)):
         raise QuadratureError(
             f"panel error {panel_err:.3e} stalled above the rounding floor "
             f"{noise:.3e}", value=value, err_est=panel_err + noise)
@@ -458,8 +434,7 @@ def _ray_integrand(kernel: _RayKernel, s: complex, rot: complex,
     return f, np.abs(f) * rel
 
 
-def integrate_line(kernel: str, s: complex,
-                   q: QuadratureSpec | None = None) -> tuple[complex, float]:
+def integrate_line(kernel: str, s: complex) -> tuple[complex, float]:
     """int_0^inf t^(s-1) k(t) dt and a bound on the modulus of its error,
     for k = ``fermi`` 1/(e^t + 1) or ``exp`` e^(-t) (Re s > 0), or ``bose``
     1/(e^t - 1) (Re s > 1).
@@ -474,7 +449,7 @@ def integrate_line(kernel: str, s: complex,
     (carrying the unrotated integral of :func:`_ray_integral`), or when a
     panel value or a bound is not finite.
     """
-    integral, err, theta = _ray_integral(kernel, s, q)
+    integral, err, theta = _ray_integral(kernel, s)
     s = complex(s)
     b = abs(s.imag)
     value = cmath.exp(1j * theta * complex(s.real, b)) * integral
@@ -484,8 +459,7 @@ def integrate_line(kernel: str, s: complex,
     return (value.conjugate() if s.imag < 0 else value), err
 
 
-def _ray_integral(kernel: str, s: complex, q: QuadratureSpec | None = None
-                  ) -> tuple[complex, float, float]:
+def _ray_integral(kernel: str, s: complex) -> tuple[complex, float, float]:
     """(I, err, theta): at s' = a + i|b| the integral of :func:`integrate_line`
     is e^(i theta s') I, and err bounds the error of I.  Callers dividing
     e^(-theta |b|) by a factor of like size do it in log form, where neither
@@ -493,7 +467,6 @@ def _ray_integral(kernel: str, s: complex, q: QuadratureSpec | None = None
     if kernel not in _RAY_KERNELS:
         raise ValueError(f"unknown kernel {kernel!r} for the whole line")
     k = _RAY_KERNELS[kernel]
-    q = q or DEFAULT_SPEC
     s = complex(s)
     a, b = s.real, abs(s.imag)
     if not a > -k.j0:
@@ -533,7 +506,7 @@ def _ray_integral(kernel: str, s: complex, q: QuadratureSpec | None = None
     xs = _panels(abs(s), 1.0, delta, math.log(k.pole), u_lo, u_hi)
     integral, panel_err, noise = _integrate_panels(
         lambda lo, hi, x: _ray_integrand(k, s, rot, lo, hi, x),
-        xs[:-1], xs[1:], head, 4.0 + theta * b, q)
+        xs[:-1], xs[1:], head, 4.0 + theta * b)
     return integral, panel_err + head_bound + tail_bound + noise, theta
 
 
@@ -541,8 +514,7 @@ def _ray_integral(kernel: str, s: complex, q: QuadratureSpec | None = None
 # Real-axis integrals, in the phase counted from a finite endpoint.
 
 def _axis_integral(spec: IntegrandSpec, lo: float, hi: float,
-                   q: QuadratureSpec, paired: bool = False
-                   ) -> tuple[float, float]:
+                   paired: bool = False) -> tuple[float, float]:
     """int_lo^hi spec(t) dt for 0 <= lo < hi <= inf: (value, err).
 
     The panels run in v = (u - u0) / unit, u = log t, from the anchor
@@ -601,7 +573,7 @@ def _axis_integral(spec: IntegrandSpec, lo: float, hi: float,
 
     tail_bound = 0.0
     if math.isinf(hi):
-        top = max(q.truncation_point(sr, 1e-2 * q.target_tol), 2.0 * lo)
+        top = max(TAIL_CUTOFF, 2.0 * lo)
         v_hi = math.log(top / lo) / unit
         if paired:
             v_hi = 2.0 * math.ceil(0.5 * v_hi)
@@ -635,18 +607,18 @@ def _axis_integral(spec: IntegrandSpec, lo: float, hi: float,
                 np.abs(g) * (rel + 2.0 * math.pi * np.abs(phase)))
 
     value, panel_err, noise = _integrate_panels(integrand, lo_v, hi_v, head,
-                                                4.0, q)
+                                                4.0)
     return value, panel_err + head_bound + tail_bound + noise
 
 
 # ---------------------------------------------------------------------------
 # Public real-axis operations.
 
-def integrate_finite(spec: IntegrandSpec, lo: float, hi: float,
-                     q: QuadratureSpec | None = None) -> tuple[float, float]:
+def integrate_finite(spec: IntegrandSpec, lo: float,
+                     hi: float) -> tuple[float, float]:
     """Integral over [lo, hi] with an error estimate.
 
-    The error contract is |value - true| <= max(err_est, target_tol * |value|)
+    The error contract is |value - true| <= max(err_est, 1e-10 |value|)
     barring pathological integrands outside the declared family.  From
     lo = 0 the head below rho = e^(-46/(a+p)) comes in closed form from the
     kernel's first two Taylor terms: fermi at any scale, exp and unit (the
@@ -657,14 +629,13 @@ def integrate_finite(spec: IntegrandSpec, lo: float, hi: float,
         raise ValueError("need lo < hi < inf")
     if lo < 0:
         raise ValueError("need lo >= 0")
-    return _axis_integral(spec, lo, hi, q or DEFAULT_SPEC)
+    return _axis_integral(spec, lo, hi)
 
 
-def integrate_to_infinity(spec: IntegrandSpec, lo: float,
-                          q: QuadratureSpec | None = None, *,
+def integrate_to_infinity(spec: IntegrandSpec, lo: float, *,
                           paired: bool = False) -> tuple[float, float]:
-    """Integral over [lo, infinity), truncated at the policy cutoff with the
-    analytic tail folded into the error estimate.
+    """Integral over [lo, infinity), truncated at t = max(TAIL_CUTOFF, 2 lo)
+    with the analytic tail folded into the error estimate.
 
     ``paired=True`` sums the pair kernel over the half periods
     [lo c^(2j), lo c^(2j+1)], c = e^(pi/b), one per full period of the
@@ -677,4 +648,4 @@ def integrate_to_infinity(spec: IntegrandSpec, lo: float,
         raise ValueError("bare trig carrier is not integrable to infinity")
     if paired and spec.trig is None:
         raise ValueError("paired form applies to oscillatory kinds only")
-    return _axis_integral(spec, lo, math.inf, q or DEFAULT_SPEC, paired)
+    return _axis_integral(spec, lo, math.inf, paired)

@@ -34,12 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .coeffs import CoefficientTable, MAX_INDEX, g_value
-from .quadrature import (
-    DEFAULT_SPEC,
-    IntegrandSpec,
-    QuadratureSpec,
-    integrate_finite,
-)
+from .quadrature import IntegrandSpec, integrate_finite
 from .report import VerificationReport
 
 __all__ = [
@@ -291,9 +286,8 @@ def check_theorem5(a: float, b: float) -> VerificationReport:
     return rep
 
 
-def lower_integral_by_quadrature(a: float, b: float, R: float,
-                                 q: QuadratureSpec | None = None
-                                 ) -> tuple[float, float]:
+def lower_integral_by_quadrature(a: float, b: float,
+                                 R: float) -> tuple[float, float]:
     """Direct panel quadrature of the head integral (the series' oracle)."""
     spec = IntegrandSpec("fermi", "sin", a=a, b=b)
-    return integrate_finite(spec, 0.0, R, q or DEFAULT_SPEC)
+    return integrate_finite(spec, 0.0, R)

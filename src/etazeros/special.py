@@ -30,12 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .coeffs import bernoulli
-from .quadrature import (
-    DEFAULT_SPEC,
-    QuadratureError,
-    QuadratureSpec,
-    integrate_line,
-)
+from .quadrature import QuadratureError, integrate_line
 from .report import VerificationReport
 
 __all__ = [
@@ -99,25 +94,24 @@ class StripEval:
         return self.err_re + self.err_im
 
 
-def _ray(kernel: str, s, q: QuadratureSpec | None,
-         method: str = "integral-ray") -> StripEval:
-    value, err = integrate_line(kernel, ComplexPoint.of(s).s, q)
+def _ray(kernel: str, s, method: str = "integral-ray") -> StripEval:
+    value, err = integrate_line(kernel, ComplexPoint.of(s).s)
     return StripEval(ComplexValue(value.real, value.imag), err, err, method)
 
 
-def F(s, q: QuadratureSpec | None = None) -> StripEval:
+def F(s) -> StripEval:
     """F(s) = int_0^inf t^(s-1)/(e^t+1) dt as (F1, F2); requires Re s > 0.
 
     err_re and err_im each bound the error of that component; both scale
     with |F| ~ e^(-pi |b|/2), not with the real-axis integrand mass.  The
     value at -b is the exact conjugate of the value at |b|.
     """
-    return _ray("fermi", s, q)
+    return _ray("fermi", s)
 
 
-def Gamma(s, q: QuadratureSpec | None = None) -> StripEval:
+def Gamma(s) -> StripEval:
     """gamma(s) = int_0^inf t^(s-1) e^(-t) dt; requires Re s > 0."""
-    return _ray("exp", s, q)
+    return _ray("exp", s)
 
 
 # Stirling's series: log Gamma(z) = (z - 1/2) log z - z + log(2 pi)/2
@@ -172,7 +166,7 @@ def one_minus_two_pow(s) -> complex:
     return 1.0 - cmath.exp((1.0 - p.s) * math.log(2.0))
 
 
-def G(s, q: QuadratureSpec | None = None) -> StripEval:
+def G(s) -> StripEval:
     """G(s) = int_0^inf t^(s-1)/(e^t-1) dt.
 
     Direct quadrature for Re s > 1 (the integral diverges at 0 otherwise);
@@ -181,10 +175,10 @@ def G(s, q: QuadratureSpec | None = None) -> StripEval:
     """
     p = ComplexPoint.of(s)
     if p.a > 1.0:
-        return _ray("bose", p, q, "direct")
+        return _ray("bose", p, "direct")
     if not p.a > 0:
         raise ValueError("G needs Re s > 0")
-    f = F(p, q)
+    f = F(p)
     denom = one_minus_two_pow(p)
     val = f.value.value / denom
     scale = 1.0 / abs(denom)
@@ -192,7 +186,7 @@ def G(s, q: QuadratureSpec | None = None) -> StripEval:
                      f.err * scale, f.err * scale, "via-identity")
 
 
-def zeta_strip(s, q: QuadratureSpec | None = None) -> StripEval:
+def zeta_strip(s) -> StripEval:
     """zeta(s) = G(s)/gamma(s), with G routed per Re s.
 
     Both sides keep their relative accuracy until gamma(s) underflows
@@ -200,9 +194,8 @@ def zeta_strip(s, q: QuadratureSpec | None = None) -> StripEval:
     rather than returning a meaningless quotient.
     """
     p = ComplexPoint.of(s)
-    q = q or DEFAULT_SPEC
-    g = G(p, q)
-    gam = Gamma(p, q)
+    g = G(p)
+    gam = Gamma(p)
     gam_abs = abs(gam.value)
     if gam_abs <= 4.0 * gam.err:
         raise QuadratureError(
@@ -215,8 +208,7 @@ def zeta_strip(s, q: QuadratureSpec | None = None) -> StripEval:
                      f"quotient({g.method})")
 
 
-def check_theorem1(points, q: QuadratureSpec | None = None,
-                   eta_fn=None) -> VerificationReport:
+def check_theorem1(points, eta_fn=None) -> VerificationReport:
     """Bridge identity on a strip grid: F(s) computed by quadrature must match
     (1 - 2^(1-s)) * G(s) with G obtained *independently* as zeta_ref * gamma,
     i.e. the right side is gamma(s) * eta_ref(s) with eta_ref the accelerated
@@ -225,7 +217,6 @@ def check_theorem1(points, q: QuadratureSpec | None = None,
     Every cell is relative to |F|; where F underflows to 0 the cell cannot
     be checked and fails.
     """
-    q = q or DEFAULT_SPEC
     if eta_fn is None:
         from .zerofinder import eta_oracle
         eta_fn = lambda s: eta_oracle(s, tol=1e-12).value  # noqa: E731
@@ -236,8 +227,8 @@ def check_theorem1(points, q: QuadratureSpec | None = None,
             rep.add(f"s={p.a:g}+{p.b:g}i outside strip", False,
                     gating=False, note="excluded: hypothesis needs 0 < a < 1")
             continue
-        f = F(p, q)
-        gam = Gamma(p, q)
+        f = F(p)
+        gam = Gamma(p)
         eta = eta_fn(p.s)
         # (1 - 2^(1-s)) G = (1 - 2^(1-s)) zeta gamma = eta * gamma
         rhs = gam.value.value * eta

@@ -23,12 +23,7 @@ from __future__ import annotations
 import math
 
 from . import coeffs, decomposition, series, special
-from .quadrature import (
-    DEFAULT_SPEC,
-    IntegrandSpec,
-    QuadratureSpec,
-    integrate_to_infinity,
-)
+from .quadrature import IntegrandSpec, integrate_to_infinity
 from .report import VerificationReport
 from .series import choose_K_R
 
@@ -61,20 +56,20 @@ def _claimed(err1: float, err2: float, lhs: float, rhs: float) -> float:
     return err1 + err2 + 4.0 * _EPS * max(abs(lhs), abs(rhs))
 
 
-def _run_theorem1(q: QuadratureSpec, b_grid=None) -> VerificationReport:
+def _run_theorem1(b_grid=None) -> VerificationReport:
     bs = b_grid or THEOREM1_GRID_B
     points = [special.ComplexPoint(a, b) for a in THEOREM1_GRID_A for b in bs]
-    return special.check_theorem1(points, q)
+    return special.check_theorem1(points)
 
 
-def _run_theorem2(q: QuadratureSpec, b_grid=None) -> VerificationReport:
+def _run_theorem2(b_grid=None) -> VerificationReport:
     rep = VerificationReport(name="theorem2")
     bs = b_grid or THEOREM2_GRID_B
     for a in THEOREM2_GRID_A:
         for b in bs:
             K, R = choose_K_R(b, 2.0)
             ev = series.series_lower_integral(a, b, K, R, tol=1e-13)
-            qv, qe = series.lower_integral_by_quadrature(a, b, R, q)
+            qv, qe = series.lower_integral_by_quadrature(a, b, R)
             rep.add_equality(f"series vs quadrature a={a:g} b={b:g}",
                              ev.value, qv,
                              _claimed(ev.tail_bound, qe, ev.value, qv),
@@ -82,11 +77,11 @@ def _run_theorem2(q: QuadratureSpec, b_grid=None) -> VerificationReport:
     return rep
 
 
-def _run_theorem4(q: QuadratureSpec, b_grid=None) -> VerificationReport:
+def _run_theorem4(b_grid=None) -> VerificationReport:
     return coeffs.check_theorem4(m_max=20, tol=1e-12)
 
 
-def _run_theorem5(q: QuadratureSpec, b_grid=None) -> VerificationReport:
+def _run_theorem5(b_grid=None) -> VerificationReport:
     rep = VerificationReport(name="theorem5")
     bs = b_grid or THEOREM5_GRID_B
     for a in THEOREM5_GRID_A:
@@ -95,52 +90,50 @@ def _run_theorem5(q: QuadratureSpec, b_grid=None) -> VerificationReport:
     return rep
 
 
-def _run_theorem6(q: QuadratureSpec, b_grid=None) -> VerificationReport:
+def _run_theorem6(b_grid=None) -> VerificationReport:
     rep = VerificationReport(name="theorem6")
     bs = b_grid or THEOREM6_GRID_B
     for b in bs:
-        plan = decomposition.make_plan(0.5, b, q)
-        v_pair, e_pair = decomposition.upper_integral(plan, q)
+        plan = decomposition.make_plan(0.5, b)
+        v_pair, e_pair = decomposition.upper_integral(plan)
         v_dir, e_dir = integrate_to_infinity(
-            IntegrandSpec("fermi", "sin", a=0.5, b=b), plan.R, q,
-            paired=False)
+            IntegrandSpec("fermi", "sin", a=0.5, b=b), plan.R)
         rep.add_equality(f"paired sum vs direct tail a=0.5 b={b:g}",
                          v_pair, v_dir, _claimed(e_pair, e_dir, v_pair, v_dir),
                          note=f"err estimates {e_pair:.1e} / {e_dir:.1e}")
     return rep
 
 
-def _run_theorem7(q: QuadratureSpec, b_grid=None) -> VerificationReport:
+def _run_theorem7(b_grid=None) -> VerificationReport:
     rep = VerificationReport(name="theorem7")
     bs = b_grid or THEOREM7_GRID_B
     for R in THEOREM7_GRID_R:
         for a in THEOREM7_GRID_A:
             for b in bs:
-                rep.extend(decomposition.check_theorem7(a, b, R, q))
+                rep.extend(decomposition.check_theorem7(a, b, R))
     return rep
 
 
-def _run_theorem8(q: QuadratureSpec, b_grid=None) -> VerificationReport:
+def _run_theorem8(b_grid=None) -> VerificationReport:
     if b_grid:
         return decomposition.check_theorem8(
             b_values=tuple(b_grid),
-            closed_vs_quad=tuple((b, k) for b in b_grid for k in (0, 5, 50)),
-            q=q)
-    return decomposition.check_theorem8(q=q)
+            closed_vs_quad=tuple((b, k) for b in b_grid for k in (0, 5, 50)))
+    return decomposition.check_theorem8()
 
 
-def _run_theorem9(q: QuadratureSpec, b_grid=None) -> VerificationReport:
+def _run_theorem9(b_grid=None) -> VerificationReport:
     rep = VerificationReport(name="theorem9")
     bs = b_grid or THEOREM9_GRID_B
     for a in THEOREM9_GRID_A:
         for b in bs:
             K, _ = choose_K_R(b, 2.0)
             for k in (K, K + 10):
-                rep.extend(decomposition.check_theorem9(k, b, a, q))
+                rep.extend(decomposition.check_theorem9(k, b, a))
     return rep
 
 
-def _run_theorem10(q: QuadratureSpec, b_grid=None) -> VerificationReport:
+def _run_theorem10(b_grid=None) -> VerificationReport:
     if b_grid:
         return decomposition.check_theorem10(b_grid=tuple(b_grid))
     return decomposition.check_theorem10()
@@ -161,13 +154,12 @@ _RUNNERS = {
 THEOREM_NUMBERS = tuple(sorted(_RUNNERS))
 
 
-def run_theorem(n: int, q: QuadratureSpec | None = None,
-                b_grid=None) -> VerificationReport:
+def run_theorem(n: int, b_grid=None) -> VerificationReport:
     if n not in _RUNNERS:
         raise ValueError(f"no verification suite numbered {n}; "
                          f"available: {THEOREM_NUMBERS}")
-    return _RUNNERS[n](q or DEFAULT_SPEC, b_grid)
+    return _RUNNERS[n](b_grid)
 
 
-def run_all(q: QuadratureSpec | None = None) -> list[VerificationReport]:
-    return [run_theorem(n, q) for n in THEOREM_NUMBERS]
+def run_all() -> list[VerificationReport]:
+    return [run_theorem(n) for n in THEOREM_NUMBERS]

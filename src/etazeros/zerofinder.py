@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, _ray_integral
+from .quadrature import _ray_integral
 from .special import (
     ComplexPoint,
     ComplexValue,
@@ -208,7 +208,7 @@ class LocatedZero:
 _ORACLE_TOL = 1e-11
 
 
-def _line_eval(b: float, q: QuadratureSpec, method: str):
+def _line_eval(b: float, method: str):
     """(zc, err, raw) at s = 1/2 + ib.
 
     zc = e^(i theta(b)) zeta(1/2 + ib): its real part is Hardy's Z(b) and
@@ -220,7 +220,7 @@ def _line_eval(b: float, q: QuadratureSpec, method: str):
     theta, theta_err = riemann_siegel_theta(s.imag)
     denom = one_minus_two_pow(s)
     if method == "integral":
-        integral, ray_err, phi = _ray_integral("fermi", s, q)
+        integral, ray_err, phi = _ray_integral("fermi", s)
         lg, lg_err = log_gamma(s)
         # F = e^(i phi s) integral; e^(i theta) e^(i phi s) / Gamma(s) is
         # formed in one exponential
@@ -239,7 +239,6 @@ def _line_eval(b: float, q: QuadratureSpec, method: str):
 
 
 def scan_critical_line(b_min: float, b_max: float, step: float,
-                       q: QuadratureSpec | None = None,
                        method: str = "integral", *,
                        _raw: list | None = None) -> list[ZeroBracket]:
     """March s = 1/2 + ib over the grid b_min + i step and emit a bracket
@@ -252,10 +251,9 @@ def scan_critical_line(b_min: float, b_max: float, step: float,
         raise ValueError("step must be in (0, 0.5]")
     if not b_min < b_max:
         raise ValueError("need b_min < b_max")
-    q = q or DEFAULT_SPEC
     n = int(math.floor((b_max - b_min) / step + 1e-9)) + 1
     bs = [b_min + i * step for i in range(n)]
-    evals = [_line_eval(b, q, method) for b in bs]
+    evals = [_line_eval(b, method) for b in bs]
     if _raw is not None:
         _raw.extend((b, e[2]) for b, e in zip(bs, evals))
     z = [e[0].real for e in evals]
@@ -277,8 +275,8 @@ _ITP_KAPPA1 = 0.2       # truncation step 0.2 w^2 / w0 (Oliveira & Takahashi)
 _MIN_STEP = REFINE_WIDTH / 4
 
 
-def refine_zero(bracket: ZeroBracket, zero_tol: float = 1e-6,
-                q: QuadratureSpec | None = None) -> LocatedZero:
+def refine_zero(bracket: ZeroBracket,
+                zero_tol: float = 1e-6) -> LocatedZero:
     """Shrink the bracket around the sign change of Z to width < 1e-9 by ITP
     steps, take b* at the midpoint, then certify the point:
 
@@ -304,7 +302,6 @@ def refine_zero(bracket: ZeroBracket, zero_tol: float = 1e-6,
     Failure raises :class:`ZeroRefinementError` carrying the best point (the
     designed outcome for a bracket whose ends do not bound a zero).
     """
-    q = q or DEFAULT_SPEC
     method = bracket.method
     lo, hi = bracket.b_lo, bracket.b_hi
     f_lo, f_hi = bracket.indicator_lo, bracket.indicator_hi
@@ -322,7 +319,7 @@ def refine_zero(bracket: ZeroBracket, zero_tol: float = 1e-6,
         radius = w0 / 2 ** step - 0.5 * w     # n0 = 1 step over bisection
         x = x_t if abs(x_t - mid) <= radius else mid - toward * radius
         step += 1
-        f_x = _line_eval(x, q, method)[0].real
+        f_x = _line_eval(x, method)[0].real
         if f_x == 0.0:
             lo = hi = x
             break
@@ -332,14 +329,14 @@ def refine_zero(bracket: ZeroBracket, zero_tol: float = 1e-6,
             hi, f_hi = x, f_x
     b_star = 0.5 * (lo + hi)
 
-    zc, noise = _line_eval(b_star, q, method)[:2]
+    zc, noise = _line_eval(b_star, method)[:2]
     z_residual = abs(zc.real)
     s_star = complex(0.5, b_star)
     residual_raw = (z_residual * abs(one_minus_two_pow(s_star))
                     * math.exp(log_gamma(s_star)[0].real))
     # cross-check on the independent route, gated by *that* route's bound
     zc_cross, noise_cross = _line_eval(
-        b_star, q, "oracle" if method == "integral" else "integral")[:2]
+        b_star, "oracle" if method == "integral" else "integral")[:2]
     z_gate = max(zero_tol, 8.0 * noise)
     cross_gate = max(zero_tol, 8.0 * noise_cross)
 
@@ -357,7 +354,7 @@ def refine_zero(bracket: ZeroBracket, zero_tol: float = 1e-6,
 
 
 def find_zeros(b_min: float, b_max: float, step: float = 0.25,
-               zero_tol: float = 1e-6, q: QuadratureSpec | None = None):
+               zero_tol: float = 1e-6):
     """Full pipeline: scan Z with both routes on one grid, pair the brackets
     by grid step, and refine each bracket with its own route.
 
@@ -367,18 +364,17 @@ def find_zeros(b_min: float, b_max: float, step: float = 0.25,
         change in that step), residuals, and route agreement;
       scan_rows: the integral-route scan (b, F1, F2, |F|) for plotting.
     """
-    q = q or DEFAULT_SPEC
-    oracle_brackets = scan_critical_line(b_min, b_max, step, q, method="oracle")
+    oracle_brackets = scan_critical_line(b_min, b_max, step, method="oracle")
     integral_raw: list = []
     integral_brackets = {
         ib.b_lo: ib for ib in scan_critical_line(
-            b_min, b_max, step, q, method="integral", _raw=integral_raw)}
+            b_min, b_max, step, method="integral", _raw=integral_raw)}
 
     zeros = []
     for ob in oracle_brackets:
         ib = integral_brackets.pop(ob.b_lo, None)
         try:
-            oracle_zero = refine_zero(ob, zero_tol, q)
+            oracle_zero = refine_zero(ob, zero_tol)
         except ZeroRefinementError:
             continue  # the oracle cannot certify a zero here
         entry = {"b_star": oracle_zero.b_star, "method": "oracle",
@@ -389,7 +385,7 @@ def find_zeros(b_min: float, b_max: float, step: float = 0.25,
                  "integral_certified": False}
         if ib is not None:
             try:
-                z = refine_zero(ib, zero_tol, q)
+                z = refine_zero(ib, zero_tol)
                 b_int, res, res_eta = z.b_star, z.residual, z.residual_eta
                 entry["integral_certified"] = True
             except ZeroRefinementError as exc:
@@ -400,7 +396,7 @@ def find_zeros(b_min: float, b_max: float, step: float = 0.25,
         zeros.append(entry)
     for ib in integral_brackets.values():
         try:
-            z = refine_zero(ib, zero_tol, q)
+            z = refine_zero(ib, zero_tol)
         except ZeroRefinementError:
             continue  # the integral route cannot certify a zero here
         zeros.append({

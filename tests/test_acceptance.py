@@ -27,10 +27,6 @@ from etazeros.coeffs import (
     coefficient_ratio_exact,
     ratio_bounds_exact,
 )
-from etazeros.quadrature import QuadratureSpec
-
-Q = QuadratureSpec()
-
 
 def report(n, ok, detail):
     print(f"[criterion {n:2d}] {'PASS' if ok else 'FAIL'} - {detail}")
@@ -65,7 +61,7 @@ def test_c01_coefficient_table_exact(capsys):
 
 def test_c02_bridge_identity_grid():
     t0 = time.perf_counter()
-    rep = verify.run_theorem(1, Q)
+    rep = verify.run_theorem(1)
     dt = time.perf_counter() - t0
     worst = max(r.discrepancy for r in rep.rows if r.discrepancy is not None)
     ok = rep.passed and dt < 30.0
@@ -76,7 +72,7 @@ def test_c02_bridge_identity_grid():
 
 def test_c03_series_equivalence_grid():
     t0 = time.perf_counter()
-    rep = verify.run_theorem(2, Q)
+    rep = verify.run_theorem(2)
     dt = time.perf_counter() - t0
     worst = max(r.discrepancy for r in rep.rows)
     ok = rep.passed and dt < 20.0
@@ -87,7 +83,7 @@ def test_c03_series_equivalence_grid():
 
 
 def test_c04_coefficient_structure_and_ratio_window():
-    rep = verify.run_theorem(4, Q)       # m_max = 20: derivatives to n = 41
+    rep = verify.run_theorem(4)       # m_max = 20: derivatives to n = 41
     table = CoefficientTable.build(41)
     signs_ok = (all(table.g_deriv[n] == 0 for n in range(2, 41, 2))
                 and all(table.g_deriv[n] < 0 for n in range(1, 42, 4))
@@ -103,7 +99,7 @@ def test_c04_coefficient_structure_and_ratio_window():
 
 
 def test_c05_head_bound_grid():
-    rep = verify.run_theorem(5, Q)
+    rep = verify.run_theorem(5)
     head_rows = [r for r in rep.rows if r.label.startswith("head bound")]
     alt_rows = [r for r in rep.rows if "alternate" in r.label]
     min_margin = min(r.margin for r in head_rows)
@@ -115,8 +111,8 @@ def test_c05_head_bound_grid():
 
 
 def test_c06_pairing_and_tail_telescoping():
-    rep6 = verify.run_theorem(6, Q)
-    rep7 = verify.run_theorem(7, Q)
+    rep6 = verify.run_theorem(6)
+    rep7 = verify.run_theorem(7)
     worst6 = max(r.discrepancy for r in rep6.rows)
     eq7 = [r for r in rep7.rows if r.discrepancy is not None]
     ok = rep6.passed and rep7.passed and worst6 < 1e-9
@@ -127,7 +123,7 @@ def test_c06_pairing_and_tail_telescoping():
 
 
 def test_c07_sine_average():
-    rep = verify.run_theorem(8, Q)
+    rep = verify.run_theorem(8)
     eq = [r for r in rep.rows if r.discrepancy is not None]
     worst = max(r.discrepancy / abs(r.lhs) for r in eq)
     ok = rep.passed and worst < 1e-12
@@ -137,8 +133,8 @@ def test_c07_sine_average():
 
 
 def test_c08_sandwich_and_positivity():
-    rep9 = verify.run_theorem(9, Q)
-    rep10 = verify.run_theorem(10, Q)
+    rep9 = verify.run_theorem(9)
+    rep10 = verify.run_theorem(10)
     min_row = [r for r in rep10.rows if r.label.startswith("grid minimum")][0]
     ok = rep9.passed and rep10.passed and min_row.margin > 0
     assert report(8, ok, f"half-period sandwich over 8 (a, b, k) cells; "

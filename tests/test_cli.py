@@ -218,7 +218,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     from etazeros.report import VerificationReport
     import etazeros.cli as cli_mod
 
-    def failing(n, q, b_grid=None):
+    def failing(n, b_grid=None):
         rep = VerificationReport(name="theorem8")
         rep.add_inequality("forced failure", -1.0)
         return rep
@@ -338,12 +338,6 @@ def test_eval_series_method_needs_big_enough_b(capsys):
 
 def test_decompose_needs_big_enough_b(capsys):
     code, _, err = run(capsys, "decompose", "--a", "0.5", "--b", "5")
-    assert code == 3
-
-
-def test_bad_tol_is_usage_error(capsys):
-    code, _, err = run(capsys, "eval", "--a", "0.5", "--b", "5",
-                       "--tol", "1e-20")
     assert code == 3
 
 

@@ -19,19 +19,16 @@ from etazeros.decomposition import (
 )
 from etazeros.quadrature import (
     IntegrandSpec,
-    QuadratureSpec,
     integrate_finite,
     integrate_to_infinity,
 )
-
-Q = QuadratureSpec()
 
 
 # ---------------------------------------------------------------------------
 # Plan structure.
 
 def test_plan_structure():
-    plan = make_plan(0.5, 100.0, Q)
+    plan = make_plan(0.5, 100.0)
     assert plan.K == 11
     assert plan.c == pytest.approx(math.exp(math.pi / 100.0), rel=1e-15)
     assert plan.R == pytest.approx(math.exp(0.22 * math.pi), rel=1e-14)
@@ -47,7 +44,7 @@ def test_plan_structure():
 
 def test_plan_validation():
     with pytest.raises(ValueError):
-        make_plan(1.5, 100.0, Q)
+        make_plan(1.5, 100.0)
 
 
 # ---------------------------------------------------------------------------
@@ -55,45 +52,45 @@ def test_plan_validation():
 
 @pytest.mark.parametrize("b", (100.0, 1000.0))
 def test_paired_sum_equals_direct_tail(b):
-    plan = make_plan(0.5, b, Q)
-    v_pair, e_pair = upper_integral(plan, Q)
+    plan = make_plan(0.5, b)
+    v_pair, e_pair = upper_integral(plan)
     v_dir, e_dir = integrate_to_infinity(
-        IntegrandSpec("fermi", "sin", a=0.5, b=b), plan.R, Q, paired=False)
+        IntegrandSpec("fermi", "sin", a=0.5, b=b), plan.R, paired=False)
     assert abs(v_pair - v_dir) < 1e-9
 
 
 def test_single_interval_regroups():
     # the period integral of f sin equals the sum of its two half-wave parts
-    plan = make_plan(0.5, 100.0, Q)
+    plan = make_plan(0.5, 100.0)
     k = plan.K
     spec = IntegrandSpec("fermi", "sin", a=0.5, b=100.0)
     t0, t1 = plan.half_period(k)
     t2 = plan.endpoint(2 * k + 2)
-    whole, _ = integrate_finite(spec, t0, t2, Q)
-    part1, _ = integrate_finite(spec, t0, t1, Q)
-    part2, _ = integrate_finite(spec, t1, t2, Q)
+    whole, _ = integrate_finite(spec, t0, t2)
+    part1, _ = integrate_finite(spec, t0, t1)
+    part2, _ = integrate_finite(spec, t1, t2)
     assert whole == pytest.approx(part1 + part2, abs=2e-15)
 
 
 def test_half_wave_change_of_variable():
     # the negative half-wave maps onto the positive one:
     # int_(t1)^(t2) f sin dt = -c int f(u c) sin(b log u) du over [t0, t1]
-    plan = make_plan(0.5, 100.0, Q)
+    plan = make_plan(0.5, 100.0)
     b, c = plan.b, plan.c
     k = plan.K
     t0, t1 = plan.half_period(k)
     t2 = plan.endpoint(2 * k + 2)
     lhs, _ = integrate_finite(IntegrandSpec("fermi", "sin", a=0.5, b=b),
-                              t1, t2, Q)
+                              t1, t2)
     # c * f(u c) = c^a u^(a-1) q(c u): the scaled kernel times c^a
     rhs, _ = integrate_finite(IntegrandSpec("fermi", "sin", a=0.5, b=b,
-                                            scale=c), t0, t1, Q)
+                                            scale=c), t0, t1)
     assert lhs == pytest.approx(-c ** 0.5 * rhs, abs=5e-15)
 
 
 def test_positivity_of_contributions():
-    plan = make_plan(0.5, 100.0, Q)
-    rows = interval_contributions(plan, 21, Q)
+    plan = make_plan(0.5, 100.0)
+    rows = interval_contributions(plan, 21)
     assert [r["k"] for r in rows] == list(range(plan.K, plan.K + 21))
     assert all(r["contribution"] > 0 for r in rows)
     assert rows[-1]["cumulative"] == pytest.approx(
@@ -106,12 +103,12 @@ def test_positivity_of_contributions():
 @pytest.mark.parametrize("a,b,R", [(0.5, 100.0, 2.0), (0.2, 1000.0, 1.0),
                                    (0.731, 100.0, 1.0)])
 def test_tail_telescoping_report(a, b, R):
-    rep = check_theorem7(a, b, R, Q)
+    rep = check_theorem7(a, b, R)
     assert rep.passed, rep.to_text()
 
 
 def test_tail_bounds_collapse_at_large_b():
-    rep = check_theorem7(0.5, 1e4, 2.0, Q)
+    rep = check_theorem7(0.5, 1e4, 2.0)
     assert rep.passed
     margins = [r.margin for r in rep.rows if r.margin is not None]
     assert all(0 < m < 1e-6 for m in margins)  # bounds close in but stay strict
@@ -119,11 +116,11 @@ def test_tail_bounds_collapse_at_large_b():
 
 def test_scaling_identity():
     c = math.exp(math.pi / 100.0)
-    assert scaling_identity_discrepancy(1.0, 2.0, 0.5, c, Q) < 1e-12
+    assert scaling_identity_discrepancy(1.0, 2.0, 0.5, c) < 1e-12
 
 
 def test_telescoping_partial_sums():
-    lhs, rhs = telescoping_partial_sums(0.5, 100.0, 5, Q)
+    lhs, rhs = telescoping_partial_sums(0.5, 100.0, 5)
     assert abs(lhs - rhs) < 1e-11
 
 
@@ -131,7 +128,7 @@ def test_telescoping_partial_sums():
 # Sine averages.
 
 def test_average_closed_form_vs_quadrature():
-    closed, by_quad = interval_average(0, 10.0, Q)
+    closed, by_quad = interval_average(0, 10.0)
     assert closed == pytest.approx(0.635492, abs=1e-6)
     assert abs(closed - by_quad) < 1e-12 * closed
     lo, hi = average_bound_margins(10.0)
@@ -140,19 +137,19 @@ def test_average_closed_form_vs_quadrature():
 
 
 def test_average_is_k_free():
-    c0, _ = interval_average(0, 100.0, Q)
-    c37, q37 = interval_average(37, 100.0, Q)
+    c0, _ = interval_average(0, 100.0)
+    c37, q37 = interval_average(37, 100.0)
     assert c0 == c37
     assert abs(c37 - q37) < 1e-12 * c37
 
 
 def test_average_limit_large_b():
-    closed, _ = interval_average(0, 1e4, Q)
+    closed, _ = interval_average(0, 1e4)
     assert abs(closed - 2.0 / math.pi) < 1e-8
 
 
 def test_check_theorem8():
-    rep = check_theorem8(q=Q)
+    rep = check_theorem8()
     assert rep.passed, rep.to_text()
 
 
@@ -160,13 +157,13 @@ def test_check_theorem8():
 # Half-period sandwich.
 
 def test_sandwich_at_plan_start():
-    plan = make_plan(0.5, 100.0, Q)
-    rep = check_theorem9(plan.K, 100.0, 0.5, Q)
+    plan = make_plan(0.5, 100.0)
+    rep = check_theorem9(plan.K, 100.0, 0.5)
     assert rep.passed, rep.to_text()
 
 
 def test_sandwich_far_interval():
-    rep = check_theorem9(200, 1000.0, 0.7, Q)
+    rep = check_theorem9(200, 1000.0, 0.7)
     assert rep.passed, rep.to_text()
 
 
@@ -176,7 +173,7 @@ def test_sandwich_reduces_to_average_bounds_for_flat_kernel():
     b, k = 100.0, 11
     t0 = math.exp(2 * k * math.pi / b)
     t1 = math.exp((2 * k + 1) * math.pi / b)
-    mid, _ = integrate_finite(IntegrandSpec("unit", "sin", b=b), t0, t1, Q)
+    mid, _ = integrate_finite(IntegrandSpec("unit", "sin", b=b), t0, t1)
     lower = (2.0 / math.pi - 2.0 / (math.pi * b * b)) * (t1 - t0)
     upper = (2.0 / math.pi) * (t1 - t0)
     assert lower < mid < upper
@@ -184,7 +181,7 @@ def test_sandwich_reduces_to_average_bounds_for_flat_kernel():
 
 def test_sandwich_hypothesis_guard():
     with pytest.raises(ValueError):
-        check_theorem9(5, 50.0, 0.5, Q)
+        check_theorem9(5, 50.0, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -11,16 +11,12 @@ from etazeros.quadrature import (
     _RULE_LO,
     IntegrandSpec,
     QuadratureError,
-    QuadratureSpec,
     _gauss,
     eval_integrand,
     integrate_finite,
     integrate_line,
     integrate_to_infinity,
 )
-
-Q = QuadratureSpec()
-
 
 def node(k, b):
     return math.exp(k * math.pi / b)
@@ -132,10 +128,10 @@ def test_power_singularity():
     # via fermi at a=1/2 against its own series value is circular; use
     # int_0^1 t^(a-1) e^-t dt = gamma(a) - tail, verified for a = 1/2 below)
     spec = IntegrandSpec("exp", a=0.5)
-    val, err = integrate_to_infinity(spec, 1e-12, Q)  # ~ whole line
+    val, err = integrate_to_infinity(spec, 1e-12)  # ~ whole line
     # int_0^inf t^(-1/2) e^-t dt = gamma(1/2) = sqrt(pi); the [0, 1e-12]
     # sliver is 2e-6-ish, so compare the full-line variant instead
-    val_full, err_full = integrate_line("exp", 0.5, Q)
+    val_full, err_full = integrate_line("exp", 0.5)
     assert val_full.imag == 0.0
     assert val_full.real == pytest.approx(math.sqrt(math.pi), rel=1e-12)
     assert abs(val_full.real - val) < 2.1e-6
@@ -147,7 +143,7 @@ def test_pure_power_cusp():
     # [0, 1]: fermi at scale 1e-8 gives 1/(e^(st)+1)
     # = 1/2 - st/4 + O((st)^2); double it and the correction is ~ 2.5e-9·2/3
     spec = IntegrandSpec("fermi", a=0.5, scale=1e-8)
-    val, err = integrate_finite(spec, 0.0, 1.0, Q)
+    val, err = integrate_finite(spec, 0.0, 1.0)
     correction = 1e-8 / 4.0 * (2.0 / 3.0)  # int t^(1/2)/4 * s dt
     assert 2.0 * val == pytest.approx(2.0 - 2.0 * correction, abs=1e-12)
 
@@ -156,37 +152,37 @@ def test_fermi_log_antiderivative():
     # int_0^X dt/(e^t+1) = [t - log(1 + e^t)]_0^X = X - log(1+e^X) + log 2
     spec = IntegrandSpec("fermi", a=1.0)
     X = math.log(3.0)
-    val, err = integrate_finite(spec, 0.0, X, Q)
+    val, err = integrate_finite(spec, 0.0, X)
     assert val == pytest.approx(math.log(3.0) - math.log(2.0), rel=1e-13)
     assert err < 1e-12
 
 
 def test_fermi_whole_line_log2():
-    val, err = integrate_line("fermi", 1.0, Q)
+    val, err = integrate_line("fermi", 1.0)
     assert val.imag == 0.0
     assert val.real == pytest.approx(math.log(2.0), rel=1e-13)
 
 
 def test_gamma_kernel_factorial():
     # int_0^inf t e^-t dt = 1
-    val, _ = integrate_line("exp", 2.0, Q)
+    val, _ = integrate_line("exp", 2.0)
     assert val.real == pytest.approx(1.0, rel=1e-13)
 
 
 def test_bose_kernel_zeta2():
     # int_0^inf t/(e^t - 1) dt = zeta(2) gamma(2) = pi^2/6
-    val, _ = integrate_line("bose", 2.0, Q)
+    val, _ = integrate_line("bose", 2.0)
     assert val.real == pytest.approx(math.pi ** 2 / 6.0, rel=1e-12)
 
 
 def test_line_kernels_and_conjugate_symmetry():
     with pytest.raises(ValueError):
-        integrate_line("pair_fermi", complex(0.5, 10.0), Q)
+        integrate_line("pair_fermi", complex(0.5, 10.0))
     with pytest.raises(ValueError):
         # the bose head 1/z integrates only for Re s > 1
-        integrate_line("bose", complex(1.0, 10.0), Q)
-    up, err_up = integrate_line("exp", complex(0.5, 7.0), Q)
-    dn, err_dn = integrate_line("exp", complex(0.5, -7.0), Q)
+        integrate_line("bose", complex(1.0, 10.0))
+    up, err_up = integrate_line("exp", complex(0.5, 7.0))
+    dn, err_dn = integrate_line("exp", complex(0.5, -7.0))
     assert dn == up.conjugate() and err_dn == err_up
 
 
@@ -199,7 +195,7 @@ def test_sine_half_period_closed_form():
     for b, k in ((10.0, 0), (10.0, 5), (100.0, 50), (1000.0, 3)):
         spec = IntegrandSpec("unit", "sin", b=b)
         lo, hi = node(2 * k, b), node(2 * k + 1, b)
-        val, err = integrate_finite(spec, lo, hi, Q)
+        val, err = integrate_finite(spec, lo, hi)
         closed = (hi + lo) / (b * (b ** -2 + 1.0))
         assert val == pytest.approx(closed, rel=1e-13)
 
@@ -211,7 +207,7 @@ def test_oscillatory_lower_integral_against_series_free_reference():
     K = 1
     R = node(2 * K, b)
     spec = IntegrandSpec("fermi", "sin", a=a, b=b)
-    val, err = integrate_finite(spec, 0.0, R, Q)
+    val, err = integrate_finite(spec, 0.0, R)
 
     # independent brute force: midpoint-refined Simpson on [eps, R] in log t
     import scipy.integrate as si
@@ -232,9 +228,9 @@ def test_paired_equals_direct_one_period():
                 direct = IntegrandSpec("fermi", "sin", a=a, b=b)
                 paired = direct.paired
                 lo, mid, hi = node(2 * k, b), node(2 * k + 1, b), node(2 * k + 2, b)
-                v_direct, e_direct = integrate_finite(direct, lo, hi, Q)
-                v_pair, e_pair = integrate_finite(paired, lo, mid, Q)
-                tol = 2.0 * Q.target_tol * max(abs(v_pair), 1e-12) + 2e-15
+                v_direct, e_direct = integrate_finite(direct, lo, hi)
+                v_pair, e_pair = integrate_finite(paired, lo, mid)
+                tol = 2.0 * quadrature._STALL_TOL * max(abs(v_pair), 1e-12) + 2e-15
                 assert abs(v_direct - v_pair) < tol + e_direct + e_pair
 
 
@@ -244,27 +240,27 @@ def test_paired_whole_upper_range():
     K = int(b * math.log(2.0) / (2.0 * math.pi))
     R = node(2 * K, b)
     spec = IntegrandSpec("fermi", "sin", a=a, b=b)
-    v_direct, e_d = integrate_to_infinity(spec, R, Q, paired=False)
-    v_pair, e_p = integrate_to_infinity(spec, R, Q, paired=True)
+    v_direct, e_d = integrate_to_infinity(spec, R, paired=False)
+    v_pair, e_p = integrate_to_infinity(spec, R, paired=True)
     assert abs(v_direct - v_pair) < 1e-9
 
 
 def test_cos_kind_runs():
     # the cos kind of the fermi kernel is Re F(0.5 + 50i)
-    val, err = integrate_line("fermi", complex(0.5, 50.0), Q)
+    val, err = integrate_line("fermi", complex(0.5, 50.0))
     assert math.isfinite(val.real) and err < 1e-8
 
 
 # ---------------------------------------------------------------------------
 # Error handling and stability contracts.
 
-def test_non_convergence_raises_with_payload():
+def test_non_convergence_raises_with_payload(monkeypatch):
     # gamma(1/2) on the real axis: the panel rule spans the e^(-t) kernel's
     # head in a few panels that two bisections cannot resolve, and the
     # stall carries the best value with an error that bounds it
-    qq = QuadratureSpec(target_tol=1e-10, max_refinement_depth=2)
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 2)
     with pytest.raises(QuadratureError) as ei:
-        integrate_line("exp", 0.5, qq)
+        integrate_line("exp", 0.5)
     assert ei.value.value is not None
     assert ei.value.err_est is not None and ei.value.err_est > 0
     assert abs(ei.value.value - math.sqrt(math.pi)) <= ei.value.err_est
@@ -274,32 +270,18 @@ def test_non_convergence_raises_with_payload():
 def test_line_overflow_raises(a):
     # r^(s-1) on the ray (a = 100) or the tail bound (a = 120) overflows
     with pytest.raises(QuadratureError):
-        integrate_line("fermi", complex(a, 1.0), Q)
+        integrate_line("fermi", complex(a, 1.0))
 
 
-def test_refinement_consistency():
+def test_refinement_consistency(monkeypatch):
     # doubling the refinement depth must not move a converged value by more
     # than its reported error estimate
     # (the sin kind of the fermi kernel is Im F(0.3 + 40i))
     s = complex(0.3, 40.0)
-    q1 = QuadratureSpec(target_tol=1e-10, max_refinement_depth=12)
-    q2 = QuadratureSpec(target_tol=1e-10, max_refinement_depth=24)
-    v1, e1 = integrate_line("fermi", s, q1)
-    v2, e2 = integrate_line("fermi", s, q2)
+    v2, e2 = integrate_line("fermi", s)
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", quadrature._MAX_DEPTH // 2)
+    v1, e1 = integrate_line("fermi", s)
     assert abs(v1.imag - v2.imag) <= max(e1, e2) + 1e-15
-
-
-def test_truncation_policy_floor():
-    q = QuadratureSpec()
-    assert q.truncation_point(0.5, 1e-10) == 60.0
-    assert q.truncation_point(0.5, 1e-40) > 60.0
-
-
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(target_tol=1e-15)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_refinement_depth=31)
 
 
 def test_slow_oscillation_through_the_cusp():
@@ -312,7 +294,7 @@ def test_slow_oscillation_through_the_cusp():
     for trig, closed in (("cos", a / (a * a + beta * beta)),
                          ("sin", -beta / (a * a + beta * beta))):
         spec = IntegrandSpec("fermi", trig, a=a, b=beta, scale=1e-12)
-        val, err = integrate_finite(spec, 0.0, 1.0, Q)
+        val, err = integrate_finite(spec, 0.0, 1.0)
         assert 2.0 * val == pytest.approx(closed, rel=1e-10)
 
 
@@ -328,7 +310,7 @@ def test_arbitrary_endpoint_oscillatory_panels():
             / (1.0 + b * b)
 
     for lo, hi in ((0.37, 2.83), (1.0, 1.04), (0.095, 61.7)):
-        val, err = integrate_finite(spec, lo, hi, Q)
+        val, err = integrate_finite(spec, lo, hi)
         assert val == pytest.approx(anti(hi) - anti(lo), abs=1e-12 * hi + err)
 
 
@@ -337,17 +319,17 @@ def test_arbitrary_endpoint_oscillatory_panels():
 def test_gamma_kernel_error_contract(a):
     # |value - gamma(a)| <= max(err_est, target_tol |value|) across the
     # whole supported exponent range, singular and regular alike
-    val, err = integrate_line("exp", a, Q)
+    val, err = integrate_line("exp", a)
     val = val.real
     true = math.gamma(a)
-    assert abs(val - true) <= max(err, Q.target_tol * abs(val)) + 1e-15 * true
+    assert abs(val - true) <= max(err, quadrature._STALL_TOL * abs(val)) + 1e-15 * true
 
 
 def test_scaled_fermi_kernel():
     # int_alpha^beta t^(a-1)/(e^(ct)+1) dt = c^-a int_(c alpha)^(c beta) u^(a-1)/(e^u+1) du
     a, c = 0.5, math.exp(math.pi / 100.0)
-    lhs, _ = integrate_finite(IntegrandSpec("fermi", a=a, scale=c), 1.0, 2.0, Q)
-    rhs, _ = integrate_finite(IntegrandSpec("fermi", a=a), c, 2.0 * c, Q)
+    lhs, _ = integrate_finite(IntegrandSpec("fermi", a=a, scale=c), 1.0, 2.0)
+    rhs, _ = integrate_finite(IntegrandSpec("fermi", a=a), c, 2.0 * c)
     assert lhs == pytest.approx(c ** -a * rhs, rel=1e-12)
 
 
@@ -368,7 +350,7 @@ def test_real_axis_err_est_bounds_error_against_mpmath():
     tail_ref = mp.quad(f_u, mp.linspace(u_lo, u_hi, 31))
     spec = IntegrandSpec("fermi", "sin", a=a, b=b)
     for paired in (False, True):
-        v, e = integrate_to_infinity(spec, R, Q, paired=paired)
+        v, e = integrate_to_infinity(spec, R, paired=paired)
         assert abs(v - tail_ref) <= e, paired
 
     c = mp.exp(mp.pi / b)
@@ -379,16 +361,16 @@ def test_real_axis_err_est_bounds_error_against_mpmath():
     def h(t):
         return t ** (a - 1) * (q_(t) - c ** a * q_(c * t))
 
-    v, e = integrate_to_infinity(IntegrandSpec("pair_fermi", a=a, b=b), 1.0, Q)
+    v, e = integrate_to_infinity(IntegrandSpec("pair_fermi", a=a, b=b), 1.0)
     assert abs(v - mp.quad(h, [1, 2, 5, 10, 20, 40, 80])) <= e
     v, e = integrate_finite(IntegrandSpec("fermi", a=a), 1.0,
-                            math.exp(math.pi / b), Q)
+                            math.exp(math.pi / b))
     ref = mp.quad(lambda t: t ** (a - 1) * q_(t), [1, mp.mpf(math.exp(math.pi / b))])
     assert abs(v - ref) <= e
 
     t0, t1 = node(2 * K, b), node(2 * K + 1, b)
     v, e = integrate_finite(IntegrandSpec("pair_fermi", "sin", a=a, b=b),
-                            t0, t1, Q)
+                            t0, t1)
     ref = mp.quad(lambda t: h(t) * mp.sin(b * mp.log(t)), [t0, t1])
     assert abs(v - ref) <= e
 
@@ -425,14 +407,14 @@ def test_panels_fast_path_matches_loop(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_panels", recorded)
     for n in (2, 6, 7, 9):
-        verify.run_theorem(n, Q)
+        verify.run_theorem(n)
     for b in (3.0, 10.0, 30.0):
         spec = IntegrandSpec("fermi", "sin", a=0.5, b=b)
-        integrate_to_infinity(spec, 1.0, Q)
-        integrate_to_infinity(spec, 1.0, Q, paired=True)
-        integrate_finite(spec, 0.0, 50.0, Q)
+        integrate_to_infinity(spec, 1.0)
+        integrate_to_infinity(spec, 1.0, paired=True)
+        integrate_finite(spec, 0.0, 50.0)
     for b in (14.1, 485.0):
-        integrate_line("fermi", complex(0.5, b), Q)
+        integrate_line("fermi", complex(0.5, b))
     whole = split = 0
     for args, kwargs, xs in calls:
         assert np.array_equal(xs, _panels_by_loop(*args, **kwargs)), args

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from etazeros.quadrature import QuadratureError, QuadratureSpec
+from etazeros.quadrature import QuadratureError
 from etazeros.special import (
     ComplexPoint,
     F,
@@ -15,13 +15,11 @@ from etazeros.special import (
     zeta_strip,
 )
 
-Q = QuadratureSpec()
-
 FIRST_ZERO = 14.134725  # derived by the eta oracle (see test_zerofinder)
 
 
 def test_F_at_one_is_log2():
-    ev = F(1.0, Q)
+    ev = F(1.0)
     assert ev.value.re == pytest.approx(math.log(2.0), rel=1e-12)
     assert ev.value.im == 0.0
 
@@ -29,45 +27,45 @@ def test_F_at_one_is_log2():
 def test_F_at_two():
     # F(2) = (1 - 2^-1) G(2) with G(2) = zeta(2) gamma(2) = pi^2/6;
     # oracle route: alternating sum of n^-2 converges to pi^2/12
-    ev = F(2.0, Q)
+    ev = F(2.0)
     assert ev.value.re == pytest.approx(math.pi ** 2 / 12.0, rel=1e-12)
 
 
 def test_F_small_at_first_zero():
-    ev = F(ComplexPoint(0.5, FIRST_ZERO), Q)
+    ev = F(ComplexPoint(0.5, FIRST_ZERO))
     assert abs(ev.value) < 1e-5
 
 
 def test_gamma_integer_and_half():
-    assert Gamma(1.0, Q).value.re == pytest.approx(1.0, rel=1e-12)
-    assert Gamma(5.0, Q).value.re == pytest.approx(24.0, rel=1e-12)
-    assert Gamma(0.5, Q).value.re == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+    assert Gamma(1.0).value.re == pytest.approx(1.0, rel=1e-12)
+    assert Gamma(5.0).value.re == pytest.approx(24.0, rel=1e-12)
+    assert Gamma(0.5).value.re == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
 
 def test_G_direct_values():
-    g2 = G(2.0, Q)
+    g2 = G(2.0)
     assert g2.method == "direct"
     assert g2.value.re == pytest.approx(math.pi ** 2 / 6.0, rel=1e-11)
-    g4 = G(4.0, Q)
+    g4 = G(4.0)
     assert g4.value.re == pytest.approx(math.pi ** 4 / 15.0, rel=1e-11)
 
 
 def test_G_strip_is_definitional():
     s = ComplexPoint(0.5, 25.0)
-    g = G(s, Q)
+    g = G(s)
     assert g.method == "via-identity"
-    f = F(s, Q)
+    f = F(s)
     expected = f.value.value / one_minus_two_pow(s)
     assert g.value.value == expected
 
 
 def test_G_rejects_left_halfplane():
     with pytest.raises(ValueError):
-        G(-0.5, Q)
+        G(-0.5)
 
 
 def test_zeta_at_two():
-    assert zeta_strip(2.0, Q).value.re == pytest.approx(math.pi ** 2 / 6.0,
+    assert zeta_strip(2.0).value.re == pytest.approx(math.pi ** 2 / 6.0,
                                                         rel=1e-11)
 
 
@@ -75,20 +73,20 @@ def test_zeta_at_half():
     # zeta(1/2) = eta(1/2)/(1 - sqrt(2)); reference from the eta oracle
     from etazeros.zerofinder import zeta_oracle
     ref = zeta_oracle(0.5, tol=1e-13)
-    got = zeta_strip(0.5, Q)
+    got = zeta_strip(0.5)
     assert got.value.re == pytest.approx(ref.re, rel=1e-10)
     assert got.value.re == pytest.approx(-1.4603545, abs=1e-6)
 
 
 def test_zeta_near_first_zero():
-    z = zeta_strip(ComplexPoint(0.5, FIRST_ZERO), Q)
+    z = zeta_strip(ComplexPoint(0.5, FIRST_ZERO))
     assert abs(z.value) < 1e-4
 
 
 def test_zeta_refuses_noise_quotient():
     # |gamma(1/2 + 500i)| ~ e^-785 underflows to 0: no quotient to return
     with pytest.raises(QuadratureError):
-        zeta_strip(ComplexPoint(0.5, 500.0), Q)
+        zeta_strip(ComplexPoint(0.5, 500.0))
 
 
 @pytest.mark.parametrize("b", [40.0, 100.0])
@@ -96,7 +94,7 @@ def test_zeta_strip_within_err_est_of_mpmath(b):
     # |gamma(1/2 + ib)| is 5e-28 at b = 40 and 1e-68 at b = 100; the ray
     # resolves it, so the quotient keeps its relative accuracy
     mpmath = pytest.importorskip("mpmath")
-    z = zeta_strip(ComplexPoint(0.5, b), Q)
+    z = zeta_strip(ComplexPoint(0.5, b))
     with mpmath.workdps(40):
         ref = mpmath.zeta(mpmath.mpc(0.5, b))
         assert abs(mpmath.mpf(z.value.re) - ref.real) <= z.err_re
@@ -105,8 +103,8 @@ def test_zeta_strip_within_err_est_of_mpmath(b):
 
 def test_conjugate_symmetry():
     for (a, b) in ((0.3, 7.0), (0.5, 14.2), (0.8, 23.0)):
-        up = F(ComplexPoint(a, b), Q)
-        dn = F(ComplexPoint(a, -b), Q)
+        up = F(ComplexPoint(a, b))
+        dn = F(ComplexPoint(a, -b))
         assert dn.value.re == up.value.re
         assert dn.value.im == -up.value.im
 
@@ -117,13 +115,13 @@ def test_identity_chain_strip_grid():
     points = [ComplexPoint(a, b)
               for a in (0.2, 0.5, 0.8)
               for b in (5.0, 10.0, 14.1347, 50.0, 100.0)]
-    rep = check_theorem1(points, Q)
+    rep = check_theorem1(points)
     assert rep.passed, rep.to_text()
     assert len([r for r in rep.rows if r.gating]) == 15
 
 
 def test_theorem1_excludes_outside_strip():
-    rep = check_theorem1([ComplexPoint(1.0, 2 * math.pi / math.log(2.0))], Q)
+    rep = check_theorem1([ComplexPoint(1.0, 2 * math.pi / math.log(2.0))])
     assert rep.rows[0].gating is False
     assert "excluded" in rep.rows[0].note
 
@@ -136,7 +134,7 @@ def test_small_b_against_library_gamma():
     from etazeros.zerofinder import eta_oracle
     for a, b in ((0.5, 0.2), (0.3, 1.0), (0.8, 2.5)):
         s = complex(a, b)
-        f = F(ComplexPoint(a, b), Q)
+        f = F(ComplexPoint(a, b))
         ref = complex(sps.gamma(s)) * eta_oracle(s, tol=1e-12).value
         assert abs(f.value.value - ref) < 1e-10 * abs(ref) + 1e-14
 
@@ -148,10 +146,10 @@ def test_imaginary_part_matches_series_plus_decomposition():
     from etazeros.series import choose_K_R, series_lower_integral
     for b in (100.0, 200.0):
         s = ComplexPoint(0.5, b)
-        f = F(s, Q)
+        f = F(s)
         K, R = choose_K_R(b, 2.0)
         head = series_lower_integral(0.5, b, K, R, tol=1e-13)
-        tail, tail_err = upper_integral(make_plan(0.5, b, Q), Q)
+        tail, tail_err = upper_integral(make_plan(0.5, b))
         assert abs(f.value.im - (head.value + tail)) \
             <= head.tail_bound + tail_err + f.err_im
 
@@ -166,7 +164,7 @@ def test_F_err_est_bounds_error_against_mpmath(b):
     # lie within its own error estimate of it, however small |F| gets
     mpmath = pytest.importorskip("mpmath")
     for a in ERR_GRID_A:
-        ev = F(ComplexPoint(a, b), Q)
+        ev = F(ComplexPoint(a, b))
         with mpmath.workdps(40):
             s = mpmath.mpc(a, b)
             ref = mpmath.gamma(s) * mpmath.altzeta(s)
@@ -185,8 +183,8 @@ def test_F_is_quadrature_only_and_reproducible(monkeypatch):
 
     monkeypatch.setattr(zf, "eta_oracle", refuse)
     s = ComplexPoint(0.5, 40.0)
-    first = F(s, Q)
-    again = F(s, Q)
+    first = F(s)
+    again = F(s)
     assert (first.value.re, first.value.im, first.err_re) == \
         (again.value.re, again.value.im, again.err_re)
     assert first.method == "integral-ray"
@@ -203,7 +201,7 @@ def _assert_within_err(ev, ref, mpmath):
 def test_gamma_err_est_bounds_error_against_mpmath(b):
     mpmath = pytest.importorskip("mpmath")
     for a in (0.1, 0.5, 0.9, 2.0, 5.0):
-        ev = Gamma(ComplexPoint(a, b), Q)
+        ev = Gamma(ComplexPoint(a, b))
         with mpmath.workdps(40):
             _assert_within_err(ev, mpmath.gamma(mpmath.mpc(a, b)), mpmath)
         assert ev.err_re <= 1e-8 * abs(ev.value), (a, b)
@@ -213,7 +211,7 @@ def test_gamma_err_est_bounds_error_against_mpmath(b):
                                  (1.5, 30.0), (3.0, 100.0)])
 def test_G_direct_matches_mpmath(a, b):
     mpmath = pytest.importorskip("mpmath")
-    ev = G(ComplexPoint(a, b), Q)
+    ev = G(ComplexPoint(a, b))
     assert ev.method == "direct"
     with mpmath.workdps(40):
         s = mpmath.mpc(a, b)
@@ -261,7 +259,7 @@ def test_gamma_quadrature_matches_stirling(b):
     # the two independent routes to Gamma(s): the exp kernel on the ray and
     # Stirling's series, compared in log form
     for a in (0.1, 0.5, 2.0):
-        ev = Gamma(ComplexPoint(a, b), Q)
+        ev = Gamma(ComplexPoint(a, b))
         lg, lg_err = log_gamma(complex(a, b))
         rel = abs(ev.value.value / complex(math.cos(lg.imag),
                                            math.sin(lg.imag))

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import etazeros.zerofinder as zerofinder
-from etazeros.quadrature import QuadratureSpec
 from etazeros.special import ComplexPoint, F, Gamma
 from etazeros.zerofinder import (
     EtaConvergenceError,
@@ -21,7 +20,6 @@ from etazeros.zerofinder import (
     zeta_oracle,
 )
 
-Q = QuadratureSpec()
 EPS = math.ulp(1.0)
 
 # ordinates derived by bisecting the eta oracle itself (frozen at 1e-6)
@@ -178,7 +176,7 @@ def test_zeta_oracle_known_values():
 
 def test_scan_finds_three_brackets_both_methods():
     for method in ("oracle", "integral"):
-        brackets = scan_critical_line(10.0, 30.0, 0.25, Q, method=method)
+        brackets = scan_critical_line(10.0, 30.0, 0.25, method=method)
         assert len(brackets) == 3, (method, brackets)
         spans = [(b.b_lo, b.b_hi) for b in brackets]
         for (lo, hi), z in zip(spans, (ZERO_1, ZERO_2, ZERO_3)):
@@ -186,24 +184,24 @@ def test_scan_finds_three_brackets_both_methods():
 
 
 def test_scan_empty_below_first_zero():
-    assert scan_critical_line(1.0, 10.0, 0.25, Q, method="oracle") == []
+    assert scan_critical_line(1.0, 10.0, 0.25, method="oracle") == []
 
 
 def test_scan_fine_window():
-    brackets = scan_critical_line(14.0, 14.3, 0.01, Q, method="oracle")
+    brackets = scan_critical_line(14.0, 14.3, 0.01, method="oracle")
     assert len(brackets) == 1
     assert brackets[0].b_lo <= ZERO_1 <= brackets[0].b_hi
 
 
 def test_scan_bracket_invariant():
-    for br in scan_critical_line(10.0, 30.0, 0.25, Q, method="oracle"):
+    for br in scan_critical_line(10.0, 30.0, 0.25, method="oracle"):
         assert br.indicator_lo * br.indicator_hi < 0
 
 
 def test_scan_mirrored_range():
     # F2 is odd in b, so the mirrored window brackets the mirrored ordinates
-    neg = scan_critical_line(-30.0, -10.0, 0.25, Q, method="integral")
-    pos = scan_critical_line(10.0, 30.0, 0.25, Q, method="integral")
+    neg = scan_critical_line(-30.0, -10.0, 0.25, method="integral")
+    pos = scan_critical_line(10.0, 30.0, 0.25, method="integral")
     assert len(neg) == len(pos) == 3
     for nb, pb in zip(sorted(-b.b_hi for b in neg), sorted(b.b_lo for b in pos)):
         assert nb == pytest.approx(pb, abs=1e-12)
@@ -211,23 +209,23 @@ def test_scan_mirrored_range():
 
 def test_scan_validates_step():
     with pytest.raises(ValueError):
-        scan_critical_line(10.0, 30.0, 0.75, Q)
+        scan_critical_line(10.0, 30.0, 0.75)
 
 
 # ---------------------------------------------------------------------------
 # Refinement.
 
 def test_refine_first_zero_oracle():
-    brackets = scan_critical_line(14.0, 14.3, 0.01, Q, method="oracle")
-    z = refine_zero(brackets[0], 1e-6, Q)
+    brackets = scan_critical_line(14.0, 14.3, 0.01, method="oracle")
+    z = refine_zero(brackets[0], 1e-6)
     assert z.b_star == pytest.approx(ZERO_1, abs=1e-5)
     assert z.residual < 1e-6
     assert z.residual_eta < 1e-6
 
 
 def test_refine_first_zero_integral():
-    brackets = scan_critical_line(14.0, 14.3, 0.01, Q, method="integral")
-    z = refine_zero(brackets[0], 1e-6, Q)
+    brackets = scan_critical_line(14.0, 14.3, 0.01, method="integral")
+    z = refine_zero(brackets[0], 1e-6)
     assert z.b_star == pytest.approx(ZERO_1, abs=1e-5)
     assert z.residual < 1e-6
 
@@ -240,18 +238,18 @@ def _fabricated_bracket(lo_b, hi_b, method):
 
 
 def test_refine_rejects_spurious_bracket():
-    lo = zerofinder._line_eval(18.0, Q, "oracle")[0].real
-    hi = zerofinder._line_eval(18.25, Q, "oracle")[0].real
+    lo = zerofinder._line_eval(18.0, "oracle")[0].real
+    hi = zerofinder._line_eval(18.25, "oracle")[0].real
     assert lo > 0 and hi > 0        # no sign change of Z in this step
     with pytest.raises(ZeroRefinementError) as ei:
-        refine_zero(_fabricated_bracket(18.0, 18.25, "oracle"), 1e-6, Q)
+        refine_zero(_fabricated_bracket(18.0, 18.25, "oracle"), 1e-6)
     assert 18.0 <= ei.value.b_best <= 18.25
     assert ei.value.residual_eta > 0.1  # |Z| stayed at O(1): not a zero
 
 
 def test_refine_rejects_spurious_integral_bracket():
     with pytest.raises(ZeroRefinementError) as ei:
-        refine_zero(_fabricated_bracket(18.50, 18.75, "integral"), 1e-6, Q)
+        refine_zero(_fabricated_bracket(18.50, 18.75, "integral"), 1e-6)
     assert 18.50 <= ei.value.b_best <= 18.75
     assert ei.value.residual_eta > 0.1
 
@@ -278,10 +276,10 @@ def _count_evals(monkeypatch):
 def test_refine_first_zero_takes_few_evaluations(monkeypatch, method):
     # the scan step's bracket [14, 14.25]: bisection to width 1e-9 would
     # take 28 steps, plus the evaluation at b* and the cross-check
-    bracket = scan_critical_line(10.0, 30.0, 0.25, Q, method=method)[0]
+    bracket = scan_critical_line(10.0, 30.0, 0.25, method=method)[0]
     assert bracket.b_hi - bracket.b_lo == 0.25
     counts = _count_evals(monkeypatch)
-    z = refine_zero(bracket, 1e-6, Q)
+    z = refine_zero(bracket, 1e-6)
     assert z.b_star == pytest.approx(ZERO_1, abs=1e-5)
     assert counts["F"] >= 1 and counts["eta"] >= 1, counts
     assert counts["F"] + counts["eta"] <= 12, counts
@@ -301,7 +299,7 @@ def test_refine_worst_case_is_bounded(monkeypatch, shape, b0):
     counts = _count_evals(monkeypatch)
     line_evals = []
 
-    def line_eval(b, q, method):
+    def line_eval(b, method):
         line_evals.append(b)
         v = complex(shape(b - b0))
         return v, 0.0, v
@@ -310,7 +308,7 @@ def test_refine_worst_case_is_bounded(monkeypatch, shape, b0):
     bracket = ZeroBracket(b_lo=14.0, b_hi=14.25, indicator_lo=shape(14.0 - b0),
                           indicator_hi=shape(14.25 - b0), method="integral")
     try:
-        b_star = refine_zero(bracket, 1e-6, Q).b_star
+        b_star = refine_zero(bracket, 1e-6).b_star
     except ZeroRefinementError as exc:      # the oracle sees no zero at b0
         b_star = exc.b_best
     assert abs(b_star - b0) < 5e-10
@@ -321,7 +319,7 @@ def test_refine_worst_case_is_bounded(monkeypatch, shape, b0):
 # The full pipeline and cross-route agreement.
 
 def test_find_zeros_three_ordinates():
-    zeros, scan_rows = find_zeros(10.0, 30.0, 0.25, 1e-6, Q)
+    zeros, scan_rows = find_zeros(10.0, 30.0, 0.25, 1e-6)
     assert len(zeros) == 3
     got = [z["b_star"] for z in zeros]
     for g, expect in zip(got, (ZERO_1, ZERO_2, ZERO_3)):
@@ -332,7 +330,7 @@ def test_find_zeros_three_ordinates():
 
 
 def test_integral_route_resolves_first_zero_sharply():
-    zeros, _ = find_zeros(13.0, 15.0, 0.25, 1e-6, Q)
+    zeros, _ = find_zeros(13.0, 15.0, 0.25, 1e-6)
     assert len(zeros) == 1
     z = zeros[0]
     assert z["b_star_integral"] is not None
@@ -345,14 +343,14 @@ def test_oracle_integral_agreement_off_zero():
     # below the floor
     for b in (5.0, 14.2, 21.0, 25.0, 30.0):
         s = ComplexPoint(0.5, b)
-        f = F(s, Q).value.value
-        rhs = Gamma(s, Q).value.value * eta_oracle(s, tol=1e-12).value
+        f = F(s).value.value
+        rhs = Gamma(s).value.value * eta_oracle(s, tol=1e-12).value
         denom = max(abs(f), 1e-9)
         assert abs(f - rhs) / denom < 1e-7
 
 
 def test_find_zeros_empty_range():
-    zeros, scan_rows = find_zeros(2.0, 8.0, 0.25, 1e-6, Q)
+    zeros, scan_rows = find_zeros(2.0, 8.0, 0.25, 1e-6)
     assert zeros == []
     assert len(scan_rows) == 25
 
@@ -361,7 +359,7 @@ def test_find_zeros_budget_and_accuracy(monkeypatch):
     # each scan takes 121 evaluations of its route; the 12 refinements
     # (6 zeros, two routes) add about 10 each, one of them on the other route
     counts = _count_evals(monkeypatch)
-    zeros, _ = find_zeros(10.0, 40.0, 0.25, 1e-6, Q)
+    zeros, _ = find_zeros(10.0, 40.0, 0.25, 1e-6)
     assert counts["F"] >= 121 and counts["eta"] >= 121, counts
     assert counts["F"] <= 200 and counts["eta"] <= 200, counts
     assert len(zeros) == 6
@@ -391,7 +389,7 @@ def test_scan_leaves_numpy_ma_unimported():
 @pytest.mark.parametrize("method", ["oracle", "integral"])
 def test_hardy_z_within_err_of_mpmath(method, b):
     mpmath = pytest.importorskip("mpmath")
-    zc, err, _ = zerofinder._line_eval(b, Q, method)
+    zc, err, _ = zerofinder._line_eval(b, method)
     assert abs(zc.real - float(mpmath.siegelz(b))) <= err, (zc, err)
     assert abs(zc.imag) <= err
     assert err <= 1e-8
@@ -399,8 +397,8 @@ def test_hardy_z_within_err_of_mpmath(method, b):
 
 def test_hardy_z_is_even():
     for method in ("oracle", "integral"):
-        up, _, raw_up = zerofinder._line_eval(30.5, Q, method)
-        dn, _, raw_dn = zerofinder._line_eval(-30.5, Q, method)
+        up, _, raw_up = zerofinder._line_eval(30.5, method)
+        dn, _, raw_dn = zerofinder._line_eval(-30.5, method)
         assert up == dn and raw_dn == raw_up.conjugate()
 
 
@@ -410,7 +408,7 @@ def test_find_zeros_high_windows(b_min, b_max, count):
     # zeros 0.25 to 1 apart, and past b ~ 476 |Gamma(1/2 + ib)| and F
     # underflow to 0: each zero is still a sign change of Z on both routes
     mpmath = pytest.importorskip("mpmath")
-    zeros, scan_rows = find_zeros(b_min, b_max, 0.25, 1e-6, Q)
+    zeros, scan_rows = find_zeros(b_min, b_max, 0.25, 1e-6)
     assert len(zeros) == count
     first = int(mpmath.nzeros(b_min)) + 1
     for k, z in enumerate(zeros, start=first):
