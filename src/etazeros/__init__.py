@@ -14,7 +14,6 @@ from .coeffs import (
 from .quadrature import (
     IntegrandSpec,
     QuadratureError,
-    eval_integrand,
     integrate_finite,
     integrate_to_infinity,
 )
@@ -27,7 +26,7 @@ from .zerofinder import LocatedZero, ZeroBracket, eta_oracle, refine_zero, scan_
 __all__ = [
     "CoefficientTable", "bernoulli", "coefficient_ratio", "g_deriv_at_zero",
     "g_over_factorial", "zeta_even",
-    "IntegrandSpec", "QuadratureError", "eval_integrand",
+    "IntegrandSpec", "QuadratureError",
     "integrate_finite", "integrate_to_infinity",
     "CheckRow", "VerificationReport",
     "ComplexPoint", "ComplexValue", "F", "G", "Gamma", "zeta_strip",

@@ -107,7 +107,7 @@ def _cmd_eval(args):
         tail, tail_err = upper_integral(plan)
         ev = F(p)                # no closed series for the cos head
         f = complex(ev.value.re, head.value + tail)
-        err = head.tail_bound + tail_err + ev.err_re
+        err = head.tail_bound + tail_err + ev.err
     else:  # oracle
         eta = eta_oracle(p, tol=1e-12)
         gam = Gamma(p)

@@ -53,9 +53,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 __all__ = [
-    "QuadratureError", "IntegrandSpec",
-    "eval_integrand", "integrate_finite", "integrate_to_infinity",
-    "integrate_line",
+    "QuadratureError", "IntegrandSpec", "integrate_finite",
+    "integrate_to_infinity", "integrate_line",
 ]
 
 
@@ -117,13 +116,6 @@ class IntegrandSpec:
             raise ValueError("scale must be positive")
 
     @property
-    def singular_exponent(self) -> float | None:
-        """alpha with integrand ~ t^(alpha-1) * bounded near 0 (None: regular)."""
-        if self.kernel == "unit":
-            return None
-        return self.a
-
-    @property
     def paired(self) -> "IntegrandSpec":
         """The analytically cancelled counterpart (full period -> half period)."""
         if self.kernel == "pair_fermi":
@@ -137,7 +129,8 @@ class IntegrandSpec:
     # ---- stable evaluation (vectorized; t > 0) ----
 
     def smooth_factor(self, t: np.ndarray) -> np.ndarray:
-        """kernel(t) / t^(alpha-1): bounded near 0, decaying at infinity."""
+        """kernel(t) without its power t^(a-1): bounded near 0, decaying at
+        infinity."""
         t = np.asarray(t, dtype=np.float64)
         k = self.kernel
         if k == "unit":
@@ -157,48 +150,6 @@ class IntegrandSpec:
         e2 = np.exp(-(1.0 + d) * t)
         num = -e1 * (np.expm1(apb - d * t) + e2 * lam_m1)
         return num / ((1.0 + e1) * (1.0 + e2))
-
-    def kernel_values(self, t: np.ndarray) -> np.ndarray:
-        """t^(a-1) * kernel(t), without the trig factor."""
-        t = np.asarray(t, dtype=np.float64)
-        alpha = self.singular_exponent
-        if alpha is None:
-            return self.smooth_factor(t)
-        return t ** (alpha - 1.0) * self.smooth_factor(t)
-
-    def trig_values(self, t: np.ndarray) -> np.ndarray:
-        if self.trig is None:
-            return np.ones_like(np.asarray(t, dtype=np.float64))
-        phase = self.b * np.log(t)
-        return np.sin(phase) if self.trig == "sin" else np.cos(phase)
-
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        return self.kernel_values(t) * self.trig_values(t)
-
-
-def eval_integrand(spec: IntegrandSpec, t):
-    """Integrand value(s) at t > 0 (t = 0 allowed where the limit exists)."""
-    scalar = np.isscalar(t)
-    arr = np.asarray(t, dtype=np.float64)
-    if np.any(arr < 0):
-        raise ValueError("integrand domain is t >= 0")
-    if np.any(arr == 0):
-        alpha = spec.singular_exponent
-        limit_exists = (spec.trig is None
-                        and (alpha is None or alpha >= 1.0))
-        if not limit_exists:
-            raise ValueError("t = 0 is outside the domain for this kind")
-        safe = np.where(arr == 0.0, 1.0, arr)
-        vals = spec(safe)
-        at0 = {"fermi": 0.5 if spec.a == 1.0 else 0.0,
-               "exp": 1.0 if spec.a == 1.0 else 0.0,
-               "unit": 1.0}.get(spec.kernel, 0.0)
-        if alpha is not None and alpha > 1.0:
-            at0 = 0.0
-        out = np.where(arr == 0.0, at0, vals)
-        return float(out) if scalar else out
-    out = spec(arr)
-    return float(out) if scalar else out
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ discrepancy against a tolerance (equality checks), or both.  Rows flagged
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -97,9 +96,6 @@ class VerificationReport:
                 for r in self.rows
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, indent=2)
 
     def to_csv(self) -> str:
         def cell(v):

@@ -82,28 +82,23 @@ class ComplexValue:
 
 @dataclass(frozen=True)
 class StripEval:
-    """A complex evaluation with its per-component error bounds."""
+    """A complex evaluation with a bound on the modulus of its error."""
 
     value: ComplexValue
-    err_re: float
-    err_im: float
+    err: float
     method: str
-
-    @property
-    def err(self) -> float:
-        return self.err_re + self.err_im
 
 
 def _ray(kernel: str, s, method: str = "integral-ray") -> StripEval:
     value, err = integrate_line(kernel, ComplexPoint.of(s).s)
-    return StripEval(ComplexValue(value.real, value.imag), err, err, method)
+    return StripEval(ComplexValue(value.real, value.imag), err, method)
 
 
 def F(s) -> StripEval:
     """F(s) = int_0^inf t^(s-1)/(e^t+1) dt as (F1, F2); requires Re s > 0.
 
-    err_re and err_im each bound the error of that component; both scale
-    with |F| ~ e^(-pi |b|/2), not with the real-axis integrand mass.  The
+    err bounds the modulus of the error; it scales with
+    |F| ~ e^(-pi |b|/2), not with the real-axis integrand mass.  The
     value at -b is the exact conjugate of the value at |b|.
     """
     return _ray("fermi", s)
@@ -181,9 +176,8 @@ def G(s) -> StripEval:
     f = F(p)
     denom = one_minus_two_pow(p)
     val = f.value.value / denom
-    scale = 1.0 / abs(denom)
-    return StripEval(ComplexValue(val.real, val.imag),
-                     f.err * scale, f.err * scale, "via-identity")
+    return StripEval(ComplexValue(val.real, val.imag), f.err / abs(denom),
+                     "via-identity")
 
 
 def zeta_strip(s) -> StripEval:
@@ -203,12 +197,11 @@ def zeta_strip(s) -> StripEval:
             "zeta quotient would be meaningless", value=None, err_est=gam.err)
     val = g.value.value / gam.value.value
     rel = (g.err / max(abs(g.value), 1e-300)) + gam.err / gam_abs
-    err = abs(val) * rel
-    return StripEval(ComplexValue(val.real, val.imag), err, err,
+    return StripEval(ComplexValue(val.real, val.imag), abs(val) * rel,
                      f"quotient({g.method})")
 
 
-def check_theorem1(points, eta_fn=None) -> VerificationReport:
+def check_theorem1(points) -> VerificationReport:
     """Bridge identity on a strip grid: F(s) computed by quadrature must match
     (1 - 2^(1-s)) * G(s) with G obtained *independently* as zeta_ref * gamma,
     i.e. the right side is gamma(s) * eta_ref(s) with eta_ref the accelerated
@@ -217,9 +210,7 @@ def check_theorem1(points, eta_fn=None) -> VerificationReport:
     Every cell is relative to |F|; where F underflows to 0 the cell cannot
     be checked and fails.
     """
-    if eta_fn is None:
-        from .zerofinder import eta_oracle
-        eta_fn = lambda s: eta_oracle(s, tol=1e-12).value  # noqa: E731
+    from .zerofinder import eta_oracle      # zerofinder imports this module
     rep = VerificationReport(name="theorem1")
     for s in points:
         p = ComplexPoint.of(s)
@@ -229,7 +220,7 @@ def check_theorem1(points, eta_fn=None) -> VerificationReport:
             continue
         f = F(p)
         gam = Gamma(p)
-        eta = eta_fn(p.s)
+        eta = eta_oracle(p.s, tol=1e-12).value
         # (1 - 2^(1-s)) G = (1 - 2^(1-s)) zeta gamma = eta * gamma
         rhs = gam.value.value * eta
         f_abs = abs(f.value)

@@ -278,7 +278,8 @@ _MIN_STEP = REFINE_WIDTH / 4
 def refine_zero(bracket: ZeroBracket,
                 zero_tol: float = 1e-6) -> LocatedZero:
     """Shrink the bracket around the sign change of Z to width < 1e-9 by ITP
-    steps, take b* at the midpoint, then certify the point:
+    steps, take b* by one regula falsi step inside the final bracket, then
+    certify the point:
 
     * the raw residual |F(1/2 + i b*)| must be below ``zero_tol``, and
     * |Z(b*)| must be below max(zero_tol, 8 x the refining method's error
@@ -327,7 +328,9 @@ def refine_zero(bracket: ZeroBracket,
             lo, f_lo = x, f_x
         else:
             hi, f_hi = x, f_x
-    b_star = 0.5 * (lo + hi)
+    # one regula falsi step from the values in hand, at no evaluation; a
+    # bracket closed by f_x == 0 clamps it to x
+    b_star = min(max((f_hi * lo - f_lo * hi) / (f_hi - f_lo), lo), hi)
 
     zc, noise = _line_eval(b_star, method)[:2]
     z_residual = abs(zc.real)

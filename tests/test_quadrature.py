@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etazeros import quadrature
+from etazeros.decomposition import pair_kernel
 from etazeros.quadrature import (
     _RULE_HI,
     _RULE_LO,
     IntegrandSpec,
     QuadratureError,
     _gauss,
-    eval_integrand,
     integrate_finite,
     integrate_line,
     integrate_to_infinity,
@@ -25,34 +25,17 @@ def node(k, b):
 # ---------------------------------------------------------------------------
 # Integrand evaluation.
 
-def test_fermi_kernel_at_origin_limit():
-    spec = IntegrandSpec("fermi", a=1.0)
-    assert eval_integrand(spec, 0.0) == 0.5
-
-
 def test_fermi_kernel_tanh_form():
     # 1/(e^t + 1) = 1/2 - tanh(t/2)/2
-    spec = IntegrandSpec("fermi", a=1.0)
+    spec = IntegrandSpec("fermi")
     for t in (0.5, 1.0, 2.0, 10.0):
-        assert eval_integrand(spec, t) == pytest.approx(
+        assert spec.smooth_factor(t) == pytest.approx(
             0.5 - 0.5 * math.tanh(0.5 * t), rel=1e-15)
 
 
 def test_pair_kernel_positive_inside_region():
     # the paired difference is positive for t >= 1, a <= e/(e+1)
-    spec = IntegrandSpec("pair_fermi", a=0.5, b=100.0)
-    val = eval_integrand(spec, 1.0)
-    assert val > 0
-
-
-def test_eval_integrand_rejects_negative_t():
-    with pytest.raises(ValueError):
-        eval_integrand(IntegrandSpec("fermi", a=0.5), -1.0)
-
-
-def test_eval_integrand_rejects_zero_for_singular():
-    with pytest.raises(ValueError):
-        eval_integrand(IntegrandSpec("fermi", a=0.5), 0.0)
+    assert pair_kernel(1.0, 0.5, 100.0) > 0
 
 
 def test_overflow_safety_and_decay():
@@ -65,7 +48,7 @@ def test_overflow_safety_and_decay():
                  IntegrandSpec("fermi", a=0.9),
                  IntegrandSpec("exp", a=0.1),
                  IntegrandSpec("pair_fermi", a=0.5, b=100.0)):
-        vals = eval_integrand(spec, ts)
+        vals = ts ** (spec.a - 1.0) * spec.smooth_factor(ts)
         assert np.all(np.isfinite(vals))
         assert np.all(np.diff(vals[decay]) <= 0.0)
         assert np.all(vals[decay] >= 0.0)
@@ -78,7 +61,6 @@ def test_overflow_safety_and_decay():
 def test_pair_fermi_matches_naive_difference(a, b, t):
     # stable form == naive q(t) - e^(a pi/b) q(c t) wherever the naive form
     # itself carries enough precision to compare
-    spec = IntegrandSpec("pair_fermi", a=a, b=b)
     c = math.exp(math.pi / b)
     lam = math.exp(a * math.pi / b)
 
@@ -87,7 +69,7 @@ def test_pair_fermi_matches_naive_difference(a, b, t):
         return e / (1.0 + e)
 
     naive = t ** (a - 1.0) * (q_(t) - lam * q_(c * t))
-    got = eval_integrand(spec, t)
+    got = float(pair_kernel(t, a, b))
     scale = t ** (a - 1.0) * max(q_(t), lam * q_(c * t), 1e-300)
     assert got == pytest.approx(naive, abs=5e-14 * scale)
 

@@ -370,6 +370,19 @@ def test_find_zeros_budget_and_accuracy(monkeypatch):
         assert abs(z["b_star"] - float(mpmath.zetazero(k).imag)) <= 5e-10
 
 
+def test_ordinates_within_1e12_of_mpmath():
+    # b* is one regula falsi step inside the final bracket; the bracket's
+    # midpoint sat up to 4.8e-11 from the zero on this window
+    mpmath = pytest.importorskip("mpmath")
+    zeros, _ = find_zeros(10.0, 60.0, 0.25, 1e-6)
+    assert len(zeros) == 13
+    for k, z in enumerate(zeros, start=1):
+        with mpmath.workdps(25):
+            ref = float(mpmath.zetazero(k).imag)
+        for key in ("b_star", "b_star_integral"):
+            assert abs(z[key] - ref) <= 1e-12, (k, key, z[key] - ref)
+
+
 def test_scan_leaves_numpy_ma_unimported():
     # np.median on a list imports numpy.ma (13-25 ms per process)
     code = ("import sys\n"
