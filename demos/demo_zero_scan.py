@@ -3,12 +3,14 @@
 Both routes watch Hardy's function Z(b) = e^(i theta(b)) zeta(1/2 + ib),
 which is real on the critical line, so every simple zero is a sign change
 of one real function and a bracket is any scan step where Z changes sign.
-Each bracket is shrunk to width 1e-9 by ITP steps (regula falsi kept within
-a bisection-derived radius), once by the integral route (quadrature of F on
-a rotated ray, divided by Gamma in log form) and once by the oracle route
-(accelerated alternating series for eta).  Because the ray integral and
-Stirling's log Gamma meet in log form, the integral route keeps its
-resolution where F and Gamma themselves underflow (past b ~ 470).
+The oracle route (accelerated alternating series for eta) scans the line
+and shrinks each bracket once to width 1e-9 by ITP steps (regula falsi kept
+within a bisection-derived radius).  The integral route (quadrature of F on
+a rotated ray, divided by Gamma in log form) then certifies each zero on its
+own values: its Z has opposite signs at b* - h and b* + h, each beyond its
+own error bound, for some h from 1e-10 up to 1e-6.  Because the ray
+integral and Stirling's log Gamma meet in log form, the integral route
+keeps its resolution where F and Gamma themselves underflow (past b ~ 470).
 """
 
 from etazeros import scan_critical_line
@@ -20,16 +22,19 @@ for br in brackets:
     print(f"  [{br.b_lo:.2f}, {br.b_hi:.2f}]  Z = {br.indicator_lo:+.3e} -> "
           f"{br.indicator_hi:+.3e}")
 
-zeros, _ = find_zeros(10.0, 30.0, 0.25)
-print("\nrefined zeros (oracle route) and the integral route next to them:")
+zeros = find_zeros(10.0, 30.0, 0.25)
+print("\nrefined zeros (oracle route) and the integral route's sign change:")
 for z in zeros:
-    gap = "n/a" if z["route_gap"] is None else f"{z['route_gap']:.2e}"
+    if z["integral_certified"]:
+        cert = f"{z['b_star_integral']:.9f}  (gap {z['route_gap']:.2e})"
+    else:
+        cert = "not certified"
     print(f"  b* = {z['b_star']:.9f}   |Z| = {z['residual_eta']:.1e}   "
-          f"integral route: {z['b_star_integral']:.9f}  (gap {gap})")
+          f"integral route: {cert}")
 
 print("\npast b ~ 476 |Gamma(1/2+ib)| and F underflow to 0; Z does not:")
-zeros, _ = find_zeros(480.0, 483.0, 0.25)
-for z in zeros:
-    print(f"  b* = {z['b_star']:.9f}   raw |F| = {z['residual']:.1e}   "
-          f"|Z| = {z['residual_eta']:.1e}   gap {z['route_gap']:.1e}   "
-          f"certified on both routes: {z['integral_certified']}")
+for z in find_zeros(480.0, 483.0, 0.25):
+    gap = "n/a" if z["route_gap"] is None else f"{z['route_gap']:.1e}"
+    print(f"  b* = {z['b_star']:.9f}   |F| = {z['residual']:.1e}   "
+          f"|Z| = {z['residual_eta']:.1e}   gap {gap}   "
+          f"integral sign change: {z['integral_certified']}")

@@ -27,7 +27,8 @@ from .quadrature import QuadratureError
 from .report import fmt17
 from .series import SeriesError, choose_K_R, series_lower_integral
 from .special import ComplexPoint, F, Gamma, one_minus_two_pow, zeta_strip
-from .zerofinder import EtaConvergenceError, eta_oracle, find_zeros, zeta_oracle
+from .zerofinder import (EtaConvergenceError, eta_oracle, find_zeros, scan_F,
+                         zeta_oracle)
 
 __all__ = ["main"]
 
@@ -83,7 +84,6 @@ def _build_parser() -> _Parser:
     pz.add_argument("--b-min", type=float, required=True)
     pz.add_argument("--b-max", type=float, required=True)
     pz.add_argument("--step", type=float, default=0.25)
-    pz.add_argument("--zero-tol", type=float, default=1e-6)
     return p
 
 
@@ -241,21 +241,12 @@ def _cmd_decompose(args):
 def _cmd_zeros(args):
     if not 0 < args.b_min < args.b_max:
         raise UsageError("need 0 < b_min < b_max")
-    if not 0 < args.step <= 0.5:
-        raise UsageError("step must be in (0, 0.5]")
-    zeros, scan_rows = find_zeros(args.b_min, args.b_max, args.step,
-                                  args.zero_tol)
     if args.fmt == "csv":
         out = ["b,F1,F2,absF"]
-        for b, f1, f2, fa in scan_rows:
-            out.append(",".join([fmt17(b), fmt17(f1), fmt17(f2), fmt17(fa)]))
+        for row in scan_F(args.b_min, args.b_max, args.step):
+            out.append(",".join(fmt17(x) for x in row))
         return 0, "\n".join(out) + "\n"
-    payload = [{"b_star": z["b_star"], "residual": z["residual"],
-                "method": z["method"],
-                "b_star_integral": z["b_star_integral"],
-                "residual_eta": z["residual_eta"],
-                "integral_certified": z["integral_certified"],
-                "route_gap": z["route_gap"]} for z in zeros]
+    payload = find_zeros(args.b_min, args.b_max, args.step)
     if args.fmt == "text":
         lines = [f"{len(payload)} zero(s) on [{args.b_min:g}, {args.b_max:g}]"]
         for z in payload:

@@ -1,6 +1,6 @@
 """Critical-line zero location for the Riemann zeta function through the
 alternating-kernel integral F: inside the strip, zeta and F share zeros, so
-ordinates can be hunted on either.
+a zero located on one route can be confirmed on the other.
 
 On the critical line the indicator is Hardy's function
 
@@ -22,13 +22,16 @@ where Z changes sign.  Two independent routes evaluate it:
   underflow past b ~ 470, cancel in log form to at most e^4.
 
 Each route carries its own error bound on Z, which also bounds the rounding
-left in Im(e^(i theta) zeta).  Each refines its own brackets by ITP steps
-(regula falsi, truncated toward the midpoint and projected into a radius
-that keeps bisection's worst case within one step): about 10 evaluations
-per zero with the one at b* and the cross-check, at most 31 from a
-0.25-wide scan step, with b* within 1e-9 of the other route's.  A refined
-point is certified only where |Z| sits below what the refining route can
-resolve and the other route agrees.
+left in Im(e^(i theta) zeta).  The oracle route locates the zeros: it scans
+Z on the grid and refines each bracket once by ITP steps (regula falsi,
+truncated toward the midpoint and projected into a radius that keeps
+bisection's worst case within one step), about 9 evaluations per zero with
+the one at b*, at most 30 from a 0.25-wide scan step.  A refined point is
+kept where |Z(b*)| and 8 times the route's bound are both below
+:data:`ZERO_TOL`.  The integral route then certifies each zero on its own
+values: its Z takes opposite signs at b* - h and b* + h, each beyond its own
+error bound, for some h from 1e-10 doubling up to 1e-6.  That proves a zero
+within h of b* at 2 ray evaluations per h tried.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .quadrature import _ray_integral
 from .special import (
     ComplexPoint,
     ComplexValue,
-    F,  # noqa: F401  (re-exported; perfbench's tracer test rebinds zerofinder.F)
+    F,
     log_gamma,
     one_minus_two_pow,
     riemann_siegel_theta,
@@ -55,7 +58,7 @@ __all__ = [
     "EtaConvergenceError", "ZeroRefinementError",
     "ZeroBracket", "LocatedZero",
     "eta_oracle", "zeta_oracle",
-    "scan_critical_line", "refine_zero", "find_zeros",
+    "scan_critical_line", "refine_zero", "find_zeros", "scan_F",
 ]
 
 
@@ -198,7 +201,7 @@ class ZeroBracket:
 @dataclass(frozen=True)
 class LocatedZero:
     b_star: float
-    residual: float         # raw |F(1/2 + i b_star)|
+    residual: float         # |F(1/2 + i b_star)|, from |Z| and |Gamma|
     method: str
     residual_eta: float     # |Z(b_star)| = |zeta(1/2 + i b_star)|
     noise_eta: float        # the method's own error bound on Z there
@@ -214,7 +217,9 @@ def _line_eval(b: float, method: str):
     zc = e^(i theta(b)) zeta(1/2 + ib): its real part is Hardy's Z(b) and
     its imaginary part only rounding; err bounds |zc - Z(b)|.  raw is the
     method's own value (F or eta).  Z is even in b, so both routes work at
-    |b| and conjugate raw back.
+    |b| and conjugate raw back.  Where eta's rounding floor keeps it above
+    the oracle's tolerance (|b| past ~ 1000), its best value is used and the
+    error it reached goes into err.
     """
     s = complex(0.5, abs(b))
     theta, theta_err = riemann_siegel_theta(s.imag)
@@ -230,43 +235,54 @@ def _line_eval(b: float, method: str):
         err = abs(w) * ray_err + abs(zc) * (theta_err + lg_err)
         raw = cmath.exp(1j * phi * s) * integral
     elif method == "oracle":
-        raw = eta_oracle(s, tol=_ORACLE_TOL).value
+        try:
+            raw, eta_err = eta_oracle(s, tol=_ORACLE_TOL).value, _ORACLE_TOL
+        except EtaConvergenceError as exc:
+            raw, eta_err = exc.value, exc.achieved
         zc = cmath.exp(1j * theta) * raw / denom
-        err = _ORACLE_TOL / abs(denom) + abs(zc) * theta_err
+        err = eta_err / abs(denom) + abs(zc) * theta_err
     else:
         raise ValueError(f"unknown method {method!r}")
     return zc, err, (raw.conjugate() if b < 0 else raw)
 
 
-def scan_critical_line(b_min: float, b_max: float, step: float,
-                       method: str = "integral", *,
-                       _raw: list | None = None) -> list[ZeroBracket]:
-    """March s = 1/2 + ib over the grid b_min + i step and emit a bracket
-    at every step where Z(b) changes sign.
-
-    ``_raw``, if given, receives (b, unscaled F or eta) at every grid point,
-    so :func:`find_zeros` reuses the scan instead of evaluating it again.
-    """
+def _grid(b_min: float, b_max: float, step: float) -> list[float]:
+    """The scan grid b_min + i step, i = 0, 1, ..., up to b_max."""
     if not 0 < step <= 0.5:
         raise ValueError("step must be in (0, 0.5]")
     if not b_min < b_max:
         raise ValueError("need b_min < b_max")
     n = int(math.floor((b_max - b_min) / step + 1e-9)) + 1
-    bs = [b_min + i * step for i in range(n)]
-    evals = [_line_eval(b, method) for b in bs]
-    if _raw is not None:
-        _raw.extend((b, e[2]) for b, e in zip(bs, evals))
-    z = [e[0].real for e in evals]
+    return [b_min + i * step for i in range(n)]
+
+
+def scan_critical_line(b_min: float, b_max: float, step: float,
+                       method: str = "integral") -> list[ZeroBracket]:
+    """March s = 1/2 + ib over the grid b_min + i step and emit a bracket
+    at every step where Z(b) changes sign."""
+    bs = _grid(b_min, b_max, step)
+    z = [_line_eval(b, method)[0].real for b in bs]
     return [ZeroBracket(b_lo=bs[i], b_hi=bs[i + 1], indicator_lo=z[i],
                         indicator_hi=z[i + 1], method=method)
-            for i in range(n - 1)
+            for i in range(len(bs) - 1)
             if z[i] == 0.0 or (z[i] > 0) != (z[i + 1] > 0)]
+
+
+def scan_F(b_min: float, b_max: float, step: float
+           ) -> list[tuple[float, float, float, float]]:
+    """(b, F1, F2, |F|) of F(1/2 + ib) at every point of the scan grid."""
+    rows = []
+    for b in _grid(b_min, b_max, step):
+        f = F(complex(0.5, b)).value.value
+        rows.append((b, f.real, f.imag, abs(f)))
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # Refinement.
 
 REFINE_WIDTH = 1e-9     # refinement stops once the bracket is narrower
+ZERO_TOL = 1e-6         # a refined point needs |Z| and 8 x its bound below
 _ITP_KAPPA1 = 0.2       # truncation step 0.2 w^2 / w0 (Oliveira & Takahashi)
 # Floor of the truncation step.  Once w^2 falls below an ulp of b the
 # truncation vanishes in rounding and regula falsi returns the same point
@@ -275,19 +291,12 @@ _ITP_KAPPA1 = 0.2       # truncation step 0.2 w^2 / w0 (Oliveira & Takahashi)
 _MIN_STEP = REFINE_WIDTH / 4
 
 
-def refine_zero(bracket: ZeroBracket,
-                zero_tol: float = 1e-6) -> LocatedZero:
+def refine_zero(bracket: ZeroBracket) -> LocatedZero:
     """Shrink the bracket around the sign change of Z to width < 1e-9 by ITP
     steps, take b* by one regula falsi step inside the final bracket, then
-    certify the point:
-
-    * the raw residual |F(1/2 + i b*)| must be below ``zero_tol``, and
-    * |Z(b*)| must be below max(zero_tol, 8 x the refining method's error
-      bound on Z at b*) -- this is the test with discriminating power, since
-      |F| alone sinks below any absolute threshold at large b whether or not
-      a zero is present, and
-    * the independent route's |Z(b*)| must be below max(zero_tol, 8 x that
-      route's bound).
+    certify the point: |Z(b*)| must be below :data:`ZERO_TOL`, and so must
+    8 x the refining method's error bound on Z at b*, so no gate passes on
+    noise.
 
     ITP (interpolate, truncate, project; Oliveira & Takahashi, ACM TOMS 47,
     2020) takes the regula falsi point of the bracket w = hi - lo, moves it
@@ -297,8 +306,7 @@ def refine_zero(bracket: ZeroBracket,
     a simple zero it converges superlinearly (7 or 8 steps from a 0.25 scan
     step); on any sign change, however badly conditioned, it takes at most
     n + 1 steps, where n is bisection's count (28 from width 0.25), so one
-    refinement costs at most n + 3 evaluations with the one at b* and the
-    cross-check.
+    refinement costs at most n + 2 evaluations with the one at b*.
 
     Failure raises :class:`ZeroRefinementError` carrying the best point (the
     designed outcome for a bracket whose ends do not bound a zero).
@@ -337,79 +345,64 @@ def refine_zero(bracket: ZeroBracket,
     s_star = complex(0.5, b_star)
     residual_raw = (z_residual * abs(one_minus_two_pow(s_star))
                     * math.exp(log_gamma(s_star)[0].real))
-    # cross-check on the independent route, gated by *that* route's bound
-    zc_cross, noise_cross = _line_eval(
-        b_star, "oracle" if method == "integral" else "integral")[:2]
-    z_gate = max(zero_tol, 8.0 * noise)
-    cross_gate = max(zero_tol, 8.0 * noise_cross)
-
-    ok = (residual_raw < zero_tol and z_residual < z_gate
-          and abs(zc_cross.real) < cross_gate)
-    if not ok:
+    if not max(z_residual, 8.0 * noise) < ZERO_TOL:
         raise ZeroRefinementError(
             f"bracket [{bracket.b_lo:.4f}, {bracket.b_hi:.4f}] did not "
-            f"certify: residual {residual_raw:.3e}, |Z| "
-            f"{z_residual:.3e} vs gate {z_gate:.3e}",
+            f"certify: |Z| {z_residual:.3e}, 8 x bound {8.0 * noise:.3e}, "
+            f"gate {ZERO_TOL:.0e}",
             b_best=b_star, residual=residual_raw, residual_eta=z_residual)
     return LocatedZero(b_star=b_star, residual=residual_raw, method=method,
                        residual_eta=z_residual, noise_eta=noise,
                        bracket=bracket)
 
 
-def find_zeros(b_min: float, b_max: float, step: float = 0.25,
-               zero_tol: float = 1e-6):
-    """Full pipeline: scan Z with both routes on one grid, pair the brackets
-    by grid step, and refine each bracket with its own route.
+_CERTIFY_H0 = 1e-10     # first half-width of the sign-change certificate
+_CERTIFY_H_MAX = 1e-6   # ... doubled up to this
 
-    Returns (zeros, scan_rows):
-      zeros: list of dicts, one per located zero, with the oracle ordinate,
-        the integral ordinate (None where the integral scan saw no sign
-        change in that step), residuals, and route agreement;
-      scan_rows: the integral-route scan (b, F1, F2, |F|) for plotting.
+
+def _certify(b_star: float, method: str) -> float | None:
+    """A zero of ``method``'s Z near b*, proved by a sign change.
+
+    Z is evaluated at b* - h and b* + h for h = 1e-10, 2e-10, ... up to
+    1e-6.  At the first h where the two values have opposite signs and each
+    exceeds the route's own error bound there, Z has a zero between them;
+    the result is one regula falsi step through the two values.  None when
+    no h gives such a pair.
     """
-    oracle_brackets = scan_critical_line(b_min, b_max, step, method="oracle")
-    integral_raw: list = []
-    integral_brackets = {
-        ib.b_lo: ib for ib in scan_critical_line(
-            b_min, b_max, step, method="integral", _raw=integral_raw)}
+    h = _CERTIFY_H0
+    while h <= _CERTIFY_H_MAX:
+        lo, hi = b_star - h, b_star + h
+        zc_lo, err_lo = _line_eval(lo, method)[:2]
+        zc_hi, err_hi = _line_eval(hi, method)[:2]
+        f_lo, f_hi = zc_lo.real, zc_hi.real
+        if ((f_lo > 0) != (f_hi > 0) and abs(f_lo) > err_lo
+                and abs(f_hi) > err_hi):
+            return (f_hi * lo - f_lo * hi) / (f_hi - f_lo)
+        h *= 2.0
+    return None
 
+
+def find_zeros(b_min: float, b_max: float, step: float = 0.25) -> list[dict]:
+    """Full pipeline: scan Z on the oracle route, refine each bracket once,
+    and certify each refined zero on the integral route.
+
+    Returns one dict per located zero: the oracle ordinate ``b_star`` with
+    its ``residual`` and ``residual_eta``, and ``b_star_integral``, the
+    integral route's own sign-change point, with ``route_gap``, its
+    distance from ``b_star``.  Where the integral route cannot certify the
+    zero, ``integral_certified`` is False and both are None.
+    """
     zeros = []
-    for ob in oracle_brackets:
-        ib = integral_brackets.pop(ob.b_lo, None)
+    for bracket in scan_critical_line(b_min, b_max, step, method="oracle"):
         try:
-            oracle_zero = refine_zero(ob, zero_tol)
+            z = refine_zero(bracket)
         except ZeroRefinementError:
             continue  # the oracle cannot certify a zero here
-        entry = {"b_star": oracle_zero.b_star, "method": "oracle",
-                 "residual": oracle_zero.residual,
-                 "residual_eta": oracle_zero.residual_eta,
-                 "b_star_integral": None, "residual_integral": None,
-                 "residual_eta_integral": None, "route_gap": None,
-                 "integral_certified": False}
-        if ib is not None:
-            try:
-                z = refine_zero(ib, zero_tol)
-                b_int, res, res_eta = z.b_star, z.residual, z.residual_eta
-                entry["integral_certified"] = True
-            except ZeroRefinementError as exc:
-                b_int, res, res_eta = exc.b_best, exc.residual, exc.residual_eta
-            entry.update(b_star_integral=b_int, residual_integral=res,
-                         residual_eta_integral=res_eta,
-                         route_gap=abs(b_int - oracle_zero.b_star))
-        zeros.append(entry)
-    for ib in integral_brackets.values():
-        try:
-            z = refine_zero(ib, zero_tol)
-        except ZeroRefinementError:
-            continue  # the integral route cannot certify a zero here
+        b_int = _certify(z.b_star, "integral")
         zeros.append({
-            "b_star": z.b_star, "residual": z.residual,
-            "residual_eta": z.residual_eta, "method": "integral",
-            "b_star_integral": z.b_star, "residual_integral": z.residual,
-            "residual_eta_integral": z.residual_eta, "route_gap": None,
-            "integral_certified": True,
+            "b_star": z.b_star, "method": z.method, "residual": z.residual,
+            "residual_eta": z.residual_eta, "b_star_integral": b_int,
+            "route_gap": None if b_int is None else abs(b_int - z.b_star),
+            "integral_certified": b_int is not None,
         })
-    zeros.sort(key=lambda z: z["b_star"])
-
-    scan_rows = [(b, f.real, f.imag, abs(f)) for b, f in integral_raw]
-    return zeros, scan_rows
+    return zeros

@@ -304,9 +304,33 @@ def test_zeros_csv_scan(capsys):
     assert len(lines) == 6
 
 
-def test_zeros_validates_range(capsys):
-    code, _, _ = run(capsys, "zeros", "--b-min", "30", "--b-max", "10")
+@pytest.mark.parametrize("argv", [
+    ("--b-min", "30", "--b-max", "10"),
+    ("--b-min", "10", "--b-max", "30", "--step", "0.75"),
+], ids=["reversed", "wide-step"])
+def test_zeros_validates_range(capsys, argv):
+    code, _, _ = run(capsys, "zeros", *argv)
     assert code == 3
+
+
+def test_zeros_csv_evaluates_F_once_per_grid_point(capsys, monkeypatch):
+    import etazeros.zerofinder as zerofinder
+    calls = {"F": 0, "eta": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(zerofinder, "F", counted("F", zerofinder.F))
+    monkeypatch.setattr(zerofinder, "eta_oracle",
+                        counted("eta", zerofinder.eta_oracle))
+    code, out, _ = run(capsys, "zeros", "--b-min", "13", "--b-max", "14",
+                       "--step", "0.25", "--format", "csv")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 1 + 5
+    assert calls == {"F": 5, "eta": 0}
 
 
 # ---------------------------------------------------------------------------
