@@ -1,38 +1,45 @@
 """etazeros: the alternating-kernel Mellin integral F(s) = ∫ t^(s-1)/(e^t+1) dt,
 its exact coefficient series, oscillation-paired decomposition, identity and
 inequality verification, and critical-line zero location for the Riemann zeta
-function."""
+function.
 
-from .coeffs import (
-    CoefficientTable,
-    bernoulli,
-    coefficient_ratio,
-    g_deriv_at_zero,
-    g_over_factorial,
-    zeta_even,
-)
-from .quadrature import (
-    IntegrandSpec,
-    QuadratureError,
-    integrate_finite,
-    integrate_to_infinity,
-)
-from .report import CheckRow, VerificationReport
-from .special import ComplexPoint, ComplexValue, F, G, Gamma, zeta_strip
-from .series import SeriesEval, choose_K_R, series_lower_integral
-from .decomposition import DecompositionPlan, interval_average, make_plan, upper_integral
-from .zerofinder import LocatedZero, ZeroBracket, eta_oracle, refine_zero, scan_critical_line
+The names below are re-exported lazily (PEP 562): each layer is imported on
+first use of one of its names, so importing the package, or only the
+stdlib-only ``coeffs`` layer, does not load numpy.
+"""
 
-__all__ = [
-    "CoefficientTable", "bernoulli", "coefficient_ratio", "g_deriv_at_zero",
-    "g_over_factorial", "zeta_even",
-    "IntegrandSpec", "QuadratureError",
-    "integrate_finite", "integrate_to_infinity",
-    "CheckRow", "VerificationReport",
-    "ComplexPoint", "ComplexValue", "F", "G", "Gamma", "zeta_strip",
-    "SeriesEval", "choose_K_R", "series_lower_integral",
-    "DecompositionPlan", "interval_average", "make_plan", "upper_integral",
-    "LocatedZero", "ZeroBracket", "eta_oracle", "refine_zero", "scan_critical_line",
-]
+import importlib
+
+_EXPORTS = {
+    "coeffs": ("CoefficientTable", "bernoulli", "coefficient_ratio",
+               "g_deriv_at_zero", "g_over_factorial", "zeta_even"),
+    "quadrature": ("IntegrandSpec", "QuadratureError",
+                   "integrate_finite", "integrate_to_infinity"),
+    "report": ("CheckRow", "VerificationReport"),
+    "special": ("ComplexPoint", "ComplexValue", "F", "G", "Gamma",
+                "zeta_strip"),
+    "series": ("SeriesEval", "choose_K_R", "series_lower_integral"),
+    "decomposition": ("DecompositionPlan", "interval_average", "make_plan",
+                      "upper_integral"),
+    "zerofinder": ("LocatedZero", "ZeroBracket", "eta_oracle", "refine_zero",
+                   "scan_critical_line"),
+}
+_LAYER_OF = {name: layer for layer, names in _EXPORTS.items()
+             for name in names}
+
+__all__ = list(_LAYER_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{layer}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -12,25 +12,63 @@ Exit status: 0 success, 1 a gating verification cell failed, 2 numerical
 non-convergence, 3 usage error.  Output is deterministic: repeated runs with
 the same arguments produce byte-identical bytes (no timestamps, sorted JSON
 keys, fixed float rendering); CSV carries 17 significant digits.
+
+Start-up: each subcommand imports only the layers it uses, so coeffs,
+--help and usage errors run without loading numpy; eval, verify, decompose
+and zeros load it.  OPENBLAS_NUM_THREADS defaults to 1 (a value already set
+in the environment is kept): every BLAS call here is a small matrix-vector
+product, which OpenBLAS's worker threads only slow down.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
+import os
 import sys
 
-from . import verify
-from .coeffs import CoefficientTable
-from .decomposition import interval_contributions, make_plan
-from .quadrature import QuadratureError
+from .errors import NonConvergenceError
 from .report import fmt17
-from .series import SeriesError, choose_K_R, series_lower_integral
-from .special import ComplexPoint, F, Gamma, one_minus_two_pow, zeta_strip
-from .zerofinder import (EtaConvergenceError, eta_oracle, find_zeros, scan_F,
-                         zeta_oracle)
 
 __all__ = ["main"]
+
+# The names this module takes from the layers, by layer.  Each is bound on
+# first use (PEP 562 ``__getattr__``, or :func:`_bind` from a handler), so
+# loading the CLI imports no layer and no numpy.  Handlers call through
+# these module-level bindings, so a caller that rebinds one (``cli.F``)
+# sees every call.  A layer's own name binds the module itself.
+_LAYERS = {
+    "coeffs": ("CoefficientTable",),
+    "decomposition": ("interval_contributions", "make_plan", "upper_integral"),
+    "quadrature": ("QuadratureError",),
+    "series": ("SeriesError", "choose_K_R", "series_lower_integral"),
+    "special": ("ComplexPoint", "F", "Gamma", "one_minus_two_pow",
+                "zeta_strip"),
+    "verify": ("verify",),
+    "zerofinder": ("EtaConvergenceError", "eta_oracle", "find_zeros",
+                   "scan_F", "zeta_oracle"),
+}
+_LAYER_OF = {name: layer for layer, names in _LAYERS.items()
+             for name in names}
+
+
+def __getattr__(name):
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    mod = importlib.import_module(f".{layer}", __package__)
+    value = mod if name == layer else getattr(mod, name)
+    globals()[name] = value
+    return value
+
+
+def _bind(*layers):
+    """Bind every name taken from ``layers`` that is not bound yet."""
+    for layer in layers:
+        for name in _LAYERS[layer]:
+            if name not in globals():
+                __getattr__(name)
 
 
 class UsageError(Exception):
@@ -91,6 +129,7 @@ def _build_parser() -> _Parser:
 # Subcommand implementations (each returns (exit_code, text)).
 
 def _cmd_eval(args):
+    _bind("quadrature", "special")
     p = ComplexPoint(args.a, args.b)
     method = args.method
     if method == "integral":
@@ -98,7 +137,7 @@ def _cmd_eval(args):
         f = ev.value.value
         err = ev.err
     elif method == "series+decomposition":
-        from .decomposition import upper_integral
+        _bind("series", "decomposition")
         if p.b <= 0:
             raise UsageError("series+decomposition needs b > 0")
         K, R = choose_K_R(p.b, 2.0)
@@ -109,6 +148,7 @@ def _cmd_eval(args):
         f = complex(ev.value.re, head.value + tail)
         err = head.tail_bound + tail_err + ev.err
     else:  # oracle
+        _bind("zerofinder")
         eta = eta_oracle(p, tol=1e-12)
         gam = Gamma(p)
         f = gam.value.value * eta.value
@@ -156,6 +196,7 @@ def _zeta(p: ComplexPoint, f: complex, method: str):
 def _cmd_coeffs(args):
     if args.n_max < 0:
         raise UsageError("--n-max must be >= 0")
+    _bind("coeffs")
     table = CoefficientTable.build(args.n_max)
     rows = [{"n": n,
              "g_n_numerator": table.g_deriv[n].numerator,
@@ -183,6 +224,7 @@ def _cmd_coeffs(args):
 
 
 def _cmd_verify(args):
+    _bind("verify")
     b_grid = None
     if args.grid:
         try:
@@ -209,6 +251,7 @@ def _cmd_verify(args):
 def _cmd_decompose(args):
     if not 0.0 < args.a < 1.0:
         raise UsageError("--a must lie in (0, 1)")
+    _bind("decomposition")
     plan = make_plan(args.a, args.b)
     rows = interval_contributions(plan, args.count)
     if args.fmt == "csv":
@@ -241,6 +284,7 @@ def _cmd_decompose(args):
 def _cmd_zeros(args):
     if not 0 < args.b_min < args.b_max:
         raise UsageError("need 0 < b_min < b_max")
+    _bind("zerofinder")
     if args.fmt == "csv":
         out = ["b,F1,F2,absF"]
         for row in scan_F(args.b_min, args.b_max, args.step):
@@ -271,6 +315,8 @@ def dispatch(args) -> tuple[int, str]:
 
 
 def main(argv=None) -> int:
+    # set before any handler loads numpy, so OpenBLAS starts one thread
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -278,7 +324,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3
-    except (QuadratureError, SeriesError, EtaConvergenceError) as exc:
+    except NonConvergenceError as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

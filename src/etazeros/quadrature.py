@@ -52,13 +52,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .errors import NonConvergenceError
+
 __all__ = [
     "QuadratureError", "IntegrandSpec", "integrate_finite",
     "integrate_to_infinity", "integrate_line",
 ]
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(NonConvergenceError):
     """An integral did not converge to the requested tolerance.
 
     Carries the best available estimate and its error bound.

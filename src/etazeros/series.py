@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .coeffs import CoefficientTable, MAX_INDEX, g_value
+from .errors import NonConvergenceError
 from .quadrature import IntegrandSpec, integrate_finite
 from .report import VerificationReport
 
@@ -54,7 +55,7 @@ def _table(n: int = MAX_INDEX) -> CoefficientTable:
     return _table_cache[n]
 
 
-class SeriesError(RuntimeError):
+class SeriesError(NonConvergenceError):
     pass
 
 

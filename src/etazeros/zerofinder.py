@@ -44,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonConvergenceError
 from .quadrature import _ray_integral
 from .special import (
     ComplexPoint,
@@ -62,7 +63,7 @@ __all__ = [
 ]
 
 
-class EtaConvergenceError(RuntimeError):
+class EtaConvergenceError(NonConvergenceError):
     def __init__(self, message: str, value: complex, achieved: float):
         super().__init__(message)
         self.value = value
@@ -204,20 +205,17 @@ class LocatedZero:
     residual: float         # |F(1/2 + i b_star)|, from |Z| and |Gamma|
     method: str
     residual_eta: float     # |Z(b_star)| = |zeta(1/2 + i b_star)|
-    noise_eta: float        # the method's own error bound on Z there
-    bracket: ZeroBracket | None = None
 
 
 _ORACLE_TOL = 1e-11
 
 
 def _line_eval(b: float, method: str):
-    """(zc, err, raw) at s = 1/2 + ib.
+    """(zc, err) at s = 1/2 + ib.
 
     zc = e^(i theta(b)) zeta(1/2 + ib): its real part is Hardy's Z(b) and
-    its imaginary part only rounding; err bounds |zc - Z(b)|.  raw is the
-    method's own value (F or eta).  Z is even in b, so both routes work at
-    |b| and conjugate raw back.  Where eta's rounding floor keeps it above
+    its imaginary part only rounding; err bounds |zc - Z(b)|.  Z is even in
+    b, so both routes work at |b|.  Where eta's rounding floor keeps it above
     the oracle's tolerance (|b| past ~ 1000), its best value is used and the
     error it reached goes into err.
     """
@@ -233,17 +231,16 @@ def _line_eval(b: float, method: str):
                               theta + 0.5 * phi - lg.imag)) / denom
         zc = w * integral
         err = abs(w) * ray_err + abs(zc) * (theta_err + lg_err)
-        raw = cmath.exp(1j * phi * s) * integral
     elif method == "oracle":
         try:
-            raw, eta_err = eta_oracle(s, tol=_ORACLE_TOL).value, _ORACLE_TOL
+            eta, eta_err = eta_oracle(s, tol=_ORACLE_TOL).value, _ORACLE_TOL
         except EtaConvergenceError as exc:
-            raw, eta_err = exc.value, exc.achieved
-        zc = cmath.exp(1j * theta) * raw / denom
+            eta, eta_err = exc.value, exc.achieved
+        zc = cmath.exp(1j * theta) * eta / denom
         err = eta_err / abs(denom) + abs(zc) * theta_err
     else:
         raise ValueError(f"unknown method {method!r}")
-    return zc, err, (raw.conjugate() if b < 0 else raw)
+    return zc, err
 
 
 def _grid(b_min: float, b_max: float, step: float) -> list[float]:
@@ -340,7 +337,7 @@ def refine_zero(bracket: ZeroBracket) -> LocatedZero:
     # bracket closed by f_x == 0 clamps it to x
     b_star = min(max((f_hi * lo - f_lo * hi) / (f_hi - f_lo), lo), hi)
 
-    zc, noise = _line_eval(b_star, method)[:2]
+    zc, noise = _line_eval(b_star, method)
     z_residual = abs(zc.real)
     s_star = complex(0.5, b_star)
     residual_raw = (z_residual * abs(one_minus_two_pow(s_star))
@@ -352,8 +349,7 @@ def refine_zero(bracket: ZeroBracket) -> LocatedZero:
             f"gate {ZERO_TOL:.0e}",
             b_best=b_star, residual=residual_raw, residual_eta=z_residual)
     return LocatedZero(b_star=b_star, residual=residual_raw, method=method,
-                       residual_eta=z_residual, noise_eta=noise,
-                       bracket=bracket)
+                       residual_eta=z_residual)
 
 
 _CERTIFY_H0 = 1e-10     # first half-width of the sign-change certificate
@@ -372,8 +368,8 @@ def _certify(b_star: float, method: str) -> float | None:
     h = _CERTIFY_H0
     while h <= _CERTIFY_H_MAX:
         lo, hi = b_star - h, b_star + h
-        zc_lo, err_lo = _line_eval(lo, method)[:2]
-        zc_hi, err_hi = _line_eval(hi, method)[:2]
+        zc_lo, err_lo = _line_eval(lo, method)
+        zc_hi, err_hi = _line_eval(hi, method)
         f_lo, f_hi = zc_lo.real, zc_hi.real
         if ((f_lo > 0) != (f_hi > 0) and abs(f_lo) > err_lo
                 and abs(f_hi) > err_hi):

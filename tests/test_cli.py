@@ -399,6 +399,72 @@ def test_runs_without_scipy():
         assert json.loads(proc.stdout)
 
 
+_NO_NUMPY = ("import runpy, sys; sys.modules['numpy'] = None; "
+             "runpy.run_module('etazeros', run_name='__main__', "
+             "alter_sys=True)")
+
+
+def test_coeffs_help_and_usage_errors_run_without_numpy():
+    # only the subcommands that integrate load numpy; the exact table is
+    # integers and fractions
+    import subprocess
+    import sys
+    for fmt in ("json", "csv", "text"):
+        argv = ["coeffs", "--n-max", "5", "--format", fmt]
+        blocked = subprocess.run([sys.executable, "-c", _NO_NUMPY, *argv],
+                                 capture_output=True, timeout=120)
+        plain = subprocess.run([sys.executable, "-m", "etazeros", *argv],
+                               capture_output=True, timeout=120)
+        assert blocked.returncode == 0, (fmt, blocked.stderr)
+        assert blocked.stdout == plain.stdout and plain.stdout
+    for argv, code in ((["--help"], 0),
+                       (["zeros", "--b-min", "5", "--b-max", "4"], 3)):
+        proc = subprocess.run([sys.executable, "-c", _NO_NUMPY, *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr
+
+
+def test_importing_the_package_and_cli_leaves_numpy_unloaded():
+    import subprocess
+    import sys
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, etazeros, etazeros.cli; "
+                               "print('numpy' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"
+
+
+def test_lazy_names_are_the_layer_objects():
+    import etazeros
+    import etazeros.cli as cli_mod
+    import etazeros.special as special
+    assert etazeros.F is etazeros.special.F
+    assert cli_mod.F is special.F
+    assert set(etazeros.__all__) <= set(dir(etazeros))
+    with pytest.raises(AttributeError):
+        etazeros.no_such_name
+
+
+@pytest.mark.parametrize("preset,expect", [(None, "1"), ("3", "3")])
+def test_main_defaults_openblas_to_one_thread(preset, expect):
+    # set before a handler loads numpy; a caller's own setting is kept
+    import os
+    import subprocess
+    import sys
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = ("import contextlib, io, os; from etazeros.cli import main; "
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out): rc = main(['coeffs'])\n"
+            "print(rc, os.environ['OPENBLAS_NUM_THREADS'])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert proc.stdout.split() == ["0", expect]
+
+
 @pytest.mark.parametrize("argv,min_bytes", [
     (["verify", "--theorem", "8", "--format", "json"], 500),
     (["decompose", "--a", "0.5", "--b", "700", "--format", "json"], 500),
