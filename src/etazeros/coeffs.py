@@ -2,8 +2,10 @@
 
 Everything here is driven by two exact facts:
 
-* the Bernoulli numbers B_n (first-kind convention, B_1 = -1/2) satisfy the
-  binomial recurrence  sum_{k=0..n} C(n+1, k) B_k = 0  with B_0 = 1, and
+* the Bernoulli numbers B_n (first-kind convention, B_1 = -1/2) come from
+  the integer tangent numbers T_k of tan x = sum T_k x^(2k-1)/(2k-1)! as
+  B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), with B_0 = 1 and B_n = 0 for
+  odd n >= 3, and
 
 * the derivatives of g at the origin are
   g^(n)(0) = (1 - 2^(n+1)) / (n+1) * B_{n+1}.
@@ -28,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .report import VerificationReport
 
@@ -46,21 +48,38 @@ RATIO_UPPER_BOUND = 1.00013814  # strict upper bound for the odd-coefficient rat
 PI_LO = Fraction(314159265358979323846264338327950288, 10 ** 35)
 PI_HI = PI_LO + Fraction(1, 10 ** 35)
 
-_bernoulli_cache: list[Fraction] = [Fraction(1)]
+_bernoulli_cache: list[Fraction] = []
+
+
+def _tangent_numbers(k_max: int) -> list[int]:
+    """T_1 .. T_k_max, in place in one integer list (R. P. Brent and
+    D. Harvey, "Fast computation of Bernoulli, Tangent and Secant numbers",
+    2011, Algorithm TangentNumbers)."""
+    t = [0, 1]
+    for k in range(2, k_max + 1):
+        t.append((k - 1) * t[k - 1])
+    for k in range(2, k_max + 1):
+        for j in range(k, k_max + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
 
 
 def bernoulli(n: int) -> Fraction:
-    """B_n as an exact Fraction (B_1 = -1/2 convention), memoized."""
+    """B_n as an exact Fraction (B_1 = -1/2 convention), memoized.
+
+    A miss fills the cache from the tangent numbers up to
+    max(n, MAX_INDEX + 1), which covers every coefficient table at once.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    while len(_bernoulli_cache) <= n:
-        m = len(_bernoulli_cache)
-        # sum_{k=0..m} C(m+1, k) B_k = 0  =>  B_m = -(sum_{k<m}) / C(m+1, m)
-        acc = Fraction(0)
-        for k, bk in enumerate(_bernoulli_cache):
-            if bk:
-                acc += comb(m + 1, k) * bk
-        _bernoulli_cache.append(-acc / (m + 1))
+    if n >= len(_bernoulli_cache):
+        bern = [Fraction(1), Fraction(-1, 2)]
+        for k, t in enumerate(_tangent_numbers(max(n, MAX_INDEX + 1) // 2),
+                              start=1):
+            q = 4 ** k
+            bern += [Fraction((-1) ** (k - 1) * 2 * k * t, q * (q - 1)),
+                     Fraction(0)]
+        _bernoulli_cache[:] = bern
     return _bernoulli_cache[n]
 
 

@@ -1,9 +1,10 @@
-"""Quadrature for power-weighted decaying kernels: one engine, two contours.
+"""Quadrature for power-weighted decaying kernels: one engine, three contours.
 
 Every integral here is int t^(s-1) k(t) dt over a range of t, taken in
-u = log t as int e^(s u) k(e^u rot) du on Gauss panels.  One batch gives each
-panel's G24 value, its error |G24 - G12| and its rounding floor; one loop
-bisects every panel whose error stands above its floor.  Below a small rho
+u = log t as int e^(s u) k(e^u rot) du (on an arc, in its angle) on Gauss
+panels.  One batch gives each panel's G24 value, its error |G24 - G12| and
+its rounding floor; one loop bisects every panel whose error stands above
+its floor.  Below a small rho
 the head comes in closed form from the kernel's first two Taylor terms, and
 beyond the last panel the tail is bounded analytically.  Panel sums go
 through ``math.fsum`` in panel order, so results are bit-reproducible.
@@ -19,6 +20,13 @@ for 0 <= theta < pi/2.  With theta = pi/2 - delta the factor e^(-theta b)
 comes out analytically, and what is left to quadrature is only about
 e^(delta b) worse conditioned than the integral, which decays like
 e^(-pi b / 2).
+
+The fermi head int_0^R t^(s-1) k(t) dt with R < pi, which suite 2 checks
+against the paper's coefficient series, goes to :func:`_arc_head`.  The disc
+|t| <= R holds no pole, so the head is the segment 0 -> iR minus the arc
+t = R e^(i phi), 0 <= phi <= pi/2.  On the arc t^(ib) is the decay
+e^(-b phi), so a few panels in phi take it, and past b ~ 30 the whole
+segment is below one rounding unit and only its bound is kept.
 
 The paper's real-axis pieces (head integrals to R, direct and paired tails,
 half periods, telescoping integrals) go to :func:`integrate_finite` and
@@ -169,7 +177,7 @@ def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# The panel engine: one batch and one refinement loop for both contours.
+# The panel engine: one batch and one refinement loop for every contour.
 
 _EPS = math.ulp(1.0)
 _HEAD = 46.0            # the head remainder is below e^(-46)
@@ -412,6 +420,21 @@ def integrate_line(kernel: str, s: complex) -> tuple[complex, float]:
     return (value.conjugate() if s.imag < 0 else value), err
 
 
+def _ray_head(k: _RayKernel, s: complex,
+              rot: complex) -> tuple[float, complex, float]:
+    """(u_lo, head, bound): below rho = e^u_lo on the ray the kernel's first
+    two series terms integrate in closed form to ``head``, and the rest
+    leaves rho^p' / (head_div p') <= e^(-46)."""
+    p = s.real + k.p
+    u_lo = -_HEAD / p
+    rho = math.exp(u_lo)
+    j = k.j0
+    head = (k.c0 * rot ** j * cmath.exp((s + j) * u_lo) / (s + j)
+            + k.c1 * rot ** (j + 1) * cmath.exp((s + j + 1) * u_lo)
+            / (s + j + 1))
+    return u_lo, head, rho ** p / (k.head_div * p)
+
+
 def _ray_integral(kernel: str, s: complex) -> tuple[complex, float, float]:
     """(I, err, theta): at s' = a + i|b| the integral of :func:`integrate_line`
     is e^(i theta s') I, and err bounds the error of I.  Callers dividing
@@ -429,17 +452,7 @@ def _ray_integral(kernel: str, s: complex) -> tuple[complex, float, float]:
     sigma = math.sin(delta)          # Re of the ray's direction
     rot = complex(sigma, math.cos(delta) if b else 0.0)
     s = complex(a, b)
-
-    # head: below rho = e^u_lo the kernel's first two series terms integrate
-    # in closed form, and the rest leaves rho^p' / (head_div p') <= e^(-46)
-    p = a + k.p
-    u_lo = -_HEAD / p
-    rho = math.exp(u_lo)
-    j = k.j0
-    head = (k.c0 * rot ** j * cmath.exp((s + j) * u_lo) / (s + j)
-            + k.c1 * rot ** (j + 1) * cmath.exp((s + j + 1) * u_lo)
-            / (s + j + 1))
-    head_bound = rho ** p / (k.head_div * p)
+    u_lo, head, head_bound = _ray_head(k, s, rot)
 
     # tail: |k(z)| <= tail_mul e^(-sigma r) once sigma r >= 1, so beyond
     # r = X / sigma it is below tail_mul sigma^-a int_X^inf x^(a-1) e^-x dx
@@ -461,6 +474,71 @@ def _ray_integral(kernel: str, s: complex) -> tuple[complex, float, float]:
         lambda lo, hi, x: _ray_integrand(k, s, rot, lo, hi, x),
         xs[:-1], xs[1:], head, 4.0 + theta * b)
     return integral, panel_err + head_bound + tail_bound + noise, theta
+
+
+# ---------------------------------------------------------------------------
+# The fermi head int_0^R around the pole-free quarter disc |t| <= R.
+
+def _arc_head(s: complex, R: float) -> tuple[complex, float]:
+    """int_0^R t^(s-1) / (e^t + 1) dt for Re s > 0, Im s > 0 and
+    0 < R < pi, and a bound on the modulus of its error.
+
+    The disc |t| <= R holds no pole of the kernel k, so by Cauchy's theorem
+    the real-axis head is the segment 0 -> iR minus the arc R -> iR:
+
+        e^(i pi s/2) int_0^R y^(s-1) k(iy) dy
+            - i R^s int_0^(pi/2) e^(i s phi) k(R e^(i phi)) dphi.
+
+    On the arc t^(ib) is the plain decay e^(-b phi), so a few Gauss panels
+    take it up to phi = min(pi/2, 46/b).  On the closed quarter disc
+    |k| <= M = 1/(2 cos(R/2)), which bounds the arc beyond that by
+    R^a M e^(-46)/b and the whole segment by e^(-pi b/2) R^a M / a.  The
+    segment goes to the ray engine (rot = i) only where that bound reaches
+    one rounding unit of the head's scale R^a/|s|, that is b below about
+    30; otherwise the bound goes into err.  err also carries the panel
+    errors and rounding floors of both pieces and the rounding of R^s,
+    |s log R| eps relative.  Raises ValueError outside the stated range.
+    """
+    k = _RAY_KERNELS["fermi"]
+    s = complex(s)
+    a, b = s.real, s.imag
+    if not 0.0 < R < k.pole:
+        raise ValueError(f"the arc needs 0 < R < {k.pole:g}, got R = {R:g}")
+    if not (a > 0.0 and b > 0.0):
+        raise ValueError(f"the arc needs Re s > 0 and Im s > 0, got {s}")
+    log_r = math.log(R)
+    r_a = R ** a
+    m = 0.5 / math.cos(0.5 * R)
+    half_pi = 0.5 * math.pi
+    top = min(half_pi, _HEAD / b)
+
+    def arc(lo, hi, x):
+        phi = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
+        g, cond = k.values(R * np.exp(1j * phi))
+        f = np.exp(1j * s * phi) * g
+        return f, np.abs(f) * (4.0 + abs(s) * phi + R + cond)
+
+    # panels in phi: the integrand's log moves by at most |s| + R per unit
+    # of phi, and the pole pi i sits at phi = pi/2 - i log(pi/R)
+    xs = _panels(abs(s) + R, 0.0, math.log(k.pole / R), half_pi, 0.0, top)
+    arc_val, arc_err, arc_noise = _integrate_panels(
+        arc, xs[:-1], xs[1:], 0.0, 4.0 + abs(s * log_r))
+    value = -1j * cmath.exp(s * log_r) * arc_val
+    err = r_a * (arc_err + arc_noise)
+    if top < half_pi:
+        err += r_a * m * math.exp(-b * top) / b
+
+    seg_bound = math.exp(-half_pi * b) * r_a * m / a
+    if seg_bound <= _EPS * r_a / abs(s):
+        return value, err + seg_bound
+    u_lo, head, head_bound = _ray_head(k, s, 1j)
+    xs = _panels(abs(s), 1.0, 0.0, math.log(k.pole), u_lo, log_r)
+    seg, seg_err, seg_noise = _integrate_panels(
+        lambda lo, hi, x: _ray_integrand(k, s, 1j, lo, hi, x),
+        xs[:-1], xs[1:], head, 4.0 + half_pi * abs(s))
+    scale = cmath.exp(0.5j * math.pi * s)
+    return (value + scale * seg,
+            err + abs(scale) * (seg_err + seg_noise + head_bound))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ reproducible without flag archaeology; a ``--grid`` override replaces the b
 grid where that makes sense.  Suite numbering:
 
   1  bridge identity (1 - 2^(1-s)) G = F on a strip grid
-  2  head-integral series vs direct quadrature
+  2  head-integral series vs arc-contour quadrature
   4  coefficient structure: parity, signs, zeta forms, ratio sandwich
   5  strict head-integral lower bound
   6  paired tail sum vs direct tail quadrature

@@ -63,6 +63,14 @@ def test_bernoulli_against_bruteforce():
         assert coeffs.bernoulli(n) == brute[n]
 
 
+def test_bernoulli_against_mpmath_bernfrac():
+    # B_0 .. B_101: every Bernoulli number a coefficient table can hold
+    mpmath = pytest.importorskip("mpmath")
+    for n in range(coeffs.MAX_INDEX + 2):
+        p, q = mpmath.bernfrac(n)
+        assert coeffs.bernoulli(n) == Fraction(int(p), int(q)), n
+
+
 def test_bernoulli_12():
     assert coeffs.bernoulli(12) == Fraction(-691, 2730)
     # cross-check through the derivative identity: g^(11)(0) = 691/8

@@ -374,11 +374,13 @@ def _panels_by_loop(rate, decay, delta, log_pole, v_lo, v_hi, u0=0.0,
 
 
 def test_panels_fast_path_matches_loop(monkeypatch):
-    # every node-mode breakpoint set of suites 2, 6, 7 and 9 (heads from 0,
-    # direct and paired tails, half periods) is bit-identical to the loop's;
-    # so are tails at small b, where the step falls below one half period
-    # and the loop takes over from the stretch, and the rays of F
+    # every breakpoint set of suites 2, 6, 7 and 9 (suite 2's arcs, direct
+    # and paired tails, half periods) and of the real-axis heads from 0 on
+    # suite 2's grid is bit-identical to the loop's; so are tails at small
+    # b, where the step falls below one half period and the loop takes over
+    # from the stretch, and the rays of F
     from etazeros import verify
+    from etazeros.series import choose_K_R
     panels = quadrature._panels
     calls = []
 
@@ -390,6 +392,10 @@ def test_panels_fast_path_matches_loop(monkeypatch):
     monkeypatch.setattr(quadrature, "_panels", recorded)
     for n in (2, 6, 7, 9):
         verify.run_theorem(n)
+    for a in verify.THEOREM2_GRID_A:
+        for b in verify.THEOREM2_GRID_B:
+            integrate_finite(IntegrandSpec("fermi", "sin", a=a, b=b), 0.0,
+                             choose_K_R(b, 2.0)[1])
     for b in (3.0, 10.0, 30.0):
         spec = IntegrandSpec("fermi", "sin", a=0.5, b=b)
         integrate_to_infinity(spec, 1.0)
@@ -405,5 +411,5 @@ def test_panels_fast_path_matches_loop(monkeypatch):
         widths = np.diff(xs)
         whole += int(np.sum(widths == 1.0))
         split += int(np.sum(widths[:-1] < 1.0))
-    assert whole > 10_000        # suite 2's heads: mostly whole half periods
+    assert whole > 10_000        # the heads from 0: mostly whole half periods
     assert split                 # and the loop ran past a stretch

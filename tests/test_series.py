@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etazeros import quadrature
 from etazeros.coeffs import g_value
+from etazeros.quadrature import IntegrandSpec, integrate_finite
 from etazeros.series import (
     SeriesError,
     _series_sum,
@@ -102,6 +104,82 @@ def test_phase_alignment_is_load_bearing():
     v_series, _, _ = _series_sum(a, b, r_shift, tol=1e-13)
     v_quad, _ = lower_integral_by_quadrature(a, b, r_shift)
     assert abs(v_series - v_quad) > 1e-6
+
+
+def _mp_head(mp, a, b, R):
+    """int_0^R t^(s-1)/(e^t+1) dt, s = a + ib, at 30 digits: the kernel's
+    Maclaurin series c_n = (1 - 2^(n+1)) B_(n+1)/(n+1)!, from mpmath's own
+    Bernoulli numbers, integrated term by term to sum c_n R^(s+n)/(s+n)."""
+    with mp.workdps(30):
+        s, R = mp.mpc(a, b), mp.mpf(R)
+        r_pow, total, n = R ** s, mp.mpc(0), 0
+        while (R / mp.pi) ** n > mp.mpf(10) ** -32:
+            c = (1 - mp.mpf(2) ** (n + 1)) * mp.bernoulli(n + 1) \
+                / mp.factorial(n + 1)
+            total += c * r_pow / (s + n)
+            r_pow *= R
+            n += 1
+        return total
+
+
+def _mp_head_check(mp, a, b, R):
+    """Asserts the arc's err bounds its distance to :func:`_mp_head`;
+    returns err."""
+    with mp.workdps(30):
+        ref = _mp_head(mp, a, b, R)
+        v, e = quadrature._arc_head(complex(a, b), R)
+        assert abs(mp.mpc(v) - ref) <= e, (a, b, R)
+        # the same head on the real axis, within both routes' bounds
+        qv, qe = lower_integral_by_quadrature(a, b, R)
+        fv, fe = integrate_finite(IntegrandSpec("fermi", "sin", a=a, b=b),
+                                  0.0, R)
+        assert abs(qv - fv) <= qe + fe, (a, b, R)
+    return e
+
+
+@pytest.mark.parametrize("b", (100.0, 316.0, 1000.0))
+def test_arc_head_err_bounds_error_against_mpmath(b):
+    # suite 2's grid, on the phase node and off it by the quarter half
+    # period of test_phase_alignment_is_load_bearing: the arc needs no
+    # alignment, and its bound stays near 1e-16
+    mp = pytest.importorskip("mpmath")
+    _, R = choose_K_R(b, 2.0)
+    for a in (0.1, 0.5, 0.9):
+        for r in (R, R * math.exp(math.pi / (2.0 * b))):
+            assert _mp_head_check(mp, a, b, r) < 2e-16
+
+
+@pytest.mark.parametrize("b", (10.0, 12.0, 30.0))
+def test_arc_head_small_b_against_mpmath(b):
+    # below b ~ 30 the segment 0 -> iR is integrated, above it its bound
+    # e^(-pi b/2) R^a / (2 a cos(R/2)) is folded in; R runs up to 2.85,
+    # where the pole at i pi is 0.1 off the arc's end in phi
+    mp = pytest.importorskip("mpmath")
+    for a in (0.1, 0.5, 0.9):
+        for R in (1.0, 2.0, 2.5, 2.85):
+            assert _mp_head_check(mp, a, b, R) < 1e-15
+
+
+def test_arc_head_takes_few_panels(monkeypatch):
+    # the real-axis head at a = 0.1, b = 1000 spans about 15 b / pi half
+    # periods, some 5,000 panels; on the arc t^(ib) decays like e^(-b phi)
+    counts = []
+    batch = quadrature._panel_batch
+
+    def counted(integrand, lo, hi):
+        counts.append(len(lo))
+        return batch(integrand, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_panel_batch", counted)
+    _, R = choose_K_R(1000.0, 2.0)
+    lower_integral_by_quadrature(0.1, 1000.0, R)
+    assert 0 < sum(counts) <= 64
+
+
+@pytest.mark.parametrize("R", (math.pi, 3.2))
+def test_arc_head_refuses_the_pole_radius(R):
+    with pytest.raises(ValueError):
+        lower_integral_by_quadrature(0.5, 100.0, R)
 
 
 def test_misaligned_R_rejected_by_public_op():
