@@ -7,7 +7,7 @@ of h times the universal sine average A in (2/pi - 2/(pi b^2), 2/pi).
 """
 
 from etazeros import interval_average, make_plan, upper_integral
-from etazeros.decomposition import interval_contributions, positivity_threshold
+from etazeros.decomposition import POSITIVITY_A_MAX, interval_contributions
 
 a, b = 0.5, 100.0
 plan = make_plan(a, b)
@@ -29,4 +29,4 @@ closed, by_quad = interval_average(0, b)
 print(f"\nhalf-period sine average at b = {b}: closed {closed:.12f}, "
       f"quadrature {by_quad:.12f}")
 print(f"positivity of the folded kernel holds up to a = "
-      f"{positivity_threshold():.10f}")
+      f"{POSITIVITY_A_MAX:.10f}")

@@ -41,15 +41,11 @@ from .series import choose_K_R
 __all__ = [
     "DecompositionPlan", "make_plan", "upper_integral", "interval_contributions",
     "interval_average", "check_theorem7", "check_theorem9", "check_theorem10",
-    "pair_kernel", "positivity_threshold",
+    "pair_kernel",
 ]
 
 #: largest a for which h(t, a, b) > 0 is guaranteed on all t >= 1, b > 0
 POSITIVITY_A_MAX = math.e / (math.e + 1.0)
-
-
-def positivity_threshold() -> float:
-    return POSITIVITY_A_MAX
 
 
 def pair_kernel(t, a: float, b: float) -> np.ndarray:
@@ -155,17 +151,6 @@ def check_theorem7(a: float, b: float, R: float) -> VerificationReport:
     rep.add_inequality(f"strict upper {tag}", upper - lhs - lhs_err,
                        lhs=lhs, rhs=upper)
     return rep
-
-
-def scaling_identity_discrepancy(alpha: float, beta: float, a: float,
-                                 c: float) -> float:
-    """|int_alpha^beta t^(a-1)/(e^(ct)+1) dt
-        - c^(-a) int_(c alpha)^(c beta) u^(a-1)/(e^u+1) du|."""
-    lhs, _ = integrate_finite(IntegrandSpec("fermi", a=a, scale=c),
-                              alpha, beta)
-    rhs, _ = integrate_finite(IntegrandSpec("fermi", a=a),
-                              c * alpha, c * beta)
-    return abs(lhs - c ** (-a) * rhs)
 
 
 def telescoping_partial_sums(a: float, b: float,

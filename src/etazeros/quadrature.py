@@ -4,10 +4,10 @@ Every integral here is int t^(s-1) k(t) dt over a range of t, taken in
 u = log t as int e^(s u) k(e^u rot) du (on an arc, in its angle) on Gauss
 panels.  One batch gives each panel's G24 value, its error |G24 - G12| and
 its rounding floor; one loop bisects every panel whose error stands above
-its floor.  Below a small rho
-the head comes in closed form from the kernel's first two Taylor terms, and
-beyond the last panel the tail is bounded analytically.  Panel sums go
-through ``math.fsum`` in panel order, so results are bit-reproducible.
+its floor.  On a ray from 0 the head below a small rho comes in closed form
+from the kernel's first two Taylor terms, and beyond the last panel the
+tail is bounded analytically.  Panel sums go through ``math.fsum`` in panel
+order, so results are bit-reproducible.
 
 Whole half-line integrals of the fermi, exp and bose kernels (F, gamma and G
 of :mod:`etazeros.special`) go to :func:`integrate_line`, which runs on a ray
@@ -28,14 +28,14 @@ t = R e^(i phi), 0 <= phi <= pi/2.  On the arc t^(ib) is the decay
 e^(-b phi), so a few panels in phi take it, and past b ~ 30 the whole
 segment is below one rounding unit and only its bound is kept.
 
-The paper's real-axis pieces (head integrals to R, direct and paired tails,
-half periods, telescoping integrals) go to :func:`integrate_finite` and
-:func:`integrate_to_infinity`, which run on the real axis, rot = 1.  There
-t^(a-1) k(t) sin(b log t) is Im e^(s u) k(e^u) with s = a + ib (Re for cos,
-b = 0 without a trig factor).  The panels run in the phase p = b u / pi,
-counted from a finite endpoint, and stop at every phase node.  The
-oscillating factor comes from exact offsets to the integer phase nodes,
-trig(pi p) = (-1)^k trig(pi (p - k)), so it never picks up a phase error of
+The paper's other real-axis pieces (direct and paired tails, half periods,
+telescoping strips, the bare sine average) all start at a finite lo > 0
+and go to :func:`integrate_finite` and :func:`integrate_to_infinity`, which
+run on the real axis, rot = 1.  There t^(a-1) k(t) sin(b log t) is
+Im e^(s u) k(e^u) with s = a + ib (b = 0 without the sine).  The panels run
+in the phase p = b u / pi, counted from lo, and stop at every phase node.
+The sine comes from exact offsets to the integer phase nodes,
+sin(pi p) = (-1)^k sin(pi (p - k)), so it never picks up a phase error of
 size b * ulp(u).
 
 Oscillatory tails admit a second, analytically cancelled form: the integral
@@ -89,32 +89,30 @@ _MAX_DEPTH = 24         # bisections of one panel
 # below e^-60; the analytic tail bound beyond it goes into err for any a.
 TAIL_CUTOFF = 60.0
 
-_KERNELS = ("fermi", "pair_fermi", "exp", "unit")
-_TRIGS = (None, "sin", "cos")
+_KERNELS = ("fermi", "pair_fermi", "unit")
 
 
 @dataclass(frozen=True)
 class IntegrandSpec:
-    """One member of the integrand family  t^(a-1) * kernel(t) * trig(b log t).
+    """One member of the integrand family  t^(a-1) * kernel(t) * trig(b log t)
+    of the paper's real-axis pieces.
 
     kernel:
-      ``fermi``       t^(a-1) / (e^(scale * t) + 1)
+      ``fermi``       t^(a-1) / (e^t + 1)
       ``pair_fermi``  t^(a-1) (q(t) - e^(a pi/b) q(t e^(pi/b))),  q = 1/(e^t+1)
-      ``exp``         t^(a-1) e^(-t)
-      ``unit``        1  (bare trig carrier; a ignored)
-    trig: None, "sin", or "cos" of (b log t).
+      ``unit``        1  (bare sine carrier; a ignored)
+    trig: None or "sin" of (b log t).
     """
 
     kernel: str
     trig: str | None = None
     a: float = 1.0
     b: float = 0.0
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.kernel not in _KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}")
-        if self.trig not in _TRIGS:
+        if self.trig not in (None, "sin"):
             raise ValueError(f"unknown trig {self.trig!r}")
         if self.trig is not None and not self.b > 0:
             raise ValueError("oscillatory kinds need b > 0")
@@ -122,18 +120,12 @@ class IntegrandSpec:
             raise ValueError("paired kernels need b > 0")
         if self.kernel != "unit" and not self.a > 0:
             raise ValueError("power-weighted kernels need a > 0")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
 
     @property
     def paired(self) -> "IntegrandSpec":
         """The analytically cancelled counterpart (full period -> half period)."""
-        if self.kernel == "pair_fermi":
-            return self
         if self.kernel != "fermi":
             raise ValueError(f"kernel {self.kernel!r} has no paired form")
-        if self.scale != 1.0:
-            raise ValueError("paired form defined only at scale 1")
         return IntegrandSpec("pair_fermi", self.trig, self.a, self.b)
 
     # ---- stable evaluation (vectorized; t > 0) ----
@@ -146,10 +138,8 @@ class IntegrandSpec:
         if k == "unit":
             return np.ones_like(t)
         if k == "fermi":
-            e = np.exp(-self.scale * t)
+            e = np.exp(-t)
             return e / (1.0 + e)
-        if k == "exp":
-            return np.exp(-t)
         # pair_fermi: q(t) - lambda q(c t), c = e^(pi/b), lambda = e^(a pi/b);
         # numerator written with expm1 so the near-cancellation at large b
         # costs no precision
@@ -301,18 +291,9 @@ def _integrate_panels(integrand: Callable, lo: np.ndarray, hi: np.ndarray,
     return value, panel_err, noise
 
 
-def _upper_tail_bound(spec: IntegrandSpec, t_cut: float) -> float:
-    """Analytic bound on |int_T^inf integrand| via kernel <= C t^(a-1) e^-t."""
-    if spec.kernel == "unit":
-        raise ValueError("bare trig carrier has no convergent upper tail")
-    a = spec.a
-    extra = 1.0
-    if spec.kernel == "pair_fermi":
-        extra = 1.0 + math.exp(spec.a * math.pi / spec.b)
-    if spec.kernel == "fermi" and spec.scale != 1.0:
-        # kernel <= e^(-scale t); reuse the t substitution
-        t_cut = t_cut * spec.scale
-        extra /= spec.scale ** a
+def _upper_tail_bound(a: float, t_cut: float, extra: float = 1.0) -> float:
+    """Analytic bound on extra int_T^inf t^(a-1) e^-t dt, T = t_cut, for a
+    kernel below extra e^-t."""
     geo = (1.0 / (1.0 - max(a - 1.0, 0.0) / t_cut)
            if t_cut > 2.0 * abs(a - 1.0) + 1.0 else 2.0)
     return extra * geo * t_cut ** (a - 1.0) * math.exp(-t_cut)
@@ -461,8 +442,7 @@ def _ray_integral(kernel: str, s: complex) -> tuple[complex, float, float]:
         x_top = _RAY_TAIL + max(a - 1.0, 0.0) * math.log(x_top) \
             - a * math.log(sigma)
     try:
-        tail_bound = k.tail_mul * sigma ** -a * _upper_tail_bound(
-            IntegrandSpec("exp", a=a), x_top)
+        tail_bound = k.tail_mul * sigma ** -a * _upper_tail_bound(a, x_top)
     except OverflowError:
         tail_bound = math.inf
     if not math.isfinite(tail_bound):
@@ -546,61 +526,32 @@ def _arc_head(s: complex, R: float) -> tuple[complex, float]:
 
 def _axis_integral(spec: IntegrandSpec, lo: float, hi: float,
                    paired: bool = False) -> tuple[float, float]:
-    """int_lo^hi spec(t) dt for 0 <= lo < hi <= inf: (value, err).
+    """int_lo^hi spec(t) dt for 0 < lo < hi <= inf: (value, err).
 
     The panels run in v = (u - u0) / unit, u = log t, from the anchor
-    u0 = log lo (log hi for a head from 0), with unit = pi/b for the
-    oscillatory kinds and 1 otherwise.  The anchor's phase b u0 / pi is
-    n0 + f0 with n0 an integer, so at v = k + off the trig factor is
-    (-1)^(n0 + k) trig(pi (f0 + off)) from small numbers alone.
-    ``paired`` integrates the pair kernel on the even half periods
-    [2j, 2j + 1] of v.
+    u0 = log lo, with unit = pi/b for the sine kinds and 1 otherwise.  The
+    anchor's phase b u0 / pi is n0 + f0 with n0 an integer, so at
+    v = k + off the sine is (-1)^(n0 + k) sin(pi (f0 + off)) from small
+    numbers alone.  ``paired`` integrates the pair kernel on the even half
+    periods [2j, 2j + 1] of v.
     """
     work = spec.paired if paired else spec
-    trig = {"sin": np.sin, "cos": np.cos}.get(spec.trig)
+    osc = spec.trig is not None
     sr = 1.0 if spec.kernel == "unit" else spec.a       # Re s
-    s = complex(sr, 0.0 if trig is None else spec.b)
-    unit = 1.0 if trig is None else math.pi / spec.b
-    u0 = math.log(lo if lo > 0.0 else hi)
+    s = complex(sr, spec.b if osc else 0.0)
+    unit = math.pi / spec.b if osc else 1.0
+    u0 = math.log(lo)
     p0 = s.imag * u0 / math.pi
     n0 = round(p0)
     f0 = p0 - n0
-    # the kernel decays like e^(-decay t); its poles nearest the real axis
-    # lie at +-i pole
-    scale = work.scale if work.kernel == "fermi" else 1.0
-    decay = 0.0 if work.kernel == "unit" else scale
-    if work.kernel == "fermi":
-        pole = math.pi / scale
-    elif work.kernel == "pair_fermi":
+    # the kernel is below tail_mul e^(-decay t); its poles nearest the real
+    # axis lie at +-i pole
+    decay, tail_mul, pole = 1.0, 1.0, math.pi
+    if work.kernel == "pair_fermi":
+        tail_mul = 1.0 + math.exp(spec.a * math.pi / spec.b)
         pole = math.pi * math.exp(-math.pi / spec.b)
-    else:
-        pole = math.inf
-
-    # head: below rho = e^(u0 + unit v_lo) the kernel is c0 + c1 scale t
-    # + rest, |rest| <= (scale t)^p / head_div, and the two terms integrate
-    # in closed form; rho is small enough that scale rho <= 1 and the rest
-    # leaves at most e^(-46)
-    head = head_bound = v_lo = 0.0
-    if lo == 0.0:
-        if work.kernel == "pair_fermi":
-            raise ValueError("the pair kernel has no head series at t = 0")
-        if work.kernel == "unit":
-            c0, c1, p, bound_mul = 1.0, 0.0, 0.0, 0.0
-        else:
-            rk = _RAY_KERNELS[work.kernel]
-            c0, c1, p = rk.c0, rk.c1 * scale, rk.p
-            bound_mul = scale ** p / rk.head_div
-        u_cut = min(-(_HEAD + p * max(math.log(scale), 0.0)) / (sr + p),
-                    u0 - 1.0)
-        v_lo = (u_cut - u0) / unit
-        if trig is not None:
-            v_lo = math.floor(v_lo)
-        u_c = u0 + unit * v_lo
-        z = math.exp(sr * u_c) * (c0 / s + c1 * math.exp(u_c) / (s + 1.0))
-        if trig is not None:       # e^(i b u_c) = e^(i pi (n0 + f0 + v_lo))
-            z *= (-1) ** ((n0 + v_lo) % 2) * cmath.exp(1j * math.pi * f0)
-        head = z.imag if spec.trig == "sin" else z.real
-        head_bound = bound_mul * math.exp((sr + p) * u_c) / (sr + p)
+    elif work.kernel == "unit":
+        decay, pole = 0.0, math.inf
 
     tail_bound = 0.0
     if math.isinf(hi):
@@ -608,14 +559,15 @@ def _axis_integral(spec: IntegrandSpec, lo: float, hi: float,
         v_hi = math.log(top / lo) / unit
         if paired:
             v_hi = 2.0 * math.ceil(0.5 * v_hi)
-        tail_bound = _upper_tail_bound(work, lo * math.exp(unit * v_hi))
+        tail_bound = _upper_tail_bound(spec.a, lo * math.exp(unit * v_hi),
+                                       tail_mul)
     else:
-        v_hi = 0.0 if lo == 0.0 else math.log(hi / lo) / unit
+        v_hi = math.log(hi / lo) / unit
 
     # oscillatory panels stay inside half periods, where the node rounding
     # of the Gauss rule is not amplified by cancellation within a panel
-    vs = _panels(abs(s), decay, 0.5 * math.pi, math.log(pole), v_lo, v_hi,
-                 u0, unit, nodes=trig is not None)
+    vs = _panels(abs(s), decay, 0.5 * math.pi, math.log(pole), 0.0, v_hi,
+                 u0, unit, nodes=osc)
     lo_v, hi_v = vs[:-1], vs[1:]
     if paired:
         even = np.floor(lo_v) % 2.0 == 0.0
@@ -630,16 +582,16 @@ def _axis_integral(spec: IntegrandSpec, lo: float, hi: float,
         # relative rounding of g: e^(sr u) and the kernel move with the
         # rounding of u, by at most sr + decay t per unit of u
         rel = 4.0 + (sr + decay * t) * (1.0 + abs(u0) + np.abs(u))
-        if trig is None:
+        if not osc:
             return g, np.abs(g) * rel
         phase = f0 + off                 # b u / pi = n0 + k + phase
         sign = 1.0 - 2.0 * ((n0 + k) % 2.0)
-        return (g * sign * trig(math.pi * phase),
+        return (g * sign * np.sin(math.pi * phase),
                 np.abs(g) * (rel + 2.0 * math.pi * np.abs(phase)))
 
-    value, panel_err, noise = _integrate_panels(integrand, lo_v, hi_v, head,
+    value, panel_err, noise = _integrate_panels(integrand, lo_v, hi_v, 0.0,
                                                 4.0)
-    return value, panel_err + head_bound + tail_bound + noise
+    return value, panel_err + tail_bound + noise
 
 
 # ---------------------------------------------------------------------------
@@ -647,19 +599,17 @@ def _axis_integral(spec: IntegrandSpec, lo: float, hi: float,
 
 def integrate_finite(spec: IntegrandSpec, lo: float,
                      hi: float) -> tuple[float, float]:
-    """Integral over [lo, hi] with an error estimate.
+    """Integral over [lo, hi], 0 < lo < hi < inf, with an error estimate.
 
     The error contract is |value - true| <= max(err_est, 1e-10 |value|)
-    barring pathological integrands outside the declared family.  From
-    lo = 0 the head below rho = e^(-46/(a+p)) comes in closed form from the
-    kernel's first two Taylor terms: fermi at any scale, exp and unit (the
-    pair kernel has none and raises ValueError).  Raises
+    barring pathological integrands outside the declared family.  A head
+    from 0 goes around the quarter disc instead
+    (:func:`etazeros.series.lower_integral_by_quadrature`).  Raises
     :class:`QuadratureError` on non-convergence.
     """
-    if not lo < hi < math.inf:
-        raise ValueError("need lo < hi < inf")
-    if lo < 0:
-        raise ValueError("need lo >= 0")
+    if not 0.0 < lo < hi < math.inf:
+        raise ValueError("need 0 < lo < hi < inf (a head from 0 goes around "
+                         "the arc: series.lower_integral_by_quadrature)")
     return _axis_integral(spec, lo, hi)
 
 
@@ -676,7 +626,7 @@ def integrate_to_infinity(spec: IntegrandSpec, lo: float, *,
     if not lo > 0:
         raise ValueError("need lo > 0 (use integrate_line for [0, inf))")
     if spec.kernel == "unit":
-        raise ValueError("bare trig carrier is not integrable to infinity")
+        raise ValueError("bare sine carrier is not integrable to infinity")
     if paired and spec.trig is None:
         raise ValueError("paired form applies to oscillatory kinds only")
     return _axis_integral(spec, lo, math.inf, paired)

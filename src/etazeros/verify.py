@@ -68,7 +68,7 @@ def _run_theorem2(b_grid=None) -> VerificationReport:
     for a in THEOREM2_GRID_A:
         for b in bs:
             K, R = choose_K_R(b, 2.0)
-            ev = series.series_lower_integral(a, b, K, R, tol=1e-13)
+            ev = series.series_lower_integral(a, b, K, R, tol=1e-17)
             qv, qe = series.lower_integral_by_quadrature(a, b, R)
             rep.add_equality(f"series vs quadrature a={a:g} b={b:g}",
                              ev.value, qv,

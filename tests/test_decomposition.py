@@ -13,7 +13,6 @@ from etazeros.decomposition import (
     interval_contributions,
     make_plan,
     pair_kernel,
-    scaling_identity_discrepancy,
     telescoping_partial_sums,
     upper_integral,
 )
@@ -73,19 +72,19 @@ def test_single_interval_regroups():
 
 
 def test_half_wave_change_of_variable():
-    # the negative half-wave maps onto the positive one:
-    # int_(t1)^(t2) f sin dt = -c int f(u c) sin(b log u) du over [t0, t1]
+    # the negative half-wave maps onto the positive one by t = u c, which
+    # is what the pair kernel h(u) = f(u) - c f(u c) folds in:
+    # int_(t1)^(t2) f sin dt = int_(t0)^(t1) h sin du - int_(t0)^(t1) f sin du
     plan = make_plan(0.5, 100.0)
-    b, c = plan.b, plan.c
+    b = plan.b
     k = plan.K
     t0, t1 = plan.half_period(k)
     t2 = plan.endpoint(2 * k + 2)
-    lhs, _ = integrate_finite(IntegrandSpec("fermi", "sin", a=0.5, b=b),
-                              t1, t2)
-    # c * f(u c) = c^a u^(a-1) q(c u): the scaled kernel times c^a
-    rhs, _ = integrate_finite(IntegrandSpec("fermi", "sin", a=0.5, b=b,
-                                            scale=c), t0, t1)
-    assert lhs == pytest.approx(-c ** 0.5 * rhs, abs=5e-15)
+    f = IntegrandSpec("fermi", "sin", a=0.5, b=b)
+    lhs, _ = integrate_finite(f, t1, t2)
+    h_half, _ = integrate_finite(f.paired, t0, t1)
+    f_half, _ = integrate_finite(f, t0, t1)
+    assert lhs == pytest.approx(h_half - f_half, abs=5e-15)
 
 
 def test_positivity_of_contributions():
@@ -112,11 +111,6 @@ def test_tail_bounds_collapse_at_large_b():
     assert rep.passed
     margins = [r.margin for r in rep.rows if r.margin is not None]
     assert all(0 < m < 1e-6 for m in margins)  # bounds close in but stay strict
-
-
-def test_scaling_identity():
-    c = math.exp(math.pi / 100.0)
-    assert scaling_identity_discrepancy(1.0, 2.0, 0.5, c) < 1e-12
 
 
 def test_telescoping_partial_sums():

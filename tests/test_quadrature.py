@@ -46,7 +46,6 @@ def test_overflow_safety_and_decay():
     decay = ts >= 5.0
     for spec in (IntegrandSpec("fermi", a=0.5),
                  IntegrandSpec("fermi", a=0.9),
-                 IntegrandSpec("exp", a=0.1),
                  IntegrandSpec("pair_fermi", a=0.5, b=100.0)):
         vals = ts ** (spec.a - 1.0) * spec.smooth_factor(ts)
         assert np.all(np.isfinite(vals))
@@ -105,38 +104,39 @@ def test_gauss_rule_matches_scipy(n):
 # Finite integrals, smooth and singular.
 
 def test_power_singularity():
-    # int_0^1 t^(-1/2) dt = 2 (fermi kernel with huge scale-down? no: use
-    # the exp kernel at t-range where e^-t ~ 1? cleanest: unit-power check
-    # via fermi at a=1/2 against its own series value is circular; use
-    # int_0^1 t^(a-1) e^-t dt = gamma(a) - tail, verified for a = 1/2 below)
-    spec = IntegrandSpec("exp", a=0.5)
-    val, err = integrate_to_infinity(spec, 1e-12)  # ~ whole line
-    # int_0^inf t^(-1/2) e^-t dt = gamma(1/2) = sqrt(pi); the [0, 1e-12]
-    # sliver is 2e-6-ish, so compare the full-line variant instead
+    # int_0^inf t^(-1/2) e^-t dt = gamma(1/2) = sqrt(pi): the t^(-1/2) cusp
+    # at 0 goes to the ray's closed-form head
     val_full, err_full = integrate_line("exp", 0.5)
     assert val_full.imag == 0.0
     assert val_full.real == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-    assert abs(val_full.real - val) < 2.1e-6
-
-
-def test_pure_power_cusp():
-    # int_0^1 t^(-1/2) dt = 2, exercised through the closed-form head below
-    # rho and the panels in u = log t above it, with a kernel that is ~ 1 on
-    # [0, 1]: fermi at scale 1e-8 gives 1/(e^(st)+1)
-    # = 1/2 - st/4 + O((st)^2); double it and the correction is ~ 2.5e-9·2/3
-    spec = IntegrandSpec("fermi", a=0.5, scale=1e-8)
-    val, err = integrate_finite(spec, 0.0, 1.0)
-    correction = 1e-8 / 4.0 * (2.0 / 3.0)  # int t^(1/2)/4 * s dt
-    assert 2.0 * val == pytest.approx(2.0 - 2.0 * correction, abs=1e-12)
 
 
 def test_fermi_log_antiderivative():
-    # int_0^X dt/(e^t+1) = [t - log(1 + e^t)]_0^X = X - log(1+e^X) + log 2
+    # int_lo^X dt/(e^t+1) = [t - log(1 + e^t)]_lo^X
     spec = IntegrandSpec("fermi", a=1.0)
-    X = math.log(3.0)
-    val, err = integrate_finite(spec, 0.0, X)
-    assert val == pytest.approx(math.log(3.0) - math.log(2.0), rel=1e-13)
+    lo, X = 0.5, math.log(3.0)
+    val, err = integrate_finite(spec, lo, X)
+
+    def anti(t):
+        return t - math.log1p(math.exp(t))
+
+    assert val == pytest.approx(anti(X) - anti(lo), rel=1e-13)
     assert err < 1e-12
+
+
+def test_real_axis_family_is_enforced():
+    # the real axis takes the paper's pieces only: fermi, pair and unit
+    # kernels at scale 1, times 1 or a sine, from a finite lo > 0
+    for kernel, trig in (("exp", None), ("bose", None), ("fermi", "cos")):
+        with pytest.raises(ValueError):
+            IntegrandSpec(kernel, trig, a=0.5, b=10.0)
+    with pytest.raises(TypeError):
+        IntegrandSpec("fermi", a=0.5, scale=2.0)
+    with pytest.raises(ValueError):
+        IntegrandSpec("pair_fermi", a=0.5, b=10.0).paired
+    spec = IntegrandSpec("fermi", "sin", a=0.5, b=12.0)
+    with pytest.raises(ValueError):
+        integrate_finite(spec, 0.0, node(2, 12.0))
 
 
 def test_fermi_whole_line_log2():
@@ -183,13 +183,13 @@ def test_sine_half_period_closed_form():
 
 
 def test_oscillatory_lower_integral_against_series_free_reference():
-    # int_0^R t^(a-1) sin(b log t)/(e^t+1) dt at modest b, cross-checked by
-    # brute-force adaptive integration on log-spaced sub-intervals
+    # int_0^R t^(a-1) sin(b log t)/(e^t+1) dt at modest b, around the arc,
+    # cross-checked by brute-force adaptive integration on the real axis
+    from etazeros.series import lower_integral_by_quadrature
     a, b = 0.5, 12.0
     K = 1
     R = node(2 * K, b)
-    spec = IntegrandSpec("fermi", "sin", a=a, b=b)
-    val, err = integrate_finite(spec, 0.0, R)
+    val, err = lower_integral_by_quadrature(a, b, R)
 
     # independent brute force: midpoint-refined Simpson on [eps, R] in log t
     import scipy.integrate as si
@@ -228,7 +228,7 @@ def test_paired_whole_upper_range():
 
 
 def test_cos_kind_runs():
-    # the cos kind of the fermi kernel is Re F(0.5 + 50i)
+    # the cos (b log t) weight of the fermi kernel is Re F(0.5 + 50i)
     val, err = integrate_line("fermi", complex(0.5, 50.0))
     assert math.isfinite(val.real) and err < 1e-8
 
@@ -266,34 +266,23 @@ def test_refinement_consistency(monkeypatch):
     assert abs(v1.imag - v2.imag) <= max(e1, e2) + 1e-15
 
 
-def test_slow_oscillation_through_the_cusp():
-    # int_0^1 t^(a-1) cos(beta log t) dt = a/(a^2 + beta^2) and the sin
-    # variant gives -beta/(a^2 + beta^2); with a near-unit kernel (fermi at
-    # scale 1e-12 is 1/2 + O(1e-13)) both closed forms are sharp oracles for
-    # a slow oscillation, whose half periods of pi/b = 63 in log t leave the
-    # panel rule in charge and the closed-form head below rho
-    a, beta = 0.5, 0.05
-    for trig, closed in (("cos", a / (a * a + beta * beta)),
-                         ("sin", -beta / (a * a + beta * beta))):
-        spec = IntegrandSpec("fermi", trig, a=a, b=beta, scale=1e-12)
-        val, err = integrate_finite(spec, 0.0, 1.0)
-        assert 2.0 * val == pytest.approx(closed, rel=1e-10)
-
-
 def test_arbitrary_endpoint_oscillatory_panels():
     # antiderivative of sin(b log t) is t (sin(b log t) - b cos(b log t))
     # / (1 + b^2); endpoints deliberately off the phase nodes exercise a
-    # phase anchored off the node lattice and a partial top half period
-    b = 40.0
-    spec = IntegrandSpec("unit", "sin", b=b)
+    # phase anchored off the node lattice and a partial top half period.
+    # At b = 0.05 a half period is pi/b = 63 in log t, so every range sits
+    # inside one partial half period and the panel rule is in charge
+    for b in (40.0, 0.05):
+        spec = IntegrandSpec("unit", "sin", b=b)
 
-    def anti(t):
-        return t * (math.sin(b * math.log(t)) - b * math.cos(b * math.log(t))) \
-            / (1.0 + b * b)
+        def anti(t):
+            return t * (math.sin(b * math.log(t))
+                        - b * math.cos(b * math.log(t))) / (1.0 + b * b)
 
-    for lo, hi in ((0.37, 2.83), (1.0, 1.04), (0.095, 61.7)):
-        val, err = integrate_finite(spec, lo, hi)
-        assert val == pytest.approx(anti(hi) - anti(lo), abs=1e-12 * hi + err)
+        for lo, hi in ((0.37, 2.83), (1.0, 1.04), (0.095, 61.7)):
+            val, err = integrate_finite(spec, lo, hi)
+            assert val == pytest.approx(anti(hi) - anti(lo),
+                                        abs=1e-12 * hi + err), (b, lo, hi)
 
 
 @settings(max_examples=20, deadline=None)
@@ -305,14 +294,6 @@ def test_gamma_kernel_error_contract(a):
     val = val.real
     true = math.gamma(a)
     assert abs(val - true) <= max(err, quadrature._STALL_TOL * abs(val)) + 1e-15 * true
-
-
-def test_scaled_fermi_kernel():
-    # int_alpha^beta t^(a-1)/(e^(ct)+1) dt = c^-a int_(c alpha)^(c beta) u^(a-1)/(e^u+1) du
-    a, c = 0.5, math.exp(math.pi / 100.0)
-    lhs, _ = integrate_finite(IntegrandSpec("fermi", a=a, scale=c), 1.0, 2.0)
-    rhs, _ = integrate_finite(IntegrandSpec("fermi", a=a), c, 2.0 * c)
-    assert lhs == pytest.approx(c ** -a * rhs, rel=1e-12)
 
 
 def test_real_axis_err_est_bounds_error_against_mpmath():
@@ -375,12 +356,10 @@ def _panels_by_loop(rate, decay, delta, log_pole, v_lo, v_hi, u0=0.0,
 
 def test_panels_fast_path_matches_loop(monkeypatch):
     # every breakpoint set of suites 2, 6, 7 and 9 (suite 2's arcs, direct
-    # and paired tails, half periods) and of the real-axis heads from 0 on
-    # suite 2's grid is bit-identical to the loop's; so are tails at small
-    # b, where the step falls below one half period and the loop takes over
-    # from the stretch, and the rays of F
+    # and paired tails, half periods) is bit-identical to the loop's; so are
+    # tails at small b, where the step falls below one half period and the
+    # loop takes over from the stretch, and the rays of F
     from etazeros import verify
-    from etazeros.series import choose_K_R
     panels = quadrature._panels
     calls = []
 
@@ -392,15 +371,10 @@ def test_panels_fast_path_matches_loop(monkeypatch):
     monkeypatch.setattr(quadrature, "_panels", recorded)
     for n in (2, 6, 7, 9):
         verify.run_theorem(n)
-    for a in verify.THEOREM2_GRID_A:
-        for b in verify.THEOREM2_GRID_B:
-            integrate_finite(IntegrandSpec("fermi", "sin", a=a, b=b), 0.0,
-                             choose_K_R(b, 2.0)[1])
     for b in (3.0, 10.0, 30.0):
         spec = IntegrandSpec("fermi", "sin", a=0.5, b=b)
         integrate_to_infinity(spec, 1.0)
         integrate_to_infinity(spec, 1.0, paired=True)
-        integrate_finite(spec, 0.0, 50.0)
     for b in (14.1, 485.0):
         integrate_line("fermi", complex(0.5, b))
     whole = split = 0
@@ -411,5 +385,5 @@ def test_panels_fast_path_matches_loop(monkeypatch):
         widths = np.diff(xs)
         whole += int(np.sum(widths == 1.0))
         split += int(np.sum(widths[:-1] < 1.0))
-    assert whole > 10_000        # the heads from 0: mostly whole half periods
+    assert whole > 2_000         # mostly whole half periods of the tails
     assert split                 # and the loop ran past a stretch

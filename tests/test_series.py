@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from etazeros import quadrature
 from etazeros.coeffs import g_value
-from etazeros.quadrature import IntegrandSpec, integrate_finite
 from etazeros.series import (
     SeriesError,
     _series_sum,
@@ -129,11 +128,6 @@ def _mp_head_check(mp, a, b, R):
         ref = _mp_head(mp, a, b, R)
         v, e = quadrature._arc_head(complex(a, b), R)
         assert abs(mp.mpc(v) - ref) <= e, (a, b, R)
-        # the same head on the real axis, within both routes' bounds
-        qv, qe = lower_integral_by_quadrature(a, b, R)
-        fv, fe = integrate_finite(IntegrandSpec("fermi", "sin", a=a, b=b),
-                                  0.0, R)
-        assert abs(qv - fv) <= qe + fe, (a, b, R)
     return e
 
 
