@@ -2,10 +2,11 @@
 
 F(s) = int t^(s-1)/(e^t+1) dt is entire in the strip and ties to zeta by
 (1 - 2^(1-s)) G(s) = F(s) with G = gamma * zeta, so zeta inherits its zeros.
-F and gamma are both integrated on a ray rotated towards the imaginary axis,
-so each keeps its relative accuracy as it decays like e^(-pi b/2): the
-quadrature route and gamma times the accelerated alternating series agree to
-better than 1e-12 of |F|, out to b = 100 where |F| is near 2e-68.
+F is integrated on a ray rotated towards the imaginary axis and gamma comes
+from Stirling's series, so each keeps its relative accuracy as it decays
+like e^(-pi b/2): the quadrature route and gamma times the accelerated
+alternating series agree to better than 1e-12 of |F|, out to b = 100 where
+|F| is near 2e-68.
 """
 
 import math

@@ -41,13 +41,10 @@ __all__ = ["main"]
 _LAYERS = {
     "coeffs": ("CoefficientTable",),
     "decomposition": ("interval_contributions", "make_plan", "upper_integral"),
-    "quadrature": ("QuadratureError",),
-    "series": ("SeriesError", "choose_K_R", "series_lower_integral"),
-    "special": ("ComplexPoint", "F", "Gamma", "one_minus_two_pow",
-                "zeta_strip"),
+    "series": ("choose_K_R", "series_lower_integral"),
+    "special": ("ComplexPoint", "F", "Gamma", "one_minus_two_pow"),
     "verify": ("verify",),
-    "zerofinder": ("EtaConvergenceError", "eta_oracle", "find_zeros",
-                   "scan_F", "zeta_oracle"),
+    "zerofinder": ("eta_oracle", "find_zeros", "scan_F"),
 }
 _LAYER_OF = {name: layer for layer, names in _LAYERS.items()
              for name in names}
@@ -129,7 +126,7 @@ def _build_parser() -> _Parser:
 # Subcommand implementations (each returns (exit_code, text)).
 
 def _cmd_eval(args):
-    _bind("quadrature", "special")
+    _bind("special")
     p = ComplexPoint(args.a, args.b)
     method = args.method
     if method == "integral":
@@ -149,19 +146,16 @@ def _cmd_eval(args):
         err = head.tail_bound + tail_err + ev.err
     else:  # oracle
         _bind("zerofinder")
-        eta = eta_oracle(p, tol=1e-12)
+        eta = eta_oracle(p, tol=1e-12).value
         gam = Gamma(p)
-        f = gam.value.value * eta.value
-        err = abs(eta.value) * gam.err + abs(gam.value) * 1e-12
-    # zeta stays null where F is not resolved above its error (it says
+        f = gam.value.value * eta
+        err = abs(eta) * gam.err + abs(gam.value) * 1e-12
+    # zeta stays null where F is not resolved above its error: it says
     # nothing about zeta, and over a tiny gamma would print noise or an
-    # overflow), where gamma is not, and where 1 - 2^(1-s) vanishes
+    # overflow
     z = None
     if abs(f) > 4.0 * err:
-        try:
-            z = _zeta(p, f, method)
-        except (QuadratureError, ZeroDivisionError):
-            pass
+        z = _zeta(p, f, eta if method == "oracle" else None)
     payload = {"a": p.a, "b": p.b, "method": method,
                "F_re": f.real, "F_im": f.imag, "F_abs": abs(f),
                "zeta_re": None if z is None else z.real,
@@ -180,17 +174,20 @@ def _cmd_eval(args):
     return 0, json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _zeta(p: ComplexPoint, f: complex, method: str):
-    """zeta(p) on the route of ``method``, from the F already in hand where
-    the route has one: zeta = F / ((1 - 2^(1-s)) gamma) for 0 < a <= 1."""
-    if method == "oracle":
-        return zeta_oracle(p, tol=1e-12).value
-    if method == "integral" and p.a > 1.0:
-        return zeta_strip(p).value.value     # G by its own integral
+def _zeta(p: ComplexPoint, f: complex, eta: complex | None):
+    """zeta(p) from what the route has in hand: eta / (1 - 2^(1-s)) where
+    eta is given, else F / ((1 - 2^(1-s)) gamma).  None where
+    1 - 2^(1-s) vanishes (the pole s = 1 and its companions on Re s = 1)
+    and where gamma is not resolved above its error."""
+    denom = one_minus_two_pow(p)
+    if abs(denom) < 1e-12:
+        return None
+    if eta is not None:
+        return eta / denom
     gam = Gamma(p)
     if abs(gam.value) <= 4.0 * gam.err:     # gamma underflows before F does
-        raise QuadratureError("gamma(s) is not resolved above its error")
-    return f / one_minus_two_pow(p) / gam.value.value
+        return None
+    return f / denom / gam.value.value
 
 
 def _cmd_coeffs(args):

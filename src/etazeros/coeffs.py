@@ -231,29 +231,12 @@ def coefficient_ratio(m: int) -> float:
     return float(coefficient_ratio_exact(m))
 
 
-def ratio_over_pi2_minus_one(m: int) -> float:
-    """coefficient_ratio(m)/pi^2 - 1, small-positive at large m.
-
-    Formed exactly as r/PI_HI^2 - 1 and rounded once, so it is a lower bound
-    on the true value, short of it by under 1e-35 absolute; at m >= 9 the
-    true value is below one ulp of pi^2 and float(r)/pi^2 - 1 reads 0.
-    """
-    return float(_ratio_margins(coefficient_ratio_exact(m))[0])
-
-
 def _ratio_margins(r: Fraction) -> tuple[Fraction, Fraction]:
     """Exact lower bounds on r/pi^2 - 1 and RATIO_UPPER_BOUND - r/pi^2 from
     the 35-digit pi bracket; each is positive exactly when its strict bound
     holds for every pi in [PI_LO, PI_HI]."""
     return (r / (PI_HI * PI_HI) - 1,
             Fraction(100013814, 10 ** 8) - r / (PI_LO * PI_LO))
-
-
-def ratio_bounds_exact(m: int) -> tuple[bool, bool]:
-    """Exact verdicts (r_m > pi^2, r_m < RATIO_UPPER_BOUND * pi^2), decided in
-    rational arithmetic against the 35-digit pi bracket."""
-    lower, upper = _ratio_margins(coefficient_ratio_exact(m))
-    return lower > 0, upper > 0
 
 
 # ---------------------------------------------------------------------------

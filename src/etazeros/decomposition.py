@@ -178,29 +178,29 @@ def telescoping_partial_sums(a: float, b: float,
 # ---------------------------------------------------------------------------
 # The half-period sine average.
 
+def _sine_average(b: float) -> float:
+    """A = (1 + e^(-pi/b)) / (b (b^-2 + 1) (1 - e^(-pi/b)))."""
+    e = math.exp(-math.pi / b)
+    return (1.0 + e) / (b * (b ** -2 + 1.0) * (-math.expm1(-math.pi / b)))
+
+
 def interval_average(k: int, b: float) -> tuple[float, float]:
     """Average of sin(b log t) over [t_2k, t_2k+1], returned both ways:
     (closed form, direct quadrature).  The closed form
-
-        A = (1 + e^(-pi/b)) / (b (b^-2 + 1) (1 - e^(-pi/b)))
-
-    carries no k at all; the quadrature side of course runs on the actual
-    interval."""
+    :func:`_sine_average` carries no k at all; the quadrature side of
+    course runs on the actual interval."""
     if not b >= 10.0:
         raise ValueError("average bounds stated for b >= 10")
-    e = math.exp(-math.pi / b)
-    closed = (1.0 + e) / (b * (b ** -2 + 1.0) * (-math.expm1(-math.pi / b)))
     lo = math.exp(2 * k * math.pi / b)
     hi = math.exp((2 * k + 1) * math.pi / b)
     integral, _ = integrate_finite(IntegrandSpec("unit", "sin", b=b), lo, hi)
     width = lo * math.expm1(math.pi / b)
-    return closed, integral / width
+    return _sine_average(b), integral / width
 
 
 def average_bound_margins(b: float) -> tuple[float, float]:
     """(A - (2/pi - 2/(pi b^2)), 2/pi - A): both strictly positive."""
-    e = math.exp(-math.pi / b)
-    A = (1.0 + e) / (b * (b ** -2 + 1.0) * (-math.expm1(-math.pi / b)))
+    A = _sine_average(b)
     lower = 2.0 / math.pi - 2.0 / (math.pi * b * b)
     return A - lower, 2.0 / math.pi - A
 

@@ -9,17 +9,18 @@ from the kernel's first two Taylor terms, and beyond the last panel the
 tail is bounded analytically.  Panel sums go through ``math.fsum`` in panel
 order, so results are bit-reproducible.
 
-Whole half-line integrals of the fermi, exp and bose kernels (F, gamma and G
-of :mod:`etazeros.special`) go to :func:`integrate_line`, which runs on a ray
-rotated towards the imaginary axis.  Each kernel is analytic on Re t > 0
-with its poles on the imaginary axis, so by Cauchy's theorem
+The whole half-line integral F(s) of the fermi kernel k(t) = 1/(e^t + 1)
+goes to :func:`integrate_line`, which runs on a ray rotated towards the
+imaginary axis.  The kernel is analytic on Re t > 0 with its poles on the
+imaginary axis, so by Cauchy's theorem
 
     int_0^inf t^(s-1) k(t) dt = e^(i theta s) int_0^inf r^(s-1) k(r e^(i theta)) dr
 
 for 0 <= theta < pi/2.  With theta = pi/2 - delta the factor e^(-theta b)
 comes out analytically, and what is left to quadrature is only about
 e^(delta b) worse conditioned than the integral, which decays like
-e^(-pi b / 2).
+e^(-pi b / 2).  Gamma comes from Stirling's series and G from the bridge
+identity (:mod:`etazeros.special`), so no other kernel takes the ray.
 
 The fermi head int_0^R t^(s-1) k(t) dt with R < pi, which suite 2 checks
 against the paper's coefficient series, goes to :func:`_arc_head`.  The disc
@@ -307,7 +308,19 @@ _RAY_DELTA_B = 4.0      # ... capped at this / |b|: conditioning e^(delta |b|) <
 _RAY_TAIL = 40.0        # the tail beyond the last panel is below e^(-40)
 
 
+# The fermi kernel k(z) = 1/(e^z + 1) is analytic on Re z > 0.  For |z| <= 1
+# it is 1/2 - z/4 + z^3/48 - z^5/480 + ... = c0 + c1 z + rest with
+# |rest| <= |z|^3 / 40; once Re z >= 1, |k(z)| <= 2 e^(-Re z); its poles
+# nearest the positive real axis lie at +-i pi.
+_HEAD_C0, _HEAD_C1 = 0.5, -0.25
+_HEAD_P, _HEAD_DIV = 3.0, 40.0
+_TAIL_MUL = 2.0
+_POLE = math.pi
+
+
 def _fermi_values(z):
+    """k(z) and the relative rounding of that evaluation, in units of eps,
+    beyond the rounding of z itself."""
     # with Re z >= 0, 1/(e^z + 1) = w/(1 + w), w = e^(-z), never overflows;
     # 1 + w cancels near a pole, by about |k(z)|
     w = np.exp(-z)
@@ -315,71 +328,23 @@ def _fermi_values(z):
     return g, np.abs(g)
 
 
-def _exp_values(z):
-    return np.exp(-z), 0.0
-
-
-def _bose_values(z):
-    # 1 - e^(-z) by expm1, exact as z -> 0; near a pole 2 pi i m it cancels
-    # the rounding of z, by about |z k(z)|
-    g = np.exp(-z) / -np.expm1(-z)
-    return g, np.abs(z * g)
-
-
-@dataclass(frozen=True)
-class _RayKernel:
-    """A kernel k(z) of :func:`integrate_line`, analytic on Re z > 0.
-
-    ``values(z)`` gives k(z) and the relative rounding of that evaluation,
-    in units of eps, beyond the rounding of z itself.  For |z| <= 1,
-    k(z) = c0 z^j0 + c1 z^(j0+1) + rest with |rest| <= |z|^p / head_div;
-    the integral needs Re s > -j0.  Once Re z >= 1,
-    |k(z)| <= tail_mul e^(-Re z).  The poles nearest the positive real axis
-    lie at +-i pole (inf: none).
-    """
-
-    values: Callable
-    j0: int
-    c0: float
-    c1: float
-    p: float
-    head_div: float
-    tail_mul: float
-    pole: float
-
-
-_RAY_KERNELS = {
-    # 1/(e^z + 1) = 1/2 - z/4 + z^3/48 - z^5/480 + ...: rest < 0.024 |z|^3
-    "fermi": _RayKernel(_fermi_values, j0=0, c0=0.5, c1=-0.25, p=3.0,
-                        head_div=40.0, tail_mul=2.0, pole=math.pi),
-    # e^(-z) = 1 - z + rest, |rest| <= (e - 2) |z|^2 < |z|^2 / 1.39
-    "exp": _RayKernel(_exp_values, j0=0, c0=1.0, c1=-1.0, p=2.0,
-                      head_div=1.39, tail_mul=1.0, pole=math.inf),
-    # 1/(e^z - 1) = 1/z - 1/2 + sum_n B_2n z^(2n-1) / (2n)!, and
-    # sum_n |B_2n| / (2n)! = 1 - cot(1/2) / 2 < 1/11 bounds the rest by |z|/11
-    "bose": _RayKernel(_bose_values, j0=-1, c0=1.0, c1=-0.5, p=1.0,
-                       head_div=11.0, tail_mul=2.0, pole=2.0 * math.pi),
-}
-
-
-def _ray_integrand(kernel: _RayKernel, s: complex, rot: complex,
-                   lo: np.ndarray, hi: np.ndarray, x: np.ndarray):
+def _ray_integrand(s: complex, rot: complex, lo: np.ndarray, hi: np.ndarray,
+                   x: np.ndarray):
     """The integrand e^(s u) k(e^u rot) at u = mid + half x on panels
     [lo, hi] of u = log r, and its node-wise rounding: |f| times the
     relative rounding in units of eps of the phase b u and the argument
     r rot (each rounded relative to its size) and of the kernel itself."""
     u = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
     r = np.exp(u)
-    g, cond = kernel.values(r * rot)
+    g, cond = _fermi_values(r * rot)
     f = np.exp(s * u) * g
     rel = 4.0 + abs(s) * np.abs(u) + r + cond
     return f, np.abs(f) * rel
 
 
-def integrate_line(kernel: str, s: complex) -> tuple[complex, float]:
-    """int_0^inf t^(s-1) k(t) dt and a bound on the modulus of its error,
-    for k = ``fermi`` 1/(e^t + 1) or ``exp`` e^(-t) (Re s > 0), or ``bose``
-    1/(e^t - 1) (Re s > 1).
+def integrate_line(s: complex) -> tuple[complex, float]:
+    """F(s) = int_0^inf t^(s-1) / (e^t + 1) dt for Re s > 0, and a bound on
+    the modulus of its error.
 
     For b = Im s != 0 the ray has angle theta = pi/2 - delta with
     delta = min(0.2, 4/|b|), so the error scales with the integral itself;
@@ -391,7 +356,7 @@ def integrate_line(kernel: str, s: complex) -> tuple[complex, float]:
     (carrying the unrotated integral of :func:`_ray_integral`), or when a
     panel value or a bound is not finite.
     """
-    integral, err, theta = _ray_integral(kernel, s)
+    integral, err, theta = _ray_integral(s)
     s = complex(s)
     b = abs(s.imag)
     value = cmath.exp(1j * theta * complex(s.real, b)) * integral
@@ -401,57 +366,51 @@ def integrate_line(kernel: str, s: complex) -> tuple[complex, float]:
     return (value.conjugate() if s.imag < 0 else value), err
 
 
-def _ray_head(k: _RayKernel, s: complex,
-              rot: complex) -> tuple[float, complex, float]:
+def _ray_head(s: complex, rot: complex) -> tuple[float, complex, float]:
     """(u_lo, head, bound): below rho = e^u_lo on the ray the kernel's first
     two series terms integrate in closed form to ``head``, and the rest
-    leaves rho^p' / (head_div p') <= e^(-46)."""
-    p = s.real + k.p
+    leaves rho^p / (40 p) <= e^(-46), p = Re s + 3."""
+    p = s.real + _HEAD_P
     u_lo = -_HEAD / p
     rho = math.exp(u_lo)
-    j = k.j0
-    head = (k.c0 * rot ** j * cmath.exp((s + j) * u_lo) / (s + j)
-            + k.c1 * rot ** (j + 1) * cmath.exp((s + j + 1) * u_lo)
-            / (s + j + 1))
-    return u_lo, head, rho ** p / (k.head_div * p)
+    head = (_HEAD_C0 * cmath.exp(s * u_lo) / s
+            + _HEAD_C1 * rot * cmath.exp((s + 1) * u_lo) / (s + 1))
+    return u_lo, head, rho ** p / (_HEAD_DIV * p)
 
 
-def _ray_integral(kernel: str, s: complex) -> tuple[complex, float, float]:
+def _ray_integral(s: complex) -> tuple[complex, float, float]:
     """(I, err, theta): at s' = a + i|b| the integral of :func:`integrate_line`
     is e^(i theta s') I, and err bounds the error of I.  Callers dividing
     e^(-theta |b|) by a factor of like size do it in log form, where neither
     underflows."""
-    if kernel not in _RAY_KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r} for the whole line")
-    k = _RAY_KERNELS[kernel]
     s = complex(s)
     a, b = s.real, abs(s.imag)
-    if not a > -k.j0:
-        raise ValueError(f"the {kernel} integral needs Re s > {-k.j0}")
+    if not a > 0:
+        raise ValueError("the fermi integral needs Re s > 0")
     delta = min(_RAY_DELTA_MAX, _RAY_DELTA_B / b) if b else 0.5 * math.pi
     theta = 0.5 * math.pi - delta
     sigma = math.sin(delta)          # Re of the ray's direction
     rot = complex(sigma, math.cos(delta) if b else 0.0)
     s = complex(a, b)
-    u_lo, head, head_bound = _ray_head(k, s, rot)
+    u_lo, head, head_bound = _ray_head(s, rot)
 
-    # tail: |k(z)| <= tail_mul e^(-sigma r) once sigma r >= 1, so beyond
-    # r = X / sigma it is below tail_mul sigma^-a int_X^inf x^(a-1) e^-x dx
+    # tail: |k(z)| <= 2 e^(-sigma r) once sigma r >= 1, so beyond
+    # r = X / sigma it is below 2 sigma^-a int_X^inf x^(a-1) e^-x dx
     x_top = _RAY_TAIL
     for _ in range(4):
         x_top = _RAY_TAIL + max(a - 1.0, 0.0) * math.log(x_top) \
             - a * math.log(sigma)
     try:
-        tail_bound = k.tail_mul * sigma ** -a * _upper_tail_bound(a, x_top)
+        tail_bound = _TAIL_MUL * sigma ** -a * _upper_tail_bound(a, x_top)
     except OverflowError:
         tail_bound = math.inf
     if not math.isfinite(tail_bound):
         raise QuadratureError(f"ray tail bound overflows at s = {s}")
     u_hi = math.log(x_top / sigma)
 
-    xs = _panels(abs(s), 1.0, delta, math.log(k.pole), u_lo, u_hi)
+    xs = _panels(abs(s), 1.0, delta, math.log(_POLE), u_lo, u_hi)
     integral, panel_err, noise = _integrate_panels(
-        lambda lo, hi, x: _ray_integrand(k, s, rot, lo, hi, x),
+        lambda lo, hi, x: _ray_integrand(s, rot, lo, hi, x),
         xs[:-1], xs[1:], head, 4.0 + theta * b)
     return integral, panel_err + head_bound + tail_bound + noise, theta
 
@@ -479,11 +438,10 @@ def _arc_head(s: complex, R: float) -> tuple[complex, float]:
     errors and rounding floors of both pieces and the rounding of R^s,
     |s log R| eps relative.  Raises ValueError outside the stated range.
     """
-    k = _RAY_KERNELS["fermi"]
     s = complex(s)
     a, b = s.real, s.imag
-    if not 0.0 < R < k.pole:
-        raise ValueError(f"the arc needs 0 < R < {k.pole:g}, got R = {R:g}")
+    if not 0.0 < R < _POLE:
+        raise ValueError(f"the arc needs 0 < R < {_POLE:g}, got R = {R:g}")
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"the arc needs Re s > 0 and Im s > 0, got {s}")
     log_r = math.log(R)
@@ -494,13 +452,13 @@ def _arc_head(s: complex, R: float) -> tuple[complex, float]:
 
     def arc(lo, hi, x):
         phi = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
-        g, cond = k.values(R * np.exp(1j * phi))
+        g, cond = _fermi_values(R * np.exp(1j * phi))
         f = np.exp(1j * s * phi) * g
         return f, np.abs(f) * (4.0 + abs(s) * phi + R + cond)
 
     # panels in phi: the integrand's log moves by at most |s| + R per unit
     # of phi, and the pole pi i sits at phi = pi/2 - i log(pi/R)
-    xs = _panels(abs(s) + R, 0.0, math.log(k.pole / R), half_pi, 0.0, top)
+    xs = _panels(abs(s) + R, 0.0, math.log(_POLE / R), half_pi, 0.0, top)
     arc_val, arc_err, arc_noise = _integrate_panels(
         arc, xs[:-1], xs[1:], 0.0, 4.0 + abs(s * log_r))
     value = -1j * cmath.exp(s * log_r) * arc_val
@@ -511,10 +469,10 @@ def _arc_head(s: complex, R: float) -> tuple[complex, float]:
     seg_bound = math.exp(-half_pi * b) * r_a * m / a
     if seg_bound <= _EPS * r_a / abs(s):
         return value, err + seg_bound
-    u_lo, head, head_bound = _ray_head(k, s, 1j)
-    xs = _panels(abs(s), 1.0, 0.0, math.log(k.pole), u_lo, log_r)
+    u_lo, head, head_bound = _ray_head(s, 1j)
+    xs = _panels(abs(s), 1.0, 0.0, math.log(_POLE), u_lo, log_r)
     seg, seg_err, seg_noise = _integrate_panels(
-        lambda lo, hi, x: _ray_integrand(k, s, 1j, lo, hi, x),
+        lambda lo, hi, x: _ray_integrand(s, 1j, lo, hi, x),
         xs[:-1], xs[1:], head, 4.0 + half_pi * abs(s))
     scale = cmath.exp(0.5j * math.pi * s)
     return (value + scale * seg,

@@ -1,26 +1,25 @@
-"""The named strip functions: the alternating-kernel integral F, the
-Bose-kernel integral G, the gamma integral, and the zeta quotient.
+"""The named strip functions: the alternating-kernel integral F, gamma, the
+Bose-kernel integral G, and the zeta quotient.
 
     F(s)     = int_0^inf t^(s-1)/(e^t + 1) dt          (Re s > 0)
-    G(s)     = int_0^inf t^(s-1)/(e^t - 1) dt          (Re s > 1 directly)
-    Gamma(s) = int_0^inf t^(s-1) e^(-t) dt
+    Gamma(s) = int_0^inf t^(s-1) e^(-t) dt = exp(log Gamma(s))
+    G(s)     = int_0^inf t^(s-1)/(e^t - 1) dt = F(s) / (1 - 2^(1-s))
     zeta(s)  = G(s) / Gamma(s)
 
-with the bridging identity (1 - 2^(1-s)) G(s) = F(s), which both extends G
-into the strip 0 < Re s <= 1 (where its own integral diverges at 0) and makes
-F and zeta share their zero sets there.
+The bridge identity (1 - 2^(1-s)) Gamma(s) zeta(s) = F(s) gives G on all of
+Re s > 0 (on 0 < Re s <= 1 its own integral diverges at 0) and makes F and
+zeta share their zero sets in the strip.
 
-Writing s = a + ib, F, Gamma and G all decay like e^(-pi |b| / 2) while
-their integrand mass on the real axis stays O(1), so a real-axis quadrature
-carries an absolute rounding floor near 1e-18 that swamps them past
-|b| ~ 25.  All three are therefore taken by
+F is the one quadrature here.  Writing s = a + ib, it decays like
+e^(-pi |b| / 2) while its integrand mass on the real axis stays O(1), so a
+real-axis quadrature carries an absolute rounding floor near 1e-18 that
+swamps it past |b| ~ 25.  F is therefore taken by
 :func:`etazeros.quadrature.integrate_line` on a ray rotated towards the
-imaginary axis, whose error scales with the value itself; the functions here
-only name the kernel and package the result.
+imaginary axis, whose error scales with the value itself.
 
-Stirling's series gives log Gamma independently of any quadrature: it
-cross-checks :func:`Gamma`, and it supplies the Riemann-Siegel theta that
-turns zeta on the critical line into the real function Z.
+Gamma is the exponential of Stirling's series for log Gamma (remainder
+bound: DLMF 5.11.ii), which also gives the Riemann-Siegel theta that turns
+zeta on the critical line into the real function Z.
 """
 
 from __future__ import annotations
@@ -89,11 +88,6 @@ class StripEval:
     method: str
 
 
-def _ray(kernel: str, s, method: str = "integral-ray") -> StripEval:
-    value, err = integrate_line(kernel, ComplexPoint.of(s).s)
-    return StripEval(ComplexValue(value.real, value.imag), err, method)
-
-
 def F(s) -> StripEval:
     """F(s) = int_0^inf t^(s-1)/(e^t+1) dt as (F1, F2); requires Re s > 0.
 
@@ -101,12 +95,8 @@ def F(s) -> StripEval:
     |F| ~ e^(-pi |b|/2), not with the real-axis integrand mass.  The
     value at -b is the exact conjugate of the value at |b|.
     """
-    return _ray("fermi", s)
-
-
-def Gamma(s) -> StripEval:
-    """gamma(s) = int_0^inf t^(s-1) e^(-t) dt; requires Re s > 0."""
-    return _ray("exp", s)
+    value, err = integrate_line(ComplexPoint.of(s).s)
+    return StripEval(ComplexValue(value.real, value.imag), err, "integral-ray")
 
 
 # Stirling's series: log Gamma(z) = (z - 1/2) log z - z + log(2 pi)/2
@@ -147,6 +137,25 @@ def log_gamma(s) -> tuple[complex, float]:
             remainder + 8.0 * _EPS * size)
 
 
+def Gamma(s) -> StripEval:
+    """gamma(s) = exp(log Gamma(s)) by Stirling's series; requires Re s > 0.
+
+    err is |gamma| (expm1(lg_err) + 4 eps), and never less than the smallest
+    subnormal, so a gamma that underflows to 0 (past |b| ~ 470 on the
+    critical line) stays unresolved.  Raises :class:`QuadratureError` where
+    gamma overflows (Re s beyond ~ 171).
+    """
+    lg, lg_err = log_gamma(s)
+    try:
+        val = cmath.exp(lg)
+        mod = abs(val)
+    except OverflowError:
+        raise QuadratureError(
+            f"gamma(s) overflows at s = {ComplexPoint.of(s).s}") from None
+    err = max(mod * (math.expm1(lg_err) + 4.0 * _EPS), math.ulp(0.0))
+    return StripEval(ComplexValue(val.real, val.imag), err, "stirling")
+
+
 def riemann_siegel_theta(b: float) -> tuple[float, float]:
     """theta(b) = Im log Gamma(1/4 + ib/2) - (b/2) log pi and a bound on its
     error; e^(i theta(b)) zeta(1/2 + ib) is real (Hardy's Z)."""
@@ -162,17 +171,10 @@ def one_minus_two_pow(s) -> complex:
 
 
 def G(s) -> StripEval:
-    """G(s) = int_0^inf t^(s-1)/(e^t-1) dt.
-
-    Direct quadrature for Re s > 1 (the integral diverges at 0 otherwise);
-    on 0 < Re s <= 1 the value is defined through F(s)/(1 - 2^(1-s)) and the
-    method field records the route taken.
-    """
+    """G(s) = int_0^inf t^(s-1)/(e^t-1) dt = F(s)/(1 - 2^(1-s)) by the
+    bridge identity, for Re s > 0; on 0 < Re s <= 1 the identity is also
+    what continues G past the divergence of its integral at 0."""
     p = ComplexPoint.of(s)
-    if p.a > 1.0:
-        return _ray("bose", p, "direct")
-    if not p.a > 0:
-        raise ValueError("G needs Re s > 0")
     f = F(p)
     denom = one_minus_two_pow(p)
     val = f.value.value / denom
@@ -181,7 +183,7 @@ def G(s) -> StripEval:
 
 
 def zeta_strip(s) -> StripEval:
-    """zeta(s) = G(s)/gamma(s), with G routed per Re s.
+    """zeta(s) = G(s)/gamma(s) for Re s > 0.
 
     Both sides keep their relative accuracy until gamma(s) underflows
     (|b| beyond ~ 470 on the critical line); there the guard below refuses
@@ -193,7 +195,7 @@ def zeta_strip(s) -> StripEval:
     gam_abs = abs(gam.value)
     if gam_abs <= 4.0 * gam.err:
         raise QuadratureError(
-            "gamma(s) is not resolved above the quadrature noise floor; "
+            "gamma(s) is not resolved above its error; "
             "zeta quotient would be meaningless", value=None, err_est=gam.err)
     val = g.value.value / gam.value.value
     rel = (g.err / max(abs(g.value), 1e-300)) + gam.err / gam_abs
@@ -203,8 +205,8 @@ def zeta_strip(s) -> StripEval:
 
 def check_theorem1(points) -> VerificationReport:
     """Bridge identity on a strip grid: F(s) computed by quadrature must match
-    (1 - 2^(1-s)) * G(s) with G obtained *independently* as zeta_ref * gamma,
-    i.e. the right side is gamma(s) * eta_ref(s) with eta_ref the accelerated
+    (1 - 2^(1-s)) gamma(s) zeta(s) = gamma(s) eta(s), whose right side takes
+    no quadrature: gamma from Stirling's series and eta from the accelerated
     alternating series.
 
     Every cell is relative to |F|; where F underflows to 0 the cell cannot

@@ -223,7 +223,7 @@ def _line_eval(b: float, method: str):
     theta, theta_err = riemann_siegel_theta(s.imag)
     denom = one_minus_two_pow(s)
     if method == "integral":
-        integral, ray_err, phi = _ray_integral("fermi", s)
+        integral, ray_err, phi = _ray_integral(s)
         lg, lg_err = log_gamma(s)
         # F = e^(i phi s) integral; e^(i theta) e^(i phi s) / Gamma(s) is
         # formed in one exponential

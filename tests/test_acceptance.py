@@ -24,8 +24,8 @@ from etazeros import verify
 from etazeros.cli import main
 from etazeros.coeffs import (
     CoefficientTable,
+    _ratio_margins,
     coefficient_ratio_exact,
-    ratio_bounds_exact,
 )
 
 def report(n, ok, detail):
@@ -90,7 +90,8 @@ def test_c04_coefficient_structure_and_ratio_window():
                 and all(table.g_deriv[n] > 0 for n in range(3, 42, 4)))
     ratio = coefficient_ratio_exact(2)
     rel = float(ratio) / math.pi ** 2
-    above, below = ratio_bounds_exact(2)
+    lower, upper = _ratio_margins(ratio)
+    above, below = lower > 0, upper > 0
     margin = 1.00013814 - rel
     ok = rep.passed and signs_ok and above and below and margin > 0
     assert report(4, ok, f"signs/zeros exact to n = 41; m = 2 ratio/pi^2 = "

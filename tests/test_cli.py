@@ -75,9 +75,10 @@ def test_eval_methods_agree(capsys):
                                  (0.5, 14.134725141734695),
                                  (0.5, 21.022039638771555)])
 def test_eval_oracle_err_est_bounds_error_against_mpmath(capsys, a, b):
-    # the oracle route's F is Gamma (quadrature) times eta (series), so its
-    # err_est must carry Gamma's quadrature error and |Gamma| times eta's
-    # absolute tolerance, which dominates at the zeros, where eta ~ 0
+    # the oracle route's F is Gamma (Stirling's series) times eta (the
+    # alternating series), so its err_est must carry Gamma's error and
+    # |Gamma| times eta's absolute tolerance, which dominates at the zeros,
+    # where eta ~ 0
     mpmath = pytest.importorskip("mpmath")
     code, out, _ = run(capsys, "eval", "--a", str(a), "--b", str(b),
                        "--method", "oracle")
@@ -92,8 +93,9 @@ def test_eval_oracle_err_est_bounds_error_against_mpmath(capsys, a, b):
 
 @pytest.mark.parametrize("method", ["integral", "oracle"])
 def test_eval_resolves_F_and_zeta_at_b_100(capsys, method):
-    # |F(1/2 + 100i)| ~ 2e-68 and |gamma| ~ 1e-68: both come off the ray
-    # resolved, so F lies within err_est and zeta keeps its digits
+    # |F(1/2 + 100i)| ~ 2e-68 and |gamma| ~ 1e-68: F comes off the ray and
+    # gamma off Stirling's series resolved, so F lies within err_est and
+    # zeta keeps its digits
     mpmath = pytest.importorskip("mpmath")
     code, out, _ = run(capsys, "eval", "--a", "0.5", "--b", "100",
                        "--method", method)
@@ -146,6 +148,54 @@ def test_eval_integral_evaluates_F_once(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["zeta_re"] is not None
     assert len(calls) == 1
+
+
+def test_eval_oracle_evaluates_eta_once(capsys, monkeypatch):
+    # zeta on the oracle route comes from the eta already computed for F
+    import etazeros.cli as cli_mod
+    calls = []
+
+    original = cli_mod.eta_oracle
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "eta_oracle", counted)
+    code, out, _ = run(capsys, "eval", "--a", "0.5", "--b", "30",
+                       "--method", "oracle")
+    assert code == 0
+    assert json.loads(out)["zeta_re"] is not None
+    assert len(calls) == 1
+
+
+def test_eval_oracle_at_large_a_within_err_est_of_mpmath(capsys):
+    # Gamma(150 + i) ~ 4e260 is finite, where a ray's tail bound overflows
+    mpmath = pytest.importorskip("mpmath")
+    code, out, _ = run(capsys, "eval", "--a", "150", "--b", "1",
+                       "--method", "oracle")
+    assert code == 0
+    obj = json.loads(out)
+    with mpmath.workdps(40):
+        s = mpmath.mpc(150, 1)
+        err = abs(mpmath.mpc(obj["F_re"], obj["F_im"])
+                  - mpmath.gamma(s) * mpmath.altzeta(s))
+        z_err = abs(mpmath.mpc(obj["zeta_re"], obj["zeta_im"])
+                    - mpmath.zeta(s))
+    assert err <= obj["err_est"], (float(err), obj["err_est"])
+    assert z_err <= 1e-15
+
+
+def test_eval_oracle_gamma_overflow_exits_2():
+    # Gamma(200 + i) ~ 1e372 overflows: numerical non-convergence, not a
+    # traceback
+    import subprocess
+    import sys
+    proc = subprocess.run(
+        [sys.executable, "-m", "etazeros", "eval", "--a", "200", "--b", "1",
+         "--method", "oracle"], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
 @pytest.mark.parametrize("method", ["integral", "oracle"])

@@ -199,12 +199,13 @@ def test_coefficient_ratio_m2_window():
     # the m = 2 ratio over pi^2 sits inside (1, 1.00013814), margin ~ 5e-9
     r = coeffs.coefficient_ratio_exact(2)
     assert r == Fraction(306, 31)
-    rel = coeffs.ratio_over_pi2_minus_one(2)
+    rel = float(coeffs._ratio_margins(r)[0])
     assert 0 < rel < coeffs.RATIO_UPPER_BOUND - 1.0
 
 
 def test_coefficient_ratio_large_m_approaches_pi2():
-    assert abs(coeffs.ratio_over_pi2_minus_one(10)) < 1e-10
+    r = coeffs.coefficient_ratio_exact(10)
+    assert abs(float(coeffs._ratio_margins(r)[0])) < 1e-10
 
 
 def test_coefficient_ratio_strictly_decreasing_exact():
@@ -219,9 +220,9 @@ def test_coefficient_ratio_above_pi2_exact():
     # the slack is ~ (8/9) 3^(-4m): below one ulp of pi^2 from m = 9 on, so
     # the strict comparison is decided in exact rationals
     for m in range(1, 13):
-        above, below = coeffs.ratio_bounds_exact(m)
-        assert above
-        assert below == (m >= 2)
+        lower, upper = coeffs._ratio_margins(coeffs.coefficient_ratio_exact(m))
+        assert lower > 0
+        assert (upper > 0) == (m >= 2)
 
 
 # ---------------------------------------------------------------------------
@@ -291,5 +292,5 @@ def test_check_theorem4_ratio_margins_match_mpmath():
                 margin = rows[f"ratio {side} bound m={m}"].margin
                 assert margin > 0, (side, m)
                 assert abs(margin - ref) <= 0.01 * ref, (side, m)
-            assert coeffs.ratio_over_pi2_minus_one(m) == \
+            assert float(coeffs._ratio_margins(r)[0]) == \
                 rows[f"ratio lower bound m={m}"].margin

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from etazeros import quadrature
 from etazeros.decomposition import pair_kernel
+from etazeros.special import Gamma
 from etazeros.quadrature import (
     _RULE_HI,
     _RULE_LO,
@@ -104,11 +105,14 @@ def test_gauss_rule_matches_scipy(n):
 # Finite integrals, smooth and singular.
 
 def test_power_singularity():
-    # int_0^inf t^(-1/2) e^-t dt = gamma(1/2) = sqrt(pi): the t^(-1/2) cusp
-    # at 0 goes to the ray's closed-form head
-    val_full, err_full = integrate_line("exp", 0.5)
+    # F(1/2) = int_0^inf t^(-1/2)/(e^t + 1) dt = (1 - sqrt 2) zeta(1/2)
+    # sqrt(pi): the t^(-1/2) cusp at 0 goes to the ray's closed-form head
+    mpmath = pytest.importorskip("mpmath")
+    val_full, err_full = integrate_line(0.5)
     assert val_full.imag == 0.0
-    assert val_full.real == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+    with mpmath.workdps(40):
+        ref = (1 - mpmath.sqrt(2)) * mpmath.zeta(0.5) * mpmath.sqrt(mpmath.pi)
+    assert val_full.real == pytest.approx(float(ref), rel=1e-12)
 
 
 def test_fermi_log_antiderivative():
@@ -140,31 +144,18 @@ def test_real_axis_family_is_enforced():
 
 
 def test_fermi_whole_line_log2():
-    val, err = integrate_line("fermi", 1.0)
+    val, err = integrate_line(1.0)
     assert val.imag == 0.0
     assert val.real == pytest.approx(math.log(2.0), rel=1e-13)
 
 
-def test_gamma_kernel_factorial():
-    # int_0^inf t e^-t dt = 1
-    val, _ = integrate_line("exp", 2.0)
-    assert val.real == pytest.approx(1.0, rel=1e-13)
-
-
-def test_bose_kernel_zeta2():
-    # int_0^inf t/(e^t - 1) dt = zeta(2) gamma(2) = pi^2/6
-    val, _ = integrate_line("bose", 2.0)
-    assert val.real == pytest.approx(math.pi ** 2 / 6.0, rel=1e-12)
-
-
 def test_line_kernels_and_conjugate_symmetry():
+    # the whole line takes the fermi kernel alone, on Re s > 0, and gives
+    # the exact conjugate at -b
     with pytest.raises(ValueError):
-        integrate_line("pair_fermi", complex(0.5, 10.0))
-    with pytest.raises(ValueError):
-        # the bose head 1/z integrates only for Re s > 1
-        integrate_line("bose", complex(1.0, 10.0))
-    up, err_up = integrate_line("exp", complex(0.5, 7.0))
-    dn, err_dn = integrate_line("exp", complex(0.5, -7.0))
+        integrate_line(complex(0.0, 10.0))
+    up, err_up = integrate_line(complex(0.5, 7.0))
+    dn, err_dn = integrate_line(complex(0.5, -7.0))
     assert dn == up.conjugate() and err_dn == err_up
 
 
@@ -229,7 +220,7 @@ def test_paired_whole_upper_range():
 
 def test_cos_kind_runs():
     # the cos (b log t) weight of the fermi kernel is Re F(0.5 + 50i)
-    val, err = integrate_line("fermi", complex(0.5, 50.0))
+    val, err = integrate_line(complex(0.5, 50.0))
     assert math.isfinite(val.real) and err < 1e-8
 
 
@@ -237,22 +228,25 @@ def test_cos_kind_runs():
 # Error handling and stability contracts.
 
 def test_non_convergence_raises_with_payload(monkeypatch):
-    # gamma(1/2) on the real axis: the panel rule spans the e^(-t) kernel's
-    # head in a few panels that two bisections cannot resolve, and the
-    # stall carries the best value with an error that bounds it
+    # F(1/2) on the real axis with a 4/2-point rule pair: two bisections
+    # cannot bring the panels to their rounding floor, and the stall
+    # carries the best value with an error that bounds it
+    monkeypatch.setattr(quadrature, "_RULE_HI", 4)
+    monkeypatch.setattr(quadrature, "_RULE_LO", 2)
     monkeypatch.setattr(quadrature, "_MAX_DEPTH", 2)
     with pytest.raises(QuadratureError) as ei:
-        integrate_line("exp", 0.5)
+        integrate_line(0.5)
     assert ei.value.value is not None
     assert ei.value.err_est is not None and ei.value.err_est > 0
-    assert abs(ei.value.value - math.sqrt(math.pi)) <= ei.value.err_est
+    f_half = (1.0 - math.sqrt(2.0)) * -1.4603545088095868 * math.sqrt(math.pi)
+    assert abs(ei.value.value - f_half) <= ei.value.err_est
 
 
 @pytest.mark.parametrize("a", [100.0, 120.0])
 def test_line_overflow_raises(a):
     # r^(s-1) on the ray (a = 100) or the tail bound (a = 120) overflows
     with pytest.raises(QuadratureError):
-        integrate_line("fermi", complex(a, 1.0))
+        integrate_line(complex(a, 1.0))
 
 
 def test_refinement_consistency(monkeypatch):
@@ -260,9 +254,9 @@ def test_refinement_consistency(monkeypatch):
     # than its reported error estimate
     # (the sin kind of the fermi kernel is Im F(0.3 + 40i))
     s = complex(0.3, 40.0)
-    v2, e2 = integrate_line("fermi", s)
+    v2, e2 = integrate_line(s)
     monkeypatch.setattr(quadrature, "_MAX_DEPTH", quadrature._MAX_DEPTH // 2)
-    v1, e1 = integrate_line("fermi", s)
+    v1, e1 = integrate_line(s)
     assert abs(v1.imag - v2.imag) <= max(e1, e2) + 1e-15
 
 
@@ -290,8 +284,8 @@ def test_arbitrary_endpoint_oscillatory_panels():
 def test_gamma_kernel_error_contract(a):
     # |value - gamma(a)| <= max(err_est, target_tol |value|) across the
     # whole supported exponent range, singular and regular alike
-    val, err = integrate_line("exp", a)
-    val = val.real
+    ev = Gamma(a)
+    val, err = ev.value.re, ev.err
     true = math.gamma(a)
     assert abs(val - true) <= max(err, quadrature._STALL_TOL * abs(val)) + 1e-15 * true
 
@@ -376,7 +370,7 @@ def test_panels_fast_path_matches_loop(monkeypatch):
         integrate_to_infinity(spec, 1.0)
         integrate_to_infinity(spec, 1.0, paired=True)
     for b in (14.1, 485.0):
-        integrate_line("fermi", complex(0.5, b))
+        integrate_line(complex(0.5, b))
     whole = split = 0
     for args, kwargs, xs in calls:
         assert np.array_equal(xs, _panels_by_loop(*args, **kwargs)), args
