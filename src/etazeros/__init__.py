@@ -16,8 +16,7 @@ _EXPORTS = {
     "quadrature": ("IntegrandSpec", "QuadratureError",
                    "integrate_finite", "integrate_to_infinity"),
     "report": ("CheckRow", "VerificationReport"),
-    "special": ("ComplexPoint", "ComplexValue", "F", "G", "Gamma",
-                "zeta_strip"),
+    "special": ("F", "Gamma", "zeta_from_F"),
     "series": ("SeriesEval", "choose_K_R", "series_lower_integral"),
     "decomposition": ("DecompositionPlan", "interval_average", "make_plan",
                       "upper_integral"),

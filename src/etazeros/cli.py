@@ -9,9 +9,11 @@ decompose  dump the pairing plan and per-interval contributions
 zeros      scan the critical line and refine the bracketed zeros
 
 Exit status: 0 success, 1 a gating verification cell failed, 2 numerical
-non-convergence, 3 usage error.  Output is deterministic: repeated runs with
-the same arguments produce byte-identical bytes (no timestamps, sorted JSON
-keys, fixed float rendering); CSV carries 17 significant digits.
+non-convergence, 3 usage error, which includes a number option that is not
+finite and a height b with |b| above 2e4.  Output is deterministic:
+repeated runs with the same arguments produce byte-identical bytes (no
+timestamps, sorted JSON keys, fixed float rendering); CSV carries 17
+significant digits.
 
 Start-up: each subcommand imports only the layers it uses, so coeffs,
 --help and usage errors run without loading numpy; eval, verify, decompose
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import math
 import os
 import sys
 
@@ -42,7 +45,7 @@ _LAYERS = {
     "coeffs": ("CoefficientTable",),
     "decomposition": ("interval_contributions", "make_plan", "upper_integral"),
     "series": ("choose_K_R", "series_lower_integral"),
-    "special": ("ComplexPoint", "F", "Gamma", "one_minus_two_pow"),
+    "special": ("F", "Gamma", "one_minus_two_pow", "zeta_from_F"),
     "verify": ("verify",),
     "zerofinder": ("eta_oracle", "find_zeros", "scan_F"),
 }
@@ -77,6 +80,40 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# The largest |b| any subcommand takes.  Memory grows with |b| on both
+# routes: eta's binomial weights are ~1.5|b| exact integers of up to 1.5|b|
+# bits (b^2 growth) and the ray's panel count is proportional to |b|.  At
+# |b| = 2e4 one eval peaks near 220 MiB of RSS on either route; at 4e4 the
+# eta route takes 765 MiB, and at 1e5 several GiB.
+MAX_HEIGHT = 2.0e4
+
+
+def _finite(text: str) -> float:
+    """argparse type: a finite float, so no inf or NaN reaches a layer."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
+
+
+def _height(text: str) -> float:
+    """argparse type: a finite b with |b| <= MAX_HEIGHT."""
+    b = _finite(text)
+    if abs(b) > MAX_HEIGHT:
+        raise argparse.ArgumentTypeError(
+            f"|b| = {abs(b):g} is above the supported {MAX_HEIGHT:g}")
+    return b
+
+
+def _heights(text: str) -> tuple[float, ...]:
+    """argparse type: a comma-separated list of :func:`_height` values;
+    empty for the suite's default grid."""
+    return tuple(map(_height, text.split(","))) if text else ()
+
+
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"),
@@ -91,8 +128,8 @@ def _build_parser() -> _Parser:
 
     pe = sub.add_parser("eval", help="evaluate F and zeta at s = a + ib",
                         parents=[common])
-    pe.add_argument("--a", type=float, required=True)
-    pe.add_argument("--b", type=float, required=True)
+    pe.add_argument("--a", type=_finite, required=True)
+    pe.add_argument("--b", type=_height, required=True)
     pe.add_argument("--method", default="integral",
                     choices=("integral", "series+decomposition", "oracle"))
 
@@ -104,21 +141,21 @@ def _build_parser() -> _Parser:
                         parents=[common])
     pv.add_argument("--theorem", type=int, default=None)
     pv.add_argument("--all", action="store_true")
-    pv.add_argument("--grid", "--b-grid", dest="grid", type=str, default=None,
-                    help="comma-separated b grid override")
+    pv.add_argument("--grid", "--b-grid", dest="grid", type=_heights,
+                    default=None, help="comma-separated b grid override")
 
     pd = sub.add_parser("decompose", help="pairing plan and contributions",
                         parents=[common])
-    pd.add_argument("--a", type=float, required=True)
-    pd.add_argument("--b", type=float, required=True)
+    pd.add_argument("--a", type=_finite, required=True)
+    pd.add_argument("--b", type=_height, required=True)
     pd.add_argument("--count", type=int, default=20,
                     help="number of half-period contributions to emit")
 
     pz = sub.add_parser("zeros", help="critical-line zero scan",
                         parents=[common])
-    pz.add_argument("--b-min", type=float, required=True)
-    pz.add_argument("--b-max", type=float, required=True)
-    pz.add_argument("--step", type=float, default=0.25)
+    pz.add_argument("--b-min", type=_height, required=True)
+    pz.add_argument("--b-max", type=_height, required=True)
+    pz.add_argument("--step", type=_finite, default=0.25)
     return p
 
 
@@ -127,36 +164,40 @@ def _build_parser() -> _Parser:
 
 def _cmd_eval(args):
     _bind("special")
-    p = ComplexPoint(args.a, args.b)
+    a, b = args.a, args.b
+    s = complex(a, b)
     method = args.method
     if method == "integral":
-        ev = F(p)
-        f = ev.value.value
-        err = ev.err
+        f, err = F(s)
     elif method == "series+decomposition":
         _bind("series", "decomposition")
-        if p.b <= 0:
+        if b <= 0:
             raise UsageError("series+decomposition needs b > 0")
-        K, R = choose_K_R(p.b, 2.0)
-        head = series_lower_integral(p.a, p.b, K, R, tol=1e-13)
-        plan = make_plan(p.a, p.b)
+        K, R = choose_K_R(b, 2.0)
+        head = series_lower_integral(a, b, K, R, tol=1e-13)
+        plan = make_plan(a, b)
         tail, tail_err = upper_integral(plan)
-        ev = F(p)                # no closed series for the cos head
-        f = complex(ev.value.re, head.value + tail)
-        err = head.tail_bound + tail_err + ev.err
+        f_ray, ray_err = F(s)    # no closed series for the cos head
+        f = complex(f_ray.real, head.value + tail)
+        err = head.tail_bound + tail_err + ray_err
     else:  # oracle
         _bind("zerofinder")
-        eta = eta_oracle(p, tol=1e-12).value
-        gam = Gamma(p)
-        f = gam.value.value * eta
-        err = abs(eta) * gam.err + abs(gam.value) * 1e-12
+        eta = eta_oracle(s, tol=1e-12)
+        gam, gam_err = Gamma(s)
+        f = gam * eta
+        err = abs(eta) * gam_err + abs(gam) * 1e-12
     # zeta stays null where F is not resolved above its error: it says
     # nothing about zeta, and over a tiny gamma would print noise or an
-    # overflow
+    # overflow.  The oracle route takes it from the eta in hand.
     z = None
     if abs(f) > 4.0 * err:
-        z = _zeta(p, f, eta if method == "oracle" else None)
-    payload = {"a": p.a, "b": p.b, "method": method,
+        if method == "oracle":
+            denom = one_minus_two_pow(s)
+            z = eta / denom if abs(denom) >= 1e-12 else None
+        else:
+            zeta = zeta_from_F(s, f, err)
+            z = None if zeta is None else zeta[0]
+    payload = {"a": a, "b": b, "method": method,
                "F_re": f.real, "F_im": f.imag, "F_abs": abs(f),
                "zeta_re": None if z is None else z.real,
                "zeta_im": None if z is None else z.imag, "err_est": err}
@@ -172,22 +213,6 @@ def _cmd_eval(args):
                  for k, v in payload.items()]
         return 0, "\n".join(lines) + "\n"
     return 0, json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _zeta(p: ComplexPoint, f: complex, eta: complex | None):
-    """zeta(p) from what the route has in hand: eta / (1 - 2^(1-s)) where
-    eta is given, else F / ((1 - 2^(1-s)) gamma).  None where
-    1 - 2^(1-s) vanishes (the pole s = 1 and its companions on Re s = 1)
-    and where gamma is not resolved above its error."""
-    denom = one_minus_two_pow(p)
-    if abs(denom) < 1e-12:
-        return None
-    if eta is not None:
-        return eta / denom
-    gam = Gamma(p)
-    if abs(gam.value) <= 4.0 * gam.err:     # gamma underflows before F does
-        return None
-    return f / denom / gam.value.value
 
 
 def _cmd_coeffs(args):
@@ -222,16 +247,10 @@ def _cmd_coeffs(args):
 
 def _cmd_verify(args):
     _bind("verify")
-    b_grid = None
-    if args.grid:
-        try:
-            b_grid = tuple(float(x) for x in args.grid.split(","))
-        except ValueError as exc:
-            raise UsageError(f"bad --grid: {exc}") from None
     if args.all:
         reports = verify.run_all()
     elif args.theorem is not None:
-        reports = [verify.run_theorem(args.theorem, b_grid)]
+        reports = [verify.run_theorem(args.theorem, args.grid)]
     else:
         raise UsageError("verify needs --theorem N or --all")
     ok = all(r.passed for r in reports)

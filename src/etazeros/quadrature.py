@@ -385,8 +385,8 @@ def _ray_integral(s: complex) -> tuple[complex, float, float]:
     underflows."""
     s = complex(s)
     a, b = s.real, abs(s.imag)
-    if not a > 0:
-        raise ValueError("the fermi integral needs Re s > 0")
+    if not (a > 0 and cmath.isfinite(s)):
+        raise ValueError("the fermi integral needs a finite s with Re s > 0")
     delta = min(_RAY_DELTA_MAX, _RAY_DELTA_B / b) if b else 0.5 * math.pi
     theta = 0.5 * math.pi - delta
     sigma = math.sin(delta)          # Re of the ray's direction

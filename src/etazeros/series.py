@@ -72,8 +72,6 @@ class SeriesEval:
     value: float
     terms_used: int
     tail_bound: float
-    K: int
-    R: float
 
 
 def choose_K_R(b: float, cap: float = 2.0) -> tuple[int, float]:
@@ -178,8 +176,7 @@ def series_lower_integral(a: float, b: float, K: int, R: float,
     if R >= math.pi:
         raise SeriesError(f"series radius is pi; R = {R:g} >= pi")
     value, terms, bound = _series_sum(a, b, R, tol)
-    return SeriesEval(value=value, terms_used=terms, tail_bound=bound,
-                      K=K, R=R)
+    return SeriesEval(value=value, terms_used=terms, tail_bound=bound)
 
 
 def maclaurin_kernel(x: float, tol: float = 1e-15) -> float:

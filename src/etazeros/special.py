@@ -1,14 +1,16 @@
-"""The named strip functions: the alternating-kernel integral F, gamma, the
-Bose-kernel integral G, and the zeta quotient.
+"""The named strip functions: the alternating-kernel integral F, gamma,
+and zeta by the bridge identity.
 
     F(s)     = int_0^inf t^(s-1)/(e^t + 1) dt          (Re s > 0)
     Gamma(s) = int_0^inf t^(s-1) e^(-t) dt = exp(log Gamma(s))
-    G(s)     = int_0^inf t^(s-1)/(e^t - 1) dt = F(s) / (1 - 2^(1-s))
-    zeta(s)  = G(s) / Gamma(s)
+    zeta(s)  = F(s) / ((1 - 2^(1-s)) Gamma(s))
 
-The bridge identity (1 - 2^(1-s)) Gamma(s) zeta(s) = F(s) gives G on all of
-Re s > 0 (on 0 < Re s <= 1 its own integral diverges at 0) and makes F and
-zeta share their zero sets in the strip.
+The bridge identity (1 - 2^(1-s)) Gamma(s) zeta(s) = F(s) makes F and zeta
+share their zero sets in the strip, and gives zeta from F on all of
+Re s > 0, also on 0 < Re s <= 1, where the Bose integral
+int_0^inf t^(s-1)/(e^t - 1) dt = Gamma(s) zeta(s) diverges at 0.  Each
+evaluator takes a number s and returns (value, err), err bounding the
+modulus of the value's error.
 
 F is the one quadrature here.  Writing s = a + ib, it decays like
 e^(-pi |b| / 2) while its integrand mass on the real axis stays O(1), so a
@@ -26,77 +28,24 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .coeffs import bernoulli
 from .quadrature import QuadratureError, integrate_line
 from .report import VerificationReport
 
 __all__ = [
-    "ComplexPoint", "ComplexValue", "StripEval",
-    "F", "G", "Gamma", "zeta_strip", "check_theorem1",
+    "F", "Gamma", "zeta_from_F", "check_theorem1",
     "log_gamma", "riemann_siegel_theta",
 ]
 
 
-@dataclass(frozen=True)
-class ComplexPoint:
-    """A point s = a + ib, stored by real and imaginary part."""
+def F(s) -> tuple[complex, float]:
+    """F(s) = int_0^inf t^(s-1)/(e^t+1) dt for Re s > 0, and its err.
 
-    a: float
-    b: float
-
-    @classmethod
-    def of(cls, s) -> "ComplexPoint":
-        if isinstance(s, ComplexPoint):
-            return s
-        if isinstance(s, complex):
-            return cls(s.real, s.imag)
-        return cls(float(s), 0.0)
-
-    @property
-    def s(self) -> complex:
-        return complex(self.a, self.b)
-
-    def in_strip(self) -> bool:
-        return 0.0 < self.a < 1.0
-
-
-@dataclass(frozen=True)
-class ComplexValue:
-    re: float
-    im: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
-            raise ValueError(f"non-finite complex value ({self.re}, {self.im})")
-
-    @property
-    def value(self) -> complex:
-        return complex(self.re, self.im)
-
-    def __abs__(self) -> float:
-        return math.hypot(self.re, self.im)
-
-
-@dataclass(frozen=True)
-class StripEval:
-    """A complex evaluation with a bound on the modulus of its error."""
-
-    value: ComplexValue
-    err: float
-    method: str
-
-
-def F(s) -> StripEval:
-    """F(s) = int_0^inf t^(s-1)/(e^t+1) dt as (F1, F2); requires Re s > 0.
-
-    err bounds the modulus of the error; it scales with
-    |F| ~ e^(-pi |b|/2), not with the real-axis integrand mass.  The
-    value at -b is the exact conjugate of the value at |b|.
+    err scales with |F| ~ e^(-pi |b|/2), not with the real-axis integrand
+    mass.  The value at -b is the exact conjugate of the value at |b|.
     """
-    value, err = integrate_line(ComplexPoint.of(s).s)
-    return StripEval(ComplexValue(value.real, value.imag), err, "integral-ray")
+    return integrate_line(complex(s))
 
 
 # Stirling's series: log Gamma(z) = (z - 1/2) log z - z + log(2 pi)/2
@@ -117,9 +66,9 @@ def log_gamma(s) -> tuple[complex, float]:
     (so Im log Gamma(1/2 + ib) grows like b log b), by Stirling's series;
     returns the value and a bound on its error, remainder plus rounding.
     """
-    z = ComplexPoint.of(s).s
-    if not z.real > 0:
-        raise ValueError("log_gamma needs Re s > 0")
+    z = complex(s)
+    if not (z.real > 0 and cmath.isfinite(z)):
+        raise ValueError("log_gamma needs a finite s with Re s > 0")
     shift, size = 0j, 0.0   # size: sum of the terms' moduli, for rounding
     while abs(z) < _STIRLING_MIN_ABS:
         term = cmath.log(z)
@@ -137,8 +86,9 @@ def log_gamma(s) -> tuple[complex, float]:
             remainder + 8.0 * _EPS * size)
 
 
-def Gamma(s) -> StripEval:
-    """gamma(s) = exp(log Gamma(s)) by Stirling's series; requires Re s > 0.
+def Gamma(s) -> tuple[complex, float]:
+    """gamma(s) = exp(log Gamma(s)) by Stirling's series for Re s > 0, and
+    its err.
 
     err is |gamma| (expm1(lg_err) + 4 eps), and never less than the smallest
     subnormal, so a gamma that underflows to 0 (past |b| ~ 470 on the
@@ -151,9 +101,8 @@ def Gamma(s) -> StripEval:
         mod = abs(val)
     except OverflowError:
         raise QuadratureError(
-            f"gamma(s) overflows at s = {ComplexPoint.of(s).s}") from None
-    err = max(mod * (math.expm1(lg_err) + 4.0 * _EPS), math.ulp(0.0))
-    return StripEval(ComplexValue(val.real, val.imag), err, "stirling")
+            f"gamma(s) overflows at s = {complex(s)}") from None
+    return val, max(mod * (math.expm1(lg_err) + 4.0 * _EPS), math.ulp(0.0))
 
 
 def riemann_siegel_theta(b: float) -> tuple[float, float]:
@@ -166,41 +115,31 @@ def riemann_siegel_theta(b: float) -> tuple[float, float]:
 
 def one_minus_two_pow(s) -> complex:
     """1 - 2^(1-s); zero-free for Re s in (0, 1)."""
-    p = ComplexPoint.of(s)
-    return 1.0 - cmath.exp((1.0 - p.s) * math.log(2.0))
+    return 1.0 - cmath.exp((1.0 - complex(s)) * math.log(2.0))
 
 
-def G(s) -> StripEval:
-    """G(s) = int_0^inf t^(s-1)/(e^t-1) dt = F(s)/(1 - 2^(1-s)) by the
-    bridge identity, for Re s > 0; on 0 < Re s <= 1 the identity is also
-    what continues G past the divergence of its integral at 0."""
-    p = ComplexPoint.of(s)
-    f = F(p)
-    denom = one_minus_two_pow(p)
-    val = f.value.value / denom
-    return StripEval(ComplexValue(val.real, val.imag), f.err / abs(denom),
-                     "via-identity")
+def zeta_from_F(s, f: complex, f_err: float
+                ) -> tuple[complex, float] | None:
+    """zeta(s) = f / (1 - 2^(1-s)) / gamma(s) and its err, for Re s > 0,
+    from f = F(s) with error f_err.
 
-
-def zeta_strip(s) -> StripEval:
-    """zeta(s) = G(s)/gamma(s) for Re s > 0.
-
-    Both sides keep their relative accuracy until gamma(s) underflows
-    (|b| beyond ~ 470 on the critical line); there the guard below refuses
-    rather than returning a meaningless quotient.
+    None where 1 - 2^(1-s) vanishes (the pole s = 1 and its companions on
+    Re s = 1) and where gamma is not resolved above its error (|b| beyond
+    ~ 470 on the critical line), where the quotient would be noise.  Else
+    both factors keep their relative accuracy, and err is |zeta| times the
+    sum of their relative errors.
     """
-    p = ComplexPoint.of(s)
-    g = G(p)
-    gam = Gamma(p)
-    gam_abs = abs(gam.value)
-    if gam_abs <= 4.0 * gam.err:
-        raise QuadratureError(
-            "gamma(s) is not resolved above its error; "
-            "zeta quotient would be meaningless", value=None, err_est=gam.err)
-    val = g.value.value / gam.value.value
-    rel = (g.err / max(abs(g.value), 1e-300)) + gam.err / gam_abs
-    return StripEval(ComplexValue(val.real, val.imag), abs(val) * rel,
-                     f"quotient({g.method})")
+    denom = one_minus_two_pow(s)
+    if abs(denom) < 1e-12:
+        return None
+    gam, gam_err = Gamma(s)
+    gam_abs = abs(gam)
+    if gam_abs <= 4.0 * gam_err:
+        return None
+    g = f / denom
+    val = g / gam
+    rel = f_err / abs(denom) / max(abs(g), 1e-300) + gam_err / gam_abs
+    return val, abs(val) * rel
 
 
 def check_theorem1(points) -> VerificationReport:
@@ -214,19 +153,18 @@ def check_theorem1(points) -> VerificationReport:
     """
     from .zerofinder import eta_oracle      # zerofinder imports this module
     rep = VerificationReport(name="theorem1")
-    for s in points:
-        p = ComplexPoint.of(s)
-        if not p.in_strip():
-            rep.add(f"s={p.a:g}+{p.b:g}i outside strip", False,
+    for s in map(complex, points):
+        a, b = s.real, s.imag
+        if not 0.0 < a < 1.0:
+            rep.add(f"s={a:g}+{b:g}i outside strip", False,
                     gating=False, note="excluded: hypothesis needs 0 < a < 1")
             continue
-        f = F(p)
-        gam = Gamma(p)
-        eta = eta_oracle(p.s, tol=1e-12).value
-        # (1 - 2^(1-s)) G = (1 - 2^(1-s)) zeta gamma = eta * gamma
-        rhs = gam.value.value * eta
-        f_abs = abs(f.value)
-        rel = abs(f.value.value - rhs) / f_abs if f_abs else None
-        rep.add(f"a={p.a:g} b={p.b:g}", rel is not None and rel <= 1e-7,
+        f, _ = F(s)
+        gam, _ = Gamma(s)
+        # (1 - 2^(1-s)) zeta gamma = eta * gamma
+        rhs = gam * eta_oracle(s, tol=1e-12)
+        f_abs = abs(f)
+        rel = abs(f - rhs) / f_abs if f_abs else None
+        rep.add(f"a={a:g} b={b:g}", rel is not None and rel <= 1e-7,
                 discrepancy=rel, tol=1e-7, lhs=f_abs, rhs=abs(rhs))
     return rep

@@ -4,7 +4,7 @@ Each runner pins its default grid here, so a bare ``verify --theorem N`` is
 reproducible without flag archaeology; a ``--grid`` override replaces the b
 grid where that makes sense.  Suite numbering:
 
-  1  bridge identity (1 - 2^(1-s)) G = F on a strip grid
+  1  bridge identity F = (1 - 2^(1-s)) gamma zeta = gamma eta on a strip grid
   2  head-integral series vs arc-contour quadrature
   4  coefficient structure: parity, signs, zeta forms, ratio sandwich
   5  strict head-integral lower bound
@@ -58,7 +58,7 @@ def _claimed(err1: float, err2: float, lhs: float, rhs: float) -> float:
 
 def _run_theorem1(b_grid=None) -> VerificationReport:
     bs = b_grid or THEOREM1_GRID_B
-    points = [special.ComplexPoint(a, b) for a in THEOREM1_GRID_A for b in bs]
+    points = [complex(a, b) for a in THEOREM1_GRID_A for b in bs]
     return special.check_theorem1(points)
 
 

@@ -46,19 +46,12 @@ import numpy as np
 
 from .errors import NonConvergenceError
 from .quadrature import _ray_integral
-from .special import (
-    ComplexPoint,
-    ComplexValue,
-    F,
-    log_gamma,
-    one_minus_two_pow,
-    riemann_siegel_theta,
-)
+from .special import F, log_gamma, one_minus_two_pow, riemann_siegel_theta
 
 __all__ = [
     "EtaConvergenceError", "ZeroRefinementError",
     "ZeroBracket", "LocatedZero",
-    "eta_oracle", "zeta_oracle",
+    "eta_oracle",
     "scan_critical_line", "refine_zero", "find_zeros", "scan_F",
 ]
 
@@ -134,7 +127,7 @@ def _eta_averaged(terms: np.ndarray, keep: int = 6) -> tuple[complex, float]:
     return complex(v[0], v[1]), drift
 
 
-def eta_oracle(s, tol: float = 1e-12) -> ComplexValue:
+def eta_oracle(s, tol: float = 1e-12) -> complex:
     """eta(s) = sum (-1)^(n-1) n^(-s) as one binomial-tail-weighted sum of
     its terms, in O(n) (Borwein's Algorithm 1, equal to iterated binomial
     averaging of the partial sums); needs Re s > 0.
@@ -143,15 +136,14 @@ def eta_oracle(s, tol: float = 1e-12) -> ComplexValue:
     already summed, until the last-transform drift is under ``tol``.  The
     rounding floor of the weighted sum is about (n_terms + 4 |Im s|) * eps;
     asking for less raises :class:`EtaConvergenceError` with the achieved
-    error.
+    error; a returned value's error estimate is at most ``tol``.
     """
-    p = ComplexPoint.of(s)
-    if not p.a > 0:
-        raise ValueError("eta series needs Re s > 0")
-    sc = p.s
-    babs = abs(p.b)
+    s = complex(s)
+    if not (s.real > 0 and cmath.isfinite(s)):
+        raise ValueError("eta series needs a finite s with Re s > 0")
+    babs = abs(s.imag)
     n_terms = int(math.ceil(1.5 * babs)) + 20
-    terms = _alternating_terms(sc, 0, n_terms)
+    terms = _alternating_terms(s, 0, n_terms)
     best = None
     for _ in range(6):
         value, drift = _eta_averaged(terms)
@@ -160,29 +152,17 @@ def eta_oracle(s, tol: float = 1e-12) -> ComplexValue:
         if best is None or err < best[1]:
             best = (value, err)
         if err <= tol:
-            return ComplexValue(value.real, value.imag)
+            return value
         if drift > floor and n_terms < 40_000:
             grown = min(int(n_terms * 1.6) + 16, 40_000)
             terms = np.concatenate(
-                (terms, _alternating_terms(sc, n_terms, grown)))
+                (terms, _alternating_terms(s, n_terms, grown)))
             n_terms = grown
         else:
             break  # at the rounding floor; more terms cannot help
     value, err = best
     raise EtaConvergenceError(
         f"eta series reached {err:.2e}, requested {tol:.2e}", value, err)
-
-
-def zeta_oracle(s, tol: float = 1e-12) -> ComplexValue:
-    """zeta(s) = eta(s) / (1 - 2^(1-s)), valid off the zeros of the
-    denominator, which all sit on Re s = 1."""
-    p = ComplexPoint.of(s)
-    eta = eta_oracle(p, tol)
-    denom = one_minus_two_pow(p)
-    if abs(denom) < 1e-12:
-        raise ZeroDivisionError("1 - 2^(1-s) vanishes at this point")
-    val = eta.value / denom
-    return ComplexValue(val.real, val.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +213,7 @@ def _line_eval(b: float, method: str):
         err = abs(w) * ray_err + abs(zc) * (theta_err + lg_err)
     elif method == "oracle":
         try:
-            eta, eta_err = eta_oracle(s, tol=_ORACLE_TOL).value, _ORACLE_TOL
+            eta, eta_err = eta_oracle(s, tol=_ORACLE_TOL), _ORACLE_TOL
         except EtaConvergenceError as exc:
             eta, eta_err = exc.value, exc.achieved
         zc = cmath.exp(1j * theta) * eta / denom
@@ -270,7 +250,7 @@ def scan_F(b_min: float, b_max: float, step: float
     """(b, F1, F2, |F|) of F(1/2 + ib) at every point of the scan grid."""
     rows = []
     for b in _grid(b_min, b_max, step):
-        f = F(complex(0.5, b)).value.value
+        f, _ = F(complex(0.5, b))
         rows.append((b, f.real, f.imag, abs(f)))
     return rows
 

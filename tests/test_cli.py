@@ -110,6 +110,13 @@ def test_eval_resolves_F_and_zeta_at_b_100(capsys, method):
         assert f_err <= obj["err_est"], (float(f_err), obj["err_est"])
         assert z_err <= 1e-9 * abs(z_ref), float(z_err)
     assert obj["err_est"] <= 1e-9 * obj["F_abs"]
+    if method == "integral":
+        # the printed zeta is zeta_from_F's, within its own err of mpmath
+        from etazeros.special import F, zeta_from_F
+        s = complex(0.5, 100.0)
+        z, z_bound = zeta_from_F(s, *F(s))
+        assert complex(obj["zeta_re"], obj["zeta_im"]) == z
+        assert z_err <= z_bound, (float(z_err), z_bound)
 
 
 def _reject_constant(name):
@@ -473,6 +480,55 @@ def test_coeffs_help_and_usage_errors_run_without_numpy():
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == code, (argv, proc.stderr)
         assert "Traceback" not in proc.stderr
+
+
+def _blocked_numpy_run(argv):
+    """Run the CLI with numpy unimportable, so no quadrature or eta work
+    can start."""
+    import subprocess
+    import sys
+    return subprocess.run([sys.executable, "-c", _NO_NUMPY, *argv],
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--a", "0.5", "--b", "inf", "--method", "oracle"],
+    ["eval", "--a", "0.5", "--b", "nan"],
+    ["eval", "--a", "nan", "--b", "3"],
+    ["zeros", "--b-min", "10", "--b-max", "inf"],
+    ["zeros", "--b-min", "10", "--b-max", "inf", "--format", "csv"],
+    ["zeros", "--b-min", "10", "--b-max", "12", "--step", "nan"],
+    ["decompose", "--a", "0.5", "--b", "inf"],
+    ["verify", "--theorem", "1", "--grid", "5,nan"],
+], ids=lambda argv: " ".join(argv))
+def test_non_finite_numbers_are_usage_errors(argv):
+    proc = _blocked_numpy_run(argv)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "not a finite number" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--a", "0.5", "--b", "1e6", "--method", "oracle"],
+    ["eval", "--a", "0.5", "--b", "-20000.5"],
+    ["zeros", "--b-min", "10", "--b-max", "1e300"],
+    ["decompose", "--a", "0.5", "--b", "1e300"],
+    ["verify", "--theorem", "2", "--grid", "10,1e5"],
+], ids=lambda argv: " ".join(argv))
+def test_heights_above_the_bound_exit_3_before_any_work(argv):
+    # memory grows with |b| on every route; the bound is checked while the
+    # arguments are parsed, before numpy, quadrature or eta can load
+    proc = _blocked_numpy_run(argv)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "above the supported" in proc.stderr
+
+
+def test_height_bound_is_inclusive():
+    import etazeros.cli as cli_mod
+    args = cli_mod._build_parser().parse_args(
+        ["eval", "--a", "0.5", "--b", str(-cli_mod.MAX_HEIGHT)])
+    assert args.b == -cli_mod.MAX_HEIGHT
 
 
 def test_importing_the_package_and_cli_leaves_numpy_unloaded():
