@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -77,22 +76,30 @@ class ZeroRefinementError(RuntimeError):
 # ---------------------------------------------------------------------------
 # The accelerated alternating series.
 
-@functools.lru_cache(maxsize=128)
+# The hits come from consecutive calls at one b, which share m; an entry near
+# b = 2e4 holds ~0.5 MB, so 4 entries keep nearly all of them.
+@functools.lru_cache(maxsize=4)
 def _binomial_weights(m: int) -> tuple[np.ndarray, np.ndarray]:
     """(tail, pmf) of Binomial(m, 1/2): tail[j] = P(X >= j) and
     pmf[j] = P(X = j) for j = 0 .. m.
 
-    Each is rounded once from exact integers; int / int division rounds
+    One pass down from j = m keeps two exact integers, C(m, j) and the tail
+    sum, so memory stays linear in m; C(m, j - 1) = C(m, j) j / (m - j + 1)
+    divides exactly.  Each entry is rounded once; int / int division rounds
     correctly and cannot overflow, so m > 1023, where 2^m leaves the float
     range, needs no scaling.
     """
-    comb = [1] * (m + 1)
-    for j in range(m):
-        comb[j + 1] = comb[j] * (m - j) // (j + 1)
-    tails = [*itertools.accumulate(reversed(comb))][::-1]
+    tail = np.empty(m + 1)
+    pmf = np.empty(m + 1)
     denom = 1 << m
-    tail = np.array([t / denom for t in tails])
-    pmf = np.array([c / denom for c in comb])
+    comb = total = 1
+    for j in range(m, 0, -1):
+        pmf[j] = comb / denom
+        tail[j] = total / denom
+        comb = comb * j // (m - j + 1)
+        total += comb
+    pmf[0] = comb / denom
+    tail[0] = total / denom
     tail.flags.writeable = pmf.flags.writeable = False  # shared via the cache
     return tail, pmf
 

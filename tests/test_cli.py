@@ -229,6 +229,32 @@ def test_eval_overflowing_ray_exits_2_quickly(a):
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
+# A fresh interpreter runs the CLI and reports its child's peak RSS, so no
+# other child of the test process counts towards the maximum.
+_PEAK_RSS = (
+    "import resource, subprocess, sys\n"
+    "proc = subprocess.run([sys.executable, '-m', 'etazeros', *sys.argv[1:]],"
+    " capture_output=True)\n"
+    "kib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+    "print(proc.returncode, kib / (1024 if sys.platform == 'darwin' else 1))\n")
+
+
+@pytest.mark.parametrize("method, code", [("integral", 0), ("oracle", 2)])
+def test_eval_at_the_height_bound_stays_in_bounded_memory(method, code):
+    # the ray's panels stream in chunks and eta's weights come from one pass
+    # over two exact integers, so neither holds b-sized temporaries at the
+    # largest admitted |b|.  The oracle misses its 1e-12 there and exits 2.
+    pytest.importorskip("resource")
+    import subprocess
+    import sys
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, "eval", "--a", "0.5", "--b", "20000",
+         "--method", method], capture_output=True, text=True, timeout=120)
+    rc, kib = proc.stdout.split()
+    assert int(rc) == code, proc.stderr
+    assert float(kib) / 1024.0 < 100.0
+
+
 def test_eval_csv(capsys):
     code, out, _ = run(capsys, "eval", "--a", "0.5", "--b", "5",
                        "--format", "csv")

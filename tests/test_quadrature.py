@@ -381,3 +381,52 @@ def test_panels_fast_path_matches_loop(monkeypatch):
         split += int(np.sum(widths[:-1] < 1.0))
     assert whole > 2_000         # mostly whole half periods of the tails
     assert split                 # and the loop ran past a stretch
+
+
+# ---------------------------------------------------------------------------
+# Chunked panel batches.
+
+def _chunk_cases():
+    from etazeros import decomposition
+    rays = [quadrature._ray_integral(complex(0.5, b))
+            for b in (14.13, 862.69, 5000.3)]
+    plan = decomposition.make_plan(0.5, 1000.0)
+    tail = integrate_to_infinity(
+        IntegrandSpec("fermi", "sin", a=0.5, b=1000.0), plan.R)   # suite 6
+    arc = quadrature._arc_head(complex(0.5, 12.0), 2.0)
+    return [repr(v) for v in (*rays, tail, arc)]
+
+
+def test_chunking_changes_no_value(monkeypatch):
+    # a chunk above every batch size evaluates each batch at once; every
+    # (value, err) keeps its bits
+    batch = quadrature._panel_batch
+    sizes = []
+
+    def recorded(integrand, lo, hi):
+        sizes.append(len(lo))
+        return batch(integrand, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_panel_batch", recorded)
+    chunked = _chunk_cases()
+    assert max(sizes) > 50 * quadrature._CHUNK      # ~2e4 panels at 5000.3
+    monkeypatch.setattr(quadrature, "_CHUNK", 10 * max(sizes))
+    assert _chunk_cases() == chunked
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 258, 513, 769])
+def test_chunk_boundaries_change_no_value(monkeypatch, n):
+    # a batch of 256 k + 1 panels ends in a chunk of 257: a chunk of one
+    # row would go to numpy's dot product, which sums in another order
+    s, rot = complex(0.5, 300.0), complex(0.01, math.sqrt(1.0 - 1e-4))
+    xs = np.linspace(-3.0, 2.0, n + 1)
+
+    def batch():
+        return quadrature._panel_batch(
+            lambda lo, hi, x: quadrature._ray_integrand(s, rot, lo, hi, x),
+            xs[:-1], xs[1:])
+
+    chunked = batch()
+    monkeypatch.setattr(quadrature, "_CHUNK", n)
+    for got, want in zip(chunked, batch()):
+        assert got.tobytes() == want.tobytes()

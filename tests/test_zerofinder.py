@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -116,10 +117,26 @@ def test_eta_weighted_sum_matches_averaging_passes(a, b, n):
     assert abs(drift - ref_drift) <= tol
 
 
-@pytest.mark.parametrize("m", [0, 1, 2, 7, 100, 1023, 1024, 1500])
+def _binomial_weights_from_lists(m):
+    """Reference weights from the list of all m + 1 exact binomials and the
+    list of their running sums."""
+    comb = [1] * (m + 1)
+    for j in range(m):
+        comb[j + 1] = comb[j] * (m - j) // (j + 1)
+    tails = [*itertools.accumulate(reversed(comb))][::-1]
+    denom = 1 << m
+    return (np.array([t / denom for t in tails]),
+            np.array([c / denom for c in comb]))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 7, 50, 100, 1023, 1024, 1500, 1520])
 def test_binomial_weights(m):
-    # m > 1023: 2^m overflows a float, the rounded weights must not
+    # m > 1023: 2^m overflows a float, the rounded weights must not; the
+    # single pass rounds the same exact integers as the reference lists
     tail, pmf = zerofinder._binomial_weights(m)
+    ref_tail, ref_pmf = _binomial_weights_from_lists(m)
+    assert tail.tobytes() == ref_tail.tobytes()
+    assert pmf.tobytes() == ref_pmf.tobytes()
     assert len(tail) == len(pmf) == m + 1
     assert tail[0] == 1.0 and tail[m] == pmf[m] == 2.0 ** -m
     assert np.all(np.diff(tail) <= 0.0)
