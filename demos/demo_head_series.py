@@ -12,15 +12,14 @@ from etazeros import choose_K_R, series_lower_integral
 from etazeros.series import _series_sum, lower_integral_by_quadrature
 
 a, b = 0.5, 100.0
-K, R = choose_K_R(b, 2.0)
+K, R = choose_K_R(b)
 print(f"largest admissible node under 2 at b = {b}: K = {K}, R = {R:.10f}")
 
-ev = series_lower_integral(a, b, K, R, tol=1e-13)
+head, tail_bound = series_lower_integral(a, b, K, R, tol=1e-13)
 quad, quad_err = lower_integral_by_quadrature(a, b, R)
-print(f"series     : {ev.value:.15e}  ({ev.terms_used} terms, "
-      f"tail bound {ev.tail_bound:.1e})")
+print(f"series     : {head:.15e}  (tail bound {tail_bound:.1e})")
 print(f"quadrature : {quad:.15e}  (err est {quad_err:.1e})")
-print(f"difference : {abs(ev.value - quad):.2e}")
+print(f"difference : {abs(head - quad):.2e}")
 
 print()
 print("convergence of the truncated series (tail bound vs observed change):")

@@ -175,30 +175,35 @@ def _cmd_eval(args):
         _bind("series", "decomposition")
         if b <= 0:
             raise UsageError("series+decomposition needs b > 0")
-        K, R = choose_K_R(b, 2.0)
-        head = series_lower_integral(a, b, K, R, tol=1e-13)
+        K, R = choose_K_R(b)
+        head, head_err = series_lower_integral(a, b, K, R, tol=1e-13)
         plan = make_plan(a, b)
         tail, tail_err = upper_integral(plan)
         f_ray, ray_err = F(s)    # no closed series for the cos head
-        f = complex(f_ray.real, head.value + tail)
-        err = head.tail_bound + tail_err + ray_err
+        f = complex(f_ray.real, head + tail)
+        err = head_err + tail_err + ray_err
     else:  # oracle
         _bind("zerofinder")
-        eta = eta_oracle(s, tol=1e-12)
+        # eta stops at 1e-12 or at its rounding floor, and its err says
+        # which; F = gamma eta carries both factors' errors, and never less
+        # than the smallest subnormal, so an F that underflows with gamma
+        # (past b ~ 490) stays unresolved
+        eta, eta_err = eta_oracle(s, tol=1e-12)
         gam, gam_err = Gamma(s)
         f = gam * eta
-        err = abs(eta) * gam_err + abs(gam) * 1e-12
-    # zeta stays null where F is not resolved above its error: it says
-    # nothing about zeta, and over a tiny gamma would print noise or an
-    # overflow.  The oracle route takes it from the eta in hand.
+        err = max(abs(eta) * gam_err + abs(gam) * eta_err, math.ulp(0.0))
+    # zeta stays null where its source is not resolved above its error: it
+    # says nothing about zeta, and over a tiny gamma would print noise or an
+    # overflow.  The oracle route takes zeta from the eta in hand, so it
+    # resolves it wherever eta is, also where F = gamma eta underflows.
     z = None
-    if abs(f) > 4.0 * err:
-        if method == "oracle":
-            denom = one_minus_two_pow(s)
-            z = eta / denom if abs(denom) >= 1e-12 else None
-        else:
-            zeta = zeta_from_F(s, f, err)
-            z = None if zeta is None else zeta[0]
+    if method == "oracle":
+        denom = one_minus_two_pow(s)
+        if abs(eta) > 4.0 * eta_err and abs(denom) >= 1e-12:
+            z = eta / denom
+    elif abs(f) > 4.0 * err:
+        zeta = zeta_from_F(s, f, err)
+        z = None if zeta is None else zeta[0]
     payload = {"a": a, "b": b, "method": method,
                "F_re": f.real, "F_im": f.imag, "F_abs": abs(f),
                "zeta_re": None if z is None else z.real,

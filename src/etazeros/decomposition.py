@@ -86,7 +86,7 @@ class DecompositionPlan:
 def make_plan(a: float, b: float) -> DecompositionPlan:
     """Plan with the largest R = exp(2 K pi / b) <= 2 and the truncation
     period index taken from the quadrature cutoff t = TAIL_CUTOFF."""
-    K, R = choose_K_R(b, 2.0)
+    K, R = choose_K_R(b)
     trunc_k = int(math.ceil(b * math.log(TAIL_CUTOFF) / (2.0 * math.pi))) + 1
     return DecompositionPlan(a=a, b=b, K=K, R=R,
                              c=math.exp(math.pi / b), truncation_k=trunc_k)

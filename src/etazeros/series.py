@@ -36,64 +36,46 @@ false -- the margins make that visible at a glance.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 
 from .coeffs import CoefficientTable, MAX_INDEX, g_value
-from .errors import NonConvergenceError
 from .quadrature import _arc_head
 from .report import VerificationReport
 
 __all__ = [
-    "SeriesEval", "SeriesError", "choose_K_R", "series_lower_integral",
+    "choose_K_R", "series_lower_integral",
     "maclaurin_kernel", "check_theorem5", "theorem5_internal_constants",
 ]
 
 _TWO_PI = 2.0 * math.pi
 _TAIL_C = 2.0 * (math.pi ** 2 / 6.0)   # envelope constant 2 zeta(2)
-
-_table_cache: dict[int, CoefficientTable] = {}
-
-
-def _table(n: int = MAX_INDEX) -> CoefficientTable:
-    if n not in _table_cache:
-        _table_cache[n] = CoefficientTable.build(n)
-    return _table_cache[n]
+R_MAX = 2.0                            # the paper's head radius R <= 2
 
 
-class SeriesError(NonConvergenceError):
-    pass
+@functools.lru_cache(maxsize=1)
+def _table() -> CoefficientTable:
+    return CoefficientTable.build(MAX_INDEX)
 
 
-@dataclass(frozen=True)
-class SeriesEval:
-    """A truncated series value with its rigorous tail bound."""
+def choose_K_R(b: float) -> tuple[int, float]:
+    """Largest integer K >= 1 with R = exp(2 K pi / b) <= R_MAX = 2.
 
-    value: float
-    terms_used: int
-    tail_bound: float
-
-
-def choose_K_R(b: float, cap: float = 2.0) -> tuple[int, float]:
-    """Largest integer K >= 1 with R = exp(2 K pi / b) <= cap.
-
-    Needs b >= 2 pi / log(cap); the boundary case (R hitting cap exactly) is
+    Needs b >= 2 pi / log 2; the boundary case (R hitting 2 exactly) is
     protected by a relative slack of 1e-12 so that float rounding of
     exp(2 K pi / b) cannot reject the admissible K.
     """
     if not b > 0:
         raise ValueError("b must be positive")
-    if not 1.0 < cap <= math.pi:
-        raise ValueError("cap must be in (1, pi]")
-    K = math.floor(b * math.log(cap) / _TWO_PI + 1e-9)
-    while math.exp(2.0 * (K + 1) * math.pi / b) <= cap * (1.0 + 1e-12):
+    K = math.floor(b * math.log(R_MAX) / _TWO_PI + 1e-9)
+    while math.exp(2.0 * (K + 1) * math.pi / b) <= R_MAX * (1.0 + 1e-12):
         K += 1
-    while K >= 1 and math.exp(2.0 * K * math.pi / b) > cap * (1.0 + 1e-12):
+    while K >= 1 and math.exp(2.0 * K * math.pi / b) > R_MAX * (1.0 + 1e-12):
         K -= 1
     if K < 1:
         raise ValueError(
-            f"b = {b:g} is too small for K >= 1 at cap {cap:g} "
-            f"(needs b >= {_TWO_PI / math.log(cap):.4f})")
+            f"b = {b:g} is too small for K >= 1 at R <= {R_MAX:g} "
+            f"(needs b >= {_TWO_PI / math.log(R_MAX):.4f})")
     return K, math.exp(2.0 * K * math.pi / b)
 
 
@@ -108,12 +90,13 @@ def _series_sum(a: float, b: float, R: float,
                 tol: float) -> tuple[float, int, float]:
     """Compensated sum of -g^(n)(0) b R^(n+a) / (n! ((n+a)^2 + b^2)).
 
-    Returns (value, terms_used, tail_bound).  R^(n+a) is carried by repeated
+    Returns (value, terms_used, tail_bound); at the coefficient cap the
+    bound may stay above ``tol``.  R^(n+a) is carried by repeated
     multiplication and renormalized against exp((n+a) log R) every 16 odd
     steps to stop drift.
     """
     if not 0.0 < R < math.pi:
-        raise SeriesError(f"series radius is pi; R = {R:g} is inadmissible")
+        raise ValueError(f"series radius is pi; R = {R:g} is inadmissible")
     table = _table()
     gof = table.g_over_factorial_f64
     log_r = math.log(R)
@@ -143,13 +126,9 @@ def _series_sum(a: float, b: float, R: float,
     r_sq = R * R
     while True:
         bound = tail_bound_after(n)
-        if bound <= tol:
+        if bound <= tol or n + 2 > table.max_index:
             return total, terms, bound
         n += 2
-        if n > table.max_index:
-            raise SeriesError(
-                f"tail bound {bound:.3e} still above tol {tol:.3e} at the "
-                f"coefficient cap n = {table.max_index}")
         if n % 32 == 1:
             r_pow = math.exp((n + a) * log_r)    # periodic renormalization
         else:
@@ -159,13 +138,13 @@ def _series_sum(a: float, b: float, R: float,
 
 
 def series_lower_integral(a: float, b: float, K: int, R: float,
-                          tol: float = 1e-12) -> SeriesEval:
-    """The head integral int_0^R f(t, a) sin(b log t) dt by its coefficient
-    series, truncated once the geometric tail bound drops under ``tol``
-    (absolute).
+                          tol: float = 1e-12) -> tuple[float, float]:
+    """(value, tail_bound): the head integral int_0^R f(t, a) sin(b log t) dt
+    by its coefficient series, truncated once the geometric tail bound drops
+    under ``tol`` (absolute) or the coefficient table ends.
 
     Preconditions: 0 < a < 1; K >= 1; R = exp(2 K pi / b) (phase-aligned) and
-    R < pi.  A misaligned R raises ValueError -- the identity genuinely
+    R < pi.  Each violation raises ValueError -- the identity genuinely
     requires the alignment, it is not a convention.
     """
     if not 0.0 < a < 1.0:
@@ -173,16 +152,14 @@ def series_lower_integral(a: float, b: float, K: int, R: float,
     if K < 1:
         raise ValueError("K >= 1 required (the phase alignment needs it)")
     _check_phase(b, K, R)
-    if R >= math.pi:
-        raise SeriesError(f"series radius is pi; R = {R:g} >= pi")
-    value, terms, bound = _series_sum(a, b, R, tol)
-    return SeriesEval(value=value, terms_used=terms, tail_bound=bound)
+    value, _, bound = _series_sum(a, b, R, tol)
+    return value, bound
 
 
 def maclaurin_kernel(x: float, tol: float = 1e-15) -> float:
     """sum g^(n)(0) x^n / n! for |x| < pi; converges to 1/(e^x + 1)."""
     if abs(x) >= math.pi:
-        raise SeriesError("kernel series radius is pi")
+        raise ValueError("kernel series radius is pi")
     table = _table()
     gof = table.g_over_factorial_f64
     total = gof[0] + gof[1] * x
@@ -224,7 +201,7 @@ def theorem5_internal_constants(a: float, b: float) -> dict:
     * ``pair_tail``: the paired remainder sum over m >= 2 of the n = 4m-1 and
       n = 4m+1 terms; it exceeds 0.29490227 / b^2.
     """
-    (K, R) = choose_K_R(b, 2.0)
+    (K, R) = choose_K_R(b)
     table = _table()
     gof = table.g_over_factorial_f64
 
@@ -258,16 +235,14 @@ def check_theorem5(a: float, b: float) -> VerificationReport:
     if not b >= 100.0:
         raise ValueError("hypothesis needs b >= 100")
     rep = VerificationReport(name="theorem5")
-    K, R = choose_K_R(b, 2.0)
-    tol = 1e-12 * R ** a / b
-    ev = series_lower_integral(a, b, K, R, tol)
-    lhs = ev.value
+    K, R = choose_K_R(b)
+    lhs, tail = series_lower_integral(a, b, K, R, 1e-12 * R ** a / b)
 
     primary = head_bound_primary(a, b, R)
     rep.add_inequality(
-        f"head bound a={a:g} b={b:g}", lhs - primary - ev.tail_bound,
+        f"head bound a={a:g} b={b:g}", lhs - primary - tail,
         lhs=lhs, rhs=primary,
-        note=f"series tail {ev.tail_bound:.1e} subtracted from the margin")
+        note=f"series tail {tail:.1e} subtracted from the margin")
 
     alternate = head_bound_alternate(a, b, R)
     rep.add_inequality(

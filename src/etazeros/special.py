@@ -148,7 +148,9 @@ def check_theorem1(points) -> VerificationReport:
     no quadrature: gamma from Stirling's series and eta from the accelerated
     alternating series.
 
-    Every cell is relative to |F|; where F underflows to 0 the cell cannot
+    Every cell is relative to |F| and held to the precision both routes
+    claim: F's err plus |eta| err_gamma + |gamma| err_eta, plus 4 eps of the
+    larger side for the comparison.  Where F underflows to 0 the cell cannot
     be checked and fails.
     """
     from .zerofinder import eta_oracle      # zerofinder imports this module
@@ -159,12 +161,18 @@ def check_theorem1(points) -> VerificationReport:
             rep.add(f"s={a:g}+{b:g}i outside strip", False,
                     gating=False, note="excluded: hypothesis needs 0 < a < 1")
             continue
-        f, _ = F(s)
-        gam, _ = Gamma(s)
+        f, f_err = F(s)
+        gam, gam_err = Gamma(s)
+        eta, eta_err = eta_oracle(s, tol=1e-12)
         # (1 - 2^(1-s)) zeta gamma = eta * gamma
-        rhs = gam * eta_oracle(s, tol=1e-12)
+        rhs = gam * eta
         f_abs = abs(f)
-        rel = abs(f - rhs) / f_abs if f_abs else None
-        rep.add(f"a={a:g} b={b:g}", rel is not None and rel <= 1e-7,
-                discrepancy=rel, tol=1e-7, lhs=f_abs, rhs=abs(rhs))
+        if f_abs:
+            rel = abs(f - rhs) / f_abs
+            tol = (f_err + abs(eta) * gam_err + abs(gam) * eta_err
+                   + 4.0 * _EPS * max(f_abs, abs(rhs))) / f_abs
+        else:
+            rel = tol = None
+        rep.add(f"a={a:g} b={b:g}", rel is not None and rel <= tol,
+                discrepancy=rel, tol=tol, lhs=f_abs, rhs=abs(rhs))
     return rep

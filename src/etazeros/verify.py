@@ -67,13 +67,12 @@ def _run_theorem2(b_grid=None) -> VerificationReport:
     bs = b_grid or THEOREM2_GRID_B
     for a in THEOREM2_GRID_A:
         for b in bs:
-            K, R = choose_K_R(b, 2.0)
-            ev = series.series_lower_integral(a, b, K, R, tol=1e-17)
+            K, R = choose_K_R(b)
+            sv, st = series.series_lower_integral(a, b, K, R, tol=1e-17)
             qv, qe = series.lower_integral_by_quadrature(a, b, R)
             rep.add_equality(f"series vs quadrature a={a:g} b={b:g}",
-                             ev.value, qv,
-                             _claimed(ev.tail_bound, qe, ev.value, qv),
-                             note=f"tail {ev.tail_bound:.1e}, quad err {qe:.1e}")
+                             sv, qv, _claimed(st, qe, sv, qv),
+                             note=f"tail {st:.1e}, quad err {qe:.1e}")
     return rep
 
 
@@ -127,7 +126,7 @@ def _run_theorem9(b_grid=None) -> VerificationReport:
     bs = b_grid or THEOREM9_GRID_B
     for a in THEOREM9_GRID_A:
         for b in bs:
-            K, _ = choose_K_R(b, 2.0)
+            K, _ = choose_K_R(b)
             for k in (K, K + 10):
                 rep.extend(decomposition.check_theorem9(k, b, a))
     return rep

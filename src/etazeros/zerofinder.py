@@ -22,12 +22,14 @@ where Z changes sign.  Two independent routes evaluate it:
   underflow past b ~ 470, cancel in log form to at most e^4.
 
 Each route carries its own error bound on Z, which also bounds the rounding
-left in Im(e^(i theta) zeta).  The oracle route locates the zeros: it scans
-Z on the grid and refines each bracket once by ITP steps (regula falsi,
-truncated toward the midpoint and projected into a radius that keeps
-bisection's worst case within one step), about 9 evaluations per zero with
-the one at b*, at most 30 from a 0.25-wide scan step.  A refined point is
-kept where |Z(b*)| and 8 times the route's bound are both below
+left in Im(e^(i theta) zeta).  Like F and Gamma, eta returns (value, err);
+past |b| ~ 1000, where its rounding floor is above the 1e-11 the scan asks
+for, that floor is the oracle route's bound.  The oracle route locates the
+zeros: it scans Z on the grid and refines each bracket once by ITP steps
+(regula falsi, truncated toward the midpoint and projected into a radius
+that keeps bisection's worst case within one step), about 9 evaluations per
+zero with the one at b*, at most 30 from a 0.25-wide scan step.  A refined
+point is kept where |Z(b*)| and 8 times the route's bound are both below
 :data:`ZERO_TOL`.  The integral route then certifies each zero on its own
 values: its Z takes opposite signs at b* - h and b* + h, each beyond its own
 error bound, for some h from 1e-10 doubling up to 1e-6.  That proves a zero
@@ -43,23 +45,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergenceError
 from .quadrature import _ray_integral
 from .special import F, log_gamma, one_minus_two_pow, riemann_siegel_theta
 
 __all__ = [
-    "EtaConvergenceError", "ZeroRefinementError",
+    "ZeroRefinementError",
     "ZeroBracket", "LocatedZero",
     "eta_oracle",
     "scan_critical_line", "refine_zero", "find_zeros", "scan_F",
 ]
-
-
-class EtaConvergenceError(NonConvergenceError):
-    def __init__(self, message: str, value: complex, achieved: float):
-        super().__init__(message)
-        self.value = value
-        self.achieved = achieved
 
 
 class ZeroRefinementError(RuntimeError):
@@ -134,16 +128,18 @@ def _eta_averaged(terms: np.ndarray, keep: int = 6) -> tuple[complex, float]:
     return complex(v[0], v[1]), drift
 
 
-def eta_oracle(s, tol: float = 1e-12) -> complex:
+def eta_oracle(s, tol: float = 1e-12) -> tuple[complex, float]:
     """eta(s) = sum (-1)^(n-1) n^(-s) as one binomial-tail-weighted sum of
     its terms, in O(n) (Borwein's Algorithm 1, equal to iterated binomial
-    averaging of the partial sums); needs Re s > 0.
+    averaging of the partial sums), and its err; needs Re s > 0.
 
     Term count starts near 1.5|Im s| + 20 and grows, keeping the terms
-    already summed, until the last-transform drift is under ``tol``.  The
-    rounding floor of the weighted sum is about (n_terms + 4 |Im s|) * eps;
-    asking for less raises :class:`EtaConvergenceError` with the achieved
-    error; a returned value's error estimate is at most ``tol``.
+    already summed, until the error estimate max(4 x last-transform drift,
+    rounding floor) is under ``tol``, or until more terms cannot lower it.
+    The rounding floor of the weighted sum is
+    (n_terms + 4 |Im s|) 3e-16 max(1, |eta|), which can pass 1e-12 from
+    |Im s| ~ 125.  err is the smallest estimate reached, so it is above
+    ``tol`` where the floor kept the series from reaching it.
     """
     s = complex(s)
     if not (s.real > 0 and cmath.isfinite(s)):
@@ -158,18 +154,12 @@ def eta_oracle(s, tol: float = 1e-12) -> complex:
         err = max(4.0 * drift, floor)
         if best is None or err < best[1]:
             best = (value, err)
-        if err <= tol:
-            return value
-        if drift > floor and n_terms < 40_000:
-            grown = min(int(n_terms * 1.6) + 16, 40_000)
-            terms = np.concatenate(
-                (terms, _alternating_terms(s, n_terms, grown)))
-            n_terms = grown
-        else:
-            break  # at the rounding floor; more terms cannot help
-    value, err = best
-    raise EtaConvergenceError(
-        f"eta series reached {err:.2e}, requested {tol:.2e}", value, err)
+        if err <= tol or not (drift > floor and n_terms < 40_000):
+            break  # converged, or at the rounding floor
+        grown = min(int(n_terms * 1.6) + 16, 40_000)
+        terms = np.concatenate((terms, _alternating_terms(s, n_terms, grown)))
+        n_terms = grown
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +192,9 @@ def _line_eval(b: float, method: str):
 
     zc = e^(i theta(b)) zeta(1/2 + ib): its real part is Hardy's Z(b) and
     its imaginary part only rounding; err bounds |zc - Z(b)|.  Z is even in
-    b, so both routes work at |b|.  Where eta's rounding floor keeps it above
-    the oracle's tolerance (|b| past ~ 1000), its best value is used and the
-    error it reached goes into err.
+    b, so both routes work at |b|.  On the oracle route eta's own err goes
+    into err, also where its rounding floor keeps it above the oracle's
+    tolerance (|b| past ~ 1000).
     """
     s = complex(0.5, abs(b))
     theta, theta_err = riemann_siegel_theta(s.imag)
@@ -219,10 +209,7 @@ def _line_eval(b: float, method: str):
         zc = w * integral
         err = abs(w) * ray_err + abs(zc) * (theta_err + lg_err)
     elif method == "oracle":
-        try:
-            eta, eta_err = eta_oracle(s, tol=_ORACLE_TOL), _ORACLE_TOL
-        except EtaConvergenceError as exc:
-            eta, eta_err = exc.value, exc.achieved
+        eta, eta_err = eta_oracle(s, tol=_ORACLE_TOL)
         zc = cmath.exp(1j * theta) * eta / denom
         err = eta_err / abs(denom) + abs(zc) * theta_err
     else:

@@ -66,7 +66,8 @@ def test_c02_bridge_identity_grid():
     worst = max(r.discrepancy for r in rep.rows if r.discrepancy is not None)
     ok = rep.passed and dt < 30.0
     assert report(2, ok, f"15-point strip grid, worst relative "
-                         f"discrepancy {worst:.2e} (tol 1e-7), {dt:.1f}s"), \
+                         f"discrepancy {worst:.2e} (within both routes' err), "
+                         f"{dt:.1f}s"), \
         rep.to_text()
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from etazeros import quadrature
 from etazeros.coeffs import g_value
 from etazeros.series import (
-    SeriesError,
     _series_sum,
     check_theorem5,
     choose_K_R,
@@ -24,41 +23,34 @@ TWO_PI = 2.0 * math.pi
 # Node choice.
 
 def test_choose_K_R_b100():
-    K, R = choose_K_R(100.0, 2.0)
+    K, R = choose_K_R(100.0)
     assert K == 11
     assert R == pytest.approx(math.exp(0.22 * math.pi), rel=1e-14)
     assert R == pytest.approx(1.99601, abs=1e-5)
 
 
 def test_choose_K_R_b1000():
-    K, R = choose_K_R(1000.0, 2.0)
+    K, R = choose_K_R(1000.0)
     assert K == 110
     assert R == pytest.approx(math.exp(0.22 * math.pi), rel=1e-14)
 
 
 def test_choose_K_R_boundary_hits_cap():
     b = TWO_PI / math.log(2.0)
-    K, R = choose_K_R(b, 2.0)
+    K, R = choose_K_R(b)
     assert K == 1
     assert R == pytest.approx(2.0, rel=1e-12)
 
 
 def test_choose_K_R_too_small_b():
     with pytest.raises(ValueError):
-        choose_K_R(5.0, 2.0)  # needs b >= 2 pi / log 2 ~ 9.06
-
-
-def test_choose_K_R_rejects_bad_cap():
-    with pytest.raises(ValueError):
-        choose_K_R(100.0, 1.0)
-    with pytest.raises(ValueError):
-        choose_K_R(100.0, 3.5)
+        choose_K_R(5.0)  # needs b >= 2 pi / log 2 ~ 9.06
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.floats(min_value=10.0, max_value=5000.0))
 def test_choose_K_R_postconditions(b):
-    K, R = choose_K_R(b, 2.0)
+    K, R = choose_K_R(b)
     assert K >= 1
     assert R <= 2.0 * (1.0 + 1e-12)
     # maximality: one more period oversteps the cap
@@ -70,35 +62,45 @@ def test_choose_K_R_postconditions(b):
 # Series vs quadrature.
 
 def test_series_matches_quadrature_spot():
-    K, R = choose_K_R(100.0, 2.0)
-    ev = series_lower_integral(0.5, 100.0, K, R, tol=1e-13)
+    K, R = choose_K_R(100.0)
+    sv, _ = series_lower_integral(0.5, 100.0, K, R, tol=1e-13)
     qv, _ = lower_integral_by_quadrature(0.5, 100.0, R)
-    assert abs(ev.value - qv) < 1e-10
+    assert abs(sv - qv) < 1e-10
 
 
 @pytest.mark.parametrize("a", (0.1, 0.5, 0.9))
 @pytest.mark.parametrize("b", (100.0, 316.0, 1000.0))
 def test_series_matches_quadrature_grid(a, b):
-    K, R = choose_K_R(b, 2.0)
-    ev = series_lower_integral(a, b, K, R, tol=1e-13)
+    K, R = choose_K_R(b)
+    sv, _ = series_lower_integral(a, b, K, R, tol=1e-13)
     qv, _ = lower_integral_by_quadrature(a, b, R)
-    assert abs(ev.value - qv) < 1e-9
+    assert abs(sv - qv) < 1e-9
 
 
 def test_tail_bound_honesty():
     # adding ten more terms moves the value by less than the reported bound
-    K, R = choose_K_R(100.0, 2.0)
+    K, R = choose_K_R(100.0)
     v1, n1, bound1 = _series_sum(0.5, 100.0, R, tol=1e-10)
     v2, n2, _ = _series_sum(0.5, 100.0, R, tol=1e-10 * (R / math.pi) ** 20)
     assert n2 >= n1 + 10
     assert abs(v2 - v1) <= bound1
 
 
+def test_coefficient_cap_returns_the_bound_reached():
+    # a tolerance the table cannot reach truncates at its last coefficient
+    # and reports the bound there instead of failing
+    K, R = choose_K_R(100.0)
+    value, bound = series_lower_integral(0.5, 100.0, K, R, tol=0.0)
+    fine, fine_bound = series_lower_integral(0.5, 100.0, K, R, tol=1e-17)
+    assert 0.0 < bound <= fine_bound
+    assert abs(value - fine) <= fine_bound
+
+
 def test_phase_alignment_is_load_bearing():
     # R' = R e^(pi/(2b)) breaks b log R = 2 K pi; the series formula then
     # no longer equals the integral (the residual head term survives)
     a, b = 0.5, 100.0
-    K, R = choose_K_R(b, 2.0)
+    K, R = choose_K_R(b)
     r_shift = R * math.exp(math.pi / (2.0 * b))
     v_series, _, _ = _series_sum(a, b, r_shift, tol=1e-13)
     v_quad, _ = lower_integral_by_quadrature(a, b, r_shift)
@@ -137,7 +139,7 @@ def test_arc_head_err_bounds_error_against_mpmath(b):
     # period of test_phase_alignment_is_load_bearing: the arc needs no
     # alignment, and its bound stays near 1e-16
     mp = pytest.importorskip("mpmath")
-    _, R = choose_K_R(b, 2.0)
+    _, R = choose_K_R(b)
     for a in (0.1, 0.5, 0.9):
         for r in (R, R * math.exp(math.pi / (2.0 * b))):
             assert _mp_head_check(mp, a, b, r) < 2e-16
@@ -165,7 +167,7 @@ def test_arc_head_takes_few_panels(monkeypatch):
         return batch(integrand, lo, hi)
 
     monkeypatch.setattr(quadrature, "_panel_batch", counted)
-    _, R = choose_K_R(1000.0, 2.0)
+    _, R = choose_K_R(1000.0)
     lower_integral_by_quadrature(0.1, 1000.0, R)
     assert 0 < sum(counts) <= 64
 
@@ -182,7 +184,7 @@ def test_misaligned_R_rejected_by_public_op():
 
 
 def test_radius_refusal():
-    with pytest.raises(SeriesError):
+    with pytest.raises(ValueError):
         _series_sum(0.5, 100.0, 3.2, tol=1e-10)
 
 
@@ -192,15 +194,15 @@ def test_K_zero_rejected():
 
 
 def test_even_terms_do_not_contribute():
-    # terms_used counts n = 0, 1 and odd n >= 3 only; for ~60 coefficient
-    # orders that is ~32 terms, not ~60
-    K, R = choose_K_R(100.0, 2.0)
-    ev = series_lower_integral(0.5, 100.0, K, R, tol=1e-13)
-    assert ev.terms_used < 40
+    # the term count covers n = 0, 1 and odd n >= 3 only; for ~60
+    # coefficient orders that is ~32 terms, not ~60
+    _, R = choose_K_R(100.0)
+    _, terms, _ = _series_sum(0.5, 100.0, R, tol=1e-13)
+    assert terms < 40
 
 
 def test_kernel_series_identity():
-    K, R = choose_K_R(100.0, 2.0)
+    K, R = choose_K_R(100.0)
     assert abs(maclaurin_kernel(R) - g_value(R)) < 1e-12
 
 
@@ -220,7 +222,7 @@ def test_head_bound_scales_with_dominant_term():
     for b in (100.0, 1000.0):
         rep = check_theorem5(0.05, b)
         row = [r for r in rep.rows if r.label.startswith("head bound")][0]
-        K, R = choose_K_R(b, 2.0)
+        K, R = choose_K_R(b)
         assert 0.0 < row.margin < 1.0 * R ** 0.05 / b ** 3
 
 
