@@ -10,7 +10,8 @@ zeros      scan the critical line and refine the bracketed zeros
 
 Exit status: 0 success, 1 a gating verification cell failed, 2 numerical
 non-convergence, 3 usage error, which includes a number option that is not
-finite and a height b with |b| above 2e4.  Output is deterministic:
+finite, a height b with |b| above 2e4, a negative --count and an --out path
+that cannot be opened.  Output is deterministic:
 repeated runs with the same arguments produce byte-identical bytes (no
 timestamps, sorted JSON keys, fixed float rendering); CSV carries 17
 significant digits.
@@ -20,11 +21,23 @@ Start-up: each subcommand imports only the layers it uses, so coeffs,
 and zeros load it.  OPENBLAS_NUM_THREADS defaults to 1 (a value already set
 in the environment is kept): every BLAS call here is a small matrix-vector
 product, which OpenBLAS's worker threads only slow down.
+
+Exit: most of a call is start-up and teardown, not F or eta.  zeros
+10.5..40.5 takes about 250 ms on a 2-core host: 50-57 ms for the
+interpreter, 18-20 ms to import the CLI, 80-88 ms for numpy, 16-18 ms for
+the layers, 33-38 ms of work, then 29-32 ms of finalization, whose
+collections trace the ~22k objects left by the imports pass after pass.  So
+the CLI freezes the collector at exit (gc.freeze as an atexit hook): the
+import heap goes to the permanent generation, is freed by teardown and the
+OS instead, and the exit takes 8-9 ms.  Code that imports the layers without
+the CLI never touches the collector.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import importlib
 import json
 import math
@@ -274,6 +287,8 @@ def _cmd_verify(args):
 def _cmd_decompose(args):
     if not 0.0 < args.a < 1.0:
         raise UsageError("--a must lie in (0, 1)")
+    if args.count < 0:
+        raise UsageError("--count must be >= 0")
     _bind("decomposition")
     plan = make_plan(args.a, args.b)
     rows = interval_contributions(plan, args.count)
@@ -340,6 +355,12 @@ def dispatch(args) -> tuple[int, str]:
 def main(argv=None) -> int:
     # set before any handler loads numpy, so OpenBLAS starts one thread
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # at exit, move the import heap to the permanent generation before
+    # finalization's collections, which would otherwise trace its module
+    # cycles pass after pass; unregister first, so one process that calls
+    # main more than once still freezes once
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -354,8 +375,13 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"usage error: cannot write {args.out}: {exc.strerror}",
+                  file=sys.stderr)
+            return 3
     else:
         sys.stdout.write(text)
     return code

@@ -387,6 +387,16 @@ def test_decompose_validates_a(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_decompose_refuses_negative_count(capsys, fmt):
+    # refused, not answered with an empty table and exit 0
+    code, out, err = run(capsys, "decompose", "--a", "0.5", "--b", "100",
+                         "--count", "-1", "--format", fmt)
+    assert code == 3
+    assert out == ""
+    assert err == "usage error: --count must be >= 0\n"
+
+
 # ---------------------------------------------------------------------------
 # zeros
 
@@ -450,6 +460,18 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     rows = json.loads(path.read_text())
     assert rows[3]["g_n_numerator"] == 1 and rows[3]["g_n_denominator"] == 8
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    # exit 1 means a gating cell failed; a path that cannot be opened is
+    # the caller's error, reported in one line
+    path = tmp_path / "missing" / "table.json"
+    code, out, err = run(capsys, "coeffs", "--n-max", "3", "--out",
+                         str(path))
+    assert code == 3
+    assert out == ""
+    assert err == f"usage error: cannot write {path}: " \
+                  "No such file or directory\n"
 
 
 def test_numerical_nonconvergence_exit_code(capsys):
@@ -636,3 +658,51 @@ def test_cross_process_determinism(argv, min_bytes):
     b = subprocess.run(cmd, capture_output=True, timeout=120)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout and len(a.stdout) > min_bytes
+
+
+# The probe is registered before main, so it runs after main's gc.freeze
+# hook (atexit runs last in, first out) and sees the frozen heap.
+_FREEZE_PROBE = ("import atexit, gc, sys\n"
+                 "atexit.register(lambda: sys.stderr.write("
+                 "f'freeze_count={gc.get_freeze_count()}\\n'))\n")
+
+
+@pytest.mark.parametrize("entry", [
+    "import runpy; runpy.run_module('etazeros', run_name='__main__', "
+    "alter_sys=True)",
+    "from etazeros.cli import main; sys.exit(main())",
+], ids=["python -m etazeros", "etazeros.cli.main"])
+def test_cli_freezes_the_heap_at_exit(entry):
+    import subprocess
+    import sys
+    proc = subprocess.run(
+        [sys.executable, "-c", _FREEZE_PROBE + entry, "coeffs", "--n-max",
+         "3"], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    count = int(proc.stderr.rsplit("freeze_count=", 1)[1])
+    assert count > 0
+
+
+def test_layers_without_the_cli_leave_the_collector_alone():
+    import subprocess
+    import sys
+    proc = subprocess.run(
+        [sys.executable, "-c", _FREEZE_PROBE + "import etazeros; "
+                                               "etazeros.F(0.5 + 14j)"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "freeze_count=0\n"
+
+
+def test_verify_out_file_matches_stdout(tmp_path):
+    import subprocess
+    import sys
+    argv = [sys.executable, "-m", "etazeros", "verify", "--all", "--format",
+            "csv"]
+    path = tmp_path / "verify.csv"
+    to_file = subprocess.run([*argv, "--out", str(path)],
+                             capture_output=True, timeout=120)
+    to_stdout = subprocess.run(argv, capture_output=True, timeout=120)
+    assert to_file.returncode == to_stdout.returncode == 0
+    assert to_file.stdout == b""
+    assert path.read_bytes() == to_stdout.stdout and to_stdout.stdout
