@@ -17,9 +17,9 @@ _EXPORTS = {
                    "integrate_finite", "integrate_to_infinity"),
     "report": ("CheckRow", "VerificationReport"),
     "special": ("F", "Gamma", "zeta_from_F"),
-    "series": ("choose_K_R", "series_lower_integral"),
-    "decomposition": ("DecompositionPlan", "interval_average", "make_plan",
-                      "upper_integral"),
+    "series": ("series_lower_integral",),
+    "decomposition": ("DecompositionPlan", "choose_K_R", "interval_average",
+                      "make_plan", "upper_integral"),
     "zerofinder": ("LocatedZero", "ZeroBracket", "eta_oracle", "refine_zero",
                    "scan_critical_line"),
 }

@@ -10,27 +10,31 @@ zeros      scan the critical line and refine the bracketed zeros
 
 Exit status: 0 success, 1 a gating verification cell failed, 2 numerical
 non-convergence, 3 usage error, which includes a number option that is not
-finite, a height b with |b| above 2e4, a negative --count and an --out path
-that cannot be opened.  Output is deterministic:
-repeated runs with the same arguments produce byte-identical bytes (no
-timestamps, sorted JSON keys, fixed float rendering); CSV carries 17
-significant digits.
+finite, a height b with |b| above 2e4, a zeros grid of more than 1e6
+points, a negative --count and an --out path that cannot be opened.  Output
+is deterministic: repeated runs with the same arguments produce
+byte-identical bytes (no timestamps, sorted JSON keys, fixed float
+rendering); CSV carries 17 significant digits.
 
 Start-up: each subcommand imports only the layers it uses, so coeffs,
 --help and usage errors run without loading numpy; eval, verify, decompose
-and zeros load it.  OPENBLAS_NUM_THREADS defaults to 1 (a value already set
-in the environment is kept): every BLAS call here is a small matrix-vector
-product, which OpenBLAS's worker threads only slow down.
+and zeros load it.  The Gauss rules and Stirling's coefficients are literal
+tables, so no subcommand loads numpy.polynomial, and only coeffs, verify
+and eval's series route load the exact rationals.  OPENBLAS_NUM_THREADS
+defaults to 1 (a value already set in the environment is kept): every BLAS
+call here is a small matrix-vector product, which OpenBLAS's worker threads
+only slow down.
 
-Exit: most of a call is start-up and teardown, not F or eta.  zeros
-10.5..40.5 takes about 250 ms on a 2-core host: 50-57 ms for the
-interpreter, 18-20 ms to import the CLI, 80-88 ms for numpy, 16-18 ms for
-the layers, 33-38 ms of work, then 29-32 ms of finalization, whose
-collections trace the ~22k objects left by the imports pass after pass.  So
-the CLI freezes the collector at exit (gc.freeze as an atexit hook): the
-import heap goes to the permanent generation, is freed by teardown and the
-OS instead, and the exit takes 8-9 ms.  Code that imports the layers without
-the CLI never touches the collector.
+Exit: most of a call is start-up, not F or eta.  zeros 10.5..40.5 takes
+about 150 ms on a 2-core host (medians of 40 fresh processes): 40 ms for
+the interpreter and site, 14 ms to import the CLI, 60 ms for numpy, 4 ms
+for the layers, 26 ms of work and 6 ms to exit; its peak RSS is 29.5 MiB
+(eval 28.6-30.7, decompose 29.0, verify --all 30.8, coeffs 15.5).
+Finalization's collections would trace the ~22k objects left by the
+imports pass after pass, for about 30 ms, so the CLI freezes the collector
+at exit (gc.freeze as an atexit hook): the import heap goes to the
+permanent generation and is freed by teardown and the OS instead.  Code
+that imports the layers without the CLI never touches the collector.
 """
 
 from __future__ import annotations
@@ -56,8 +60,9 @@ __all__ = ["main"]
 # sees every call.  A layer's own name binds the module itself.
 _LAYERS = {
     "coeffs": ("CoefficientTable",),
-    "decomposition": ("interval_contributions", "make_plan", "upper_integral"),
-    "series": ("choose_K_R", "series_lower_integral"),
+    "decomposition": ("choose_K_R", "interval_contributions", "make_plan",
+                      "upper_integral"),
+    "series": ("series_lower_integral",),
     "special": ("F", "Gamma", "one_minus_two_pow", "zeta_from_F"),
     "verify": ("verify",),
     "zerofinder": ("eta_oracle", "find_zeros", "scan_F"),
@@ -96,8 +101,8 @@ class _Parser(argparse.ArgumentParser):
 # The largest |b| any subcommand takes.  Memory barely grows with |b|: eta's
 # binomial weights come from one pass that holds two exact integers, and
 # the ray's ~4.5|b| panels stream through the Gauss rules in fixed chunks,
-# leaving ~130 bytes per panel.  At |b| = 2e4 one eval peaks near 43 MiB of
-# RSS on the integral route and 32 MiB on the oracle route, against 32 MiB
+# leaving ~130 bytes per panel.  At |b| = 2e4 one eval peaks near 42 MiB of
+# RSS on the integral route and 30 MiB on the oracle route, against 28 MiB
 # after import; in process the ray takes 57 MiB at 4e4.  Time is what grows
 # past the bound: one eta call takes 0.54 s at 2e4 and 2.1 s at 4e4.
 MAX_HEIGHT = 2.0e4

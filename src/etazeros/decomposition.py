@@ -36,16 +36,39 @@ from .quadrature import (
     integrate_to_infinity,
 )
 from .report import VerificationReport
-from .series import choose_K_R
 
 __all__ = [
-    "DecompositionPlan", "make_plan", "upper_integral", "interval_contributions",
-    "interval_average", "check_theorem7", "check_theorem9", "check_theorem10",
-    "pair_kernel",
+    "choose_K_R", "DecompositionPlan", "make_plan", "upper_integral",
+    "interval_contributions", "interval_average", "check_theorem7",
+    "check_theorem9", "check_theorem10", "pair_kernel",
 ]
+
+R_MAX = 2.0                            # the paper's head radius R <= 2
+_TWO_PI = 2.0 * math.pi
 
 #: largest a for which h(t, a, b) > 0 is guaranteed on all t >= 1, b > 0
 POSITIVITY_A_MAX = math.e / (math.e + 1.0)
+
+
+def choose_K_R(b: float) -> tuple[int, float]:
+    """Largest integer K >= 1 with R = exp(2 K pi / b) <= R_MAX = 2.
+
+    Needs b >= 2 pi / log 2; the boundary case (R hitting 2 exactly) is
+    protected by a relative slack of 1e-12 so that float rounding of
+    exp(2 K pi / b) cannot reject the admissible K.
+    """
+    if not b > 0:
+        raise ValueError("b must be positive")
+    K = math.floor(b * math.log(R_MAX) / _TWO_PI + 1e-9)
+    while math.exp(2.0 * (K + 1) * math.pi / b) <= R_MAX * (1.0 + 1e-12):
+        K += 1
+    while K >= 1 and math.exp(2.0 * K * math.pi / b) > R_MAX * (1.0 + 1e-12):
+        K -= 1
+    if K < 1:
+        raise ValueError(
+            f"b = {b:g} is too small for K >= 1 at R <= {R_MAX:g} "
+            f"(needs b >= {_TWO_PI / math.log(R_MAX):.4f})")
+    return K, math.exp(2.0 * K * math.pi / b)
 
 
 def pair_kernel(t, a: float, b: float) -> np.ndarray:

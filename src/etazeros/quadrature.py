@@ -59,7 +59,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import NonConvergenceError
 
@@ -158,13 +157,41 @@ class IntegrandSpec:
 
 _RULE_HI = 24
 _RULE_LO = 12
-_gauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+# The Gauss-Legendre rules on [-1, 1] are symmetric, so each is written as
+# its positive nodes and their weights, (x, w) ascending in x, and mirrored.
+# The digits are numpy's leggauss(n), which is exactly symmetric, printed to
+# round-trip: the mirrored arrays are its arrays bit for bit, with no
+# eigensolve, no numpy.polynomial and no dependence on the host's LAPACK.
+_GAUSS_HALF = {
+    24: ((0.06405689286260563, 0.12793819534675202),
+         (0.1911188674736163, 0.12583745634682825),
+         (0.3150426796961634, 0.1216704729278033),
+         (0.4337935076260451, 0.11550566805372552),
+         (0.5454214713888396, 0.10744427011596556),
+         (0.6480936519369755, 0.09761865210411393),
+         (0.7401241915785544, 0.0861901615319532),
+         (0.820001985973903, 0.07334648141108016),
+         (0.8864155270044011, 0.05929858491543636),
+         (0.9382745520027328, 0.04427743881741941),
+         (0.9747285559713095, 0.02853138862893356),
+         (0.9951872199970213, 0.01234122979998869)),
+    12: ((0.1252334085114689, 0.2491470458134027),
+         (0.3678314989981802, 0.2334925365383546),
+         (0.5873179542866175, 0.20316742672306573),
+         (0.7699026741943047, 0.16007832854334642),
+         (0.9041172563704748, 0.10693932599531907),
+         (0.9815606342467192, 0.04717533638651141)),
+}
 
 
-def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _gauss_cache:
-        _gauss_cache[n] = leggauss(n)
-    return _gauss_cache[n]
+def _mirror(half) -> tuple[np.ndarray, np.ndarray]:
+    x, w = np.array(half).T
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
+
+
+# (nodes, weights) by rule size
+_GAUSS = {n: _mirror(half) for n, half in _GAUSS_HALF.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +274,8 @@ def _panel_batch(integrand: Callable, lo: np.ndarray, hi: np.ndarray):
     result is not finite: r^(s-1) overflows once r^a does (Re s beyond
     ~ 100), and bisecting such panels would never converge.
     """
-    xh, wh = _gauss(_RULE_HI)
-    xl, wl = _gauss(_RULE_LO)
+    xh, wh = _GAUSS[_RULE_HI]
+    xl, wl = _GAUSS[_RULE_LO]
     parts = []
     stops = [*range(_CHUNK, len(lo) - 1, _CHUNK), len(lo)]
     for start, stop in zip([0, *stops], stops):

@@ -40,43 +40,22 @@ import functools
 import math
 
 from .coeffs import CoefficientTable, MAX_INDEX, g_value
+from .decomposition import choose_K_R
 from .quadrature import _arc_head
 from .report import VerificationReport
 
 __all__ = [
-    "choose_K_R", "series_lower_integral",
-    "maclaurin_kernel", "check_theorem5", "theorem5_internal_constants",
+    "series_lower_integral", "maclaurin_kernel", "check_theorem5",
+    "theorem5_internal_constants",
 ]
 
 _TWO_PI = 2.0 * math.pi
 _TAIL_C = 2.0 * (math.pi ** 2 / 6.0)   # envelope constant 2 zeta(2)
-R_MAX = 2.0                            # the paper's head radius R <= 2
 
 
 @functools.lru_cache(maxsize=1)
 def _table() -> CoefficientTable:
     return CoefficientTable.build(MAX_INDEX)
-
-
-def choose_K_R(b: float) -> tuple[int, float]:
-    """Largest integer K >= 1 with R = exp(2 K pi / b) <= R_MAX = 2.
-
-    Needs b >= 2 pi / log 2; the boundary case (R hitting 2 exactly) is
-    protected by a relative slack of 1e-12 so that float rounding of
-    exp(2 K pi / b) cannot reject the admissible K.
-    """
-    if not b > 0:
-        raise ValueError("b must be positive")
-    K = math.floor(b * math.log(R_MAX) / _TWO_PI + 1e-9)
-    while math.exp(2.0 * (K + 1) * math.pi / b) <= R_MAX * (1.0 + 1e-12):
-        K += 1
-    while K >= 1 and math.exp(2.0 * K * math.pi / b) > R_MAX * (1.0 + 1e-12):
-        K -= 1
-    if K < 1:
-        raise ValueError(
-            f"b = {b:g} is too small for K >= 1 at R <= {R_MAX:g} "
-            f"(needs b >= {_TWO_PI / math.log(R_MAX):.4f})")
-    return K, math.exp(2.0 * K * math.pi / b)
 
 
 def _check_phase(b: float, K: int, R: float) -> None:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import cmath
 import math
 
-from .coeffs import bernoulli
 from .quadrature import QuadratureError, integrate_line
 from .report import VerificationReport
 
@@ -53,10 +52,14 @@ def F(s) -> tuple[complex, float]:
 # (smaller z are shifted up by log Gamma(z) = log Gamma(z + 1) - log z).
 # For Re z > 0, |R_K| is at most the first omitted term times
 # sec^(2K+2)(arg z / 2) <= 2^(K+1) (DLMF 5.11.ii): with K = 10 and |z| >= 10
-# that is below 3e-17.
+# that is below 3e-17.  The coefficients B_2k / (2k (2k-1)), k = 1 .. 11,
+# are exact fractions p / q (int / int division rounds them correctly), so
+# this layer needs no Bernoulli numbers from :mod:`etazeros.coeffs`.
 _STIRLING_MIN_ABS = 10.0
-_STIRLING_TERMS = tuple(float(bernoulli(2 * k)) / (2 * k * (2 * k - 1))
-                        for k in range(1, 12))
+_STIRLING_PAIRS = ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188),
+                   (-691, 360360), (1, 156), (-3617, 122400), (43867, 244188),
+                   (-174611, 125400), (77683, 5796))
+_STIRLING_TERMS = tuple(p / q for p, q in _STIRLING_PAIRS)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _EPS = math.ulp(1.0)
 

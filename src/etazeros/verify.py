@@ -23,9 +23,9 @@ from __future__ import annotations
 import math
 
 from . import coeffs, decomposition, series, special
+from .decomposition import choose_K_R
 from .quadrature import IntegrandSpec, integrate_to_infinity
 from .report import VerificationReport
-from .series import choose_K_R
 
 __all__ = ["run_theorem", "run_all", "THEOREM_NUMBERS"]
 

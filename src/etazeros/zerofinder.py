@@ -217,13 +217,24 @@ def _line_eval(b: float, method: str):
     return zc, err
 
 
+# The most points a scan grid may hold; the default step over the whole
+# height range the CLI admits, |b| <= 2e4, makes 80,001.
+MAX_GRID_POINTS = 10 ** 6
+
+
 def _grid(b_min: float, b_max: float, step: float) -> list[float]:
-    """The scan grid b_min + i step, i = 0, 1, ..., up to b_max."""
+    """The scan grid b_min + i step, i = 0, 1, ..., up to b_max; raises
+    ValueError, before building it, for more than MAX_GRID_POINTS points."""
     if not 0 < step <= 0.5:
         raise ValueError("step must be in (0, 0.5]")
     if not b_min < b_max:
         raise ValueError("need b_min < b_max")
-    n = int(math.floor((b_max - b_min) / step + 1e-9)) + 1
+    steps = (b_max - b_min) / step + 1e-9
+    if not steps < MAX_GRID_POINTS:
+        raise ValueError(
+            f"step {step:g} on [{b_min:g}, {b_max:g}] makes more than "
+            f"{MAX_GRID_POINTS} scan points")
+    n = int(math.floor(steps)) + 1
     return [b_min + i * step for i in range(n)]
 
 

@@ -612,6 +612,55 @@ def test_importing_the_package_and_cli_leaves_numpy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+# Runs cli.main on the arguments, then prints which of the given modules the
+# call left unloaded.
+_UNLOADED = ("import contextlib, io, sys\n"
+             "from etazeros.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    rc = main(sys.argv[2:])\n"
+             "print(rc, *(m for m in sys.argv[1].split(',')"
+             " if m not in sys.modules))\n")
+_NEVER_NEEDED = ("numpy.polynomial", "fractions", "decimal", "etazeros.coeffs")
+
+
+@pytest.mark.parametrize("argv,unloaded", [
+    (["zeros", "--b-min", "10", "--b-max", "15"], _NEVER_NEEDED),
+    (["eval", "--a", "0.5", "--b", "14", "--method", "integral"],
+     _NEVER_NEEDED),
+    (["eval", "--a", "0.5", "--b", "14", "--method", "oracle"],
+     _NEVER_NEEDED),
+    (["decompose", "--a", "0.5", "--b", "100"],
+     (*_NEVER_NEEDED, "etazeros.series")),
+], ids=["zeros", "eval-integral", "eval-oracle", "decompose"])
+def test_commands_load_only_what_they_compute_with(argv, unloaded):
+    # the Gauss rules and Stirling's coefficients are literal tables, and
+    # choose_K_R lives in decomposition, so these calls need neither
+    # numpy.polynomial nor the exact-rational layer, and decompose needs no
+    # head series
+    import subprocess
+    import sys
+    proc = subprocess.run(
+        [sys.executable, "-c", _UNLOADED, ",".join(unloaded), *argv],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", *unloaded]
+
+
+def test_absurd_zeros_step_is_a_usage_error_at_once():
+    # a step of 1e-300 on [10, 12] would be ~2e300 grid points; the grid is
+    # refused before it is built
+    import subprocess
+    import sys
+    proc = subprocess.run(
+        [sys.executable, "-m", "etazeros", "zeros", "--b-min", "10",
+         "--b-max", "12", "--step", "1e-300"],
+        capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("usage error: ")
+    assert proc.stdout == ""
+
+
 def test_lazy_names_are_the_layer_objects():
     import etazeros
     import etazeros.cli as cli_mod

@@ -9,11 +9,11 @@ from etazeros import quadrature
 from etazeros.decomposition import pair_kernel
 from etazeros.special import Gamma
 from etazeros.quadrature import (
+    _GAUSS,
     _RULE_HI,
     _RULE_LO,
     IntegrandSpec,
     QuadratureError,
-    _gauss,
     integrate_finite,
     integrate_line,
     integrate_to_infinity,
@@ -80,7 +80,7 @@ def test_pair_fermi_matches_naive_difference(a, b, t):
 @pytest.mark.parametrize("n", [_RULE_LO, _RULE_HI])
 def test_gauss_rule_exact_for_polynomials(n):
     # an n-node rule integrates x^k exactly on [-1, 1] for k <= 2n - 1
-    x, w = _gauss(n)
+    x, w = _GAUSS[n]
     for k in range(2 * n):
         exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
         assert abs(float(np.dot(w, x ** k)) - exact) < 1e-14, k
@@ -95,10 +95,21 @@ def test_gauss_rule_matches_scipy(n):
     # two are held to 16 eps of each other.
     sps = pytest.importorskip("scipy.special")
     eps = np.finfo(np.float64).eps
-    x, w = _gauss(n)
+    x, w = _GAUSS[n]
     x_ref, w_ref = sps.roots_legendre(n)
     assert np.all(np.abs(x - x_ref) <= 4 * np.spacing(np.abs(x_ref)))
     assert np.all(np.abs(w - w_ref) <= 16 * eps)
+
+
+@pytest.mark.parametrize("n", [_RULE_LO, _RULE_HI])
+def test_gauss_table_matches_leggauss(n):
+    # the literal half-table, mirrored, is numpy's rule to within 4 ulps of
+    # every node and weight (bit for bit where leggauss is exactly
+    # symmetric, as it is with numpy 2.4)
+    from numpy.polynomial.legendre import leggauss
+    for got, ref in zip(_GAUSS[n], leggauss(n)):
+        assert got.shape == ref.shape == (n,)
+        assert np.all(np.abs(got - ref) <= 4 * np.spacing(np.abs(ref)))
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +242,9 @@ def test_non_convergence_raises_with_payload(monkeypatch):
     # F(1/2) on the real axis with a 4/2-point rule pair: two bisections
     # cannot bring the panels to their rounding floor, and the stall
     # carries the best value with an error that bounds it
+    from numpy.polynomial.legendre import leggauss
+    monkeypatch.setitem(quadrature._GAUSS, 4, leggauss(4))
+    monkeypatch.setitem(quadrature._GAUSS, 2, leggauss(2))
     monkeypatch.setattr(quadrature, "_RULE_HI", 4)
     monkeypatch.setattr(quadrature, "_RULE_LO", 2)
     monkeypatch.setattr(quadrature, "_MAX_DEPTH", 2)

@@ -42,6 +42,14 @@ def test_choose_K_R_boundary_hits_cap():
     assert R == pytest.approx(2.0, rel=1e-12)
 
 
+def test_choose_K_R_is_one_object_through_every_layer():
+    # it lives in decomposition; series and the package take it from there
+    import etazeros
+    from etazeros import decomposition, series
+    assert series.choose_K_R is decomposition.choose_K_R is choose_K_R
+    assert etazeros.choose_K_R is choose_K_R
+
+
 def test_choose_K_R_too_small_b():
     with pytest.raises(ValueError):
         choose_K_R(5.0)  # needs b >= 2 pi / log 2 ~ 9.06

@@ -237,6 +237,21 @@ def test_riemann_siegel_theta_within_err_of_mpmath(b):
         assert abs(value - float(mpmath.siegeltheta(sign * b))) <= err, b
 
 
+def test_stirling_pairs_are_the_exact_coefficients():
+    # the literal p / q are B_2k / (2k (2k - 1)), k = 1 .. 11, and each term
+    # is their correctly rounded quotient
+    from fractions import Fraction
+
+    from etazeros.coeffs import bernoulli
+    from etazeros.special import _STIRLING_PAIRS, _STIRLING_TERMS
+    assert len(_STIRLING_PAIRS) == len(_STIRLING_TERMS) == 11
+    for k, ((p, q), term) in enumerate(
+            zip(_STIRLING_PAIRS, _STIRLING_TERMS), start=1):
+        exact = bernoulli(2 * k) / (2 * k * (2 * k - 1))
+        assert Fraction(p, q) == exact, k
+        assert term == float(exact), k
+
+
 def test_log_gamma_shift_and_branch():
     # small |z| is shifted up by log Gamma(z) = log Gamma(z + 1) - log z;
     # the branch is the continuous one, not the principal log of Gamma

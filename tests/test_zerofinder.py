@@ -380,6 +380,25 @@ def test_find_zeros_empty_range():
     assert len(scan_F(2.0, 8.0, 0.25)) == 25
 
 
+def test_find_zeros_refuses_an_absurd_grid_at_once(monkeypatch):
+    # a step of 1e-300 on [10, 12] asks for ~2e300 points; the grid refuses
+    # it before building a list or evaluating anything
+    def no_eval(*args):
+        raise AssertionError("evaluated a grid point")
+    monkeypatch.setattr(zerofinder, "_line_eval", no_eval)
+    with pytest.raises(ValueError, match="scan points"):
+        find_zeros(10.0, 12.0, 1e-300)
+    with pytest.raises(ValueError, match="scan points"):
+        scan_F(10.0, 12.0, 1e-300)
+    # the default step over the CLI's whole height range (0, 2e4] passes
+    assert zerofinder.MAX_GRID_POINTS >= 2.0e4 / 0.25 + 1
+    # the cap counts points: a grid of exactly the cap passes, one more not
+    monkeypatch.setattr(zerofinder, "MAX_GRID_POINTS", 9)
+    assert len(zerofinder._grid(10.0, 12.0, 0.25)) == 9
+    with pytest.raises(ValueError, match="scan points"):
+        zerofinder._grid(10.0, 12.25, 0.25)
+
+
 def test_find_zeros_budget_and_accuracy(monkeypatch):
     # the oracle scan takes 121 evaluations and its 6 refinements about 9
     # each; the integral route's certificate takes 2 ray evaluations a zero
