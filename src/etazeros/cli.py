@@ -63,6 +63,7 @@ _LAYERS = {
     "decomposition": ("choose_K_R", "interval_contributions", "make_plan",
                       "upper_integral"),
     "series": ("series_lower_integral",),
+    "quadrature": ("unscale",),
     "special": ("F", "Gamma", "one_minus_two_pow", "zeta_from_F"),
     "verify": ("verify",),
     "zerofinder": ("eta_oracle", "find_zeros", "scan_F"),
@@ -183,12 +184,14 @@ def _build_parser() -> _Parser:
 # Subcommand implementations (each returns (exit_code, text)).
 
 def _cmd_eval(args):
-    _bind("special")
+    _bind("special", "quadrature")
     a, b = args.a, args.b
     s = complex(a, b)
     method = args.method
     if method == "integral":
-        f, err = F(s)
+        # one ray gives the F fields (F is 0 past b ~ 470) and zeta
+        integral, i_err, log_scale = F(s, scaled=True)
+        f, err = unscale(integral, i_err, log_scale)
     elif method == "series+decomposition":
         _bind("series", "decomposition")
         if b <= 0:
@@ -200,6 +203,7 @@ def _cmd_eval(args):
         f_ray, ray_err = F(s)    # no closed series for the cos head
         f = complex(f_ray.real, head + tail)
         err = head_err + tail_err + ray_err
+        integral, i_err, log_scale = f, err, 0.0
     else:  # oracle
         _bind("zerofinder")
         # eta stops at 1e-12 or at its rounding floor, and its err says
@@ -211,16 +215,16 @@ def _cmd_eval(args):
         f = gam * eta
         err = max(abs(eta) * gam_err + abs(gam) * eta_err, math.ulp(0.0))
     # zeta stays null where its source is not resolved above its error: it
-    # says nothing about zeta, and over a tiny gamma would print noise or an
-    # overflow.  The oracle route takes zeta from the eta in hand, so it
-    # resolves it wherever eta is, also where F = gamma eta underflows.
+    # says nothing about zeta, and over a tiny gamma would print noise.  The
+    # oracle route takes zeta from the eta in hand and the integral route
+    # from the scaled F, so both resolve it also where F underflows.
     z = None
     if method == "oracle":
         denom = one_minus_two_pow(s)
         if abs(eta) > 4.0 * eta_err and abs(denom) >= 1e-12:
             z = eta / denom
-    elif abs(f) > 4.0 * err:
-        zeta = zeta_from_F(s, f, err)
+    elif abs(integral) > 4.0 * i_err:
+        zeta = zeta_from_F(s, integral, i_err, log_scale)
         z = None if zeta is None else zeta[0]
     payload = {"a": a, "b": b, "method": method,
                "F_re": f.real, "F_im": f.imag, "F_abs": abs(f),

@@ -176,28 +176,6 @@ def check_theorem7(a: float, b: float, R: float) -> VerificationReport:
     return rep
 
 
-def telescoping_partial_sums(a: float, b: float,
-                             m: int) -> tuple[float, float]:
-    """(sum of int over [t_2k, t_2k+2] of h dt for k = K..K+m,
-        int_{t_2K}^{t_2K+1-node} f dt - int over the shifted top edge),
-    which telescoping makes equal: the interior node contributions cancel
-    pairwise and only the two edge strips survive."""
-    plan = make_plan(a, b)
-    h = IntegrandSpec("pair_fermi", a=a, b=b)
-    f = IntegrandSpec("fermi", a=a)
-    lhs = 0.0
-    for k in range(plan.K, plan.K + m + 1):
-        v, _ = integrate_finite(h, plan.endpoint(2 * k),
-                                plan.endpoint(2 * k + 2))
-        lhs += v
-    lo_strip, _ = integrate_finite(f, plan.endpoint(2 * plan.K),
-                                   plan.endpoint(2 * plan.K + 1))
-    top = 2 * (plan.K + m) + 2
-    hi_strip, _ = integrate_finite(f, plan.endpoint(top),
-                                   plan.endpoint(top + 1))
-    return lhs, lo_strip - hi_strip
-
-
 # ---------------------------------------------------------------------------
 # The half-period sine average.
 

@@ -64,7 +64,7 @@ from .errors import NonConvergenceError
 
 __all__ = [
     "QuadratureError", "IntegrandSpec", "integrate_finite",
-    "integrate_to_infinity", "integrate_line",
+    "integrate_to_infinity", "integrate_line", "unscale",
 ]
 
 
@@ -387,7 +387,7 @@ def _ray_integrand(s: complex, rot: complex, lo: np.ndarray, hi: np.ndarray,
     return f, np.abs(f) * rel
 
 
-def integrate_line(s: complex) -> tuple[complex, float]:
+def integrate_line(s: complex, scaled: bool = False):
     """F(s) = int_0^inf t^(s-1) / (e^t + 1) dt for Re s > 0, and a bound on
     the modulus of its error.
 
@@ -399,16 +399,31 @@ def integrate_line(s: complex) -> tuple[complex, float]:
     the head remainder and tail bounds and the rounding floor.  Raises
     :class:`QuadratureError` when a panel stalls above its rounding floor
     (carrying the unrotated integral of :func:`_ray_integral`), or when a
-    panel value or a bound is not finite.
+    panel value or a bound is not finite.  With ``scaled`` it returns
+    (I, err_I, log_scale), F = exp(log_scale) I with log_scale =
+    i theta (a + i|b|), both conjugated at -b: |I| stays O(1) where F
+    underflows.
     """
     integral, err, theta = _ray_integral(s)
     s = complex(s)
-    b = abs(s.imag)
-    value = cmath.exp(1j * theta * complex(s.real, b)) * integral
+    log_scale = 1j * theta * complex(s.real, abs(s.imag))
+    if s.imag < 0:
+        integral, log_scale = integral.conjugate(), log_scale.conjugate()
+    if scaled:
+        return integral, err, log_scale
+    return unscale(integral, err, log_scale)
+
+
+def unscale(integral, err, log_scale) -> tuple[complex, float]:
+    """(F, err) from the (I, err_I, log_scale) of :func:`integrate_line`;
+    at -b (Im log_scale < 0) the exact conjugate of the value at |b|."""
+    if log_scale.imag < 0:
+        f, f_err = unscale(integral.conjugate(), err, log_scale.conjugate())
+        return f.conjugate(), f_err
     # past b ~ 470 the scale underflows and the value rounds to 0; the
     # smallest subnormal then bounds the error of that rounding
-    err = max(math.exp(-theta * b) * err, math.ulp(0.0))
-    return (value.conjugate() if s.imag < 0 else value), err
+    return (cmath.exp(log_scale) * integral,
+            max(math.exp(log_scale.real) * err, math.ulp(0.0)))
 
 
 def _ray_head(s: complex, rot: complex) -> tuple[float, complex, float]:

@@ -17,7 +17,9 @@ e^(-pi |b| / 2) while its integrand mass on the real axis stays O(1), so a
 real-axis quadrature carries an absolute rounding floor near 1e-18 that
 swamps it past |b| ~ 25.  F is therefore taken by
 :func:`etazeros.quadrature.integrate_line` on a ray rotated towards the
-imaginary axis, whose error scales with the value itself.
+imaginary axis, whose error scales with the value itself.  Past |b| ~ 470
+F and Gamma underflow, so :func:`zeta_from_F` takes F's scale out of Gamma
+in one exponential (``F(s, scaled=True)``, ``Gamma(s, log_scale)``).
 
 Gamma is the exponential of Stirling's series for log Gamma (remainder
 bound: DLMF 5.11.ii), which also gives the Riemann-Siegel theta that turns
@@ -38,13 +40,15 @@ __all__ = [
 ]
 
 
-def F(s) -> tuple[complex, float]:
+def F(s, scaled: bool = False):
     """F(s) = int_0^inf t^(s-1)/(e^t+1) dt for Re s > 0, and its err.
 
     err scales with |F| ~ e^(-pi |b|/2), not with the real-axis integrand
     mass.  The value at -b is the exact conjugate of the value at |b|.
+    With ``scaled``, (I, err_I, log_scale) of the same ray, F =
+    exp(log_scale) I (:func:`etazeros.quadrature.integrate_line`).
     """
-    return integrate_line(complex(s))
+    return integrate_line(complex(s), scaled)
 
 
 # Stirling's series: log Gamma(z) = (z - 1/2) log z - z + log(2 pi)/2
@@ -89,16 +93,20 @@ def log_gamma(s) -> tuple[complex, float]:
             remainder + 8.0 * _EPS * size)
 
 
-def Gamma(s) -> tuple[complex, float]:
+def Gamma(s, log_scale=0.0) -> tuple[complex, float]:
     """gamma(s) = exp(log Gamma(s)) by Stirling's series for Re s > 0, and
-    its err.
+    its err; with ``log_scale``, gamma(s) exp(-log_scale) in one exponential.
 
-    err is |gamma| (expm1(lg_err) + 4 eps), and never less than the smallest
+    err is |value| (expm1(lg_err) + 4 eps), and never less than the smallest
     subnormal, so a gamma that underflows to 0 (past |b| ~ 470 on the
-    critical line) stays unresolved.  Raises :class:`QuadratureError` where
-    gamma overflows (Re s beyond ~ 171).
+    critical line) stays unresolved.  A nonzero log_scale adds the rounding
+    of the exponent's terms, 4 eps (|log_scale| + |log Gamma|), to lg_err.
+    Raises :class:`QuadratureError` where the value overflows.
     """
     lg, lg_err = log_gamma(s)
+    if log_scale:
+        lg_err += 4.0 * _EPS * (abs(log_scale) + abs(lg))
+        lg -= log_scale
     try:
         val = cmath.exp(lg)
         mod = abs(val)
@@ -121,40 +129,38 @@ def one_minus_two_pow(s) -> complex:
     return 1.0 - cmath.exp((1.0 - complex(s)) * math.log(2.0))
 
 
-def zeta_from_F(s, f: complex, f_err: float
+def zeta_from_F(s, integral: complex, err: float, log_scale
                 ) -> tuple[complex, float] | None:
-    """zeta(s) = f / (1 - 2^(1-s)) / gamma(s) and its err, for Re s > 0,
-    from f = F(s) with error f_err.
+    """zeta(s) = exp(log_scale - log Gamma(s)) I / (1 - 2^(1-s)) and its err,
+    for Re s > 0, from F(s) = exp(log_scale) I with error ``err`` in I: the
+    output of ``F(s, scaled=True)``, or a plain F with log_scale = 0.
 
     None where 1 - 2^(1-s) vanishes (the pole s = 1 and its companions on
-    Re s = 1) and where gamma is not resolved above its error (|b| beyond
-    ~ 470 on the critical line), where the quotient would be noise.  Else
-    both factors keep their relative accuracy, and err is |zeta| times the
-    sum of their relative errors.
+    Re s = 1) and where Gamma(s, log_scale) is not resolved above its error
+    (a plain F past |b| ~ 470); Gamma raises where it overflows.  An I
+    inside its err still gives a value, so Hardy's Z keeps its bound next
+    to a zero; callers that print zeta hold it back there.
     """
     denom = one_minus_two_pow(s)
     if abs(denom) < 1e-12:
         return None
-    gam, gam_err = Gamma(s)
-    gam_abs = abs(gam)
-    if gam_abs <= 4.0 * gam_err:
+    g, g_err = Gamma(s, log_scale)
+    g_abs = abs(g)
+    if g_abs <= 4.0 * g_err:
         return None
-    g = f / denom
-    val = g / gam
-    rel = f_err / abs(denom) / max(abs(g), 1e-300) + gam_err / gam_abs
-    return val, abs(val) * rel
+    val = integral / denom / g
+    return val, err / abs(denom * g) + abs(val) * g_err / g_abs
 
 
 def check_theorem1(points) -> VerificationReport:
     """Bridge identity on a strip grid: F(s) computed by quadrature must match
     (1 - 2^(1-s)) gamma(s) zeta(s) = gamma(s) eta(s), whose right side takes
-    no quadrature: gamma from Stirling's series and eta from the accelerated
-    alternating series.
+    no quadrature: eta from the accelerated alternating series.
 
-    Every cell is relative to |F| and held to the precision both routes
-    claim: F's err plus |eta| err_gamma + |gamma| err_eta, plus 4 eps of the
-    larger side for the comparison.  Where F underflows to 0 the cell cannot
-    be checked and fails.
+    Both sides are divided by gamma, so no cell underflows: F / gamma is
+    (1 - 2^(1-s)) zeta of :func:`zeta_from_F` on the scaled F.  Each cell is
+    relative to it, held to the precision both routes claim (their errs plus
+    4 eps of the larger side), and passes only where |I| > 4 err_I.
     """
     from .zerofinder import eta_oracle      # zerofinder imports this module
     rep = VerificationReport(name="theorem1")
@@ -164,18 +170,17 @@ def check_theorem1(points) -> VerificationReport:
             rep.add(f"s={a:g}+{b:g}i outside strip", False,
                     gating=False, note="excluded: hypothesis needs 0 < a < 1")
             continue
-        f, f_err = F(s)
-        gam, gam_err = Gamma(s)
+        integral, i_err, log_scale = F(s, scaled=True)
+        zeta, zeta_err = zeta_from_F(s, integral, i_err, log_scale)
         eta, eta_err = eta_oracle(s, tol=1e-12)
-        # (1 - 2^(1-s)) zeta gamma = eta * gamma
-        rhs = gam * eta
-        f_abs = abs(f)
-        if f_abs:
-            rel = abs(f - rhs) / f_abs
-            tol = (f_err + abs(eta) * gam_err + abs(gam) * eta_err
-                   + 4.0 * _EPS * max(f_abs, abs(rhs))) / f_abs
-        else:
-            rel = tol = None
-        rep.add(f"a={a:g} b={b:g}", rel is not None and rel <= tol,
-                discrepancy=rel, tol=tol, lhs=f_abs, rhs=abs(rhs))
+        denom = one_minus_two_pow(s)
+        lhs = denom * zeta
+        lhs_abs = abs(lhs)
+        rel = tol = None
+        if lhs_abs:
+            rel = abs(lhs - eta) / lhs_abs
+            tol = (abs(denom) * zeta_err + eta_err
+                   + 4.0 * _EPS * max(lhs_abs, abs(eta))) / lhs_abs
+        rep.add(f"a={a:g} b={b:g}", abs(integral) > 4.0 * i_err and rel <= tol,
+                discrepancy=rel, tol=tol, lhs=lhs_abs, rhs=abs(eta))
     return rep

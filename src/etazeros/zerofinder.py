@@ -16,10 +16,9 @@ where Z changes sign.  Two independent routes evaluate it:
   terms, O(n), equal to iterated binomial averaging of the partial sums):
   Z = Re(e^(i theta) eta / (1 - 2^(1/2 - ib))), and
 * the *integral* route from F by quadrature on a rotated ray:
-  Z = Re(e^(i theta) F / ((1 - 2^(1/2 - ib)) Gamma(1/2 + ib))).  The ray
-  integral comes unscaled, as F = e^(i phi s) I, and Gamma from Stirling's
-  log Gamma, so the factors e^(-phi b) and |Gamma| ~ e^(-pi b / 2), which
-  underflow past b ~ 470, cancel in log form to at most e^4.
+  Z = Re(e^(i theta) zeta), zeta by :func:`etazeros.special.zeta_from_F`
+  from the scaled F, where F's scale e^(-phi b) and |Gamma| ~ e^(-pi b / 2),
+  which underflow past b ~ 470, cancel in one exponential to at most e^4.
 
 Each route carries its own error bound on Z, which also bounds the rounding
 left in Im(e^(i theta) zeta).  Like F and Gamma, eta returns (value, err);
@@ -45,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import _ray_integral
-from .special import F, log_gamma, one_minus_two_pow, riemann_siegel_theta
+from .special import (F, log_gamma, one_minus_two_pow, riemann_siegel_theta,
+                      zeta_from_F)
 
 __all__ = [
     "ZeroRefinementError",
@@ -198,18 +197,13 @@ def _line_eval(b: float, method: str):
     """
     s = complex(0.5, abs(b))
     theta, theta_err = riemann_siegel_theta(s.imag)
-    denom = one_minus_two_pow(s)
     if method == "integral":
-        integral, ray_err, phi = _ray_integral(s)
-        lg, lg_err = log_gamma(s)
-        # F = e^(i phi s) integral; e^(i theta) e^(i phi s) / Gamma(s) is
-        # formed in one exponential
-        w = cmath.exp(complex(-phi * s.imag - lg.real,
-                              theta + 0.5 * phi - lg.imag)) / denom
-        zc = w * integral
-        err = abs(w) * ray_err + abs(zc) * (theta_err + lg_err)
+        zeta, zeta_err = zeta_from_F(s, *F(s, scaled=True))
+        zc = cmath.exp(1j * theta) * zeta
+        err = zeta_err + abs(zc) * theta_err
     elif method == "oracle":
         eta, eta_err = eta_oracle(s, tol=_ORACLE_TOL)
+        denom = one_minus_two_pow(s)
         zc = cmath.exp(1j * theta) * eta / denom
         err = eta_err / abs(denom) + abs(zc) * theta_err
     else:

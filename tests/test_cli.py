@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 
@@ -114,7 +115,7 @@ def test_eval_resolves_F_and_zeta_at_b_100(capsys, method):
         # the printed zeta is zeta_from_F's, within its own err of mpmath
         from etazeros.special import F, zeta_from_F
         s = complex(0.5, 100.0)
-        z, z_bound = zeta_from_F(s, *F(s))
+        z, z_bound = zeta_from_F(s, *F(s, scaled=True))
         assert complex(obj["zeta_re"], obj["zeta_im"]) == z
         assert z_err <= z_bound, (float(z_err), z_bound)
 
@@ -142,6 +143,25 @@ def test_eval_oracle_up_to_the_height_bound_against_mpmath(capsys, a, b):
         assert z_err <= 1e-10 * abs(z_ref), float(z_err / abs(z_ref))
 
 
+@pytest.mark.parametrize("a,b", [(0.5, 1000.7), (0.2, 480.0)])
+def test_eval_integral_resolves_zeta_past_F_underflow(capsys, a, b):
+    # F underflows past b ~ 470 and prints as 0, but zeta comes from the
+    # scaled F: it is the bridge composition's, within that bound of mpmath
+    mpmath = pytest.importorskip("mpmath")
+    from etazeros.special import F, zeta_from_F
+    code, out, _ = run(capsys, "eval", "--a", str(a), "--b", str(b))
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["F_abs"] == 0.0 and obj["err_est"] == math.ulp(0.0)
+    z = complex(obj["zeta_re"], obj["zeta_im"])
+    s = complex(a, b)
+    z_composed, z_bound = zeta_from_F(s, *F(s, scaled=True))
+    assert z == z_composed
+    with mpmath.workdps(30):
+        z_err = abs(mpmath.mpc(z) - mpmath.zeta(mpmath.mpc(a, b)))
+    assert z_err <= z_bound, (float(z_err), z_bound)
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -160,19 +180,21 @@ def test_eval_unresolved_F_prints_null_zeta(capsys, b):
 
 
 def test_eval_integral_evaluates_F_once(capsys, monkeypatch):
-    # zeta on 0 < a <= 1 comes from the F already computed for the payload
-    import etazeros.cli as cli_mod
-    import etazeros.special as special
+    # the F fields and zeta come from one ray integral, counted under every
+    # name an etazeros module binds it to
+    import etazeros.quadrature as quadrature
+    ray = quadrature._ray_integral
     calls = []
 
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(args)
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ray(*args, **kwargs)
 
-    monkeypatch.setattr(cli_mod, "F", counted(cli_mod.F))
-    monkeypatch.setattr(special, "F", counted(special.F))
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("etazeros") and mod is not None:
+            for attr, value in list(vars(mod).items()):
+                if value is ray:
+                    monkeypatch.setattr(mod, attr, counted)
     code, out, _ = run(capsys, "eval", "--a", "0.5", "--b", "30",
                        "--method", "integral")
     assert code == 0
@@ -318,6 +340,45 @@ def test_verify_theorem8_grid(capsys):
     assert sorted(rep["checks"][0]) == [
         "discrepancy", "gating", "label", "lhs", "margin", "note", "passed",
         "rhs", "tol"]
+
+
+HIGH_GRID = "480,1000.7,5000.3,20000"
+
+
+def _theorem1_high(capsys, monkeypatch, grid):
+    """(exit code, report rows, {label: (|I|, err_I)}) of suite 1 on
+    ``grid``, recording each cell's scaled F as the suite computes it."""
+    import etazeros.special as special
+    scaled_cells = {}
+    f = special.F
+
+    def recorded(s, scaled=False):
+        out = f(s, scaled)
+        if scaled:
+            scaled_cells[f"a={s.real:g} b={s.imag:g}"] = (abs(out[0]), out[1])
+        return out
+
+    monkeypatch.setattr(special, "F", recorded)
+    code, out, _ = run(capsys, "verify", "--theorem", "1",
+                       f"--grid={grid}", "--format", "json")
+    return code, json.loads(out)["reports"][0]["checks"], scaled_cells
+
+
+def test_verify_theorem1_up_to_the_height_bound(capsys, monkeypatch):
+    # past b ~ 470 F underflows, so the bridge identity is checked divided
+    # by gamma, with zeta from the scaled F; no cell passes with the ray's I
+    # inside 4 times its err, and -b, where every factor is the conjugate,
+    # gives the same verdicts
+    code, rows, scaled = _theorem1_high(capsys, monkeypatch, HIGH_GRID)
+    assert code == 0
+    assert len(rows) == 12 and all(r["passed"] for r in rows)
+    for r in rows:
+        i_abs, i_err = scaled[r["label"]]
+        assert i_abs > 4.0 * i_err, r
+    neg = ",".join(f"-{b}" for b in HIGH_GRID.split(","))
+    code_neg, rows_neg, _ = _theorem1_high(capsys, monkeypatch, neg)
+    assert code_neg == code
+    assert [r["passed"] for r in rows_neg] == [r["passed"] for r in rows]
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

@@ -13,7 +13,6 @@ from etazeros.decomposition import (
     interval_contributions,
     make_plan,
     pair_kernel,
-    telescoping_partial_sums,
     upper_integral,
 )
 from etazeros.quadrature import (
@@ -111,11 +110,6 @@ def test_tail_bounds_collapse_at_large_b():
     assert rep.passed
     margins = [r.margin for r in rep.rows if r.margin is not None]
     assert all(0 < m < 1e-6 for m in margins)  # bounds close in but stay strict
-
-
-def test_telescoping_partial_sums():
-    lhs, rhs = telescoping_partial_sums(0.5, 100.0, 5)
-    assert abs(lhs - rhs) < 1e-11
 
 
 # ---------------------------------------------------------------------------

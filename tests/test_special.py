@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -11,13 +12,15 @@ from etazeros.special import (
     riemann_siegel_theta,
     zeta_from_F,
 )
+from etazeros.quadrature import QuadratureError, unscale
 
 FIRST_ZERO = 14.134725  # derived by the eta oracle (see test_zerofinder)
 
 
 def zeta(s):
-    """zeta(s) from F(s) by the bridge identity, as (value, err)."""
-    return zeta_from_F(s, *F(s))
+    """zeta(s) from the scaled F(s) by the bridge identity, as
+    (value, err)."""
+    return zeta_from_F(s, *F(s, scaled=True))
 
 
 def test_F_at_one_is_log2():
@@ -51,10 +54,39 @@ def test_zeta_from_F_at_even_integers():
 
 
 def test_zeta_from_F_is_the_bridge_quotient():
+    # zeta = I / (1 - 2^(1-s)) / exp(log Gamma - log_scale): F's scale and
+    # gamma meet in one exponential
     s = complex(0.5, 25.0)
+    integral, err, log_scale = F(s, scaled=True)
+    expected = (integral / one_minus_two_pow(s)
+                / cmath.exp(log_gamma(s)[0] - log_scale))
+    assert zeta_from_F(s, integral, err, log_scale)[0] == expected
+    # a plain F (log_scale = 0) gives the plain quotient F / (1 - 2^(1-s))
+    # / gamma bit for bit
     f, f_err = F(s)
-    expected = f / one_minus_two_pow(s) / Gamma(s)[0]
-    assert zeta_from_F(s, f, f_err)[0] == expected
+    assert zeta_from_F(s, f, f_err, 0.0)[0] == (
+        f / one_minus_two_pow(s) / Gamma(s)[0])
+
+
+def test_scaled_F_is_F():
+    # exp(log_scale) I is F's value, and -b gives the conjugates; unscale
+    # gives F's (value, err) bit for bit, signed zeros too past b ~ 470
+    for a, b in ((0.5, 25.0), (0.2, 100.0), (0.8, 3.0), (2.0, 0.0),
+                 (0.5, 480.3), (0.8, 1000.7)):
+        integral, err, log_scale = F(complex(a, b), scaled=True)
+        assert cmath.exp(log_scale) * integral == F(complex(a, b))[0]
+        dn = F(complex(a, -b), scaled=True)
+        assert dn[0] == integral.conjugate()
+        assert dn[2] == log_scale.conjugate()
+        for s, scaled in ((complex(a, b), (integral, err, log_scale)),
+                          (complex(a, -b), dn)):
+            assert repr(unscale(*scaled)) == repr(F(s))
+
+
+def test_zeta_from_F_overflow_is_a_quadrature_error():
+    # gamma(175 + i) overflows: an error of the evaluation, not of Python
+    with pytest.raises(QuadratureError, match="overflows"):
+        zeta_from_F(complex(175.0, 1.0), 1e300, 1.0, 0.0)
 
 
 def test_F_rejects_left_halfplane():
@@ -81,8 +113,25 @@ def test_zeta_near_first_zero():
 
 
 def test_zeta_refuses_noise_quotient():
-    # |gamma(1/2 + 500i)| ~ e^-785 underflows to 0: no quotient to return
-    assert zeta(complex(0.5, 500.0)) is None
+    # a plain F (log_scale = 0) at 1/2 + 500i has underflowed to 0 with
+    # gamma ~ e^-785: no quotient to return
+    s = complex(0.5, 500.0)
+    assert zeta_from_F(s, *F(s), 0.0) is None
+
+
+@pytest.mark.parametrize("a,b", [(a, b) for a in (0.2, 0.5, 0.8)
+                                 for b in (480.0, 1000.7, 5000.3)]
+                         + [(0.5, 2e4)])
+def test_zeta_from_scaled_F_up_to_the_height_bound(a, b):
+    # past b ~ 470 F and gamma underflow, but the scaled F and
+    # gamma exp(-log_scale) stay O(1): zeta keeps its digits up to the CLI's
+    # height bound, within its err of mpmath
+    mpmath = pytest.importorskip("mpmath")
+    value, err = zeta(complex(a, b))
+    with mpmath.workdps(30):
+        ref = mpmath.zeta(mpmath.mpc(a, b))
+        assert abs(mpmath.mpc(value) - ref) <= err, (a, b, err)
+    assert err <= 1e-6 * abs(value), (a, b, err)
 
 
 @pytest.mark.parametrize("b", [40.0, 100.0])
@@ -106,9 +155,9 @@ def test_conjugate_symmetry():
 
 
 def test_identity_chain_strip_grid():
-    # |F - (1 - 2^(1-s)) gamma zeta_ref| / |F| on the 3 x 5 strip grid,
-    # within the errors both routes claim, which stay below 1e-7 relative;
-    # the right side is gamma * eta_ref
+    # |(1 - 2^(1-s)) zeta - eta_ref| / |(1 - 2^(1-s)) zeta|, zeta from the
+    # scaled F, on the 3 x 5 strip grid, within the errors both routes
+    # claim, which stay below 1e-7 relative
     points = [complex(a, b)
               for a in (0.2, 0.5, 0.8)
               for b in (5.0, 10.0, 14.1347, 50.0, 100.0)]

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 import subprocess
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import etazeros.quadrature as quadrature
+import etazeros.special as special
 import etazeros.zerofinder as zerofinder
 from etazeros.special import F, Gamma, one_minus_two_pow
 from etazeros.zerofinder import (
@@ -295,8 +298,13 @@ def _count_evals(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(zerofinder, "_ray_integral",
-                        counted("F", zerofinder._ray_integral))
+    # every name an etazeros module binds the ray integral to
+    ray = quadrature._ray_integral
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("etazeros") and mod is not None:
+            for attr, value in list(vars(mod).items()):
+                if value is ray:
+                    monkeypatch.setattr(mod, attr, counted("F", ray))
     monkeypatch.setattr(zerofinder, "eta_oracle",
                         counted("eta", zerofinder.eta_oracle))
     return counts
@@ -450,6 +458,17 @@ def test_hardy_z_within_err_of_mpmath(method, b):
     assert abs(zc.real - float(mpmath.siegelz(b))) <= err, (zc, err)
     assert abs(zc.imag) <= err
     assert err <= 1e-8
+
+
+@pytest.mark.parametrize("b", [14.13, 480.3, 1000.7])
+def test_integral_z_is_the_bridge_composition(b):
+    # the integral route's Z is e^(i theta) zeta with zeta from the scaled
+    # F by the bridge identity, with no algebra of its own
+    s = complex(0.5, b)
+    zeta, _ = special.zeta_from_F(s, *special.F(s, scaled=True))
+    theta, _ = special.riemann_siegel_theta(b)
+    assert zerofinder._line_eval(b, "integral")[0] == (
+        cmath.exp(1j * theta) * zeta)
 
 
 def test_hardy_z_is_even():
