@@ -257,10 +257,8 @@ def _panels(rate: float, decay: float, delta: float, log_pole: float,
 # Panels per chunk of a batch: a complex temporary of 256 panels x 24 nodes is
 # 96 KiB and stays in L2, and a batch's memory does not grow with its panel
 # count (~ 4.5|b| panels on the ray).  The chunking changes no bit of any
-# result: each panel's values come from its own row, chunks start on
-# multiples of 256, so BLAS's matrix-vector product tiles the rows as it
-# tiles the whole batch, and no chunk of one row is split off, which numpy
-# would send to a dot product that sums in another order.
+# result: each weighted sum is a numpy reduction along one row, which sums
+# that row on its own, whatever rows share its chunk.
 _CHUNK = 256
 
 
@@ -277,17 +275,16 @@ def _panel_batch(integrand: Callable, lo: np.ndarray, hi: np.ndarray):
     xh, wh = _GAUSS[_RULE_HI]
     xl, wl = _GAUSS[_RULE_LO]
     parts = []
-    stops = [*range(_CHUNK, len(lo) - 1, _CHUNK), len(lo)]
-    for start, stop in zip([0, *stops], stops):
-        c_lo, c_hi = lo[start:stop], hi[start:stop]
+    for start in range(0, len(lo), _CHUNK):
+        c_lo, c_hi = lo[start:start + _CHUNK], hi[start:start + _CHUNK]
         half = 0.5 * (c_hi - c_lo)
         with np.errstate(over="ignore", invalid="ignore"):
             fh, rounding = integrand(c_lo[:, None], c_hi[:, None], xh)
             fl, _ = integrand(c_lo[:, None], c_hi[:, None], xl)
-            vh = half * (fh @ wh)
-            vl = half * (fl @ wl)
+            vh = half * (fh * wh).sum(axis=-1)
+            vl = half * (fl * wl).sum(axis=-1)
             err = np.abs(vh - vl)
-            noise = 2.0 * _EPS * half * (rounding @ wh)
+            noise = 2.0 * _EPS * half * (rounding * wh).sum(axis=-1)
         if not (np.isfinite(err).all() and np.isfinite(noise).all()):
             raise QuadratureError("panel values overflow")
         parts.append((vh, err, noise))

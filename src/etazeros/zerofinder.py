@@ -118,13 +118,10 @@ def _eta_averaged(terms: np.ndarray, keep: int = 6) -> tuple[complex, float]:
     far above the step itself.
     """
     tail, pmf = _binomial_weights(len(terms) - keep)
-    # complex terms as (re, im) rows, so each weighted sum is a real product
-    ri = terms.view(np.float64).reshape(-1, 2)
-    v = ri[:keep - 1].sum(axis=0) + tail @ ri[keep - 1:]
-    step = pmf @ ri[keep - 1:]
-    step_prev = pmf @ ri[keep - 2:-1]
-    drift = math.hypot(*step) + math.hypot(*step_prev)
-    return complex(v[0], v[1]), drift
+    v = terms[:keep - 1].sum() + (tail * terms[keep - 1:]).sum()
+    step = (pmf * terms[keep - 1:]).sum()
+    step_prev = (pmf * terms[keep - 2:-1]).sum()
+    return complex(v), float(abs(step) + abs(step_prev))
 
 
 def eta_oracle(s, tol: float = 1e-12) -> tuple[complex, float]:

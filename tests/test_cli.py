@@ -403,6 +403,18 @@ def test_verify_hypothesis_violation_not_silent(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "1", "--grid", "-480,-1000.7"],
+    ["eval", "--a", "0.5", "--b", "-1e3"],
+], ids=lambda argv: " ".join(argv))
+def test_negative_values_in_any_float_form(capsys, argv):
+    # "-480,-1000.7" and "-1e3" are values, as in their "--opt=" form
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    joined = [*argv[:-2], f"{argv[-2]}={argv[-1]}"]
+    assert run(capsys, *joined) == (0, out, err) and out
+
+
 def test_verify_determinism_bytes(capsys):
     args = ("verify", "--theorem", "8", "--format", "json")
     _, out1, _ = run(capsys, *args)
@@ -750,6 +762,61 @@ def test_main_defaults_openblas_to_one_thread(preset, expect):
                           capture_output=True, text=True, timeout=120,
                           check=True)
     assert proc.stdout.split() == ["0", expect]
+
+
+def _openblas_cores():
+    """The OPENBLAS_CORETYPE values this host can run, oldest first; none
+    off x86-64 or where OpenBLAS does not choose its kernels at run time."""
+    import platform
+    import numpy as np
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return []
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.25 only prints its config
+        return []
+    blas = config["Build Dependencies"].get("blas", {})
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return []
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as has
+    except ImportError:
+        from numpy.core._multiarray_umath import __cpu_features__ as has
+    cores = []
+    for core, needs in (
+            ("Nehalem", ()), ("Sandybridge", ("AVX",)),
+            ("Haswell", ("AVX2", "FMA3")),
+            ("SkylakeX", ("AVX512F", "AVX512CD", "AVX512BW", "AVX512DQ",
+                          "AVX512VL"))):
+        if not all(has.get(f) for f in needs):
+            break
+        cores.append(core)
+    return cores
+
+
+def test_output_is_the_same_under_every_openblas_kernel():
+    # no weighted sum goes through BLAS, so the bytes cannot depend on the
+    # kernels OpenBLAS picks for the host's CPU
+    import os
+    import subprocess
+    import sys
+    cores = _openblas_cores()
+    if len(cores) < 2:
+        pytest.skip("OpenBLAS has one kernel set on this host")
+    calls = (["zeros", "--b-min", "10", "--b-max", "40"],
+             ["zeros", "--b-min", "10", "--b-max", "40", "--format", "csv"],
+             ["verify", "--all"])
+    for argv in calls:
+        outs = {}
+        for core in cores:
+            proc = subprocess.run(
+                [sys.executable, "-m", "etazeros", *argv],
+                env={**os.environ, "OPENBLAS_CORETYPE": core},
+                capture_output=True, timeout=120)
+            assert proc.returncode == 0, (argv, core, proc.stderr)
+            outs[core] = proc.stdout
+        differ = [c for c in cores if outs[c] != outs[cores[0]]]
+        assert not differ, (argv, cores[0], differ)
 
 
 @pytest.mark.parametrize("argv,min_bytes", [

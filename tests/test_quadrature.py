@@ -430,8 +430,8 @@ def test_chunking_changes_no_value(monkeypatch):
 
 @pytest.mark.parametrize("n", [255, 256, 257, 258, 513, 769])
 def test_chunk_boundaries_change_no_value(monkeypatch, n):
-    # a batch of 256 k + 1 panels ends in a chunk of 257: a chunk of one
-    # row would go to numpy's dot product, which sums in another order
+    # each panel's weighted sum reduces its own row, so where the chunks
+    # end changes no bit; 257, 513 and 769 end in a chunk of one row
     s, rot = complex(0.5, 300.0), complex(0.01, math.sqrt(1.0 - 1e-4))
     xs = np.linspace(-3.0, 2.0, n + 1)
 
