@@ -110,8 +110,8 @@ class _Parser(argparse.ArgumentParser):
 # the ray's ~4.5|b| panels stream through the Gauss rules in fixed chunks,
 # leaving ~130 bytes per panel.  At |b| = 2e4 one eval peaks near 42 MiB of
 # RSS on the integral route and 30 MiB on the oracle route, against 28 MiB
-# after import; in process the ray takes 57 MiB at 4e4.  Time is what grows
-# past the bound: one eta call takes 0.54 s at 2e4 and 2.1 s at 4e4.
+# after import; in process the ray takes 57 MiB at 4e4.  A cold eta call
+# takes 0.14 s at 2e4; past 2.6e4 it stops at 40,000 terms and err grows.
 MAX_HEIGHT = 2.0e4
 
 
@@ -212,11 +212,11 @@ def _cmd_eval(args):
         integral, i_err, log_scale = f, err, 0.0
     else:  # oracle
         _bind("zerofinder")
-        # eta stops at 1e-12 or at its rounding floor, and its err says
-        # which; F = gamma eta carries both factors' errors, and never less
-        # than the smallest subnormal, so an F that underflows with gamma
-        # (past b ~ 490) stays unresolved
-        eta, eta_err = eta_oracle(s, tol=1e-12)
+        # eta's err is its truncation bound plus its rounding floor; F =
+        # gamma eta carries both factors' errors, and never less than the
+        # smallest subnormal, so an F that underflows with gamma (past
+        # b ~ 490) stays unresolved
+        eta, eta_err = eta_oracle(s)
         gam, gam_err = Gamma(s)
         f = gam * eta
         err = max(abs(eta) * gam_err + abs(gam) * eta_err, math.ulp(0.0))

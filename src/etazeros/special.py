@@ -172,7 +172,7 @@ def check_theorem1(points) -> VerificationReport:
             continue
         integral, i_err, log_scale = F(s, scaled=True)
         zeta, zeta_err = zeta_from_F(s, integral, i_err, log_scale)
-        eta, eta_err = eta_oracle(s, tol=1e-12)
+        eta, eta_err = eta_oracle(s)
         denom = one_minus_two_pow(s)
         lhs = denom * zeta
         lhs_abs = abs(lhs)

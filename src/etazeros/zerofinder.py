@@ -12,27 +12,27 @@ zeros, and each simple one is a sign change, so a bracket is any scan step
 where Z changes sign.  Two independent routes evaluate it:
 
 * the *oracle* route from the alternating series
-  eta(s) = sum (-1)^(n-1) n^(-s) (one binomial-tail-weighted sum of the
-  terms, O(n), equal to iterated binomial averaging of the partial sums):
-  Z = Re(e^(i theta) eta / (1 - 2^(1/2 - ib))), and
+  eta(s) = sum (-1)^(n-1) n^(-s) by Borwein's Algorithm 1 (one
+  binomial-tail-weighted sum of 2n terms, n ~ 0.75 |b| + 20 from a proven
+  truncation bound): Z = Re(e^(i theta) eta / (1 - 2^(1/2 - ib))), and
 * the *integral* route from F by quadrature on a rotated ray:
   Z = Re(e^(i theta) zeta), zeta by :func:`etazeros.special.zeta_from_F`
   from the scaled F, where F's scale e^(-phi b) and |Gamma| ~ e^(-pi b / 2),
   which underflow past b ~ 470, cancel in one exponential to at most e^4.
 
 Each route carries its own error bound on Z, which also bounds the rounding
-left in Im(e^(i theta) zeta).  Like F and Gamma, eta returns (value, err);
-past |b| ~ 1000, where its rounding floor is above the 1e-11 the scan asks
-for, that floor is the oracle route's bound.  The oracle route locates the
-zeros: it scans Z on the grid and refines each bracket once by ITP steps
-(regula falsi, truncated toward the midpoint and projected into a radius
-that keeps bisection's worst case within one step), about 9 evaluations per
-zero with the one at b*, at most 30 from a 0.25-wide scan step.  A refined
-point is kept where |Z(b*)| and 8 times the route's bound are both below
-:data:`ZERO_TOL`.  The integral route then certifies each zero on its own
-values: its Z takes opposite signs at b* - h and b* + h, each beyond its own
-error bound, for some h from 1e-10 doubling up to 1e-6.  That proves a zero
-within h of b* at 2 ray evaluations per h tried.
+left in Im(e^(i theta) zeta).  Like F and Gamma, eta returns (value, err),
+and its err, a truncation bound plus a rounding floor, is the oracle route's
+bound.  The oracle route locates the zeros: it scans Z on the grid and
+refines each bracket once by ITP steps (regula falsi, truncated toward the
+midpoint and projected into a radius that keeps bisection's worst case
+within one step), about 9 evaluations per zero with the one at b*, at most
+30 from a 0.25-wide scan step.  A refined point is kept where |Z(b*)| and
+8 times the route's bound are both below :data:`ZERO_TOL`.  The integral
+route then certifies each zero on its own values: its Z takes opposite signs
+at b* - h and b* + h, each beyond its own error bound, for some h from
+1e-10 doubling up to 1e-6.  That proves a zero within h of b* at 2 ray
+evaluations per h tried.
 """
 
 from __future__ import annotations
@@ -69,93 +69,71 @@ class ZeroRefinementError(RuntimeError):
 # ---------------------------------------------------------------------------
 # The accelerated alternating series.
 
-# The hits come from consecutive calls at one b, which share m; an entry near
-# b = 2e4 holds ~0.5 MB, so 4 entries keep nearly all of them.
+# A scan's calls share n over ~1.3 in b; an entry at b = 2e4 holds 0.12 MB.
 @functools.lru_cache(maxsize=4)
-def _binomial_weights(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(tail, pmf) of Binomial(m, 1/2): tail[j] = P(X >= j) and
-    pmf[j] = P(X = j) for j = 0 .. m.
-
-    One pass down from j = m keeps two exact integers, C(m, j) and the tail
-    sum, so memory stays linear in m; C(m, j - 1) = C(m, j) j / (m - j + 1)
-    divides exactly.  Each entry is rounded once; int / int division rounds
-    correctly and cannot overflow, so m > 1023, where 2^m leaves the float
-    range, needs no scaling.
+def _binomial_tail(n: int) -> np.ndarray:
+    """tail[j] = P(X >= j) for X ~ Binomial(n, 1/2), j = 0 .. n, from one
+    pass down from j = n over two exact integers, C(n, j) and the tail sum;
+    C(n, j - 1) = C(n, j) j / (n - j + 1) divides exactly.  Each entry is
+    int / int, rounded once and unable to overflow, so n > 1023, where 2^n
+    leaves the float range, needs no scaling.
     """
-    tail = np.empty(m + 1)
-    pmf = np.empty(m + 1)
-    denom = 1 << m
+    tail = np.empty(n + 1)
+    denom = 1 << n
     comb = total = 1
-    for j in range(m, 0, -1):
-        pmf[j] = comb / denom
+    for j in range(n, 0, -1):
         tail[j] = total / denom
-        comb = comb * j // (m - j + 1)
+        comb = comb * j // (n - j + 1)
         total += comb
-    pmf[0] = comb / denom
     tail[0] = total / denom
-    tail.flags.writeable = pmf.flags.writeable = False  # shared via the cache
-    return tail, pmf
+    tail.flags.writeable = False    # shared via the cache
+    return tail
 
 
-def _alternating_terms(s: complex, lo: int, hi: int) -> np.ndarray:
-    """(-1)^(l-1) l^(-s) for l = lo + 1 .. hi."""
-    n = np.arange(lo + 1, hi + 1, dtype=np.float64)
-    signs = np.where(n % 2 == 1, 1.0, -1.0)
-    return signs * np.exp(-s * np.log(n))
+def _alternating_terms(s: complex, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(-1)^(l-1) l^(-s) and log l for l = 1 .. m."""
+    log_l = np.log(np.arange(1, m + 1, dtype=np.float64))
+    terms = np.exp(-s * log_l)
+    terms[1::2] *= -1.0
+    return terms, log_l
 
 
-def _eta_averaged(terms: np.ndarray, keep: int = 6) -> tuple[complex, float]:
-    """(value, drift) of m = n - keep passes of pairwise averaging over the
-    n partial sums of ``terms``, as weighted sums of the terms.
-
-    After m passes, kept entry i (from 0) is sum_l a_l tail[l - i] over the
-    terms a_l (l from 0), with tail[j <= 0] = 1 and tail[j > m] = 0 (P.
-    Borwein, "An efficient algorithm for the Riemann zeta function", CMS
-    Conf. Proc. 27, 2000, Algorithm 1).  The value is entry keep - 1, and
-    the drift is |e_(keep-1) - e_(keep-2)| + |e_(keep-2) - e_(keep-3)|,
-    each step e_i - e_(i-1) summed directly as sum_l a_l pmf[l - i]: as a
-    difference of two tail sums it would cancel to about eps sum |a_l|,
-    far above the step itself.
+def _eta_sum(s: complex, n: int) -> tuple[complex, float]:
+    """Borwein's sum of the first 2n terms a_l of eta(s), weighted by 1 for
+    l <= n and by P(X > l - n - 1), X ~ Binomial(n, 1/2), beyond (the last
+    entry of n pairwise averaging passes over the partial sums), and a bound
+    on its rounding, eps sum |w_l a_l| (3 + |s| log(l) / 2 + log2(2n)), for
+    log l carried through |s|, exp, weight, product and a pairwise sum.
     """
-    tail, pmf = _binomial_weights(len(terms) - keep)
-    v = terms[:keep - 1].sum() + (tail * terms[keep - 1:]).sum()
-    step = (pmf * terms[keep - 1:]).sum()
-    step_prev = (pmf * terms[keep - 2:-1]).sum()
-    return complex(v), float(abs(step) + abs(step_prev))
+    terms, log_l = _alternating_terms(s, 2 * n)
+    terms[n - 1:] *= _binomial_tail(n)
+    cond = 3.0 + 0.5 * abs(s) * log_l + math.log2(2 * n)
+    floor = math.ulp(1.0) * float((np.abs(terms) * cond).sum())
+    return complex(terms.sum()), floor
 
 
-def eta_oracle(s, tol: float = 1e-12) -> tuple[complex, float]:
-    """eta(s) = sum (-1)^(n-1) n^(-s) as one binomial-tail-weighted sum of
-    its terms, in O(n) (Borwein's Algorithm 1, equal to iterated binomial
-    averaging of the partial sums), and its err; needs Re s > 0.
+def eta_oracle(s) -> tuple[complex, float]:
+    """eta(s) = sum (-1)^(n-1) n^(-s) by Algorithm 1 of P. Borwein, "An
+    efficient algorithm for the Riemann zeta function" (CMS Conf. Proc. 27,
+    2000), and a bound on its error; needs Re s > 0.
 
-    Term count starts near 1.5|Im s| + 20 and grows, keeping the terms
-    already summed, until the error estimate max(4 x last-transform drift,
-    rounding floor) is under ``tol``, or until more terms cannot lower it.
-    The rounding floor of the weighted sum is
-    (n_terms + 4 |Im s|) 3e-16 max(1, |eta|), which can pass 1e-12 from
-    |Im s| ~ 125.  err is the smallest estimate reached, so it is above
-    ``tol`` where the floor kept the series from reaching it.
+    The 2n weighted terms leave an error of at most 8^(-n) (1 + |t| / sigma)
+    e^(pi |t| / 2) at s = sigma + it; n is the least that makes it e^-40 or
+    less, about 0.75 |t| + 20.  err is that bound plus :func:`_eta_sum`'s
+    rounding floor.  2n stops at 40,000 terms (|t| ~ 2.6e4); past that err
+    carries the larger bound.
     """
     s = complex(s)
     if not (s.real > 0 and cmath.isfinite(s)):
         raise ValueError("eta series needs a finite s with Re s > 0")
-    babs = abs(s.imag)
-    n_terms = int(math.ceil(1.5 * babs)) + 20
-    terms = _alternating_terms(s, 0, n_terms)
-    best = None
-    for _ in range(6):
-        value, drift = _eta_averaged(terms)
-        floor = (n_terms + 4.0 * babs) * 3e-16 * max(1.0, abs(value))
-        err = max(4.0 * drift, floor)
-        if best is None or err < best[1]:
-            best = (value, err)
-        if err <= tol or not (drift > floor and n_terms < 40_000):
-            break  # converged, or at the rounding floor
-        grown = min(int(n_terms * 1.6) + 16, 40_000)
-        terms = np.concatenate((terms, _alternating_terms(s, n_terms, grown)))
-        n_terms = grown
-    return best
+    sigma, t = s.real, abs(s.imag)
+    # log((1 + t / sigma) e^(pi t / 2)), with no t / sigma to overflow
+    log_growth = math.log(sigma + t) - math.log(sigma) + 0.5 * math.pi * t
+    n = min(math.ceil((log_growth + 40.0) / math.log(8.0)), 20_000)
+    value, floor = _eta_sum(s, n)
+    log_trunc = log_growth - n * math.log(8.0)
+    trunc = math.exp(log_trunc) if log_trunc < 709.0 else math.inf
+    return value, floor + trunc
 
 
 # ---------------------------------------------------------------------------
@@ -180,17 +158,12 @@ class LocatedZero:
     residual_eta: float     # |Z(b_star)| = |zeta(1/2 + i b_star)|
 
 
-_ORACLE_TOL = 1e-11
-
-
 def _line_eval(b: float, method: str):
     """(zc, err) at s = 1/2 + ib.
 
     zc = e^(i theta(b)) zeta(1/2 + ib): its real part is Hardy's Z(b) and
     its imaginary part only rounding; err bounds |zc - Z(b)|.  Z is even in
-    b, so both routes work at |b|.  On the oracle route eta's own err goes
-    into err, also where its rounding floor keeps it above the oracle's
-    tolerance (|b| past ~ 1000).
+    b, so both routes work at |b|.
     """
     s = complex(0.5, abs(b))
     theta, theta_err = riemann_siegel_theta(s.imag)
@@ -199,7 +172,7 @@ def _line_eval(b: float, method: str):
         zc = cmath.exp(1j * theta) * zeta
         err = zeta_err + abs(zc) * theta_err
     elif method == "oracle":
-        eta, eta_err = eta_oracle(s, tol=_ORACLE_TOL)
+        eta, eta_err = eta_oracle(s)
         denom = one_minus_two_pow(s)
         zc = cmath.exp(1j * theta) * eta / denom
         err = eta_err / abs(denom) + abs(zc) * theta_err

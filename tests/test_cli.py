@@ -78,8 +78,8 @@ def test_eval_methods_agree(capsys):
 def test_eval_oracle_err_est_bounds_error_against_mpmath(capsys, a, b):
     # the oracle route's F is Gamma (Stirling's series) times eta (the
     # alternating series), so its err_est must carry Gamma's error and
-    # |Gamma| times eta's absolute tolerance, which dominates at the zeros,
-    # where eta ~ 0
+    # |Gamma| times eta's absolute err, which dominates at the zeros, where
+    # eta ~ 0
     mpmath = pytest.importorskip("mpmath")
     code, out, _ = run(capsys, "eval", "--a", str(a), "--b", str(b),
                        "--method", "oracle")
@@ -123,10 +123,9 @@ def test_eval_resolves_F_and_zeta_at_b_100(capsys, method):
 @pytest.mark.parametrize("b", [125.5, 480.1, 1000.7, 5000.3, 2e4])
 @pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
 def test_eval_oracle_up_to_the_height_bound_against_mpmath(capsys, a, b):
-    # eta stops at its rounding floor over most of this grid, above eval's
-    # 1e-12; F = gamma eta lies within err_est of mpmath also where it
-    # underflows with gamma (past b ~ 490), and zeta comes from the
-    # resolved eta
+    # eta's err is mostly its rounding floor over this grid; F = gamma eta
+    # lies within err_est of mpmath also where it underflows with gamma
+    # (past b ~ 490), and zeta comes from the resolved eta
     mpmath = pytest.importorskip("mpmath")
     code, out, _ = run(capsys, "eval", "--a", str(a), "--b", str(b),
                        "--method", "oracle")
@@ -288,8 +287,7 @@ _PEAK_RSS = (
 def test_eval_at_the_height_bound_stays_in_bounded_memory(method, code):
     # the ray's panels stream in chunks and eta's weights come from one pass
     # over two exact integers, so neither holds b-sized temporaries at the
-    # largest admitted |b|.  eta stops at its rounding floor there, above
-    # eval's 1e-12, and reports it in err.
+    # largest admitted |b|, where eta's err is mostly its rounding floor.
     pytest.importorskip("resource")
     import subprocess
     import sys

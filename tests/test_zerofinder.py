@@ -57,17 +57,8 @@ def test_eta_partial_sum_bracket():
 
 
 def test_eta_small_near_first_zero():
-    v, _ = eta_oracle(complex(0.5, ZERO_1), tol=1e-11)
+    v, _ = eta_oracle(complex(0.5, ZERO_1))
     assert abs(v) < 1e-6
-
-
-def test_eta_tol_honored_by_self_consistency():
-    # a second run at a much finer tolerance is the reference
-    s = complex(0.5, 37.0)
-    coarse, coarse_err = eta_oracle(s, tol=1e-8)
-    fine, _ = eta_oracle(s, tol=1e-12)
-    assert coarse_err <= 1e-8
-    assert abs(coarse - fine) < 1e-8
 
 
 def test_eta_rejects_left_halfplane():
@@ -79,111 +70,140 @@ def test_eta_rejects_left_halfplane():
 @given(st.floats(min_value=0.1, max_value=0.9),
        st.floats(min_value=0.0, max_value=40.0))
 def test_eta_conjugate_symmetry(a, b):
-    up, _ = eta_oracle(complex(a, b), tol=1e-10)
-    dn, _ = eta_oracle(complex(a, -b), tol=1e-10)
+    up, _ = eta_oracle(complex(a, b))
+    dn, _ = eta_oracle(complex(a, -b))
     assert dn.real == pytest.approx(up.real, abs=1e-12 + 1e-9 * abs(up.real))
     assert dn.imag == pytest.approx(-up.imag, abs=1e-12 + 1e-9 * abs(up.imag))
 
 
-def _averaged_by_passes(s, n, keep=6):
-    """The reference: m = n - keep passes of pairwise averaging over the
-    partial sums, the value at the last kept entry and the drift over the
-    last three."""
-    l = np.arange(1, n + 1, dtype=np.float64)
-    terms = np.where(l % 2 == 1, 1.0, -1.0) * np.exp(-s * np.log(l))
-    partial = np.cumsum(terms)
-    while len(partial) > keep:
-        partial = 0.5 * (partial[:-1] + partial[1:])
-    drift = abs(partial[-1] - partial[-2]) + abs(partial[-2] - partial[-3])
-    return complex(partial[-1]), float(drift)
+def _borwein_sum_exact(mpmath, s, n):
+    """Borwein's Algorithm 1 sum -2^(-n) sum_(j < 2n) e_j (j + 1)^(-s) for
+    eta, with e_j = (-1)^j (sum_(k <= j - n) C(n, k) - 2^n) in exact
+    integers and the powers at mpmath's working precision."""
+    total, partial = mpmath.mpf(0), 0
+    for j in range(2 * n):
+        if j >= n:
+            partial += math.comb(n, j - n)
+        e_j = (-1) ** j * (partial - 2 ** n)
+        total += e_j * mpmath.power(j + 1, -s)
+    return -total / 2 ** n
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.floats(min_value=0.1, max_value=0.9),
-       st.floats(min_value=-300.0, max_value=300.0),
-       st.integers(min_value=9, max_value=1200))
-@example(0.1, 0.0, 1200)        # m > 1023; real terms, the most cancellation
-@example(0.5, 300.0, 1200)
+@given(st.floats(min_value=0.05, max_value=2.0),
+       st.floats(min_value=-60.0, max_value=60.0),
+       st.integers(min_value=1, max_value=20))
+@example(0.1, 0.0, 20)          # real terms, the most cancellation
+@example(0.5, 60.0, 1)
 def test_eta_weighted_sum_matches_averaging_passes(a, b, n):
-    s = complex(a, b)
-    value, drift = zerofinder._eta_averaged(
-        zerofinder._alternating_terms(s, 0, n))
-    ref_value, ref_drift = _averaged_by_passes(s, n)
-    tol = (n + 4.0 * abs(b)) * EPS * max(1.0, abs(ref_value))
-    assert abs(value - ref_value) <= tol
-    assert abs(drift - ref_drift) <= tol
+    # Borwein's e_j form is the last entry of n pairwise averaging passes
+    # over the 2n partial sums, and the float sum of 2n weighted terms
+    # equals it within its own rounding floor
+    mpmath = pytest.importorskip("mpmath")
+    value, floor = zerofinder._eta_sum(complex(a, b), n)
+    with mpmath.workdps(40):
+        s = mpmath.mpc(a, b)
+        ref = _borwein_sum_exact(mpmath, s, n)
+        partial = [*itertools.accumulate(
+            (-1) ** (l - 1) * mpmath.power(l, -s) for l in range(1, 2 * n + 1))]
+        for _ in range(n):
+            partial = [(x + y) / 2 for x, y in zip(partial, partial[1:])]
+        assert abs(partial[-1] - ref) <= mpmath.mpf(10) ** -35 * abs(ref)
+        err = abs(mpmath.mpc(value.real, value.imag) - ref)
+    assert err <= floor, (a, b, n, float(err), floor)
 
 
-def _binomial_weights_from_lists(m):
-    """Reference weights from the list of all m + 1 exact binomials and the
+@pytest.mark.parametrize("a", [0.01, 0.05, 0.2, 0.9, 2.0, 5.0])
+@pytest.mark.parametrize("b", [0.0, 1.0, 7.0, 25.0, 60.0])
+def test_eta_truncation_bound_holds(a, b):
+    # Borwein's bound 8^(-n) (1 + |t| / sigma) e^(pi |t| / 2) on the exact
+    # 2n-term sum, against 60-digit mpmath, for every n up to 48
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        s = mpmath.mpc(a, b)
+        eta = mpmath.altzeta(s)
+        for n in range(2, 49):
+            err = abs(_borwein_sum_exact(mpmath, s, n) - eta)
+            bound = (mpmath.mpf(8) ** -n * (1 + mpmath.mpf(b) / a)
+                     * mpmath.exp(mpmath.pi * b / 2))
+            assert err <= bound, (a, b, n, float(err), float(bound))
+
+
+def _binomial_tail_from_lists(n):
+    """Reference tail from the list of all n + 1 exact binomials and the
     list of their running sums."""
-    comb = [1] * (m + 1)
-    for j in range(m):
-        comb[j + 1] = comb[j] * (m - j) // (j + 1)
+    comb = [1] * (n + 1)
+    for j in range(n):
+        comb[j + 1] = comb[j] * (n - j) // (j + 1)
     tails = [*itertools.accumulate(reversed(comb))][::-1]
-    denom = 1 << m
-    return (np.array([t / denom for t in tails]),
-            np.array([c / denom for c in comb]))
+    return np.array([t / (1 << n) for t in tails])
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 7, 50, 100, 1023, 1024, 1500, 1520])
 def test_binomial_weights(m):
     # m > 1023: 2^m overflows a float, the rounded weights must not; the
     # single pass rounds the same exact integers as the reference lists
-    tail, pmf = zerofinder._binomial_weights(m)
-    ref_tail, ref_pmf = _binomial_weights_from_lists(m)
-    assert tail.tobytes() == ref_tail.tobytes()
-    assert pmf.tobytes() == ref_pmf.tobytes()
-    assert len(tail) == len(pmf) == m + 1
-    assert tail[0] == 1.0 and tail[m] == pmf[m] == 2.0 ** -m
+    tail = zerofinder._binomial_tail(m)
+    assert tail.tobytes() == _binomial_tail_from_lists(m).tobytes()
+    assert len(tail) == m + 1
+    assert tail[0] == 1.0 and tail[m] == 2.0 ** -m
     assert np.all(np.diff(tail) <= 0.0)
     for j in range(1, m + 1):
         assert abs(tail[j] + tail[m + 1 - j] - 1.0) <= EPS
-    assert np.allclose(pmf[:-1], tail[:-1] - tail[1:], rtol=0.0, atol=4 * EPS)
-    assert math.fsum(pmf) == pytest.approx(1.0, abs=4 * EPS)
 
 
-def test_eta_extends_its_terms(monkeypatch):
-    # at b = 14.1 the 42 starting terms miss tol 1e-12; the second pass adds
-    # terms 43 .. 83 instead of starting over
+def test_eta_builds_its_terms_once(monkeypatch):
+    # one call makes its 2n terms in one piece and sums them once; n is the
+    # least with 8^(-n) (1 + b / a) e^(pi b / 2) <= e^-40
     made = []
     terms = zerofinder._alternating_terms
 
-    def counted(s, lo, hi):
-        made.append((lo, hi))
-        return terms(s, lo, hi)
+    def counted(s, m):
+        made.append(m)
+        return terms(s, m)
 
     monkeypatch.setattr(zerofinder, "_alternating_terms", counted)
-    eta_oracle(complex(0.5, 14.1))
-    assert made == [(0, 42), (42, 83)]
+    heights = (0.0, 14.1, 1000.7)
+    for b in heights:
+        eta_oracle(complex(0.5, b))
+    assert made == [40, 64, 1558]
+    for b, m in zip(heights, made):
+        n = m // 2
+        log_bound = math.log1p(2 * b) + math.pi * b / 2 - n * math.log(8)
+        assert log_bound <= -40 < log_bound + math.log(8)
 
 
-@pytest.mark.parametrize("b", [14.13, 37.0, 100.3, 480.3, 700.5, 1000.7])
-@pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
+def test_eta_at_the_smallest_sigma():
+    # t / sigma overflows to inf here; the bound's log form does not
+    v, v_err = eta_oracle(complex(5e-324, 10.0))
+    assert cmath.isfinite(v) and math.isfinite(v_err)
+
+
+# (0.48697, 723.732) and (0.2341, 650.516): where an estimated floor,
+# (n + 4 b) 3e-16 max(1, |eta|), came closest to the error or fell below it
+@pytest.mark.parametrize("a, b", [
+    *itertools.product([0.2, 0.5, 0.8],
+                       [14.13, 37.0, 100.3, 480.3, 700.5, 1000.7]),
+    (0.48697, 723.7320), (0.2341, 650.516)])
 def test_eta_within_tol_of_mpmath(a, b):
     mpmath = pytest.importorskip("mpmath")
-    v, v_err = eta_oracle(complex(a, b), tol=1e-11)
-    # the series' rounding floor (n + 4 b) eps sits above 1e-11 at a = 0.2
-    # past b ~ 480, and err says so
-    reached = (a, b) not in {(0.2, 480.3), (0.2, 1000.7)}
-    assert (v_err <= 1e-11) == reached, (a, b, v_err)
+    v, v_err = eta_oracle(complex(a, b))
     with mpmath.workdps(30):
         err = abs(mpmath.mpc(v.real, v.imag)
                   - mpmath.altzeta(mpmath.mpc(a, b)))
-    assert err <= min(v_err, 1e-11), (a, b, float(err), v_err)
+    assert err <= v_err / 4, (a, b, float(err), v_err)
 
 
 @pytest.mark.parametrize("b", [125.5, 480.3, 1000.7, 5000.3, 2e4])
 @pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
 def test_eta_err_bounds_error_against_mpmath(a, b):
-    # at eval's 1e-12 the series stops at its rounding floor over most of
-    # this grid; the err it returns must still bound the error it reached
+    # up to the height bound, where err is mostly the rounding floor
     mpmath = pytest.importorskip("mpmath")
-    v, v_err = eta_oracle(complex(a, b), tol=1e-12)
+    v, v_err = eta_oracle(complex(a, b))
     with mpmath.workdps(30):
         err = abs(mpmath.mpc(v.real, v.imag)
                   - mpmath.altzeta(mpmath.mpc(a, b)))
-    assert err <= v_err, (a, b, float(err), v_err)
+    assert err <= v_err / 4, (a, b, float(err), v_err)
 
 
 def zeta_oracle(s):
@@ -378,7 +398,7 @@ def test_oracle_integral_agreement_off_zero():
     for b in (5.0, 14.2, 21.0, 25.0, 30.0):
         s = complex(0.5, b)
         f, _ = F(s)
-        rhs = Gamma(s)[0] * eta_oracle(s, tol=1e-12)[0]
+        rhs = Gamma(s)[0] * eta_oracle(s)[0]
         denom = max(abs(f), 1e-9)
         assert abs(f - rhs) / denom < 1e-7
 
@@ -515,8 +535,8 @@ def test_find_zeros_keeps_a_zero_the_integral_route_cannot_certify(
 
 
 def test_find_zeros_past_the_eta_floor():
-    # past b ~ 1000 eta's rounding floor sits above the oracle's 1e-11; the
-    # oracle carries the error it reached into Z's bound instead of failing
+    # past b ~ 1000 eta's rounding floor is near 1e-10; the oracle carries
+    # it into Z's bound, and the zero still refines and certifies
     mpmath = pytest.importorskip("mpmath")
     zeros = find_zeros(1400.0, 1402.0, 0.25)
     first = int(mpmath.nzeros(1400.0)) + 1
