@@ -16,14 +16,16 @@ is deterministic: repeated runs with the same arguments produce
 byte-identical bytes (no timestamps, sorted JSON keys, fixed float
 rendering); CSV carries 17 significant digits.
 
-Start-up: each subcommand imports only the layers it uses, so coeffs,
---help and usage errors run without loading numpy; eval, verify, decompose
-and zeros load it.  The Gauss rules and Stirling's coefficients are literal
-tables, so no subcommand loads numpy.polynomial, and only coeffs, verify
-and eval's series route load the exact rationals.  OPENBLAS_NUM_THREADS
-defaults to 1 (a value already set is kept): no arithmetic goes through
-BLAS, but OpenBLAS starts a second thread on a 2-core host when numpy
-loads, and zeros 10.5..40.5 then takes 0.26 s instead of 0.20 s.
+Start-up: each handler imports the layer names it calls when it runs, so
+loading the CLI loads no layer, a rebinding of a layer function (special.F,
+say) sees every call, and coeffs, --help and usage errors run without
+numpy; eval, verify, decompose and zeros load it.  The Gauss rules and
+Stirling's coefficients are literal tables, so no subcommand loads
+numpy.polynomial, and only coeffs, verify and eval's series route load the
+exact rationals.  OPENBLAS_NUM_THREADS defaults to 1 (a value already set is
+kept): no arithmetic goes through BLAS, but OpenBLAS starts a second thread
+on a 2-core host when numpy loads, and zeros 10.5..40.5 then takes 0.26 s
+instead of 0.20 s.
 
 Exit: most of a call is start-up, not F or eta.  zeros 10.5..40.5 takes
 about 150 ms on a 2-core host (medians of 40 fresh processes): 40 ms for
@@ -42,7 +44,6 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
-import importlib
 import json
 import math
 import os
@@ -53,42 +54,6 @@ from .errors import NonConvergenceError
 from .report import fmt17
 
 __all__ = ["main"]
-
-# The names this module takes from the layers, by layer.  Each is bound on
-# first use (PEP 562 ``__getattr__``, or :func:`_bind` from a handler), so
-# loading the CLI imports no layer and no numpy.  Handlers call through
-# these module-level bindings, so a caller that rebinds one (``cli.F``)
-# sees every call.  A layer's own name binds the module itself.
-_LAYERS = {
-    "coeffs": ("CoefficientTable",),
-    "decomposition": ("choose_K_R", "interval_contributions", "make_plan",
-                      "upper_integral"),
-    "series": ("series_lower_integral",),
-    "quadrature": ("unscale",),
-    "special": ("F", "Gamma", "one_minus_two_pow", "zeta_from_F"),
-    "verify": ("verify",),
-    "zerofinder": ("eta_oracle", "find_zeros", "scan_F"),
-}
-_LAYER_OF = {name: layer for layer, names in _LAYERS.items()
-             for name in names}
-
-
-def __getattr__(name):
-    layer = _LAYER_OF.get(name)
-    if layer is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    mod = importlib.import_module(f".{layer}", __package__)
-    value = mod if name == layer else getattr(mod, name)
-    globals()[name] = value
-    return value
-
-
-def _bind(*layers):
-    """Bind every name taken from ``layers`` that is not bound yet."""
-    for layer in layers:
-        for name in _LAYERS[layer]:
-            if name not in globals():
-                __getattr__(name)
 
 
 class UsageError(Exception):
@@ -190,7 +155,8 @@ def _build_parser() -> _Parser:
 # Subcommand implementations (each returns (exit_code, text)).
 
 def _cmd_eval(args):
-    _bind("special", "quadrature")
+    from .quadrature import unscale
+    from .special import F, Gamma, one_minus_two_pow, zeta_from_F
     a, b = args.a, args.b
     s = complex(a, b)
     method = args.method
@@ -199,7 +165,8 @@ def _cmd_eval(args):
         integral, i_err, log_scale = F(s, scaled=True)
         f, err = unscale(integral, i_err, log_scale)
     elif method == "series+decomposition":
-        _bind("series", "decomposition")
+        from .decomposition import choose_K_R, make_plan, upper_integral
+        from .series import series_lower_integral
         if b <= 0:
             raise UsageError("series+decomposition needs b > 0")
         K, R = choose_K_R(b)
@@ -211,7 +178,7 @@ def _cmd_eval(args):
         err = head_err + tail_err + ray_err
         integral, i_err, log_scale = f, err, 0.0
     else:  # oracle
-        _bind("zerofinder")
+        from .zerofinder import eta_oracle
         # eta's err is its truncation bound plus its rounding floor; F =
         # gamma eta carries both factors' errors, and never less than the
         # smallest subnormal, so an F that underflows with gamma (past
@@ -253,7 +220,7 @@ def _cmd_eval(args):
 def _cmd_coeffs(args):
     if args.n_max < 0:
         raise UsageError("--n-max must be >= 0")
-    _bind("coeffs")
+    from .coeffs import CoefficientTable
     table = CoefficientTable.build(args.n_max)
     rows = [{"n": n,
              "g_n_numerator": table.g_deriv[n].numerator,
@@ -281,11 +248,11 @@ def _cmd_coeffs(args):
 
 
 def _cmd_verify(args):
-    _bind("verify")
+    from .verify import run_all, run_theorem
     if args.all:
-        reports = verify.run_all()
+        reports = run_all()
     elif args.theorem is not None:
-        reports = [verify.run_theorem(args.theorem, args.grid)]
+        reports = [run_theorem(args.theorem, args.grid)]
     else:
         raise UsageError("verify needs --theorem N or --all")
     ok = all(r.passed for r in reports)
@@ -304,7 +271,7 @@ def _cmd_decompose(args):
         raise UsageError("--a must lie in (0, 1)")
     if args.count < 0:
         raise UsageError("--count must be >= 0")
-    _bind("decomposition")
+    from .decomposition import interval_contributions, make_plan
     plan = make_plan(args.a, args.b)
     rows = interval_contributions(plan, args.count)
     if args.fmt == "csv":
@@ -337,7 +304,7 @@ def _cmd_decompose(args):
 def _cmd_zeros(args):
     if not 0 < args.b_min < args.b_max:
         raise UsageError("need 0 < b_min < b_max")
-    _bind("zerofinder")
+    from .zerofinder import find_zeros, scan_F
     if args.fmt == "csv":
         out = ["b,F1,F2,absF"]
         for row in scan_F(args.b_min, args.b_max, args.step):

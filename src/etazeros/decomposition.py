@@ -53,21 +53,23 @@ POSITIVITY_A_MAX = math.e / (math.e + 1.0)
 def choose_K_R(b: float) -> tuple[int, float]:
     """Largest integer K >= 1 with R = exp(2 K pi / b) <= R_MAX = 2.
 
-    Needs b >= 2 pi / log 2; the boundary case (R hitting 2 exactly) is
-    protected by a relative slack of 1e-12 so that float rounding of
-    exp(2 K pi / b) cannot reject the admissible K.
+    Needs b >= 2 pi / log 2, checked first, so no exponent overflows at a
+    tiny b; the boundary case (R hitting 2 exactly) is protected by a
+    relative slack of 1e-12 so that float rounding of exp(2 K pi / b)
+    cannot reject the admissible K.
     """
     if not b > 0:
         raise ValueError("b must be positive")
+    b_min = _TWO_PI / math.log(R_MAX)
+    if b < b_min:
+        raise ValueError(
+            f"b = {b:g} is too small for K >= 1 at R <= {R_MAX:g} "
+            f"(needs b >= {b_min:.4f})")
     K = math.floor(b * math.log(R_MAX) / _TWO_PI + 1e-9)
     while math.exp(2.0 * (K + 1) * math.pi / b) <= R_MAX * (1.0 + 1e-12):
         K += 1
-    while K >= 1 and math.exp(2.0 * K * math.pi / b) > R_MAX * (1.0 + 1e-12):
+    while math.exp(2.0 * K * math.pi / b) > R_MAX * (1.0 + 1e-12):
         K -= 1
-    if K < 1:
-        raise ValueError(
-            f"b = {b:g} is too small for K >= 1 at R <= {R_MAX:g} "
-            f"(needs b >= {_TWO_PI / math.log(R_MAX):.4f})")
     return K, math.exp(2.0 * K * math.pi / b)
 
 
@@ -151,11 +153,15 @@ def check_theorem7(a: float, b: float, R: float) -> VerificationReport:
     The orientation of the upper bound is forced by monotonicity: the width
     times the left-endpoint value of a decreasing integrand over [R, cR] can
     only sit above the integral.
+
+    Stated for b >= 1 (c <= e^pi).  Below it e^(cR) overflows (b = 0.5,
+    R = 2), and q(c t) is so small that h is f to rounding, so the two sides
+    of the telescoping integrate the same values.
     """
     if not 0.0 < a < 1.0:
         raise ValueError("a must lie in (0, 1)")
-    if not (b > 0 and R >= 1.0):
-        raise ValueError("need b > 0, R >= 1")
+    if not (b >= 1.0 and R >= 1.0):
+        raise ValueError("stated for b >= 1 and R >= 1")
     rep = VerificationReport(name="theorem7")
     c = math.exp(math.pi / b)
     tag = f"a={a:g} b={b:g} R={R:g}"

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -85,11 +86,14 @@ class QuadratureError(NonConvergenceError):
 # exceeds this share of the value; the panel loop itself never reads it.
 _STALL_TOL = 1e-10
 _MAX_DEPTH = 24         # bisections of one panel
-# Real-axis integrals to infinity stop at t = 60, where the kernel's mass is
-# below e^-60; the analytic tail bound beyond it goes into err for any a.
+# Real-axis integrals of a decaying kernel stop at t = 60, where its mass is
+# below e^-60, or past it at lo + min(lo, 60); the analytic tail bound beyond
+# goes into err for any a.
 TAIL_CUTOFF = 60.0
 
 _KERNELS = ("fermi", "pair_fermi", "unit")
+_LOG_MAX = math.log(sys.float_info.max)     # e^x is finite for x <= this
+_UNDERFLOW = -math.log(math.ulp(0.0))       # e^-t is 0 or subnormal past it
 
 
 @dataclass(frozen=True)
@@ -116,8 +120,10 @@ class IntegrandSpec:
             raise ValueError(f"unknown trig {self.trig!r}")
         if self.trig is not None and not self.b > 0:
             raise ValueError("oscillatory kinds need b > 0")
-        if self.kernel == "pair_fermi" and not self.b > 0:
-            raise ValueError("paired kernels need b > 0")
+        if self.kernel == "pair_fermi" and not (
+                self.b > 0 and math.pi / self.b <= _LOG_MAX):
+            raise ValueError("paired kernels need b > 0 with e^(pi/b) in "
+                             "the float range")
         if self.kernel != "unit" and not self.a > 0:
             raise ValueError("power-weighted kernels need a > 0")
 
@@ -568,16 +574,20 @@ def _axis_integral(spec: IntegrandSpec, lo: float, hi: float,
     elif work.kernel == "unit":
         decay, pole = 0.0, math.inf
 
-    tail_bound = 0.0
-    if math.isinf(hi):
-        top = max(TAIL_CUTOFF, 2.0 * lo)
-        v_hi = math.log(top / lo) / unit
-        if paired:
-            v_hi = 2.0 * math.ceil(0.5 * v_hi)
+    # a decaying kernel is cut at max(60, lo + min(lo, 60)), with the bound
+    # on the rest in err, so a finite range costs no more panels than an
+    # infinite one; past t ~ 744 e^-t underflows and only the bound is left
+    top, tail_bound = hi, 0.0
+    if decay:
+        if lo > _UNDERFLOW:
+            return 0.0, _upper_tail_bound(spec.a, lo, tail_mul)
+        top = min(hi, max(TAIL_CUTOFF, lo + min(lo, TAIL_CUTOFF)))
+    v_hi = math.log(top / lo) / unit
+    if paired:
+        v_hi = 2.0 * math.ceil(0.5 * v_hi)
+    if top < hi:
         tail_bound = _upper_tail_bound(spec.a, lo * math.exp(unit * v_hi),
                                        tail_mul)
-    else:
-        v_hi = math.log(hi / lo) / unit
 
     # oscillatory panels stay inside half periods, where the node rounding
     # of the Gauss rule is not amplified by cancellation within a panel
@@ -616,7 +626,9 @@ def integrate_finite(spec: IntegrandSpec, lo: float,
                      hi: float) -> tuple[float, float]:
     """Integral over [lo, hi], 0 < lo < hi < inf, with an error estimate.
 
-    The error contract is |value - true| <= max(err_est, 1e-10 |value|)
+    A decaying kernel is cut where :func:`integrate_to_infinity` cuts it,
+    when hi lies beyond, with the analytic tail in the error.  The error
+    contract is |value - true| <= max(err_est, 1e-10 |value|)
     barring pathological integrands outside the declared family.  A head
     from 0 goes around the quarter disc instead
     (:func:`etazeros.series.lower_integral_by_quadrature`).  Raises
@@ -630,8 +642,9 @@ def integrate_finite(spec: IntegrandSpec, lo: float,
 
 def integrate_to_infinity(spec: IntegrandSpec, lo: float, *,
                           paired: bool = False) -> tuple[float, float]:
-    """Integral over [lo, infinity), truncated at t = max(TAIL_CUTOFF, 2 lo)
-    with the analytic tail folded into the error estimate.
+    """Integral over [lo, infinity), truncated at
+    t = max(TAIL_CUTOFF, lo + min(lo, TAIL_CUTOFF)) with the analytic tail
+    folded into the error estimate.
 
     ``paired=True`` sums the pair kernel over the half periods
     [lo c^(2j), lo c^(2j+1)], c = e^(pi/b), one per full period of the

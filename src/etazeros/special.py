@@ -23,7 +23,8 @@ in one exponential (``F(s, scaled=True)``, ``Gamma(s, log_scale)``).
 
 Gamma is the exponential of Stirling's series for log Gamma (remainder
 bound: DLMF 5.11.ii), which also gives the Riemann-Siegel theta that turns
-zeta on the critical line into the real function Z.
+zeta on the critical line into the real function Z.  The bridge identity's
+check against eta, suite 1, runs in :mod:`etazeros.verify`.
 """
 
 from __future__ import annotations
@@ -32,11 +33,9 @@ import cmath
 import math
 
 from .quadrature import QuadratureError, integrate_line
-from .report import VerificationReport
 
 __all__ = [
-    "F", "Gamma", "zeta_from_F", "check_theorem1",
-    "log_gamma", "riemann_siegel_theta",
+    "F", "Gamma", "zeta_from_F", "log_gamma", "riemann_siegel_theta",
 ]
 
 
@@ -150,37 +149,3 @@ def zeta_from_F(s, integral: complex, err: float, log_scale
         return None
     val = integral / denom / g
     return val, err / abs(denom * g) + abs(val) * g_err / g_abs
-
-
-def check_theorem1(points) -> VerificationReport:
-    """Bridge identity on a strip grid: F(s) computed by quadrature must match
-    (1 - 2^(1-s)) gamma(s) zeta(s) = gamma(s) eta(s), whose right side takes
-    no quadrature: eta from the accelerated alternating series.
-
-    Both sides are divided by gamma, so no cell underflows: F / gamma is
-    (1 - 2^(1-s)) zeta of :func:`zeta_from_F` on the scaled F.  Each cell is
-    relative to it, held to the precision both routes claim (their errs plus
-    4 eps of the larger side), and passes only where |I| > 4 err_I.
-    """
-    from .zerofinder import eta_oracle      # zerofinder imports this module
-    rep = VerificationReport(name="theorem1")
-    for s in map(complex, points):
-        a, b = s.real, s.imag
-        if not 0.0 < a < 1.0:
-            rep.add(f"s={a:g}+{b:g}i outside strip", False,
-                    gating=False, note="excluded: hypothesis needs 0 < a < 1")
-            continue
-        integral, i_err, log_scale = F(s, scaled=True)
-        zeta, zeta_err = zeta_from_F(s, integral, i_err, log_scale)
-        eta, eta_err = eta_oracle(s)
-        denom = one_minus_two_pow(s)
-        lhs = denom * zeta
-        lhs_abs = abs(lhs)
-        rel = tol = None
-        if lhs_abs:
-            rel = abs(lhs - eta) / lhs_abs
-            tol = (abs(denom) * zeta_err + eta_err
-                   + 4.0 * _EPS * max(lhs_abs, abs(eta))) / lhs_abs
-        rep.add(f"a={a:g} b={b:g}", abs(integral) > 4.0 * i_err and rel <= tol,
-                discrepancy=rel, tol=tol, lhs=lhs_abs, rhs=abs(eta))
-    return rep

@@ -2,7 +2,8 @@
 
 Each runner pins its default grid here, so a bare ``verify --theorem N`` is
 reproducible without flag archaeology; a ``--grid`` override replaces the b
-grid where that makes sense.  Suite numbering:
+grid where that makes sense.  Suites 1, 2 and 6 compose their two routes
+here, the others run a layer's own check.  Suite numbering:
 
   1  bridge identity F = (1 - 2^(1-s)) gamma zeta = gamma eta on a strip grid
   2  head-integral series vs arc-contour quadrature
@@ -22,12 +23,12 @@ from __future__ import annotations
 
 import math
 
-from . import coeffs, decomposition, series, special
+from . import coeffs, decomposition, series, special, zerofinder
 from .decomposition import choose_K_R
 from .quadrature import IntegrandSpec, integrate_to_infinity
 from .report import VerificationReport
 
-__all__ = ["run_theorem", "run_all", "THEOREM_NUMBERS"]
+__all__ = ["run_theorem", "run_all", "THEOREM_NUMBERS", "check_theorem1"]
 
 _EPS = math.ulp(1.0)
 
@@ -56,10 +57,42 @@ def _claimed(err1: float, err2: float, lhs: float, rhs: float) -> float:
     return err1 + err2 + 4.0 * _EPS * max(abs(lhs), abs(rhs))
 
 
+def check_theorem1(points) -> VerificationReport:
+    """Bridge identity on strip points: F(s) from special's quadrature must
+    match (1 - 2^(1-s)) gamma(s) zeta(s) = gamma(s) eta(s), whose right side
+    is zerofinder's alternating series for eta, with no quadrature.
+
+    Both sides are divided by gamma, so no cell underflows: F / gamma is
+    (1 - 2^(1-s)) zeta of ``special.zeta_from_F`` on the scaled F.  Each cell
+    is relative to it, held to the precision both routes claim (their errs
+    plus 4 eps of the larger side), and passes only where |I| > 4 err_I.
+    """
+    rep = VerificationReport(name="theorem1")
+    for s in map(complex, points):
+        a, b = s.real, s.imag
+        if not 0.0 < a < 1.0:
+            rep.add(f"s={a:g}+{b:g}i outside strip", False,
+                    gating=False, note="excluded: hypothesis needs 0 < a < 1")
+            continue
+        integral, i_err, log_scale = special.F(s, scaled=True)
+        zeta, zeta_err = special.zeta_from_F(s, integral, i_err, log_scale)
+        eta, eta_err = zerofinder.eta_oracle(s)
+        denom = special.one_minus_two_pow(s)
+        lhs = denom * zeta
+        lhs_abs = abs(lhs)
+        rel = tol = None
+        if lhs_abs:
+            rel = abs(lhs - eta) / lhs_abs
+            tol = (abs(denom) * zeta_err + eta_err
+                   + 4.0 * _EPS * max(lhs_abs, abs(eta))) / lhs_abs
+        rep.add(f"a={a:g} b={b:g}", abs(integral) > 4.0 * i_err and rel <= tol,
+                discrepancy=rel, tol=tol, lhs=lhs_abs, rhs=abs(eta))
+    return rep
+
+
 def _run_theorem1(b_grid=None) -> VerificationReport:
     bs = b_grid or THEOREM1_GRID_B
-    points = [complex(a, b) for a in THEOREM1_GRID_A for b in bs]
-    return special.check_theorem1(points)
+    return check_theorem1([complex(a, b) for a in THEOREM1_GRID_A for b in bs])
 
 
 def _run_theorem2(b_grid=None) -> VerificationReport:

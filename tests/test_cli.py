@@ -203,16 +203,16 @@ def test_eval_integral_evaluates_F_once(capsys, monkeypatch):
 
 def test_eval_oracle_evaluates_eta_once(capsys, monkeypatch):
     # zeta on the oracle route comes from the eta already computed for F
-    import etazeros.cli as cli_mod
+    import etazeros.zerofinder as zerofinder
     calls = []
 
-    original = cli_mod.eta_oracle
+    original = zerofinder.eta_oracle
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli_mod, "eta_oracle", counted)
+    monkeypatch.setattr(zerofinder, "eta_oracle", counted)
     code, out, _ = run(capsys, "eval", "--a", "0.5", "--b", "30",
                        "--method", "oracle")
     assert code == 0
@@ -382,14 +382,14 @@ def test_verify_theorem1_up_to_the_height_bound(capsys, monkeypatch):
 def test_verify_failure_exit_code(capsys, monkeypatch):
     # a failing gating row must surface as exit status 1
     from etazeros.report import VerificationReport
-    import etazeros.cli as cli_mod
+    import etazeros.verify as verify
 
     def failing(n, b_grid=None):
         rep = VerificationReport(name="theorem8")
         rep.add_inequality("forced failure", -1.0)
         return rep
 
-    monkeypatch.setattr(cli_mod.verify, "run_theorem", failing)
+    monkeypatch.setattr(verify, "run_theorem", failing)
     code, out, _ = run(capsys, "verify", "--theorem", "8", "--format", "json")
     assert code == 1
     assert json.loads(out)["passed"] is False
@@ -564,6 +564,42 @@ def test_decompose_needs_big_enough_b(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--a", "0.5", "--b", "0.001"],
+    ["eval", "--a", "0.5", "--b", "0.001", "--method", "series+decomposition"],
+    ["verify", "--theorem", "2", "--grid", "0.001"],
+    ["verify", "--theorem", "6", "--grid", "0.001"],
+    ["verify", "--theorem", "9", "--grid", "0.001"],
+    ["verify", "--theorem", "10", "--grid", "0.004"],
+    ["verify", "--theorem", "7", "--grid", "0.5"],
+    ["verify", "--theorem", "7", "--grid", "0.1"],
+    ["verify", "--theorem", "7", "--grid", "0.02"],
+], ids=lambda argv: " ".join(argv))
+def test_small_b_is_a_usage_error(argv):
+    # below the pairing's b >= 2 pi / log 2, the pair kernel's float range
+    # and suite 7's b >= 1 an exponent overflows, a strip runs far out or a
+    # check passes vacuously; each b is refused before that happens
+    import subprocess
+    proc = subprocess.run([sys.executable, "-m", "etazeros", *argv],
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("usage error: ")
+
+
+def test_decompose_far_half_periods_finish_at_once():
+    # from k ~ 105 at b = 100 a half period starts past t = 744, where the
+    # kernel underflows; none of them is panelled out to its far end
+    import subprocess
+    proc = subprocess.run(
+        [sys.executable, "-m", "etazeros", "decompose", "--a", "0.5",
+         "--b", "100", "--count", "300"],
+        capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)["intervals"]
+    assert len(rows) == 300 and rows[-1]["contribution"] == 0.0
+
+
 def test_unknown_flag(capsys):
     code, _, err = run(capsys, "coeffs", "--frobnicate")
     assert code == 3
@@ -732,12 +768,43 @@ def test_absurd_zeros_step_is_a_usage_error_at_once():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("target,argv", [
+    ("special.F", ["eval", "--a", "0.5", "--b", "14"]),
+    ("zerofinder.eta_oracle",
+     ["eval", "--a", "0.5", "--b", "14", "--method", "oracle"]),
+    ("decomposition.upper_integral",
+     ["eval", "--a", "0.5", "--b", "100", "--method", "series+decomposition"]),
+    ("decomposition.make_plan",
+     ["decompose", "--a", "0.5", "--b", "100", "--count", "2"]),
+    ("zerofinder.find_zeros", ["zeros", "--b-min", "14", "--b-max", "15"]),
+    ("coeffs.CoefficientTable.build", ["coeffs", "--n-max", "3"]),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_commands_call_the_layer_modules_current_bindings(capsys, monkeypatch,
+                                                          target, argv):
+    # a wrapper put on a layer module, as a tracer puts one, sees the
+    # command's calls: the CLI keeps no binding of its own
+    import importlib
+    modname, *path = target.split(".")
+    owner = importlib.import_module(f"etazeros.{modname}")
+    for name in path[:-1]:
+        owner = getattr(owner, name)
+    original = getattr(owner, path[-1])
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, path[-1], wrapper)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert calls
+
+
 def test_lazy_names_are_the_layer_objects():
     import etazeros
-    import etazeros.cli as cli_mod
-    import etazeros.special as special
+    import etazeros.special
     assert etazeros.F is etazeros.special.F
-    assert cli_mod.F is special.F
     assert set(etazeros.__all__) <= set(dir(etazeros))
     with pytest.raises(AttributeError):
         etazeros.no_such_name

@@ -139,6 +139,18 @@ def test_fermi_log_antiderivative():
     assert err < 1e-12
 
 
+def test_finite_range_is_cut_like_the_infinite_one():
+    # past the cut a decaying kernel's finite range is its infinite one: the
+    # same panels and tail bound, not panels out to hi; past t ~ 744 only
+    # the bound is left, and it is 0 in floats
+    for spec in (IntegrandSpec("fermi", a=0.5),
+                 IntegrandSpec("pair_fermi", "sin", a=0.5, b=100.0)):
+        for lo in (1.5, 100.0):
+            assert (integrate_finite(spec, lo, 1e4)
+                    == integrate_to_infinity(spec, lo))
+        assert integrate_finite(spec, 800.0, 1e4) == (0.0, 0.0)
+
+
 def test_real_axis_family_is_enforced():
     # the real axis takes the paper's pieces only: fermi, pair and unit
     # kernels at scale 1, times 1 or a sine, from a finite lo > 0

@@ -6,13 +6,13 @@ import pytest
 from etazeros.special import (
     F,
     Gamma,
-    check_theorem1,
     log_gamma,
     one_minus_two_pow,
     riemann_siegel_theta,
     zeta_from_F,
 )
 from etazeros.quadrature import QuadratureError, unscale
+from etazeros.verify import check_theorem1
 
 FIRST_ZERO = 14.134725  # derived by the eta oracle (see test_zerofinder)
 
