@@ -11,7 +11,8 @@ zeros      scan the critical line and refine the bracketed zeros
 Exit status: 0 success, 1 a gating verification cell failed, 2 numerical
 non-convergence, 3 usage error, which includes a number option that is not
 finite, a height b with |b| above 2e4, a zeros grid of more than 1e6
-points, a negative --count and an --out path that cannot be opened.  Output
+points, a negative --count or one whose half periods end past the float
+range, and an --out path that cannot be opened.  Output
 is deterministic: repeated runs with the same arguments produce
 byte-identical bytes (no timestamps, sorted JSON keys, fixed float
 rendering); CSV carries 17 significant digits.
@@ -19,11 +20,13 @@ rendering); CSV carries 17 significant digits.
 Start-up: each handler imports the layer names it calls when it runs, so
 loading the CLI loads no layer, a rebinding of a layer function (special.F,
 say) sees every call, and coeffs, --help and usage errors run without
-numpy; eval, verify, decompose and zeros load it.  The Gauss rules and
-Stirling's coefficients are literal tables, so no subcommand loads
-numpy.polynomial, and only coeffs, verify and eval's series route load the
-exact rationals.  OPENBLAS_NUM_THREADS defaults to 1 (a value already set is
-kept): no arithmetic goes through BLAS, but OpenBLAS starts a second thread
+numpy.  So does decompose: its half periods take at most 6 panels each,
+and quadrature runs real-axis integrals of up to 8 panels on floats with
+math.  eval, verify and zeros load numpy.  The Gauss rules and Stirling's
+coefficients are literal tables, so no subcommand loads numpy.polynomial,
+and only coeffs, verify and eval's series route load the exact rationals.
+OPENBLAS_NUM_THREADS defaults to 1 (a value already set is kept): no
+arithmetic goes through BLAS, but OpenBLAS starts a second thread
 on a 2-core host when numpy loads, and zeros 10.5..40.5 then takes 0.26 s
 instead of 0.20 s.
 
@@ -31,7 +34,8 @@ Exit: most of a call is start-up, not F or eta.  zeros 10.5..40.5 takes
 about 150 ms on a 2-core host (medians of 40 fresh processes): 40 ms for
 the interpreter and site, 14 ms to import the CLI, 60 ms for numpy, 4 ms
 for the layers, 26 ms of work and 6 ms to exit; its peak RSS is 29.5 MiB
-(eval 28.6-30.7, decompose 29.0, verify --all 30.8, coeffs 15.5).
+(eval 28.6-30.7, verify --all 30.8, decompose 15.4 without numpy, coeffs
+15.5).
 Finalization's collections would trace the ~22k objects left by the
 imports pass after pass, for about 30 ms, so the CLI freezes the collector
 at exit (gc.freeze as an atexit hook): the import heap goes to the

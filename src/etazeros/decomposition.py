@@ -27,8 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .quadrature import (
     TAIL_CUTOFF,
     IntegrandSpec,
@@ -73,11 +71,13 @@ def choose_K_R(b: float) -> tuple[int, float]:
     return K, math.exp(2.0 * K * math.pi / b)
 
 
-def pair_kernel(t, a: float, b: float) -> np.ndarray:
-    """h(t, a, b) at the points t > 0, by the pair kernel's stable form."""
+def pair_kernel(t, a: float, b: float):
+    """h(t, a, b) at the points t > 0, by the pair kernel's stable form, as
+    a numpy array."""
+    import numpy as np
     t = np.asarray(t, dtype=np.float64)
     spec = IntegrandSpec("pair_fermi", a=a, b=b)
-    return t ** (a - 1.0) * spec.smooth_factor(t)
+    return t ** (a - 1.0) * spec.smooth_factor(t, np)
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,16 @@ def upper_integral(plan: DecompositionPlan) -> tuple[float, float]:
 def interval_contributions(plan: DecompositionPlan,
                            count: int) -> list[dict]:
     """Per-period contributions int_{t_2k}^{t_2k+1} h sin dt for
-    k = K .. K+count-1, with running cumulative sums."""
+    k = K .. K+count-1, with running cumulative sums.  Raises ValueError,
+    before any integral, when the last half period ends past the float
+    range."""
+    if count > 0:
+        try:
+            plan.endpoint(2 * (plan.K + count) - 1)
+        except OverflowError:
+            raise ValueError(
+                f"count = {count} half periods from k = {plan.K} at "
+                f"b = {plan.b:g} end past the float range") from None
     spec = IntegrandSpec("pair_fermi", "sin", a=plan.a, b=plan.b)
     rows = []
     running = 0.0
@@ -249,6 +258,7 @@ def check_theorem9(k: int, b: float, a: float) -> VerificationReport:
     """
     if not b >= 100.0:
         raise ValueError("stated for b >= 100")
+    import numpy as np
     rep = VerificationReport(name="theorem9")
     t0 = math.exp(2 * k * math.pi / b)
     t1 = math.exp((2 * k + 1) * math.pi / b)
@@ -283,6 +293,7 @@ def check_theorem10(t_grid=DEFAULT_T_GRID, a_grid=DEFAULT_A_GRID,
     One probe just outside the hypothesis region (a = 0.9, t = 1) is
     informational: the kernel does go negative there, which is what makes
     the a-threshold meaningful."""
+    import numpy as np
     rep = VerificationReport(name="theorem10")
     h_min = math.inf
     at = None

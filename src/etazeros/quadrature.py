@@ -9,6 +9,23 @@ from the kernel's first two Taylor terms, and beyond the last panel the
 tail is bounded analytically.  Panel sums go through ``math.fsum`` in panel
 order, so results are bit-reproducible.
 
+The panels run on one of two executors.  The array executor evaluates a
+whole level of panels at once with numpy, in chunks; the float executor
+evaluates one panel at a time, node by node, with ``math``.  A real-axis
+integral of at most _FLOAT_PANELS initial panels takes the float executor,
+every other integral (the ray, the arc, long tails) the array executor, so
+a call whose integrals are all small never loads numpy.  Both run the same
+integrand, Gauss rules, done test, stall check and panel-order sum; their
+values differ only by the rounding of numpy's and libm's exp and sin and of
+the rule sums: by 2 ulp on verify's and decompose's half periods, and by up
+to ~100 ulp where t nears 700 and e^-t amplifies the rounding of t (err
+covers it).  The threshold is 8: over 60 random ``decompose --count 300``
+calls with a in (0.01, 0.99) and b log-uniform in [9.07, 2e4], 14,523
+integrals, none needed more than 6 initial panels.  There the float
+executor is also the faster one: a default ``decompose`` (20 half periods,
+~1,300 kernel values) takes 2.5 ms on floats and 4.0 ms on arrays, on top
+of the 60-80 ms that importing numpy costs a fresh process.
+
 The whole half-line integral F(s) of the fermi kernel k(t) = 1/(e^t + 1)
 goes to :func:`integrate_line`, which runs on a ray rotated towards the
 imaginary axis.  The kernel is analytic on Re t > 0 with its poles on the
@@ -54,12 +71,12 @@ which for this family they do, to a factor ~ e^(-pi b / 2).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import NonConvergenceError
 
@@ -134,17 +151,17 @@ class IntegrandSpec:
             raise ValueError(f"kernel {self.kernel!r} has no paired form")
         return IntegrandSpec("pair_fermi", self.trig, self.a, self.b)
 
-    # ---- stable evaluation (vectorized; t > 0) ----
+    # ---- stable evaluation (t > 0) ----
 
-    def smooth_factor(self, t: np.ndarray) -> np.ndarray:
+    def smooth_factor(self, t, xp):
         """kernel(t) without its power t^(a-1): bounded near 0, decaying at
-        infinity."""
-        t = np.asarray(t, dtype=np.float64)
+        infinity.  ``xp`` is the namespace of t's arithmetic: ``math`` for a
+        float, ``numpy`` for an array.  The unit kernel gives 1.0."""
         k = self.kernel
         if k == "unit":
-            return np.ones_like(t)
+            return 1.0
         if k == "fermi":
-            e = np.exp(-t)
+            e = xp.exp(-t)
             return e / (1.0 + e)
         # pair_fermi: q(t) - lambda q(c t), c = e^(pi/b), lambda = e^(a pi/b);
         # numerator written with expm1 so the near-cancellation at large b
@@ -152,9 +169,9 @@ class IntegrandSpec:
         apb = self.a * math.pi / self.b
         d = math.expm1(math.pi / self.b)          # c - 1
         lam_m1 = math.expm1(apb)
-        e1 = np.exp(-t)
-        e2 = np.exp(-(1.0 + d) * t)
-        num = -e1 * (np.expm1(apb - d * t) + e2 * lam_m1)
+        e1 = xp.exp(-t)
+        e2 = xp.exp(-(1.0 + d) * t)
+        num = -e1 * (xp.expm1(apb - d * t) + e2 * lam_m1)
         return num / ((1.0 + e1) * (1.0 + e2))
 
 
@@ -191,17 +208,25 @@ _GAUSS_HALF = {
 }
 
 
-def _mirror(half) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.array(half).T
-    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
+def _mirror(half) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    x, w = zip(*half)
+    return tuple(-v for v in reversed(x)) + x, tuple(reversed(w)) + w
 
 
 # (nodes, weights) by rule size
 _GAUSS = {n: _mirror(half) for n, half in _GAUSS_HALF.items()}
 
 
+@functools.cache
+def _gauss_arrays(n: int):
+    """_GAUSS[n] as numpy arrays, for the array executor."""
+    import numpy as np
+    return tuple(np.array(c) for c in _GAUSS[n])
+
+
 # ---------------------------------------------------------------------------
-# The panel engine: one batch and one refinement loop for every contour.
+# The panel engine: breakpoints, the G24/G12 rule, the done test and the
+# panel sum, shared by the array and the float executor.
 
 _EPS = math.ulp(1.0)
 _HEAD = 46.0            # the head remainder is below e^(-46)
@@ -210,7 +235,7 @@ _PHASE = 12.0           # change of the integrand's log per panel
 
 def _panels(rate: float, decay: float, delta: float, log_pole: float,
             v_lo: float, v_hi: float, u0: float = 0.0, unit: float = 1.0,
-            nodes: bool = False) -> np.ndarray:
+            nodes: bool = False) -> list[float]:
     """Panel breakpoints on [v_lo, v_hi] of v = (u - u0) / unit, u = log r,
     r = |t|; with ``nodes`` no panel crosses an integer of v.
 
@@ -233,7 +258,7 @@ def _panels(rate: float, decay: float, delta: float, log_pole: float,
         return (phase if phase <= pole else pole) / unit
 
     x = v_lo
-    whole = np.empty(0)
+    xs = []
     if nodes and v_lo == math.floor(v_lo):
         # the step never grows along v, so from an integer start every panel
         # is [k, k + 1] up to the last k with step(k) >= 1 and k + 1 <= v_hi:
@@ -246,9 +271,9 @@ def _panels(rate: float, decay: float, delta: float, log_pole: float,
                 good = mid
             else:
                 bad = mid
-        whole = np.arange(v_lo, good + 1.0)
+        xs = [v_lo + j for j in range(int(good - v_lo) + 1)]
         x = good + 1.0
-    xs = [x]
+    xs.append(x)
     while x < v_hi:
         cap = math.floor(x) + 1.0 if nodes else v_hi
         x += step(x)
@@ -257,8 +282,48 @@ def _panels(rate: float, decay: float, delta: float, log_pole: float,
         if x > cap:
             x = cap
         xs.append(x)
-    return np.concatenate((whole, xs))
+    return xs
 
+
+def _gauss(half, fh, fl, rounding, dot):
+    """(G24 value, |G24 - G12|, rounding floor) of panels of half-width
+    ``half`` from the values fh and fl at the two rules' nodes and the
+    rounding at the G24 nodes; ``dot(f, n)`` sums f times rule n's weights.
+    """
+    vh = half * dot(fh, _RULE_HI)
+    err = abs(vh - half * dot(fl, _RULE_LO))
+    return vh, err, 2.0 * _EPS * half * dot(rounding, _RULE_HI)
+
+
+def _done_test(floor_sum: float, count: int) -> Callable:
+    """The test a panel passes when it is done: G24 and G12 agree to 64
+    times its own rounding floor, or to its share of the floor of the
+    ``count`` initial panels, whose floors sum to ``floor_sum``.  Takes
+    floats or arrays."""
+    share = floor_sum / count
+    return lambda err, floor: (err <= 64.0 * floor) | (err <= share)
+
+
+def _total(vals, panel_err: float, floor_sum: float, head, cond: float):
+    """(value, panel error, rounding floor) of head plus the done panels,
+    from their values in panel order, summed by ``math.fsum``, and the sums
+    of their errors and floors.  The floor adds cond eps |value| for the
+    rounding of the sum and of the factors applied to it.  Raises
+    :class:`QuadratureError`, carrying the value and its error, when the
+    panel error stays above max(64 floor, _STALL_TOL |value|)."""
+    if isinstance(vals[0], complex):        # the ray's and the arc's arrays
+        value = complex(math.fsum(vals.real), math.fsum(vals.imag)) + head
+    else:
+        value = math.fsum(vals) + head
+    noise = floor_sum + _EPS * cond * abs(value)
+    if panel_err > max(64.0 * noise, _STALL_TOL * abs(value)):
+        raise QuadratureError(
+            f"panel error {panel_err:.3e} stalled above the rounding floor "
+            f"{noise:.3e}", value=value, err_est=panel_err + noise)
+    return value, panel_err, noise
+
+
+# ---- the array executor: a level of panels at once, with numpy ----------
 
 # Panels per chunk of a batch: a complex temporary of 256 panels x 24 nodes is
 # 96 KiB and stays in L2, and a batch's memory does not grow with its panel
@@ -268,7 +333,11 @@ def _panels(rate: float, decay: float, delta: float, log_pole: float,
 _CHUNK = 256
 
 
-def _panel_batch(integrand: Callable, lo: np.ndarray, hi: np.ndarray):
+def _array_dot(f, n):
+    return (f * _gauss_arrays(n)[1]).sum(axis=-1)
+
+
+def _panel_batch(integrand: Callable, lo, hi):
     """(G24 values, |G24 - G12|, rounding floors) of panels [lo, hi], in
     chunks of _CHUNK panels.
 
@@ -278,19 +347,17 @@ def _panel_batch(integrand: Callable, lo: np.ndarray, hi: np.ndarray):
     result is not finite: r^(s-1) overflows once r^a does (Re s beyond
     ~ 100), and bisecting such panels would never converge.
     """
-    xh, wh = _GAUSS[_RULE_HI]
-    xl, wl = _GAUSS[_RULE_LO]
+    import numpy as np
+    xh = _gauss_arrays(_RULE_HI)[0]
+    xl = _gauss_arrays(_RULE_LO)[0]
     parts = []
     for start in range(0, len(lo), _CHUNK):
         c_lo, c_hi = lo[start:start + _CHUNK], hi[start:start + _CHUNK]
-        half = 0.5 * (c_hi - c_lo)
         with np.errstate(over="ignore", invalid="ignore"):
             fh, rounding = integrand(c_lo[:, None], c_hi[:, None], xh)
             fl, _ = integrand(c_lo[:, None], c_hi[:, None], xl)
-            vh = half * (fh * wh).sum(axis=-1)
-            vl = half * (fl * wl).sum(axis=-1)
-            err = np.abs(vh - vl)
-            noise = 2.0 * _EPS * half * (rounding * wh).sum(axis=-1)
+            vh, err, noise = _gauss(0.5 * (c_hi - c_lo), fh, fl, rounding,
+                                    _array_dot)
         if not (np.isfinite(err).all() and np.isfinite(noise).all()):
             raise QuadratureError("panel values overflow")
         parts.append((vh, err, noise))
@@ -299,23 +366,20 @@ def _panel_batch(integrand: Callable, lo: np.ndarray, hi: np.ndarray):
     return tuple(np.concatenate(c) for c in zip(*parts))
 
 
-def _integrate_panels(integrand: Callable, lo: np.ndarray, hi: np.ndarray,
-                      head, cond: float):
+def _integrate_panels(integrand: Callable, lo, hi, head, cond: float):
     """(value, panel error, rounding floor): head plus the sum of the panels
-    [lo, hi], refined.
+    [lo, hi], refined on the array executor.
 
-    A panel is done when G24 and G12 agree to 64 times its own rounding
-    floor or to its share of the whole floor; the others are bisected, at
-    most _MAX_DEPTH times.  The floor adds cond eps |value|
-    for the rounding of the sum and of the factors applied to it.  Raises
-    :class:`QuadratureError`, carrying the value and its error, when the
-    panel error stays above max(64 floor, _STALL_TOL |value|).
+    Every panel that fails the done test is bisected, at most _MAX_DEPTH
+    times; :func:`_total` sums the done ones.
     """
+    import numpy as np
+    lo, hi = np.asarray(lo), np.asarray(hi)
     vals, errs, floors = _panel_batch(integrand, lo, hi)
-    share = float(np.sum(floors)) / len(lo)
+    is_done = _done_test(float(np.sum(floors)), len(lo))
     kept = []
     for _ in range(_MAX_DEPTH):
-        done = (errs <= 64.0 * floors) | (errs <= share)
+        done = is_done(errs, floors)
         kept.append((lo[done], vals[done], errs[done], floors[done]))
         lo, hi = lo[~done], hi[~done]
         if not len(lo):
@@ -326,18 +390,57 @@ def _integrate_panels(integrand: Callable, lo: np.ndarray, hi: np.ndarray,
     else:
         kept.append((lo, vals, errs, floors))
     lo, vals, errs, floors = (np.concatenate(c) for c in zip(*kept))
-    vals = vals[np.argsort(lo, kind="stable")]
-    if np.iscomplexobj(vals):
-        value = complex(math.fsum(vals.real), math.fsum(vals.imag)) + head
+    return _total(vals[np.argsort(lo, kind="stable")], float(np.sum(errs)),
+                  float(np.sum(floors)), head, cond)
+
+
+# ---- the float executor: one panel at a time, with math -----------------
+
+# A real-axis integral of at most this many initial panels runs on the float
+# executor (see the module docstring).
+_FLOAT_PANELS = 8
+
+
+def _float_dot(f, n):
+    return math.fsum(map(operator.mul, f, _GAUSS[n][1]))
+
+
+def _float_panel(integrand: Callable, lo: float, hi: float):
+    """(lo, hi, G24 value, |G24 - G12|, rounding floor) of the panel
+    [lo, hi], with ``integrand(lo, hi, x)`` called at one node x at a time.
+    Raises :class:`QuadratureError` where :func:`_panel_batch` does; math's
+    OverflowError is that same overflow."""
+    try:
+        fh, rounding = zip(*[integrand(lo, hi, x)
+                             for x in _GAUSS[_RULE_HI][0]])
+        fl = [integrand(lo, hi, x)[0] for x in _GAUSS[_RULE_LO][0]]
+    except OverflowError:
+        raise QuadratureError("panel values overflow") from None
+    vh, err, noise = _gauss(0.5 * (hi - lo), fh, fl, rounding, _float_dot)
+    if not (math.isfinite(err) and math.isfinite(noise)):
+        raise QuadratureError("panel values overflow")
+    return lo, hi, vh, err, noise
+
+
+def _integrate_floats(integrand: Callable, lo, hi, head, cond: float):
+    """:func:`_integrate_panels` on the float executor, for real integrands
+    of a few panels."""
+    level = [_float_panel(integrand, a, b) for a, b in zip(lo, hi)]
+    is_done = _done_test(math.fsum(p[4] for p in level), len(level))
+    kept = []
+    for _ in range(_MAX_DEPTH):
+        todo = []
+        for panel in level:
+            (kept if is_done(*panel[3:]) else todo).append(panel)
+        if not todo:
+            break
+        level = [_float_panel(integrand, *ends) for a, b, *_ in todo
+                 for ends in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
     else:
-        value = math.fsum(vals) + head
-    panel_err = float(np.sum(errs))
-    noise = float(np.sum(floors)) + _EPS * cond * abs(value)
-    if panel_err > max(64.0 * noise, _STALL_TOL * abs(value)):
-        raise QuadratureError(
-            f"panel error {panel_err:.3e} stalled above the rounding floor "
-            f"{noise:.3e}", value=value, err_est=panel_err + noise)
-    return value, panel_err, noise
+        kept += level
+    kept.sort(key=operator.itemgetter(0))
+    return _total([p[2] for p in kept], math.fsum(p[3] for p in kept),
+                  math.fsum(p[4] for p in kept), head, cond)
 
 
 def _upper_tail_bound(a: float, t_cut: float, extra: float = 1.0) -> float:
@@ -371,17 +474,18 @@ def _fermi_values(z):
     beyond the rounding of z itself."""
     # with Re z >= 0, 1/(e^z + 1) = w/(1 + w), w = e^(-z), never overflows;
     # 1 + w cancels near a pole, by about |k(z)|
+    import numpy as np
     w = np.exp(-z)
     g = w / (1.0 + w)
     return g, np.abs(g)
 
 
-def _ray_integrand(s: complex, rot: complex, lo: np.ndarray, hi: np.ndarray,
-                   x: np.ndarray):
+def _ray_integrand(s: complex, rot: complex, lo, hi, x):
     """The integrand e^(s u) k(e^u rot) at u = mid + half x on panels
-    [lo, hi] of u = log r, and its node-wise rounding: |f| times the
-    relative rounding in units of eps of the phase b u and the argument
+    [lo, hi] of u = log r (arrays), and its node-wise rounding: |f| times
+    the relative rounding in units of eps of the phase b u and the argument
     r rot (each rounded relative to its size) and of the kernel itself."""
+    import numpy as np
     u = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
     r = np.exp(u)
     g, cond = _fermi_values(r * rot)
@@ -514,6 +618,7 @@ def _arc_head(s: complex, R: float) -> tuple[complex, float]:
     top = min(half_pi, _HEAD / b)
 
     def arc(lo, hi, x):
+        import numpy as np
         phi = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
         g, cond = _fermi_values(R * np.exp(1j * phi))
         f = np.exp(1j * s * phi) * g
@@ -595,27 +700,35 @@ def _axis_integral(spec: IntegrandSpec, lo: float, hi: float,
                  u0, unit, nodes=osc)
     lo_v, hi_v = vs[:-1], vs[1:]
     if paired:
-        even = np.floor(lo_v) % 2.0 == 0.0
-        lo_v, hi_v = lo_v[even], hi_v[even]
+        lo_v, hi_v = zip(*[(a, b) for a, b in zip(lo_v, hi_v)
+                           if math.floor(a) % 2 == 0])
+
+    # the executor goes by the initial panel count alone; the one integrand
+    # below takes a float panel end and node with math, or columns of ends
+    # and a row of nodes with numpy
+    if len(lo_v) <= _FLOAT_PANELS:
+        run, xp = _integrate_floats, math
+    else:
+        import numpy as xp
+        run = _integrate_panels
 
     def integrand(lo, hi, x):
-        k = np.floor(lo)
+        k = xp.floor(lo)
         off = (lo - k) + 0.5 * (hi - lo) * (x + 1.0)
         u = u0 + unit * (k + off)
-        t = np.exp(u)
-        g = unit * np.exp(sr * u) * work.smooth_factor(t)
+        t = xp.exp(u)
+        g = unit * xp.exp(sr * u) * work.smooth_factor(t, xp)
         # relative rounding of g: e^(sr u) and the kernel move with the
         # rounding of u, by at most sr + decay t per unit of u
-        rel = 4.0 + (sr + decay * t) * (1.0 + abs(u0) + np.abs(u))
+        rel = 4.0 + (sr + decay * t) * (1.0 + abs(u0) + abs(u))
         if not osc:
-            return g, np.abs(g) * rel
+            return g, abs(g) * rel
         phase = f0 + off                 # b u / pi = n0 + k + phase
         sign = 1.0 - 2.0 * ((n0 + k) % 2.0)
-        return (g * sign * np.sin(math.pi * phase),
-                np.abs(g) * (rel + 2.0 * math.pi * np.abs(phase)))
+        return (g * sign * xp.sin(math.pi * phase),
+                abs(g) * (rel + 2.0 * math.pi * abs(phase)))
 
-    value, panel_err, noise = _integrate_panels(integrand, lo_v, hi_v, 0.0,
-                                                4.0)
+    value, panel_err, noise = run(integrand, lo_v, hi_v, 0.0, 4.0)
     return value, panel_err + tail_bound + noise
 
 

@@ -600,6 +600,20 @@ def test_decompose_far_half_periods_finish_at_once():
     assert len(rows) == 300 and rows[-1]["contribution"] == 0.0
 
 
+def test_decompose_refuses_a_count_past_the_float_range():
+    # at b = 100 the half period k ends at t = e^((2k + 1) pi / 100), which
+    # leaves the float range past k = 11,296: refused before any integral
+    import subprocess
+    proc = subprocess.run(
+        [sys.executable, "-m", "etazeros", "decompose", "--a", "0.5",
+         "--b", "100", "--count", "20000"],
+        capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("usage error: ")
+    assert proc.stdout == ""
+
+
 def test_unknown_flag(capsys):
     code, _, err = run(capsys, "coeffs", "--frobnicate")
     assert code == 3
@@ -737,13 +751,21 @@ _NEVER_NEEDED = ("numpy.polynomial", "fractions", "decimal", "etazeros.coeffs")
     (["eval", "--a", "0.5", "--b", "14", "--method", "oracle"],
      _NEVER_NEEDED),
     (["decompose", "--a", "0.5", "--b", "100"],
-     (*_NEVER_NEEDED, "etazeros.series")),
-], ids=["zeros", "eval-integral", "eval-oracle", "decompose"])
+     (*_NEVER_NEEDED, "etazeros.series", "numpy")),
+    # the smallest admitted b and the height bound: every half period, out
+    # to the ones past t = 744, stays on the float executor
+    (["decompose", "--a", "0.5", "--b", "9.0648", "--count", "300"],
+     (*_NEVER_NEEDED, "etazeros.series", "numpy")),
+    (["decompose", "--a", "0.5", "--b", "2e4", "--count", "300"],
+     (*_NEVER_NEEDED, "etazeros.series", "numpy")),
+], ids=["zeros", "eval-integral", "eval-oracle", "decompose",
+        "decompose-smallest-b", "decompose-height-bound"])
 def test_commands_load_only_what_they_compute_with(argv, unloaded):
     # the Gauss rules and Stirling's coefficients are literal tables, and
     # choose_K_R lives in decomposition, so these calls need neither
-    # numpy.polynomial nor the exact-rational layer, and decompose needs no
-    # head series
+    # numpy.polynomial nor the exact-rational layer; decompose needs no
+    # head series, and its half periods are small enough to run on floats,
+    # without numpy
     import subprocess
     import sys
     proc = subprocess.run(

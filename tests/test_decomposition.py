@@ -195,6 +195,23 @@ def test_positivity_threshold_value():
     assert POSITIVITY_A_MAX == pytest.approx(0.7310585786, abs=1e-9)
 
 
+def test_contributions_refuse_half_periods_past_the_float_range(monkeypatch):
+    # at b = 100 the last half period k = 11,296 ends near 1.8e308; one more
+    # is refused before any integral runs
+    from etazeros import decomposition
+
+    def no_integral(*args):
+        raise AssertionError("an integral ran")
+
+    plan = make_plan(0.5, 100.0)
+    last = 11_296 - plan.K + 1
+    rows = interval_contributions(plan, last)
+    assert math.isfinite(rows[-1]["t_hi"]) and rows[-1]["contribution"] == 0.0
+    monkeypatch.setattr(decomposition, "integrate_finite", no_integral)
+    with pytest.raises(ValueError, match="float range"):
+        interval_contributions(plan, last + 1)
+
+
 def test_large_t_scale():
     # at t = 32, a = 0.5, b = 10 the kernel tracks
     # t^(a-1) e^-t (1 - e^(a pi/b - t(e^(pi/b)-1)))

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -30,7 +31,7 @@ def test_fermi_kernel_tanh_form():
     # 1/(e^t + 1) = 1/2 - tanh(t/2)/2
     spec = IntegrandSpec("fermi")
     for t in (0.5, 1.0, 2.0, 10.0):
-        assert spec.smooth_factor(t) == pytest.approx(
+        assert spec.smooth_factor(t, math) == pytest.approx(
             0.5 - 0.5 * math.tanh(0.5 * t), rel=1e-15)
 
 
@@ -48,7 +49,7 @@ def test_overflow_safety_and_decay():
     for spec in (IntegrandSpec("fermi", a=0.5),
                  IntegrandSpec("fermi", a=0.9),
                  IntegrandSpec("pair_fermi", a=0.5, b=100.0)):
-        vals = ts ** (spec.a - 1.0) * spec.smooth_factor(ts)
+        vals = ts ** (spec.a - 1.0) * spec.smooth_factor(ts, np)
         assert np.all(np.isfinite(vals))
         assert np.all(np.diff(vals[decay]) <= 0.0)
         assert np.all(vals[decay] >= 0.0)
@@ -80,7 +81,7 @@ def test_pair_fermi_matches_naive_difference(a, b, t):
 @pytest.mark.parametrize("n", [_RULE_LO, _RULE_HI])
 def test_gauss_rule_exact_for_polynomials(n):
     # an n-node rule integrates x^k exactly on [-1, 1] for k <= 2n - 1
-    x, w = _GAUSS[n]
+    x, w = map(np.array, _GAUSS[n])
     for k in range(2 * n):
         exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
         assert abs(float(np.dot(w, x ** k)) - exact) < 1e-14, k
@@ -95,7 +96,7 @@ def test_gauss_rule_matches_scipy(n):
     # two are held to 16 eps of each other.
     sps = pytest.importorskip("scipy.special")
     eps = np.finfo(np.float64).eps
-    x, w = _GAUSS[n]
+    x, w = map(np.array, _GAUSS[n])
     x_ref, w_ref = sps.roots_legendre(n)
     assert np.all(np.abs(x - x_ref) <= 4 * np.spacing(np.abs(x_ref)))
     assert np.all(np.abs(w - w_ref) <= 16 * eps)
@@ -107,7 +108,7 @@ def test_gauss_table_matches_leggauss(n):
     # every node and weight (bit for bit where leggauss is exactly
     # symmetric, as it is with numpy 2.4)
     from numpy.polynomial.legendre import leggauss
-    for got, ref in zip(_GAUSS[n], leggauss(n)):
+    for got, ref in zip(map(np.array, _GAUSS[n]), leggauss(n)):
         assert got.shape == ref.shape == (n,)
         assert np.all(np.abs(got - ref) <= 4 * np.spacing(np.abs(ref)))
 
@@ -456,3 +457,99 @@ def test_chunk_boundaries_change_no_value(monkeypatch, n):
     monkeypatch.setattr(quadrature, "_CHUNK", n)
     for got, want in zip(chunked, batch()):
         assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The float and the array executor.
+
+@functools.cache
+def _float_cases():
+    """(spec, lo, hi, paired) of every real-axis integral that runs on the
+    float executor in suites 7, 8 and 9 and in decompose's default rows at
+    b = 100, 700 and 2e4."""
+    from etazeros import decomposition, verify
+    axis, floats = quadrature._axis_integral, quadrature._integrate_floats
+    cases, on_floats = [], []
+
+    def recorded_floats(*args):
+        on_floats.append(True)
+        return floats(*args)
+
+    def recorded_axis(spec, lo, hi, paired=False):
+        on_floats.clear()
+        result = axis(spec, lo, hi, paired)
+        if on_floats:
+            cases.append((spec, lo, hi, paired))
+        return result
+
+    quadrature._axis_integral = recorded_axis
+    quadrature._integrate_floats = recorded_floats
+    try:
+        for n in (7, 8, 9):
+            verify.run_theorem(n)
+        for b in (100.0, 700.0, 2e4):
+            decomposition.interval_contributions(
+                decomposition.make_plan(0.5, b), 20)
+    finally:
+        quadrature._axis_integral, quadrature._integrate_floats = axis, floats
+    return tuple(cases)
+
+
+def _both_executors(monkeypatch, spec, lo, hi, paired):
+    on_floats = quadrature._axis_integral(spec, lo, hi, paired)
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_FLOAT_PANELS", 0)
+        on_arrays = quadrature._axis_integral(spec, lo, hi, paired)
+    return on_floats, on_arrays
+
+
+def test_small_integrals_run_on_floats():
+    # suites 7, 8 and 9 hold 40 of them; decompose's 60 rows are all small
+    assert len(_float_cases()) == 100
+
+
+def test_executors_agree_to_a_few_ulp(monkeypatch):
+    # the same integrand, rules and refinement; only exp, sin and the rule
+    # sums round differently
+    for case in _float_cases():
+        (vf, _), (va, _) = _both_executors(monkeypatch, *case)
+        assert abs(vf - va) <= 8 * math.ulp(max(abs(vf), abs(va))), case
+
+
+def test_executors_err_est_bounds_error_against_mpmath(monkeypatch):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for spec, lo, hi, paired in _float_cases():
+            a, b = mp.mpf(spec.a), mp.mpf(spec.b)
+
+            def q_(t):
+                return 1 / (mp.exp(t) + 1)
+
+            def f(t):
+                if spec.kernel == "unit":
+                    v = mp.mpf(1)
+                elif spec.kernel == "fermi":
+                    v = t ** (a - 1) * q_(t)
+                else:
+                    c = mp.exp(mp.pi / b)
+                    v = t ** (a - 1) * (q_(t) - c ** a * q_(c * t))
+                return v * mp.sin(b * mp.log(t)) if spec.trig else v
+
+            points = [lo, hi] if hi < math.inf else (
+                [lo] + [x for x in (2, 5, 10, 20, 40, 80) if x > lo]
+                + [mp.inf])
+            ref = mp.quad(f, points)
+            for v, e in _both_executors(monkeypatch, spec, lo, hi, paired):
+                assert abs(v - ref) <= e, (spec, lo, hi)
+
+
+def test_float_executor_overflow_is_a_quadrature_error():
+    # t^(a-1) at a = 200 leaves the float range on [50, 60]: math raises
+    # OverflowError where numpy gives inf, and both end as the same error
+    spec = IntegrandSpec("fermi", a=200.0)
+    lo, hi = 50.0, 60.0
+    with pytest.raises(QuadratureError, match="panel values overflow"):
+        integrate_finite(spec, lo, hi)
+    assert len(quadrature._panels(
+        spec.a, 1.0, 0.5 * math.pi, math.log(math.pi), 0.0,
+        math.log(hi / lo), math.log(lo))) - 1 <= quadrature._FLOAT_PANELS
