@@ -575,7 +575,10 @@ def _ray_integral(s: complex) -> tuple[complex, float, float]:
         raise QuadratureError(f"ray tail bound overflows at s = {s}")
     u_hi = math.log(x_top / sigma)
 
-    xs = _panels(abs(s), 1.0, delta, math.log(_POLE), u_lo, u_hi)
+    # an array at once: the ~4.5|b| breakpoints as float objects would
+    # outlive the batch
+    import numpy as np
+    xs = np.asarray(_panels(abs(s), 1.0, delta, math.log(_POLE), u_lo, u_hi))
     integral, panel_err, noise = _integrate_panels(
         lambda lo, hi, x: _ray_integrand(s, rot, lo, hi, x),
         xs[:-1], xs[1:], head, 4.0 + theta * b)
