@@ -7,8 +7,8 @@ The names below are re-exported lazily (PEP 562): each layer is imported on
 first use of one of its names, so importing the package, or only the
 stdlib-only ``coeffs`` layer, does not load numpy.  Neither do
 ``quadrature`` and ``decomposition``: they load it on first use of an array
-path (the ray, the arc, a real-axis integral of more than 8 panels,
-``pair_kernel``), so small real-axis integrals, and the ``decompose``
+path (the ray, the arc, a real-axis integral of more than 8 initial
+panels, ``pair_kernel``), so small real-axis integrals, and the ``decompose``
 command, run on floats alone.
 """
 

@@ -130,13 +130,12 @@ def interval_contributions(plan: DecompositionPlan,
     k = K .. K+count-1, with running cumulative sums.  Raises ValueError,
     before any integral, when the last half period ends past the float
     range."""
-    if count > 0:
-        try:
-            plan.endpoint(2 * (plan.K + count) - 1)
-        except OverflowError:
-            raise ValueError(
-                f"count = {count} half periods from k = {plan.K} at "
-                f"b = {plan.b:g} end past the float range") from None
+    try:
+        plan.endpoint(2 * (plan.K + count) - 1)
+    except OverflowError:
+        raise ValueError(
+            f"count = {count} half periods from k = {plan.K} at "
+            f"b = {plan.b:g} end past the float range") from None
     spec = IntegrandSpec("pair_fermi", "sin", a=plan.a, b=plan.b)
     rows = []
     running = 0.0
