@@ -6,10 +6,11 @@ function.
 The names below are re-exported lazily (PEP 562): each layer is imported on
 first use of one of its names, so importing the package, or only the
 stdlib-only ``coeffs`` layer, does not load numpy.  Neither do
-``quadrature`` and ``decomposition``: they load it on first use of an array
-path (the ray, the arc, a real-axis integral of more than 8 initial
-panels, ``pair_kernel``), so small real-axis integrals, and the ``decompose``
-command, run on floats alone.
+``quadrature``, ``decomposition`` and ``zerofinder``: they load it on first
+use of an array path (a request for rays of more than 1,024 initial panels,
+the arc, a real-axis integral of more than 8 initial panels, an eta sum of
+more than 128 terms, ``pair_kernel``), so small integrals and eta sums, and
+the ``decompose`` command, run on floats alone.
 """
 
 import importlib

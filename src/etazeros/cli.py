@@ -20,22 +20,26 @@ rendering); CSV carries 17 significant digits.
 Start-up: each handler imports the layer names it calls when it runs, so
 loading the CLI loads no layer, a rebinding of a layer function (special.F,
 say) sees every call, and coeffs, --help and usage errors run without
-numpy.  So does decompose: its half periods take at most 6 panels each,
-and quadrature runs real-axis integrals of up to 8 panels on floats with
-math.  eval, verify and zeros load numpy.  The Gauss rules and Stirling's
-coefficients are literal tables, so no subcommand loads numpy.polynomial,
-and only coeffs, verify and eval's series route load the exact rationals.
+numpy.  So do decompose, zeros windows up to b ~ 41, and eval by the
+integral route up to b ~ 300 and by the oracle route up to b ~ 55:
+quadrature runs a real-axis integral of up to 8 initial panels, or a
+request for rays of up to 1,024, on floats with math and cmath, and eta
+sums up to 128 terms on floats.  verify, larger zeros windows and CSV
+grids, eval past those heights and eval's series route load numpy.  The
+Gauss rules and Stirling's coefficients are literal tables, so no
+subcommand loads numpy.polynomial, and only coeffs, verify and eval's
+series route load the exact rationals.
 OPENBLAS_NUM_THREADS defaults to 1 (a value already set is kept): no
-arithmetic goes through BLAS, but OpenBLAS starts a second thread
-on a 2-core host when numpy loads, and zeros 10.5..40.5 then takes 0.26 s
-instead of 0.20 s.
+arithmetic goes through BLAS, but OpenBLAS starts a second thread on a
+2-core host when numpy loads, which made zeros 10.5..40.5, when it still
+loaded numpy, take 0.26 s instead of 0.20 s.
 
 Exit: most of a call is start-up, not F or eta.  zeros 10.5..40.5 takes
-about 150 ms on a 2-core host (medians of 40 fresh processes): 40 ms for
-the interpreter and site, 14 ms to import the CLI, 60 ms for numpy, 4 ms
-for the layers, 26 ms of work and 6 ms to exit; its peak RSS is 29.5 MiB
-(eval 28.6-30.7, verify --all 30.8, decompose 15.4 without numpy, coeffs
-15.5).
+about 86 ms on a 2-core host (medians of 12 fresh processes): about 43 ms
+for the interpreter and site, 5 ms to import the CLI, 2 ms for the layers
+and 40-45 ms of work, with no numpy; its peak RSS is 14.4 MiB (zeros
+10..60 29.6, eval 14.4 without numpy and 30.5 with it, verify --all 30.8,
+decompose 14.5, coeffs 14.4).
 Finalization's collections would trace the ~22k objects left by the
 imports pass after pass, for about 30 ms, so the CLI freezes the collector
 at exit (gc.freeze as an atexit hook): the import heap goes to the
@@ -159,7 +163,7 @@ def _build_parser() -> _Parser:
 # Subcommand implementations (each returns (exit_code, text)).
 
 def _cmd_eval(args):
-    from .quadrature import unscale
+    from .quadrature import line_request, unscale
     from .special import F, Gamma, one_minus_two_pow, zeta_from_F
     a, b = args.a, args.b
     s = complex(a, b)
@@ -173,11 +177,14 @@ def _cmd_eval(args):
         from .series import series_lower_integral
         if b <= 0:
             raise UsageError("series+decomposition needs b > 0")
-        K, R = choose_K_R(b)
-        head, head_err = series_lower_integral(a, b, K, R, tol=1e-13)
-        plan = make_plan(a, b)
-        tail, tail_err = upper_integral(plan)
-        f_ray, ray_err = F(s)    # no closed series for the cos head
+        # one request: once the paired tail has run on arrays (past a few
+        # periods), the cos head's ray runs there too
+        with line_request([s]):
+            K, R = choose_K_R(b)
+            head, head_err = series_lower_integral(a, b, K, R, tol=1e-13)
+            plan = make_plan(a, b)
+            tail, tail_err = upper_integral(plan)
+            f_ray, ray_err = F(s)    # no closed series for the cos head
         f = complex(f_ray.real, head + tail)
         err = head_err + tail_err + ray_err
         integral, i_err, log_scale = f, err, 0.0

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -99,14 +99,14 @@ def g_over_factorial_f64(n: int) -> float:
     return float(g_over_factorial(n))
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Memoized exact table of B_n and g^(n)(0) up to ``max_index``."""
+class CoefficientTable(namedtuple(
+        "CoefficientTable",
+        "max_index bernoulli g_deriv g_over_factorial_f64")):
+    """Memoized exact table of B_n and g^(n)(0) up to ``max_index``:
+    ``bernoulli`` holds B_0 .. B_{max_index+1}, ``g_deriv`` g^(n)(0) and
+    ``g_over_factorial_f64`` float(g^(n)(0)/n!) for n = 0 .. max_index."""
 
-    max_index: int
-    bernoulli: tuple[Fraction, ...]            # B_0 .. B_{max_index+1}
-    g_deriv: tuple[Fraction, ...]              # g^(0)(0) .. g^(max_index)(0)
-    g_over_factorial_f64: tuple[float, ...]    # float(g^(n)(0)/n!)
+    __slots__ = ()
 
     @classmethod
     def build(cls, max_index: int) -> "CoefficientTable":

@@ -25,7 +25,7 @@ Everything downstream follows from three properties of h:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .quadrature import (
     TAIL_CUTOFF,
@@ -80,24 +80,23 @@ def pair_kernel(t, a: float, b: float):
     return t ** (a - 1.0) * spec.smooth_factor(t, np)
 
 
-@dataclass(frozen=True)
-class DecompositionPlan:
-    """Pairing layout for the tail integral at parameters (a, b)."""
+class DecompositionPlan(namedtuple("DecompositionPlan",
+                                   "a b K R c truncation_k")):
+    """Pairing layout for the tail integral at parameters (a, b): R is
+    exp(2 K pi / b), c is exp(pi / b) and truncation_k the last period index
+    before the quadrature cutoff."""
 
-    a: float
-    b: float
-    K: int
-    R: float                 # exp(2 K pi / b)
-    c: float                 # exp(pi / b)
-    truncation_k: int        # last period index before the quadrature cutoff
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 < self.a < 1.0:
+    def __new__(cls, a: float, b: float, K: int, R: float, c: float,
+                truncation_k: int):
+        if not 0.0 < a < 1.0:
             raise ValueError("a must lie in (0, 1)")
-        if not self.b > 0:
+        if not b > 0:
             raise ValueError("b must be positive")
-        if self.c <= 1.0 or self.R < 1.0:
+        if c <= 1.0 or R < 1.0:
             raise ValueError("plan needs c > 1 and R >= 1")
+        return super().__new__(cls, a, b, K, R, c, truncation_k)
 
     def endpoint(self, j: int) -> float:
         """t_j = exp(j pi / b)."""

@@ -11,20 +11,34 @@ order, so results are bit-reproducible.
 
 The panels run on one of two executors.  The array executor evaluates a
 whole level of panels at once with numpy, in chunks; the float executor
-evaluates one panel at a time, node by node, with ``math``.  A real-axis
-integral of at most _FLOAT_PANELS initial panels takes the float executor,
-every other integral (the ray, the arc, long tails) the array executor, so
-a call whose integrals are all small never loads numpy.  Both run the same
-integrand, Gauss rules, done test, stall check and panel-order sum; their
-values differ only by the rounding of numpy's and libm's exp and sin and of
-the rule sums: by 2 ulp on verify's and decompose's half periods, and by up
-to ~100 ulp where t nears 700 and e^-t amplifies the rounding of t (err
-covers it).  The threshold is 8: over 60 random ``decompose --count 300``
-calls with a in (0.01, 0.99) and b log-uniform in [9.07, 2e4], 14,523
-integrals, none needed more than 6 initial panels.  There the float
-executor is also the faster one: a default ``decompose`` (20 half periods,
-~1,300 kernel values) takes 2.5 ms on floats and 4.0 ms on arrays, on top
-of the 60-80 ms that importing numpy costs a fresh process.
+evaluates one panel at a time, its 36 nodes (G24's and G12's) in one call
+of the integrand, with ``math`` and ``cmath``.  Both run the same integrand
+formula, Gauss rules, done test, bisection budget, stall check and
+panel-order sum; their values differ only by the rounding of numpy's and
+libm's exp and sin and of the rule sums: by 2 ulp on verify's and
+decompose's half periods, by up to ~100 ulp where t nears 700 and e^-t
+amplifies the rounding of t, and by ~1e-15 relative on the ray (err covers
+each).  A call whose integrals all run on floats never loads numpy, which
+costs a fresh process 65-100 ms, so the executor goes by the size of what
+is asked for at once, never by what happens to be loaded:
+
+* A real-axis integral of at most _FLOAT_PANELS = 8 initial panels runs on
+  floats.  Over 60 random ``decompose --count 300`` calls with a in
+  (0.01, 0.99) and b log-uniform in [9.07, 2e4], 14,523 integrals, none
+  needed more than 6.
+* The rays of one request (:func:`line_request`; a lone
+  :func:`integrate_line` is a request of one) run on floats when their
+  initial panels add up to at most _FLOAT_RAY_PANELS = 1024, ~4.5 |b| per
+  ray.  A float panel of the ray takes 30-45 us against ~5 us on arrays,
+  so 1024 panels take about 35-45 ms, half of what importing numpy costs;
+  larger requests come out ahead on arrays.
+* The arc (suite 2's head) always runs on arrays.
+
+Each integral has a budget of _BISECT_PER_PANEL bisections per initial
+panel plus _BISECT_EXTRA, shared by all its panels on either executor: a
+panel that never passes the done test (a kernel outside the family, a bad
+rule) raises :class:`QuadratureError` once the budget is spent, instead of
+splitting into millions of panels.
 
 The whole half-line integral F(s) of the fermi kernel k(t) = 1/(e^t + 1)
 goes to :func:`integrate_line`, which runs on a ray rotated towards the
@@ -71,18 +85,20 @@ which for this family they do, to a factor ~ e^(-pi b / 2).
 from __future__ import annotations
 
 import cmath
+import contextlib
+import contextvars
 import functools
 import math
 import operator
 import sys
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .errors import NonConvergenceError
 
 __all__ = [
     "QuadratureError", "IntegrandSpec", "integrate_finite",
-    "integrate_to_infinity", "integrate_line", "unscale",
+    "integrate_to_infinity", "integrate_line", "line_request", "unscale",
 ]
 
 
@@ -102,7 +118,13 @@ class QuadratureError(NonConvergenceError):
 # A panel error that stalls above its rounding floor raises only when it also
 # exceeds this share of the value; the panel loop itself never reads it.
 _STALL_TOL = 1e-10
-_MAX_DEPTH = 24         # bisections of one panel
+# Bisections one integral of N initial panels may make, over all its panels:
+# 8 N + 256.  Every integral of the tests, verify --all and the CLI's edge
+# calls (a from 1e-6 to 60, b up to 2e4) converges within N + 32; a panel
+# that stalls spends the budget in 2 (8 N + 256) panel evaluations, where
+# a per-panel depth of 24 let it split into 2^24 panels.
+_BISECT_PER_PANEL = 8
+_BISECT_EXTRA = 256
 # Real-axis integrals of a decaying kernel stop at t = 60, where its mass is
 # below e^-60, or past it at lo + min(lo, 60); the analytic tail bound beyond
 # goes into err for any a.
@@ -111,10 +133,12 @@ TAIL_CUTOFF = 60.0
 _KERNELS = ("fermi", "pair_fermi", "unit")
 _LOG_MAX = math.log(sys.float_info.max)     # e^x is finite for x <= this
 _UNDERFLOW = -math.log(math.ulp(0.0))       # e^-t is 0 or subnormal past it
+_ULP0 = math.ulp(0.0)                       # the spacing of subnormals
+_TINY = sys.float_info.min                  # the smallest normal float
 
 
-@dataclass(frozen=True)
-class IntegrandSpec:
+class IntegrandSpec(namedtuple("IntegrandSpec", "kernel trig a b",
+                               defaults=(None, 1.0, 0.0))):
     """One member of the integrand family  t^(a-1) * kernel(t) * trig(b log t)
     of the paper's real-axis pieces.
 
@@ -125,24 +149,22 @@ class IntegrandSpec:
     trig: None or "sin" of (b log t).
     """
 
-    kernel: str
-    trig: str | None = None
-    a: float = 1.0
-    b: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kernel not in _KERNELS:
-            raise ValueError(f"unknown kernel {self.kernel!r}")
-        if self.trig not in (None, "sin"):
-            raise ValueError(f"unknown trig {self.trig!r}")
-        if self.trig is not None and not self.b > 0:
+    def __new__(cls, kernel: str, trig: str | None = None, a: float = 1.0,
+                b: float = 0.0):
+        if kernel not in _KERNELS:
+            raise ValueError(f"unknown kernel {kernel!r}")
+        if trig not in (None, "sin"):
+            raise ValueError(f"unknown trig {trig!r}")
+        if trig is not None and not b > 0:
             raise ValueError("oscillatory kinds need b > 0")
-        if self.kernel == "pair_fermi" and not (
-                self.b > 0 and math.pi / self.b <= _LOG_MAX):
+        if kernel == "pair_fermi" and not (b > 0 and math.pi / b <= _LOG_MAX):
             raise ValueError("paired kernels need b > 0 with e^(pi/b) in "
                              "the float range")
-        if self.kernel != "unit" and not self.a > 0:
+        if kernel != "unit" and not a > 0:
             raise ValueError("power-weighted kernels need a > 0")
+        return super().__new__(cls, kernel, trig, a, b)
 
     @property
     def paired(self) -> "IntegrandSpec":
@@ -289,10 +311,13 @@ def _gauss(half, fh, fl, rounding, dot):
     """(G24 value, |G24 - G12|, rounding floor) of panels of half-width
     ``half`` from the values fh and fl at the two rules' nodes and the
     rounding at the G24 nodes; ``dot(f, n)`` sums f times rule n's weights.
+    A subnormal value carries at least the spacing of subnormals, ulp(0.0),
+    where eps times its size underflows.
     """
     vh = half * dot(fh, _RULE_HI)
     err = abs(vh - half * dot(fl, _RULE_LO))
-    return vh, err, 2.0 * _EPS * half * dot(rounding, _RULE_HI)
+    floor = 2.0 * _EPS * half * dot(rounding, _RULE_HI)
+    return vh, err, floor + _ULP0 * (abs(vh) < _TINY)
 
 
 def _done_test(floor_sum: float, count: int) -> Callable:
@@ -304,6 +329,27 @@ def _done_test(floor_sum: float, count: int) -> Callable:
     return lambda err, floor: (err <= 64.0 * floor) | (err <= share)
 
 
+def _fsum(vals):
+    """``math.fsum`` of real values, or of complex ones part by part, from a
+    list or an array."""
+    if not isinstance(vals[0], complex):
+        return math.fsum(vals)
+    if isinstance(vals, list):
+        return complex(math.fsum([v.real for v in vals]),
+                       math.fsum([v.imag for v in vals]))
+    return complex(math.fsum(vals.real), math.fsum(vals.imag))
+
+
+def _spent(vals, err: float, head) -> QuadratureError:
+    """The error of an integral whose bisection budget is spent, carrying
+    head plus its panels' values, done or not, and the sum of their errors
+    and floors."""
+    value = _fsum(vals) + head
+    return QuadratureError(
+        f"bisection budget spent with panel error {err:.3e} left",
+        value=value, err_est=err)
+
+
 def _total(vals, panel_err: float, floor_sum: float, head, cond: float):
     """(value, panel error, rounding floor) of head plus the done panels,
     from their values in panel order, summed by ``math.fsum``, and the sums
@@ -311,10 +357,7 @@ def _total(vals, panel_err: float, floor_sum: float, head, cond: float):
     rounding of the sum and of the factors applied to it.  Raises
     :class:`QuadratureError`, carrying the value and its error, when the
     panel error stays above max(64 floor, _STALL_TOL |value|)."""
-    if isinstance(vals[0], complex):        # the ray's and the arc's arrays
-        value = complex(math.fsum(vals.real), math.fsum(vals.imag)) + head
-    else:
-        value = math.fsum(vals) + head
+    value = _fsum(vals) + head
     noise = floor_sum + _EPS * cond * abs(value)
     if panel_err > max(64.0 * noise, _STALL_TOL * abs(value)):
         raise QuadratureError(
@@ -325,8 +368,8 @@ def _total(vals, panel_err: float, floor_sum: float, head, cond: float):
 
 # ---- the array executor: a level of panels at once, with numpy ----------
 
-# Panels per chunk of a batch: a complex temporary of 256 panels x 24 nodes is
-# 96 KiB and stays in L2, and a batch's memory does not grow with its panel
+# Panels per chunk of a batch: a complex temporary of 256 panels x 36 nodes is
+# 144 KiB and stays in L2, and a batch's memory does not grow with its panel
 # count (~ 4.5|b| panels on the ray).  The chunking changes no bit of any
 # result: each weighted sum is a numpy reduction along one row, which sums
 # that row on its own, whatever rows share its chunk.
@@ -341,23 +384,23 @@ def _panel_batch(integrand: Callable, lo, hi):
     """(G24 values, |G24 - G12|, rounding floors) of panels [lo, hi], in
     chunks of _CHUNK panels.
 
-    ``integrand(lo, hi, x)`` takes the panels' ends as columns and the rule's
-    nodes x on [-1, 1], and gives the values at the nodes and their absolute
-    rounding in units of eps.  Raises :class:`QuadratureError` when any
-    result is not finite: r^(s-1) overflows once r^a does (Re s beyond
-    ~ 100), and bisecting such panels would never converge.
+    ``integrand(lo, hi, x)`` takes the panels' ends as columns and the row x
+    of both rules' nodes on [-1, 1], G24's first, and gives the values at
+    the nodes and their absolute rounding in units of eps.  Raises
+    :class:`QuadratureError` when any result is not finite: r^(s-1)
+    overflows once r^a does (Re s beyond ~ 100), and bisecting such panels
+    would never converge.
     """
     import numpy as np
-    xh = _gauss_arrays(_RULE_HI)[0]
-    xl = _gauss_arrays(_RULE_LO)[0]
+    n = _RULE_HI
+    x = np.concatenate((_gauss_arrays(n)[0], _gauss_arrays(_RULE_LO)[0]))
     parts = []
     for start in range(0, len(lo), _CHUNK):
         c_lo, c_hi = lo[start:start + _CHUNK], hi[start:start + _CHUNK]
         with np.errstate(over="ignore", invalid="ignore"):
-            fh, rounding = integrand(c_lo[:, None], c_hi[:, None], xh)
-            fl, _ = integrand(c_lo[:, None], c_hi[:, None], xl)
-            vh, err, noise = _gauss(0.5 * (c_hi - c_lo), fh, fl, rounding,
-                                    _array_dot)
+            f, rounding = integrand(c_lo[:, None], c_hi[:, None], x)
+            vh, err, noise = _gauss(0.5 * (c_hi - c_lo), f[:, :n], f[:, n:],
+                                    rounding[:, :n], _array_dot)
         if not (np.isfinite(err).all() and np.isfinite(noise).all()):
             raise QuadratureError("panel values overflow")
         parts.append((vh, err, noise))
@@ -370,31 +413,41 @@ def _integrate_panels(integrand: Callable, lo, hi, head, cond: float):
     """(value, panel error, rounding floor): head plus the sum of the panels
     [lo, hi], refined on the array executor.
 
-    Every panel that fails the done test is bisected, at most _MAX_DEPTH
-    times; :func:`_total` sums the done ones.
+    Every panel that fails the done test is bisected, within the integral's
+    budget of bisections; :func:`_total` sums the done ones.  Raises
+    :class:`QuadratureError`, carrying the value and err in hand, once the
+    budget is spent.
     """
     import numpy as np
+    request = _REQUEST.get()
+    if request:     # numpy is loaded for it now: its later rays join arrays
+        request[0] = _integrate_panels
     lo, hi = np.asarray(lo), np.asarray(hi)
     vals, errs, floors = _panel_batch(integrand, lo, hi)
     is_done = _done_test(float(np.sum(floors)), len(lo))
+    budget = _BISECT_PER_PANEL * len(lo) + _BISECT_EXTRA
     kept = []
-    for _ in range(_MAX_DEPTH):
+    while True:
         done = is_done(errs, floors)
         kept.append((lo[done], vals[done], errs[done], floors[done]))
-        lo, hi = lo[~done], hi[~done]
+        todo = ~done
+        lo, hi = lo[todo], hi[todo]
         if not len(lo):
             break
+        budget -= len(lo)
+        if budget < 0:
+            kept.append((lo, vals[todo], errs[todo], floors[todo]))
+            _, vals, errs, floors = (np.concatenate(c) for c in zip(*kept))
+            raise _spent(vals, float(np.sum(errs) + np.sum(floors)), head)
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         vals, errs, floors = _panel_batch(integrand, lo, hi)
-    else:
-        kept.append((lo, vals, errs, floors))
     lo, vals, errs, floors = (np.concatenate(c) for c in zip(*kept))
     return _total(vals[np.argsort(lo, kind="stable")], float(np.sum(errs)),
                   float(np.sum(floors)), head, cond)
 
 
-# ---- the float executor: one panel at a time, with math -----------------
+# ---- the float executor: one panel at a time, with math and cmath -------
 
 # A real-axis integral of at most this many initial panels runs on the float
 # executor (see the module docstring).
@@ -402,42 +455,53 @@ _FLOAT_PANELS = 8
 
 
 def _float_dot(f, n):
-    return math.fsum(map(operator.mul, f, _GAUSS[n][1]))
+    # complex values (the ray's) in one left-to-right sum, which the rounding
+    # floor covers; real ones exactly rounded
+    w = _GAUSS[n][1]
+    if isinstance(f[0], complex):
+        return sum(map(operator.mul, f, w))
+    return math.fsum(map(operator.mul, f, w))
 
 
-def _float_panel(integrand: Callable, lo: float, hi: float):
+def _float_panel(integrand: Callable, lo: float, hi: float, nodes):
     """(lo, hi, G24 value, |G24 - G12|, rounding floor) of the panel
-    [lo, hi], with ``integrand(lo, hi, x)`` called at one node x at a time.
-    Raises :class:`QuadratureError` where :func:`_panel_batch` does; math's
+    [lo, hi], with one call ``integrand(lo, hi, nodes)`` for the values and
+    rounding at both rules' nodes, G24's first.  Raises
+    :class:`QuadratureError` where :func:`_panel_batch` does; math's
     OverflowError is that same overflow."""
     try:
-        fh, rounding = zip(*[integrand(lo, hi, x)
-                             for x in _GAUSS[_RULE_HI][0]])
-        fl = [integrand(lo, hi, x)[0] for x in _GAUSS[_RULE_LO][0]]
+        f, rounding = integrand(lo, hi, nodes)
     except OverflowError:
         raise QuadratureError("panel values overflow") from None
-    vh, err, noise = _gauss(0.5 * (hi - lo), fh, fl, rounding, _float_dot)
+    n = _RULE_HI
+    vh, err, noise = _gauss(0.5 * (hi - lo), f[:n], f[n:], rounding[:n],
+                            _float_dot)
     if not (math.isfinite(err) and math.isfinite(noise)):
         raise QuadratureError("panel values overflow")
     return lo, hi, vh, err, noise
 
 
 def _integrate_floats(integrand: Callable, lo, hi, head, cond: float):
-    """:func:`_integrate_panels` on the float executor, for real integrands
-    of a few panels."""
-    level = [_float_panel(integrand, a, b) for a, b in zip(lo, hi)]
+    """:func:`_integrate_panels` on the float executor: real or complex
+    values, one panel at a time."""
+    nodes = tuple(_GAUSS[_RULE_HI][0]) + tuple(_GAUSS[_RULE_LO][0])
+    level = [_float_panel(integrand, a, b, nodes) for a, b in zip(lo, hi)]
     is_done = _done_test(math.fsum(p[4] for p in level), len(level))
+    budget = _BISECT_PER_PANEL * len(level) + _BISECT_EXTRA
     kept = []
-    for _ in range(_MAX_DEPTH):
+    while True:
         todo = []
         for panel in level:
             (kept if is_done(*panel[3:]) else todo).append(panel)
         if not todo:
             break
-        level = [_float_panel(integrand, *ends) for a, b, *_ in todo
+        budget -= len(todo)
+        if budget < 0:
+            kept += todo
+            raise _spent([p[2] for p in kept],
+                         math.fsum(p[3] + p[4] for p in kept), head)
+        level = [_float_panel(integrand, *ends, nodes) for a, b, *_ in todo
                  for ends in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
-    else:
-        kept += level
     kept.sort(key=operator.itemgetter(0))
     return _total([p[2] for p in kept], math.fsum(p[3] for p in kept),
                   math.fsum(p[4] for p in kept), head, cond)
@@ -480,18 +544,30 @@ def _fermi_values(z):
     return g, np.abs(g)
 
 
+def _ray_values(s: complex, rot: complex, u, exp, cexp):
+    """The integrand e^(s u) k(e^u rot) at u = log r, and its rounding: |f|
+    times the relative rounding in units of eps of the phase b u and the
+    argument r rot (each rounded relative to its size) and of the kernel
+    itself.  ``exp`` and ``cexp`` are the real and the complex exponential
+    of u's arithmetic: one formula for a float and for an array."""
+    # the kernel as in _fermi_values, written out: this runs once per node
+    r = exp(u)
+    w = cexp(-(r * rot))
+    g = w / (1.0 + w)
+    f = cexp(s * u) * g
+    return f, abs(f) * (4.0 + abs(s) * abs(u) + r + abs(g))
+
+
 def _ray_integrand(s: complex, rot: complex, lo, hi, x):
-    """The integrand e^(s u) k(e^u rot) at u = mid + half x on panels
-    [lo, hi] of u = log r (arrays), and its node-wise rounding: |f| times
-    the relative rounding in units of eps of the phase b u and the argument
-    r rot (each rounded relative to its size) and of the kernel itself."""
+    """:func:`_ray_values` at u = mid + half x on panels [lo, hi] of
+    u = log r: on arrays for the panels' ends as columns and a row of nodes
+    x, or on one float panel for its tuple of nodes."""
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    if isinstance(x, tuple):
+        return zip(*[_ray_values(s, rot, mid + half * t, math.exp, cmath.exp)
+                     for t in x])
     import numpy as np
-    u = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
-    r = np.exp(u)
-    g, cond = _fermi_values(r * rot)
-    f = np.exp(s * u) * g
-    rel = 4.0 + abs(s) * np.abs(u) + r + cond
-    return f, np.abs(f) * rel
+    return _ray_values(s, rot, mid + half * x, np.exp, np.exp)
 
 
 def integrate_line(s: complex, scaled: bool = False):
@@ -545,11 +621,12 @@ def _ray_head(s: complex, rot: complex) -> tuple[float, complex, float]:
     return u_lo, head, rho ** p / (_HEAD_DIV * p)
 
 
-def _ray_integral(s: complex) -> tuple[complex, float, float]:
-    """(I, err, theta): at s' = a + i|b| the integral of :func:`integrate_line`
-    is e^(i theta s') I, and err bounds the error of I.  Callers dividing
-    e^(-theta |b|) by a factor of like size do it in log form, where neither
-    underflows."""
+def _ray(s):
+    """(s', rot, theta, head, head bound, tail bound, xs) of the ray of
+    :func:`integrate_line` at s: s' = a + i|b|, the ray's direction rot and
+    angle theta, the closed-form head below the first panel, the bounds on
+    the head's remainder and on the tail beyond the last panel, and the
+    breakpoints xs, in u = log r, of its initial panels."""
     s = complex(s)
     a, b = s.real, abs(s.imag)
     if not (a > 0 and cmath.isfinite(s)):
@@ -573,15 +650,71 @@ def _ray_integral(s: complex) -> tuple[complex, float, float]:
         tail_bound = math.inf
     if not math.isfinite(tail_bound):
         raise QuadratureError(f"ray tail bound overflows at s = {s}")
-    u_hi = math.log(x_top / sigma)
+    xs = _panels(abs(s), 1.0, delta, math.log(_POLE), u_lo,
+                 math.log(x_top / sigma))
+    return s, rot, theta, head, head_bound, tail_bound, xs
 
-    # an array at once: the ~4.5|b| breakpoints as float objects would
-    # outlive the batch
-    import numpy as np
-    xs = np.asarray(_panels(abs(s), 1.0, delta, math.log(_POLE), u_lo, u_hi))
-    integral, panel_err, noise = _integrate_panels(
+
+# A request for rays whose initial panels add up to at most this many runs
+# on the float executor, and a larger one on arrays (see the module
+# docstring).  On the critical line that is one ray up to b ~ 300, or the
+# 12 certificate rays of a zeros window up to b ~ 41 (~920 panels).
+_FLOAT_RAY_PANELS = 1024
+# The innermost open line_request, as a one-item list of its executor; None
+# outside one.
+_REQUEST = contextvars.ContextVar("request", default=None)
+
+
+def _ray_run(panels: int) -> Callable:
+    """The executor of a request whose rays start with ``panels`` panels."""
+    return _integrate_floats if panels <= _FLOAT_RAY_PANELS \
+        else _integrate_panels
+
+
+@contextlib.contextmanager
+def line_request(points):
+    """Evaluate :func:`integrate_line` at ``points`` as one request: inside
+    the block every ray runs on the executor chosen for the rays at
+    ``points`` together, floats when their initial panels add up to at most
+    _FLOAT_RAY_PANELS and arrays beyond.  A caller that needs many rays asks
+    for them together, so that a large request, which loads numpy anyway,
+    does not run ray after small ray on floats.  Once any integral inside
+    the block has run on arrays, numpy is loaded for the request anyway,
+    and its later rays run on arrays too: eval's series route asks for its
+    paired tail, an array integral past a few periods, before its ray.
+    Raises what the rays at ``points`` would."""
+    panels = 0
+    for s in points:
+        panels += len(_ray(s)[-1]) - 1
+        if panels > _FLOAT_RAY_PANELS:
+            break
+    token = _REQUEST.set([_ray_run(panels)])
+    try:
+        yield
+    finally:
+        _REQUEST.reset(token)
+
+
+def _ray_integral(s: complex, run: Callable | None = None
+                  ) -> tuple[complex, float, float]:
+    """(I, err, theta): at s' = a + i|b| the integral of :func:`integrate_line`
+    is e^(i theta s') I, and err bounds the error of I.  Callers dividing
+    e^(-theta |b|) by a factor of like size do it in log form, where neither
+    underflows.  ``run`` is the executor, :func:`_integrate_floats` or
+    :func:`_integrate_panels`; by default the open request's or, outside
+    one, the one for this ray alone."""
+    s, rot, theta, head, head_bound, tail_bound, xs = _ray(s)
+    if run is None:
+        request = _REQUEST.get()
+        run = request[0] if request else _ray_run(len(xs) - 1)
+    if run is _integrate_panels:
+        # an array at once: the ~4.5|b| breakpoints as float objects would
+        # outlive the batch
+        import numpy as np
+        xs = np.asarray(xs)
+    integral, panel_err, noise = run(
         lambda lo, hi, x: _ray_integrand(s, rot, lo, hi, x),
-        xs[:-1], xs[1:], head, 4.0 + theta * b)
+        xs[:-1], xs[1:], head, 4.0 + theta * s.imag)
     return integral, panel_err + head_bound + tail_bound + noise, theta
 
 
@@ -706,18 +839,15 @@ def _axis_integral(spec: IntegrandSpec, lo: float, hi: float,
         lo_v, hi_v = zip(*[(a, b) for a, b in zip(lo_v, hi_v)
                            if math.floor(a) % 2 == 0])
 
-    # the executor goes by the initial panel count alone; the one integrand
-    # below takes a float panel end and node with math, or columns of ends
-    # and a row of nodes with numpy
+    # the executor goes by the initial panel count alone; the one formula
+    # below takes a float offset with math, or a block of them with numpy
     if len(lo_v) <= _FLOAT_PANELS:
         run, xp = _integrate_floats, math
     else:
         import numpy as xp
         run = _integrate_panels
 
-    def integrand(lo, hi, x):
-        k = xp.floor(lo)
-        off = (lo - k) + 0.5 * (hi - lo) * (x + 1.0)
+    def values(k, off):
         u = u0 + unit * (k + off)
         t = xp.exp(u)
         g = unit * xp.exp(sr * u) * work.smooth_factor(t, xp)
@@ -730,6 +860,14 @@ def _axis_integral(spec: IntegrandSpec, lo: float, hi: float,
         sign = 1.0 - 2.0 * ((n0 + k) % 2.0)
         return (g * sign * xp.sin(math.pi * phase),
                 abs(g) * (rel + 2.0 * math.pi * abs(phase)))
+
+    def integrand(lo, hi, x):
+        # nodes at v = k + off, offsets from the panel's integer floor k
+        k = xp.floor(lo)
+        base, half = lo - k, 0.5 * (hi - lo)
+        if xp is math:      # one panel, its tuple of nodes
+            return zip(*[values(k, base + half * (t + 1.0)) for t in x])
+        return values(k, base + half * (x + 1.0))
 
     value, panel_err, noise = run(integrand, lo_v, hi_v, 0.0, 4.0)
     return value, panel_err + tail_bound + noise

@@ -8,7 +8,7 @@ discrepancy against a tolerance (equality checks), or both.  Rows flagged
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
 def fmt17(x: float) -> str:
@@ -16,23 +16,19 @@ def fmt17(x: float) -> str:
     return "%.17g" % x
 
 
-@dataclass
-class CheckRow:
-    label: str
-    passed: bool
-    gating: bool = True
-    margin: float | None = None        # signed slack, > 0 means the inequality holds
-    discrepancy: float | None = None   # |lhs - rhs| for equality checks
-    tol: float | None = None
-    lhs: float | None = None
-    rhs: float | None = None
-    note: str = ""
+class CheckRow(namedtuple(
+        "CheckRow", "label passed gating margin discrepancy tol lhs rhs note",
+        defaults=(True, None, None, None, None, None, ""))):
+    """One checked cell: ``margin`` is the signed slack of an inequality
+    (> 0 means it holds), ``discrepancy`` |lhs - rhs| of an equality."""
+
+    __slots__ = ()
 
 
-@dataclass
 class VerificationReport:
-    name: str
-    rows: list[CheckRow] = field(default_factory=list)
+    def __init__(self, name: str, rows: list[CheckRow] | None = None):
+        self.name = name
+        self.rows = [] if rows is None else rows
 
     def add(self, label, passed, **kw) -> CheckRow:
         row = CheckRow(label=label, passed=bool(passed), **kw)

@@ -23,16 +23,24 @@ where Z changes sign.  Two independent routes evaluate it:
 Each route carries its own error bound on Z, which also bounds the rounding
 left in Im(e^(i theta) zeta).  Like F and Gamma, eta returns (value, err),
 and its err, a truncation bound plus a rounding floor, is the oracle route's
-bound.  The oracle route locates the zeros: it scans Z on the grid and
-refines each bracket once by ITP steps (regula falsi, truncated toward the
-midpoint and projected into a radius that keeps bisection's worst case
-within one step), about 9 evaluations per zero with the one at b*, at most
-30 from a 0.25-wide scan step.  A refined point is kept where |Z(b*)| and
-8 times the route's bound are both below :data:`ZERO_TOL`.  The integral
-route then certifies each zero on its own values: its Z takes opposite signs
-at b* - h and b* + h, each beyond its own error bound, for some h from
-1e-10 doubling up to 1e-6.  That proves a zero within h of b* at 2 ray
-evaluations per h tried.
+bound.  An eta call of at most _FLOAT_TERMS = 128 terms (b up to ~55 on the
+critical line) sums lists of floats with cmath, each part exactly rounded;
+a longer one sums numpy arrays pairwise.  Both take the same terms, weights
+and rounding floor, and the choice goes by 2n alone.
+
+The oracle route locates the zeros: it scans Z on the grid and refines each
+bracket once by ITP steps (regula falsi, truncated toward the midpoint and
+projected into a radius that keeps bisection's worst case within one step),
+about 9 evaluations per zero with the one at b*, at most 30 from a
+0.25-wide scan step.  A refined point is kept where |Z(b*)| and 8 times the
+route's bound are both below :data:`ZERO_TOL`.  Once every bracket is
+refined, the integral route certifies the zeros on its own values: its Z
+takes opposite signs at b* - h and b* + h, each beyond its own error bound,
+for some h from 1e-10 doubling up to 1e-6.  That proves a zero within h of
+b*.  The certificate runs in rounds, one h for every zero still open, and
+the 2 rays per zero of a round are one quadrature request
+(:func:`etazeros.quadrature.line_request`): a window up to b ~ 41 (~920
+panels) runs them on floats without numpy, a larger one on arrays.
 """
 
 from __future__ import annotations
@@ -40,10 +48,10 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+import operator
+from collections import namedtuple
 
-import numpy as np
-
+from .quadrature import line_request
 from .special import (F, log_gamma, one_minus_two_pow, riemann_siegel_theta,
                       zeta_from_F)
 
@@ -69,16 +77,21 @@ class ZeroRefinementError(RuntimeError):
 # ---------------------------------------------------------------------------
 # The accelerated alternating series.
 
-# A scan's calls share n over ~1.3 in b; an entry at b = 2e4 holds 0.12 MB.
-@functools.lru_cache(maxsize=4)
-def _binomial_tail(n: int) -> np.ndarray:
+# An eta call of at most this many terms (2n) runs on floats with cmath, a
+# larger one on numpy arrays: 2n <= 128 holds up to b ~ 55 on the critical
+# line, where a float call takes 40-75 us, and a call that needs arrays
+# loads numpy anyway (see :mod:`etazeros.quadrature`).
+_FLOAT_TERMS = 128
+
+
+def _tail_weights(n: int) -> list[float]:
     """tail[j] = P(X >= j) for X ~ Binomial(n, 1/2), j = 0 .. n, from one
     pass down from j = n over two exact integers, C(n, j) and the tail sum;
     C(n, j - 1) = C(n, j) j / (n - j + 1) divides exactly.  Each entry is
     int / int, rounded once and unable to overflow, so n > 1023, where 2^n
     leaves the float range, needs no scaling.
     """
-    tail = np.empty(n + 1)
+    tail = [0.0] * (n + 1)
     denom = 1 << n
     comb = total = 1
     for j in range(n, 0, -1):
@@ -86,12 +99,40 @@ def _binomial_tail(n: int) -> np.ndarray:
         comb = comb * j // (n - j + 1)
         total += comb
     tail[0] = total / denom
+    return tail
+
+
+@functools.cache
+def _float_weights(n: int) -> tuple[float, ...]:
+    """:func:`_tail_weights` for the float path: n <= _FLOAT_TERMS / 2, so
+    the cache holds at most 64 entries."""
+    return tuple(_tail_weights(n))
+
+
+# A scan's calls share n over ~1.3 in b; an entry at b = 2e4 holds 0.12 MB.
+@functools.lru_cache(maxsize=4)
+def _binomial_tail(n: int):
+    """:func:`_tail_weights` as a read-only numpy array, for the array
+    path."""
+    import numpy as np
+    tail = np.array(_tail_weights(n))
     tail.flags.writeable = False    # shared via the cache
     return tail
 
 
-def _alternating_terms(s: complex, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(-1)^(l-1) l^(-s) and log l for l = 1 .. m."""
+_LOG_L = [math.log(l) for l in range(1, _FLOAT_TERMS + 1)]
+
+
+def _alternating_terms(s: complex, m: int):
+    """(-1)^(l-1) l^(-s) and log l for l = 1 .. m: lists of floats up to
+    _FLOAT_TERMS terms, numpy arrays beyond."""
+    if m <= _FLOAT_TERMS:
+        log_l = _LOG_L[:m]
+        neg_s = -s
+        terms = [cmath.exp(neg_s * x) for x in log_l]
+        terms[1::2] = [-t for t in terms[1::2]]
+        return terms, log_l
+    import numpy as np
     log_l = np.log(np.arange(1, m + 1, dtype=np.float64))
     terms = np.exp(-s * log_l)
     terms[1::2] *= -1.0
@@ -103,12 +144,21 @@ def _eta_sum(s: complex, n: int) -> tuple[complex, float]:
     l <= n and by P(X > l - n - 1), X ~ Binomial(n, 1/2), beyond (the last
     entry of n pairwise averaging passes over the partial sums), and a bound
     on its rounding, eps sum |w_l a_l| (3 + |s| log(l) / 2 + log2(2n)), for
-    log l carried through |s|, exp, weight, product and a pairwise sum.
+    log l carried through |s|, exp, weight, product and a pairwise sum.  The
+    float path sums each part exactly rounded, inside that bound.
     """
     terms, log_l = _alternating_terms(s, 2 * n)
+    if isinstance(terms, list):
+        terms[n - 1:] = map(operator.mul, terms[n - 1:], _float_weights(n))
+        size = list(map(abs, terms))
+        floor = math.ulp(1.0) * (
+            (3.0 + math.log2(2 * n)) * math.fsum(size)
+            + 0.5 * abs(s) * math.fsum(map(operator.mul, size, log_l)))
+        return complex(math.fsum([t.real for t in terms]),
+                       math.fsum([t.imag for t in terms])), floor
     terms[n - 1:] *= _binomial_tail(n)
     cond = 3.0 + 0.5 * abs(s) * log_l + math.log2(2 * n)
-    floor = math.ulp(1.0) * float((np.abs(terms) * cond).sum())
+    floor = math.ulp(1.0) * float((abs(terms) * cond).sum())
     return complex(terms.sum()), floor
 
 
@@ -139,23 +189,20 @@ def eta_oracle(s) -> tuple[complex, float]:
 # ---------------------------------------------------------------------------
 # Scan indicator.
 
-@dataclass(frozen=True)
-class ZeroBracket:
-    """A scan step over which Z changes sign, with Z at its ends."""
+class ZeroBracket(namedtuple(
+        "ZeroBracket", "b_lo b_hi indicator_lo indicator_hi method")):
+    """A scan step over which Z changes sign, with Z at its ends; method is
+    "integral" or "oracle"."""
 
-    b_lo: float
-    b_hi: float
-    indicator_lo: float
-    indicator_hi: float
-    method: str             # "integral" or "oracle"
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LocatedZero:
-    b_star: float
-    residual: float         # |F(1/2 + i b_star)|, from |Z| and |Gamma|
-    method: str
-    residual_eta: float     # |Z(b_star)| = |zeta(1/2 + i b_star)|
+class LocatedZero(namedtuple(
+        "LocatedZero", "b_star residual method residual_eta")):
+    """A refined zero: residual is |F(1/2 + i b_star)|, from |Z| and
+    |Gamma|, and residual_eta |Z(b_star)| = |zeta(1/2 + i b_star)|."""
+
+    __slots__ = ()
 
 
 def _line_eval(b: float, method: str):
@@ -186,6 +233,14 @@ def _line_eval(b: float, method: str):
 MAX_GRID_POINTS = 10 ** 6
 
 
+def _line_evals(bs, method: str) -> list:
+    """:func:`_line_eval` at every b of ``bs``, their rays as one request
+    (:func:`etazeros.quadrature.line_request`)."""
+    rays = [complex(0.5, abs(b)) for b in bs] if method == "integral" else []
+    with line_request(rays):
+        return [_line_eval(b, method) for b in bs]
+
+
 def _grid(b_min: float, b_max: float, step: float) -> list[float]:
     """The scan grid b_min + i step, i = 0, 1, ..., up to b_max; raises
     ValueError, before building it, for more than MAX_GRID_POINTS points."""
@@ -207,7 +262,7 @@ def scan_critical_line(b_min: float, b_max: float, step: float,
     """March s = 1/2 + ib over the grid b_min + i step and emit a bracket
     at every step where Z(b) changes sign."""
     bs = _grid(b_min, b_max, step)
-    z = [_line_eval(b, method)[0].real for b in bs]
+    z = [zc.real for zc, _ in _line_evals(bs, method)]
     return [ZeroBracket(b_lo=bs[i], b_hi=bs[i + 1], indicator_lo=z[i],
                         indicator_hi=z[i + 1], method=method)
             for i in range(len(bs) - 1)
@@ -216,11 +271,14 @@ def scan_critical_line(b_min: float, b_max: float, step: float,
 
 def scan_F(b_min: float, b_max: float, step: float
            ) -> list[tuple[float, float, float, float]]:
-    """(b, F1, F2, |F|) of F(1/2 + ib) at every point of the scan grid."""
+    """(b, F1, F2, |F|) of F(1/2 + ib) at every point of the scan grid, the
+    whole grid as one request."""
+    points = [complex(0.5, b) for b in _grid(b_min, b_max, step)]
     rows = []
-    for b in _grid(b_min, b_max, step):
-        f, _ = F(complex(0.5, b))
-        rows.append((b, f.real, f.imag, abs(f)))
+    with line_request(points):
+        for s in points:
+            f, _ = F(s)
+            rows.append((s.imag, f.real, f.imag, abs(f)))
     return rows
 
 
@@ -305,31 +363,39 @@ _CERTIFY_H0 = 1e-10     # first half-width of the sign-change certificate
 _CERTIFY_H_MAX = 1e-6   # ... doubled up to this
 
 
-def _certify(b_star: float, method: str) -> float | None:
-    """A zero of ``method``'s Z near b*, proved by a sign change.
+def _certify(b_stars: list[float], method: str) -> list[float | None]:
+    """A zero of ``method``'s Z near each b*, proved by a sign change.
 
     Z is evaluated at b* - h and b* + h for h = 1e-10, 2e-10, ... up to
-    1e-6.  At the first h where the two values have opposite signs and each
-    exceeds the route's own error bound there, Z has a zero between them;
-    the result is one regula falsi step through the two values.  None when
-    no h gives such a pair.
+    1e-6, in rounds: each round takes one h for every b* still open, its
+    points as one request.  At the first h where the two values have
+    opposite signs and each exceeds the route's own error bound there, Z
+    has a zero between them; the result is one regula falsi step through
+    the two values.  None where no h gives such a pair.
     """
+    found = [None] * len(b_stars)
+    pending = list(range(len(b_stars)))
     h = _CERTIFY_H0
-    while h <= _CERTIFY_H_MAX:
-        lo, hi = b_star - h, b_star + h
-        zc_lo, err_lo = _line_eval(lo, method)
-        zc_hi, err_hi = _line_eval(hi, method)
-        f_lo, f_hi = zc_lo.real, zc_hi.real
-        if ((f_lo > 0) != (f_hi > 0) and abs(f_lo) > err_lo
-                and abs(f_hi) > err_hi):
-            return (f_hi * lo - f_lo * hi) / (f_hi - f_lo)
+    while pending and h <= _CERTIFY_H_MAX:
+        ends = [(b_stars[i] - h, b_stars[i] + h) for i in pending]
+        evals = iter(_line_evals([b for pair in ends for b in pair], method))
+        left = []
+        for i, (lo, hi) in zip(pending, ends):
+            (zc_lo, err_lo), (zc_hi, err_hi) = next(evals), next(evals)
+            f_lo, f_hi = zc_lo.real, zc_hi.real
+            if ((f_lo > 0) != (f_hi > 0) and abs(f_lo) > err_lo
+                    and abs(f_hi) > err_hi):
+                found[i] = (f_hi * lo - f_lo * hi) / (f_hi - f_lo)
+            else:
+                left.append(i)
+        pending = left
         h *= 2.0
-    return None
+    return found
 
 
 def find_zeros(b_min: float, b_max: float, step: float = 0.25) -> list[dict]:
     """Full pipeline: scan Z on the oracle route, refine each bracket once,
-    and certify each refined zero on the integral route.
+    then certify the refined zeros on the integral route, in rounds.
 
     Returns one dict per located zero: the oracle ordinate ``b_star`` with
     its ``residual`` and ``residual_eta``, and ``b_star_integral``, the
@@ -337,17 +403,16 @@ def find_zeros(b_min: float, b_max: float, step: float = 0.25) -> list[dict]:
     distance from ``b_star``.  Where the integral route cannot certify the
     zero, ``integral_certified`` is False and both are None.
     """
-    zeros = []
+    located = []
     for bracket in scan_critical_line(b_min, b_max, step, method="oracle"):
         try:
-            z = refine_zero(bracket)
+            located.append(refine_zero(bracket))
         except ZeroRefinementError:
             continue  # the oracle cannot certify a zero here
-        b_int = _certify(z.b_star, "integral")
-        zeros.append({
-            "b_star": z.b_star, "method": z.method, "residual": z.residual,
-            "residual_eta": z.residual_eta, "b_star_integral": b_int,
-            "route_gap": None if b_int is None else abs(b_int - z.b_star),
-            "integral_certified": b_int is not None,
-        })
-    return zeros
+    certified = _certify([z.b_star for z in located], "integral")
+    return [{
+        "b_star": z.b_star, "method": z.method, "residual": z.residual,
+        "residual_eta": z.residual_eta, "b_star_integral": b_int,
+        "route_gap": None if b_int is None else abs(b_int - z.b_star),
+        "integral_certified": b_int is not None,
+    } for z, b_int in zip(located, certified)]

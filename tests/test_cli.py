@@ -745,27 +745,32 @@ _NEVER_NEEDED = ("numpy.polynomial", "fractions", "decimal", "etazeros.coeffs")
 
 
 @pytest.mark.parametrize("argv,unloaded", [
-    (["zeros", "--b-min", "10", "--b-max", "15"], _NEVER_NEEDED),
+    (["zeros", "--b-min", "10", "--b-max", "15"], (*_NEVER_NEEDED, "numpy")),
     (["eval", "--a", "0.5", "--b", "14", "--method", "integral"],
-     _NEVER_NEEDED),
+     (*_NEVER_NEEDED, "numpy")),
     (["eval", "--a", "0.5", "--b", "14", "--method", "oracle"],
-     _NEVER_NEEDED),
+     (*_NEVER_NEEDED, "numpy")),
     (["decompose", "--a", "0.5", "--b", "100"],
      (*_NEVER_NEEDED, "etazeros.series", "numpy")),
+    # at b = 10 the paired tail is a few periods and the whole series route
+    # runs on floats
+    (["eval", "--a", "0.5", "--b", "10", "--method", "series+decomposition"],
+     ("numpy",)),
     # the smallest admitted b and the height bound: every half period, out
     # to the ones past t = 744, stays on the float executor
     (["decompose", "--a", "0.5", "--b", "9.0648", "--count", "300"],
      (*_NEVER_NEEDED, "etazeros.series", "numpy")),
     (["decompose", "--a", "0.5", "--b", "2e4", "--count", "300"],
      (*_NEVER_NEEDED, "etazeros.series", "numpy")),
-], ids=["zeros", "eval-integral", "eval-oracle", "decompose",
+], ids=["zeros", "eval-integral", "eval-oracle", "decompose", "eval-series",
         "decompose-smallest-b", "decompose-height-bound"])
 def test_commands_load_only_what_they_compute_with(argv, unloaded):
     # the Gauss rules and Stirling's coefficients are literal tables, and
     # choose_K_R lives in decomposition, so these calls need neither
     # numpy.polynomial nor the exact-rational layer; decompose needs no
-    # head series, and its half periods are small enough to run on floats,
-    # without numpy
+    # head series, and its half periods, a low zeros window's certificate
+    # rays and eta sums, and one eval's ray or eta at b = 14 are small
+    # enough to run on floats, without numpy
     import subprocess
     import sys
     proc = subprocess.run(
@@ -890,7 +895,10 @@ def test_output_is_the_same_under_every_openblas_kernel():
     cores = _openblas_cores()
     if len(cores) < 2:
         pytest.skip("OpenBLAS has one kernel set on this host")
+    # zeros 10..40 runs on floats; 10..60 takes its eta sums and its
+    # certificate rays on arrays
     calls = (["zeros", "--b-min", "10", "--b-max", "40"],
+             ["zeros", "--b-min", "10", "--b-max", "60"],
              ["zeros", "--b-min", "10", "--b-max", "40", "--format", "csv"],
              ["verify", "--all"])
     for argv in calls:
@@ -904,6 +912,38 @@ def test_output_is_the_same_under_every_openblas_kernel():
             outs[core] = proc.stdout
         differ = [c for c in cores if outs[c] != outs[cores[0]]]
         assert not differ, (argv, cores[0], differ)
+
+
+def test_series_route_runs_its_ray_beside_its_tail(capsys, monkeypatch):
+    # past a few periods the paired tail runs on arrays, which loads numpy,
+    # so the cos head's ray joins it there: a ray of ~1,000 panels costs
+    # ~35 ms on floats against ~4 ms on arrays
+    import etazeros.quadrature as quadrature
+    runs = []
+    for name in ("_integrate_floats", "_integrate_panels"):
+        def wrapper(*args, _run=getattr(quadrature, name), _name=name):
+            runs.append(_name)
+            return _run(*args)
+        monkeypatch.setattr(quadrature, name, wrapper)
+    code, _, _ = run(capsys, "eval", "--a", "0.5", "--b", "250", "--method",
+                     "series+decomposition")
+    assert code == 0
+    assert runs and set(runs) == {"_integrate_panels"}
+
+
+def test_zeros_bytes_do_not_depend_on_what_is_loaded(capsys):
+    # the executor goes by the size of each request, never by whether
+    # numpy happens to be loaded: in this process it is, in a fresh one
+    # zeros 10..40 never loads it
+    import subprocess
+    import sys
+    import numpy  # noqa: F401
+    argv = ["zeros", "--b-min", "10", "--b-max", "40"]
+    code, out, _ = run(capsys, *argv)
+    fresh = subprocess.run([sys.executable, "-m", "etazeros", *argv],
+                           capture_output=True, text=True, timeout=120)
+    assert code == fresh.returncode == 0
+    assert out == fresh.stdout and len(out) > 1000
 
 
 @pytest.mark.parametrize("argv,min_bytes", [

@@ -221,3 +221,27 @@ def test_large_t_scale():
         1.0 - math.exp(a * math.pi / b - t * math.expm1(math.pi / b)))
     assert got > 0
     assert got == pytest.approx(approx, rel=1e-10)
+
+
+def test_subnormal_half_period_carries_an_err():
+    # decompose --a 0.5 --b 100 --count 300, row k = 105 (t from 733): the
+    # contribution is subnormal, where eps times it underflows, and its err
+    # is at least the spacing of subnormals, not 0
+    rows = {r["k"]: r for r in interval_contributions(make_plan(0.5, 100.0),
+                                                      300)}
+    row = rows[105]
+    assert 0.0 < row["contribution"] < 2.2250738585072014e-308
+    assert row["err_est"] >= math.ulp(0.0)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        a, b = mp.mpf(0.5), mp.mpf(100)
+        c = mp.exp(mp.pi / b)
+
+        def h(t):
+            q = 1 / (mp.exp(t) + 1)
+            qc = 1 / (mp.exp(c * t) + 1)
+            return t ** (a - 1) * (q - c ** a * qc) * mp.sin(b * mp.log(t))
+
+        ref = mp.quad(h, mp.linspace(row["t_lo"], row["t_hi"], 40),
+                      method="gauss-legendre")
+    assert abs(row["contribution"] - ref) <= row["err_est"]

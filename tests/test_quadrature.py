@@ -252,15 +252,16 @@ def test_cos_kind_runs():
 # Error handling and stability contracts.
 
 def test_non_convergence_raises_with_payload(monkeypatch):
-    # F(1/2) on the real axis with a 4/2-point rule pair: two bisections
-    # cannot bring the panels to their rounding floor, and the stall
-    # carries the best value with an error that bounds it
+    # F(1/2) on the real axis with a 4/2-point rule pair: two bisections per
+    # initial panel cannot bring the panels to their rounding floor, and
+    # the spent budget carries the best value with an error that bounds it
     from numpy.polynomial.legendre import leggauss
     monkeypatch.setitem(quadrature._GAUSS, 4, leggauss(4))
     monkeypatch.setitem(quadrature._GAUSS, 2, leggauss(2))
     monkeypatch.setattr(quadrature, "_RULE_HI", 4)
     monkeypatch.setattr(quadrature, "_RULE_LO", 2)
-    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 2)
+    monkeypatch.setattr(quadrature, "_BISECT_PER_PANEL", 2)
+    monkeypatch.setattr(quadrature, "_BISECT_EXTRA", 0)
     with pytest.raises(QuadratureError) as ei:
         integrate_line(0.5)
     assert ei.value.value is not None
@@ -277,12 +278,15 @@ def test_line_overflow_raises(a):
 
 
 def test_refinement_consistency(monkeypatch):
-    # doubling the refinement depth must not move a converged value by more
+    # doubling the bisection budget must not move a converged value by more
     # than its reported error estimate
     # (the sin kind of the fermi kernel is Im F(0.3 + 40i))
     s = complex(0.3, 40.0)
     v2, e2 = integrate_line(s)
-    monkeypatch.setattr(quadrature, "_MAX_DEPTH", quadrature._MAX_DEPTH // 2)
+    monkeypatch.setattr(quadrature, "_BISECT_PER_PANEL",
+                        quadrature._BISECT_PER_PANEL // 2)
+    monkeypatch.setattr(quadrature, "_BISECT_EXTRA",
+                        quadrature._BISECT_EXTRA // 2)
     v1, e1 = integrate_line(s)
     assert abs(v1.imag - v2.imag) <= max(e1, e2) + 1e-15
 
@@ -553,3 +557,92 @@ def test_float_executor_overflow_is_a_quadrature_error():
     assert len(quadrature._panels(
         spec.a, 1.0, 0.5 * math.pi, math.log(math.pi), 0.0,
         math.log(hi / lo), math.log(lo))) - 1 <= quadrature._FLOAT_PANELS
+
+
+# ---------------------------------------------------------------------------
+# The ray on both executors, requests and the bisection budget.
+
+_EXECUTORS = ("_integrate_floats", "_integrate_panels")
+
+
+@pytest.mark.parametrize("b", [5.0, 14.1347, 25.0, 40.9, 200.0])
+@pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
+def test_ray_executors_agree_within_err_of_mpmath(a, b):
+    # one integrand formula on two executors: the rays agree within both
+    # errs, and each is within its err of Gamma eta; I = F e^(-i theta s)
+    mp = pytest.importorskip("mpmath")
+    s = complex(a, b)
+    rays = [quadrature._ray_integral(s, getattr(quadrature, run))
+            for run in _EXECUTORS]
+    (i_f, e_f, theta), (i_a, e_a, _) = rays
+    assert abs(i_f - i_a) <= e_f + e_a
+    with mp.workdps(40):
+        z = mp.mpc(a, b)
+        ref = mp.gamma(z) * mp.altzeta(z) * mp.exp(-1j * mp.mpf(theta) * z)
+        for i, e, _ in rays:
+            assert abs(mp.mpc(i.real, i.imag) - ref) <= e, (s, i, e)
+
+
+def _recorded_runs(monkeypatch):
+    """The names of the executors each ray runs on from here on."""
+    runs = []
+    for name in _EXECUTORS:
+        def wrapper(*args, _run=getattr(quadrature, name), _name=name):
+            runs.append(_name)
+            return _run(*args)
+        monkeypatch.setattr(quadrature, name, wrapper)
+    return runs
+
+
+def test_a_request_runs_all_its_rays_on_one_executor(monkeypatch):
+    # the executor goes by the initial panels of the whole request: a few
+    # rays at low b on floats, many on arrays, each ray alone by its own
+    small = [complex(0.5, b) for b in (14.0, 21.0, 25.0)]
+    large = [complex(0.5, b) for b in range(10, 60)]
+    panels = [len(quadrature._ray(s)[-1]) - 1 for s in large]
+    assert sum(panels) > quadrature._FLOAT_RAY_PANELS >= max(panels)
+    runs = _recorded_runs(monkeypatch)
+    for points, want in ((small, "_integrate_floats"),
+                         (large, "_integrate_panels")):
+        runs.clear()
+        with quadrature.line_request(points):
+            for s in points:
+                integrate_line(s)
+        assert runs == [want] * len(points)
+    runs.clear()
+    for s in large:
+        integrate_line(s)
+    assert runs == ["_integrate_floats"] * len(large)
+    assert quadrature._REQUEST.get() is None
+
+
+def test_a_lone_ray_takes_floats_up_to_the_request_size():
+    ray = quadrature._ray
+    for b, run in ((300.0, quadrature._integrate_floats),
+                   (320.0, quadrature._integrate_panels)):
+        panels = len(ray(complex(0.5, b))[-1]) - 1
+        assert quadrature._ray_run(panels) is run, (b, panels)
+
+
+@pytest.mark.parametrize("run", _EXECUTORS)
+def test_a_stalled_panel_spends_the_budget_at_once(monkeypatch, run):
+    # with one G24 weight dropped no panel passes the done test; the
+    # integral raises once its budget is spent, with the value and err in
+    # hand, where a per-panel depth of 24 ran for minutes
+    import time
+    x, w = quadrature._GAUSS[quadrature._RULE_HI]
+    monkeypatch.setitem(quadrature._GAUSS, quadrature._RULE_HI,
+                        (x, (*w[:5], 0.0, *w[6:])))
+    monkeypatch.setattr(quadrature, "_gauss_arrays", functools.cache(
+        quadrature._gauss_arrays.__wrapped__))
+    start = time.perf_counter()
+    with pytest.raises(QuadratureError, match="budget") as ei:
+        quadrature._ray_integral(complex(0.5, 14.13),
+                                 getattr(quadrature, run))
+    assert time.perf_counter() - start < 1.0
+    assert ei.value.value is not None and ei.value.err_est > 0
+    if run == "_integrate_floats":      # and a real-axis integral of floats
+        start = time.perf_counter()
+        with pytest.raises(QuadratureError, match="budget"):
+            integrate_finite(IntegrandSpec("fermi", a=0.5), 1.0, 2.0)
+        assert time.perf_counter() - start < 1.0

@@ -173,6 +173,31 @@ def test_eta_builds_its_terms_once(monkeypatch):
         assert log_bound <= -40 < log_bound + math.log(8)
 
 
+# 2n = 128 terms at b = 55.5 and 130 at b = 56.9 for each a below: the
+# last call on floats and the first on arrays
+@pytest.mark.parametrize("b,on_floats", [(55.5, True), (56.9, False)])
+@pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
+def test_eta_on_both_paths_within_err_of_mpmath(monkeypatch, a, b,
+                                                on_floats):
+    mpmath = pytest.importorskip("mpmath")
+    made = []
+    terms = zerofinder._alternating_terms
+
+    def recorded(s, m):
+        out = terms(s, m)
+        made.append((m, isinstance(out[0], list)))
+        return out
+
+    monkeypatch.setattr(zerofinder, "_alternating_terms", recorded)
+    v, v_err = eta_oracle(complex(a, b))
+    limit = zerofinder._FLOAT_TERMS
+    assert made == [(limit if on_floats else limit + 2, on_floats)]
+    with mpmath.workdps(40):
+        err = abs(mpmath.mpc(v.real, v.imag)
+                  - mpmath.altzeta(mpmath.mpc(a, b)))
+    assert err <= v_err, (a, b, float(err), v_err)
+
+
 def test_eta_at_the_smallest_sigma():
     # t / sigma overflows to inf here; the bound's log form does not
     v, v_err = eta_oracle(complex(5e-324, 10.0))
