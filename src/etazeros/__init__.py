@@ -7,10 +7,9 @@ The names below are re-exported lazily (PEP 562): each layer is imported on
 first use of one of its names, so importing the package, or only the
 stdlib-only ``coeffs`` layer, does not load numpy.  Neither do
 ``quadrature``, ``decomposition`` and ``zerofinder``: they load it on first
-use of an array path (a request for rays of more than 1,024 initial panels,
-the arc, a real-axis integral of more than 8 initial panels, an eta sum of
-more than 128 terms, ``pair_kernel``), so small integrals and eta sums, and
-the ``decompose`` command, run on floats alone.
+use of an array path, which large integrals and eta sums take (the rules
+are in ``quadrature``'s and ``zerofinder``'s docstrings); small ones run on
+floats alone.
 """
 
 import importlib

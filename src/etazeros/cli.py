@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Evaluate F(s) = int_0^inf t^(s-1)/(e^t + 1) dt and zeta(s), check the
+paper's theorems, and locate the zeros of zeta on the critical line.
 
 Subcommands
 -----------
@@ -12,40 +13,25 @@ Exit status: 0 success, 1 a gating verification cell failed, 2 numerical
 non-convergence, 3 usage error, which includes a number option that is not
 finite, a height b with |b| above 2e4, a zeros grid of more than 1e6
 points, a negative --count or one whose half periods end past the float
-range, and an --out path that cannot be opened.  Output
-is deterministic: repeated runs with the same arguments produce
+range, and an --out path that cannot be opened.
+
+Output is deterministic: repeated runs with the same arguments produce
 byte-identical bytes (no timestamps, sorted JSON keys, fixed float
 rendering); CSV carries 17 significant digits.
-
-Start-up: each handler imports the layer names it calls when it runs, so
-loading the CLI loads no layer, a rebinding of a layer function (special.F,
-say) sees every call, and coeffs, --help and usage errors run without
-numpy.  So do decompose, zeros windows up to b ~ 41, and eval by the
-integral route up to b ~ 300 and by the oracle route up to b ~ 55:
-quadrature runs a real-axis integral of up to 8 initial panels, or a
-request for rays of up to 1,024, on floats with math and cmath, and eta
-sums up to 128 terms on floats.  verify, larger zeros windows and CSV
-grids, eval past those heights and eval's series route load numpy.  The
-Gauss rules and Stirling's coefficients are literal tables, so no
-subcommand loads numpy.polynomial, and only coeffs, verify and eval's
-series route load the exact rationals.
-OPENBLAS_NUM_THREADS defaults to 1 (a value already set is kept): no
-arithmetic goes through BLAS, but OpenBLAS starts a second thread on a
-2-core host when numpy loads, which made zeros 10.5..40.5, when it still
-loaded numpy, take 0.26 s instead of 0.20 s.
-
-Exit: most of a call is start-up, not F or eta.  zeros 10.5..40.5 takes
-about 86 ms on a 2-core host (medians of 12 fresh processes): about 43 ms
-for the interpreter and site, 5 ms to import the CLI, 2 ms for the layers
-and 40-45 ms of work, with no numpy; its peak RSS is 14.4 MiB (zeros
-10..60 29.6, eval 14.4 without numpy and 30.5 with it, verify --all 30.8,
-decompose 14.5, coeffs 14.4).
-Finalization's collections would trace the ~22k objects left by the
-imports pass after pass, for about 30 ms, so the CLI freezes the collector
-at exit (gc.freeze as an atexit hook): the import heap goes to the
-permanent generation and is freed by teardown and the OS instead.  Code
-that imports the layers without the CLI never touches the collector.
 """
+
+# Start-up.  Each handler imports the layer names it calls when it runs, so
+# loading the CLI loads no layer, a rebinding of a layer function (special.F,
+# say) sees every call, and coeffs, --help and usage errors run without
+# numpy; which integrals and eta sums run without it is set by their size
+# (etazeros.quadrature and etazeros.zerofinder).  OPENBLAS_NUM_THREADS
+# defaults to 1 (a value already set is kept): no arithmetic goes through
+# BLAS, but OpenBLAS starts a second thread on a 2-core host when numpy
+# loads.  Finalization's collections would trace the ~22k objects left by
+# the imports pass after pass, so the CLI freezes the collector at exit
+# (gc.freeze as an atexit hook): the import heap goes to the permanent
+# generation and is freed by teardown and the OS instead.  Code that
+# imports the layers without the CLI never touches the collector.
 
 from __future__ import annotations
 
@@ -163,41 +149,39 @@ def _build_parser() -> _Parser:
 # Subcommand implementations (each returns (exit_code, text)).
 
 def _cmd_eval(args):
-    from .quadrature import line_request, unscale
+    from .quadrature import unscale
     from .special import F, Gamma, one_minus_two_pow, zeta_from_F
     a, b = args.a, args.b
     s = complex(a, b)
     method = args.method
+    if method == "series+decomposition" and b <= 0:
+        raise UsageError("series+decomposition needs b > 0")
     if method == "integral":
         # one ray gives the F fields (F is 0 past b ~ 470) and zeta
         integral, i_err, log_scale = F(s, scaled=True)
         f, err = unscale(integral, i_err, log_scale)
-    elif method == "series+decomposition":
-        from .decomposition import choose_K_R, make_plan, upper_integral
-        from .series import series_lower_integral
-        if b <= 0:
-            raise UsageError("series+decomposition needs b > 0")
-        # one request: once the paired tail has run on arrays (past a few
-        # periods), the cos head's ray runs there too
-        with line_request([s]):
-            K, R = choose_K_R(b)
-            head, head_err = series_lower_integral(a, b, K, R, tol=1e-13)
-            plan = make_plan(a, b)
-            tail, tail_err = upper_integral(plan)
-            f_ray, ray_err = F(s)    # no closed series for the cos head
-        f = complex(f_ray.real, head + tail)
-        err = head_err + tail_err + ray_err
-        integral, i_err, log_scale = f, err, 0.0
-    else:  # oracle
+    else:
         from .zerofinder import eta_oracle
-        # eta's err is its truncation bound plus its rounding floor; F =
-        # gamma eta carries both factors' errors, and never less than the
-        # smallest subnormal, so an F that underflows with gamma (past
+        # F = gamma eta carries both factors' errors (eta's is its
+        # truncation bound plus its rounding floor), and never less than
+        # the smallest subnormal, so an F that underflows with gamma (past
         # b ~ 490) stays unresolved
         eta, eta_err = eta_oracle(s)
         gam, gam_err = Gamma(s)
         f = gam * eta
         err = max(abs(eta) * gam_err + abs(gam) * eta_err, math.ulp(0.0))
+    if method == "series+decomposition":
+        # Im F = head + tail, the paper's sine integral: the coefficient
+        # series below R and the paired half periods above it; Re F, the
+        # cos integral, has no closed series and stays gamma eta's
+        from .decomposition import choose_K_R, make_plan, upper_integral
+        from .series import series_lower_integral
+        K, R = choose_K_R(b)
+        head, head_err = series_lower_integral(a, b, K, R, tol=1e-13)
+        tail, tail_err = upper_integral(make_plan(a, b))
+        f = complex(f.real, head + tail)
+        err += head_err + tail_err
+        integral, i_err, log_scale = f, err, 0.0
     # zeta stays null where its source is not resolved above its error: it
     # says nothing about zeta, and over a tiny gamma would print noise.  The
     # oracle route takes zeta from the eta in hand and the integral route
@@ -340,11 +324,6 @@ _COMMANDS = {
 }
 
 
-def dispatch(args) -> tuple[int, str]:
-    """Resolve a parsed namespace to (exit_code, output text)."""
-    return _COMMANDS[args.command](args)
-
-
 def main(argv=None) -> int:
     # set before any handler loads numpy, so OpenBLAS starts one thread
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -357,7 +336,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        code, text = dispatch(args)
+        code, text = _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3

@@ -19,20 +19,22 @@ libm's exp and sin and of the rule sums: by 2 ulp on verify's and
 decompose's half periods, by up to ~100 ulp where t nears 700 and e^-t
 amplifies the rounding of t, and by ~1e-15 relative on the ray (err covers
 each).  A call whose integrals all run on floats never loads numpy, which
-costs a fresh process 65-100 ms, so the executor goes by the size of what
-is asked for at once, never by what happens to be loaded:
+costs a fresh process 65-100 ms, so :func:`_run` picks the executor once per
+integral, by the size of what is asked for at once, never by what happens
+to be loaded:
 
-* A real-axis integral of at most _FLOAT_PANELS = 8 initial panels runs on
-  floats.  Over 60 random ``decompose --count 300`` calls with a in
-  (0.01, 0.99) and b log-uniform in [9.07, 2e4], 14,523 integrals, none
-  needed more than 6.
+* A real-axis integral, or the arc of :func:`_arc_head`, of at most
+  _FLOAT_PANELS = 8 initial panels runs on floats.  Over 60 random
+  ``decompose --count 300`` calls with a in (0.01, 0.99) and b log-uniform
+  in [9.07, 2e4], 14,523 integrals, none needed more than 6; the arc takes
+  3-5.
 * The rays of one request (:func:`line_request`; a lone
-  :func:`integrate_line` is a request of one) run on floats when their
-  initial panels add up to at most _FLOAT_RAY_PANELS = 1024, ~4.5 |b| per
-  ray.  A float panel of the ray takes 30-45 us against ~5 us on arrays,
-  so 1024 panels take about 35-45 ms, half of what importing numpy costs;
-  larger requests come out ahead on arrays.
-* The arc (suite 2's head) always runs on arrays.
+  :func:`integrate_line`, or the arc's segment 0 -> iR, is a request of
+  one) run on floats when their initial panels add up to at most
+  _FLOAT_RAY_PANELS = 1024, ~4.5 |b| per ray.  A float panel of the ray
+  takes 30-45 us against ~5 us on arrays, so 1024 panels take about
+  35-45 ms, half of what importing numpy costs; larger requests come out
+  ahead on arrays.
 
 Each integral has a budget of _BISECT_PER_PANEL bisections per initial
 panel plus _BISECT_EXTRA, shared by all its panels on either executor: a
@@ -419,9 +421,6 @@ def _integrate_panels(integrand: Callable, lo, hi, head, cond: float):
     budget is spent.
     """
     import numpy as np
-    request = _REQUEST.get()
-    if request:     # numpy is loaded for it now: its later rays join arrays
-        request[0] = _integrate_panels
     lo, hi = np.asarray(lo), np.asarray(hi)
     vals, errs, floors = _panel_batch(integrand, lo, hi)
     is_done = _done_test(float(np.sum(floors)), len(lo))
@@ -449,8 +448,8 @@ def _integrate_panels(integrand: Callable, lo, hi, head, cond: float):
 
 # ---- the float executor: one panel at a time, with math and cmath -------
 
-# A real-axis integral of at most this many initial panels runs on the float
-# executor (see the module docstring).
+# A real-axis or arc integral of at most this many initial panels runs on
+# the float executor (see the module docstring).
 _FLOAT_PANELS = 8
 
 
@@ -507,6 +506,13 @@ def _integrate_floats(integrand: Callable, lo, hi, head, cond: float):
                   math.fsum(p[4] for p in kept), head, cond)
 
 
+def _run(panels: int, limit: int) -> Callable:
+    """The executor of an integral, or a request, of ``panels`` initial
+    panels: floats up to ``limit`` (_FLOAT_PANELS or _FLOAT_RAY_PANELS),
+    arrays beyond."""
+    return _integrate_floats if panels <= limit else _integrate_panels
+
+
 def _upper_tail_bound(a: float, t_cut: float, extra: float = 1.0) -> float:
     """Analytic bound on extra int_T^inf t^(a-1) e^-t dt, T = t_cut, for a
     kernel below extra e^-t."""
@@ -533,24 +539,14 @@ _TAIL_MUL = 2.0
 _POLE = math.pi
 
 
-def _fermi_values(z):
-    """k(z) and the relative rounding of that evaluation, in units of eps,
-    beyond the rounding of z itself."""
-    # with Re z >= 0, 1/(e^z + 1) = w/(1 + w), w = e^(-z), never overflows;
-    # 1 + w cancels near a pole, by about |k(z)|
-    import numpy as np
-    w = np.exp(-z)
-    g = w / (1.0 + w)
-    return g, np.abs(g)
-
-
 def _ray_values(s: complex, rot: complex, u, exp, cexp):
     """The integrand e^(s u) k(e^u rot) at u = log r, and its rounding: |f|
     times the relative rounding in units of eps of the phase b u and the
     argument r rot (each rounded relative to its size) and of the kernel
     itself.  ``exp`` and ``cexp`` are the real and the complex exponential
     of u's arithmetic: one formula for a float and for an array."""
-    # the kernel as in _fermi_values, written out: this runs once per node
+    # with Re z >= 0, k(z) = 1/(e^z + 1) = w/(1 + w), w = e^(-z), never
+    # overflows; 1 + w cancels near a pole, by about |k(z)|
     r = exp(u)
     w = cexp(-(r * rot))
     g = w / (1.0 + w)
@@ -558,16 +554,27 @@ def _ray_values(s: complex, rot: complex, u, exp, cexp):
     return f, abs(f) * (4.0 + abs(s) * abs(u) + r + abs(g))
 
 
-def _ray_integrand(s: complex, rot: complex, lo, hi, x):
-    """:func:`_ray_values` at u = mid + half x on panels [lo, hi] of
-    u = log r: on arrays for the panels' ends as columns and a row of nodes
-    x, or on one float panel for its tuple of nodes."""
+def _arc_values(s: complex, R: float, phi, exp, cexp):
+    """:func:`_ray_values` on the arc t = R e^(i phi): the integrand
+    e^(i s phi) k(R e^(i phi)) at phi, t^s without its factor R^s, and its
+    rounding.  ``exp`` goes unused: the arc's arithmetic is all complex."""
+    w = cexp(-(R * cexp(1j * phi)))
+    g = w / (1.0 + w)
+    f = cexp(1j * s * phi) * g
+    return f, abs(f) * (4.0 + abs(s) * phi + R + abs(g))
+
+
+def _ray_integrand(values: Callable, s: complex, rot, lo, hi, x):
+    """``values(s, rot, v, exp, cexp)``, :func:`_ray_values` or
+    :func:`_arc_values`, at v = mid + half x on panels [lo, hi] of v: on
+    arrays for the panels' ends as columns and a row of nodes x, or on one
+    float panel for its tuple of nodes."""
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     if isinstance(x, tuple):
-        return zip(*[_ray_values(s, rot, mid + half * t, math.exp, cmath.exp)
+        return zip(*[values(s, rot, mid + half * t, math.exp, cmath.exp)
                      for t in x])
     import numpy as np
-    return _ray_values(s, rot, mid + half * x, np.exp, np.exp)
+    return values(s, rot, mid + half * x, np.exp, np.exp)
 
 
 def integrate_line(s: complex, scaled: bool = False):
@@ -660,60 +667,44 @@ def _ray(s):
 # docstring).  On the critical line that is one ray up to b ~ 300, or the
 # 12 certificate rays of a zeros window up to b ~ 41 (~920 panels).
 _FLOAT_RAY_PANELS = 1024
-# The innermost open line_request, as a one-item list of its executor; None
-# outside one.
+# The executor of the innermost open line_request; None outside one.
 _REQUEST = contextvars.ContextVar("request", default=None)
-
-
-def _ray_run(panels: int) -> Callable:
-    """The executor of a request whose rays start with ``panels`` panels."""
-    return _integrate_floats if panels <= _FLOAT_RAY_PANELS \
-        else _integrate_panels
 
 
 @contextlib.contextmanager
 def line_request(points):
     """Evaluate :func:`integrate_line` at ``points`` as one request: inside
-    the block every ray runs on the executor chosen for the rays at
-    ``points`` together, floats when their initial panels add up to at most
-    _FLOAT_RAY_PANELS and arrays beyond.  A caller that needs many rays asks
-    for them together, so that a large request, which loads numpy anyway,
-    does not run ray after small ray on floats.  Once any integral inside
-    the block has run on arrays, numpy is loaded for the request anyway,
-    and its later rays run on arrays too: eval's series route asks for its
-    paired tail, an array integral past a few periods, before its ray.
-    Raises what the rays at ``points`` would."""
+    the block every ray runs on the executor that :func:`_run` picks for the
+    rays at ``points`` together, so a caller that needs many rays, and
+    loads numpy for them anyway, does not run ray after small ray on
+    floats.  Raises what the rays at ``points`` would."""
     panels = 0
     for s in points:
         panels += len(_ray(s)[-1]) - 1
         if panels > _FLOAT_RAY_PANELS:
             break
-    token = _REQUEST.set([_ray_run(panels)])
+    token = _REQUEST.set(_run(panels, _FLOAT_RAY_PANELS))
     try:
         yield
     finally:
         _REQUEST.reset(token)
 
 
-def _ray_integral(s: complex, run: Callable | None = None
-                  ) -> tuple[complex, float, float]:
+def _ray_integral(s: complex) -> tuple[complex, float, float]:
     """(I, err, theta): at s' = a + i|b| the integral of :func:`integrate_line`
     is e^(i theta s') I, and err bounds the error of I.  Callers dividing
     e^(-theta |b|) by a factor of like size do it in log form, where neither
-    underflows.  ``run`` is the executor, :func:`_integrate_floats` or
-    :func:`_integrate_panels`; by default the open request's or, outside
-    one, the one for this ray alone."""
+    underflows.  It runs on the open request's executor or, outside one, on
+    the one for this ray alone."""
     s, rot, theta, head, head_bound, tail_bound, xs = _ray(s)
-    if run is None:
-        request = _REQUEST.get()
-        run = request[0] if request else _ray_run(len(xs) - 1)
+    run = _REQUEST.get() or _run(len(xs) - 1, _FLOAT_RAY_PANELS)
     if run is _integrate_panels:
         # an array at once: the ~4.5|b| breakpoints as float objects would
         # outlive the batch
         import numpy as np
         xs = np.asarray(xs)
     integral, panel_err, noise = run(
-        lambda lo, hi, x: _ray_integrand(s, rot, lo, hi, x),
+        lambda lo, hi, x: _ray_integrand(_ray_values, s, rot, lo, hi, x),
         xs[:-1], xs[1:], head, 4.0 + theta * s.imag)
     return integral, panel_err + head_bound + tail_bound + noise, theta
 
@@ -753,18 +744,12 @@ def _arc_head(s: complex, R: float) -> tuple[complex, float]:
     half_pi = 0.5 * math.pi
     top = min(half_pi, _HEAD / b)
 
-    def arc(lo, hi, x):
-        import numpy as np
-        phi = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
-        g, cond = _fermi_values(R * np.exp(1j * phi))
-        f = np.exp(1j * s * phi) * g
-        return f, np.abs(f) * (4.0 + abs(s) * phi + R + cond)
-
     # panels in phi: the integrand's log moves by at most |s| + R per unit
     # of phi, and the pole pi i sits at phi = pi/2 - i log(pi/R)
     xs = _panels(abs(s) + R, 0.0, math.log(_POLE / R), half_pi, 0.0, top)
-    arc_val, arc_err, arc_noise = _integrate_panels(
-        arc, xs[:-1], xs[1:], 0.0, 4.0 + abs(s * log_r))
+    arc_val, arc_err, arc_noise = _run(len(xs) - 1, _FLOAT_PANELS)(
+        lambda lo, hi, x: _ray_integrand(_arc_values, s, R, lo, hi, x),
+        xs[:-1], xs[1:], 0.0, 4.0 + abs(s * log_r))
     value = -1j * cmath.exp(s * log_r) * arc_val
     err = r_a * (arc_err + arc_noise)
     if top < half_pi:
@@ -775,8 +760,8 @@ def _arc_head(s: complex, R: float) -> tuple[complex, float]:
         return value, err + seg_bound
     u_lo, head, head_bound = _ray_head(s, 1j)
     xs = _panels(abs(s), 1.0, 0.0, math.log(_POLE), u_lo, log_r)
-    seg, seg_err, seg_noise = _integrate_panels(
-        lambda lo, hi, x: _ray_integrand(s, 1j, lo, hi, x),
+    seg, seg_err, seg_noise = _run(len(xs) - 1, _FLOAT_RAY_PANELS)(
+        lambda lo, hi, x: _ray_integrand(_ray_values, s, 1j, lo, hi, x),
         xs[:-1], xs[1:], head, 4.0 + half_pi * abs(s))
     scale = cmath.exp(0.5j * math.pi * s)
     return (value + scale * seg,
@@ -839,13 +824,13 @@ def _axis_integral(spec: IntegrandSpec, lo: float, hi: float,
         lo_v, hi_v = zip(*[(a, b) for a, b in zip(lo_v, hi_v)
                            if math.floor(a) % 2 == 0])
 
-    # the executor goes by the initial panel count alone; the one formula
-    # below takes a float offset with math, or a block of them with numpy
-    if len(lo_v) <= _FLOAT_PANELS:
-        run, xp = _integrate_floats, math
+    # the one formula below takes a float offset with math, or a block of
+    # them with numpy
+    run = _run(len(lo_v), _FLOAT_PANELS)
+    if run is _integrate_floats:
+        xp = math
     else:
         import numpy as xp
-        run = _integrate_panels
 
     def values(k, off):
         u = u0 + unit * (k + off)

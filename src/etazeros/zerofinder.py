@@ -39,8 +39,8 @@ takes opposite signs at b* - h and b* + h, each beyond its own error bound,
 for some h from 1e-10 doubling up to 1e-6.  That proves a zero within h of
 b*.  The certificate runs in rounds, one h for every zero still open, and
 the 2 rays per zero of a round are one quadrature request
-(:func:`etazeros.quadrature.line_request`): a window up to b ~ 41 (~920
-panels) runs them on floats without numpy, a larger one on arrays.
+(:func:`etazeros.quadrature.line_request`), whose executor is picked for
+them together.
 """
 
 from __future__ import annotations
@@ -109,8 +109,11 @@ def _float_weights(n: int) -> tuple[float, ...]:
     return tuple(_tail_weights(n))
 
 
-# A scan's calls share n over ~1.3 in b; an entry at b = 2e4 holds 0.12 MB.
-@functools.lru_cache(maxsize=4)
+# A scan's calls share n over ~1.3 in b, and refinement goes back to each
+# bracket's n once the scan has passed it: find_zeros(1000, 1010) takes 8 n,
+# built once each with 8 entries (14 times with 4).  An entry at b = 2e4
+# holds 0.12 MB.
+@functools.lru_cache(maxsize=8)
 def _binomial_tail(n: int):
     """:func:`_tail_weights` as a read-only numpy array, for the array
     path."""

@@ -454,7 +454,8 @@ def test_chunk_boundaries_change_no_value(monkeypatch, n):
 
     def batch():
         return quadrature._panel_batch(
-            lambda lo, hi, x: quadrature._ray_integrand(s, rot, lo, hi, x),
+            lambda lo, hi, x: quadrature._ray_integrand(
+                quadrature._ray_values, s, rot, lo, hi, x),
             xs[:-1], xs[1:])
 
     chunked = batch()
@@ -565,14 +566,24 @@ def test_float_executor_overflow_is_a_quadrature_error():
 _EXECUTORS = ("_integrate_floats", "_integrate_panels")
 
 
+def _on(monkeypatch, run, f, *args):
+    """f(*args) with every integral on the executor named ``run``, picked
+    through the size limits as any caller's would be."""
+    limit = math.inf if run == "_integrate_floats" else 0
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_FLOAT_PANELS", limit)
+        m.setattr(quadrature, "_FLOAT_RAY_PANELS", limit)
+        return f(*args)
+
+
 @pytest.mark.parametrize("b", [5.0, 14.1347, 25.0, 40.9, 200.0])
 @pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
-def test_ray_executors_agree_within_err_of_mpmath(a, b):
+def test_ray_executors_agree_within_err_of_mpmath(monkeypatch, a, b):
     # one integrand formula on two executors: the rays agree within both
     # errs, and each is within its err of Gamma eta; I = F e^(-i theta s)
     mp = pytest.importorskip("mpmath")
     s = complex(a, b)
-    rays = [quadrature._ray_integral(s, getattr(quadrature, run))
+    rays = [_on(monkeypatch, run, quadrature._ray_integral, s)
             for run in _EXECUTORS]
     (i_f, e_f, theta), (i_a, e_a, _) = rays
     assert abs(i_f - i_a) <= e_f + e_a
@@ -621,7 +632,8 @@ def test_a_lone_ray_takes_floats_up_to_the_request_size():
     for b, run in ((300.0, quadrature._integrate_floats),
                    (320.0, quadrature._integrate_panels)):
         panels = len(ray(complex(0.5, b))[-1]) - 1
-        assert quadrature._ray_run(panels) is run, (b, panels)
+        assert quadrature._run(panels, quadrature._FLOAT_RAY_PANELS) is run, \
+            (b, panels)
 
 
 @pytest.mark.parametrize("run", _EXECUTORS)
@@ -637,8 +649,7 @@ def test_a_stalled_panel_spends_the_budget_at_once(monkeypatch, run):
         quadrature._gauss_arrays.__wrapped__))
     start = time.perf_counter()
     with pytest.raises(QuadratureError, match="budget") as ei:
-        quadrature._ray_integral(complex(0.5, 14.13),
-                                 getattr(quadrature, run))
+        _on(monkeypatch, run, quadrature._ray_integral, complex(0.5, 14.13))
     assert time.perf_counter() - start < 1.0
     assert ei.value.value is not None and ei.value.err_est > 0
     if run == "_integrate_floats":      # and a real-axis integral of floats

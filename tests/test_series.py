@@ -154,30 +154,45 @@ def test_arc_head_err_bounds_error_against_mpmath(b):
 
 
 @pytest.mark.parametrize("b", (10.0, 12.0, 30.0))
-def test_arc_head_small_b_against_mpmath(b):
+def test_arc_head_small_b_against_mpmath(monkeypatch, b):
     # below b ~ 30 the segment 0 -> iR is integrated, above it its bound
     # e^(-pi b/2) R^a / (2 a cos(R/2)) is folded in; R runs up to 2.85,
-    # where the pole at i pi is 0.1 off the arc's end in phi
+    # where the pole at i pi is 0.1 off the arc's end in phi.  Both pieces
+    # run on floats, and then on arrays once the size limits send them there
     mp = pytest.importorskip("mpmath")
-    for a in (0.1, 0.5, 0.9):
-        for R in (1.0, 2.0, 2.5, 2.85):
-            assert _mp_head_check(mp, a, b, R) < 1e-15
+    for on_arrays in (False, True):
+        if on_arrays:
+            monkeypatch.setattr(quadrature, "_FLOAT_PANELS", 0)
+            monkeypatch.setattr(quadrature, "_FLOAT_RAY_PANELS", 0)
+        for a in (0.1, 0.5, 0.9):
+            for R in (1.0, 2.0, 2.5, 2.85):
+                assert _mp_head_check(mp, a, b, R) < 1e-15
 
 
 def test_arc_head_takes_few_panels(monkeypatch):
     # the real-axis head at a = 0.1, b = 1000 spans about 15 b / pi half
-    # periods, some 5,000 panels; on the arc t^(ib) decays like e^(-b phi)
-    counts = []
-    batch = quadrature._panel_batch
+    # periods, some 5,000 panels; on the arc t^(ib) decays like e^(-b phi),
+    # and its few panels run on floats, or on arrays past the size limit
+    counts = {"floats": 0, "arrays": 0}
+    batch, panel = quadrature._panel_batch, quadrature._float_panel
 
-    def counted(integrand, lo, hi):
-        counts.append(len(lo))
+    def counted_batch(integrand, lo, hi):
+        counts["arrays"] += len(lo)
         return batch(integrand, lo, hi)
 
-    monkeypatch.setattr(quadrature, "_panel_batch", counted)
+    def counted_panel(*args):
+        counts["floats"] += 1
+        return panel(*args)
+
+    monkeypatch.setattr(quadrature, "_panel_batch", counted_batch)
+    monkeypatch.setattr(quadrature, "_float_panel", counted_panel)
     _, R = choose_K_R(1000.0)
-    lower_integral_by_quadrature(0.1, 1000.0, R)
-    assert 0 < sum(counts) <= 64
+    for run, other, limit in (("floats", "arrays", quadrature._FLOAT_PANELS),
+                              ("arrays", "floats", 0)):
+        monkeypatch.setattr(quadrature, "_FLOAT_PANELS", limit)
+        counts.update(floats=0, arrays=0)
+        lower_integral_by_quadrature(0.1, 1000.0, R)
+        assert 0 < counts[run] <= 64 and counts[other] == 0, (run, counts)
 
 
 @pytest.mark.parametrize("R", (math.pi, 3.2))

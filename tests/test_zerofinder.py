@@ -139,6 +139,16 @@ def _binomial_tail_from_lists(n):
     return np.array([t / (1 << n) for t in tails])
 
 
+def test_find_zeros_builds_each_eta_weight_once():
+    # the scan on [1000, 1010] passes 8 n of eta's weights and refinement
+    # goes back to each bracket's: every n is built once, as many builds as
+    # entries (with room for 4 entries there were 14 builds)
+    zerofinder._binomial_tail.cache_clear()
+    zerofinder.find_zeros(1000.0, 1010.0)
+    info = zerofinder._binomial_tail.cache_info()
+    assert info.misses == info.currsize == 8, info
+
+
 @pytest.mark.parametrize("m", [0, 1, 2, 7, 50, 100, 1023, 1024, 1500, 1520])
 def test_binomial_weights(m):
     # m > 1023: 2^m overflows a float, the rounded weights must not; the
