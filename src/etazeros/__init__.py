@@ -6,10 +6,10 @@ function.
 The names below are re-exported lazily (PEP 562): each layer is imported on
 first use of one of its names, so importing the package, or only the
 stdlib-only ``coeffs`` layer, does not load numpy.  Neither do
-``quadrature``, ``decomposition`` and ``zerofinder``: they load it on first
-use of an array path, which large integrals and eta sums take (the rules
-are in ``quadrature``'s and ``zerofinder``'s docstrings); small ones run on
-floats alone.
+``quadrature`` and ``decomposition``: they load it on first use of an array
+path, which large integrals take (the rule is in ``quadrature``'s
+docstring); small ones run on floats alone, and so does every eta sum of
+``zerofinder``.
 """
 
 import importlib

@@ -6,16 +6,17 @@ panels.  One batch gives each panel's G24 value, its error |G24 - G12| and
 its rounding floor; one loop bisects every panel whose error stands above
 its floor.  On a ray from 0 the head below a small rho comes in closed form
 from the kernel's first two Taylor terms, and beyond the last panel the
-tail is bounded analytically.  Panel sums go through ``math.fsum`` in panel
-order, so results are bit-reproducible.
+tail is bounded analytically.  Panel sums go through ``math.fsum``, which is
+exactly rounded whatever the order of the panels, so results are
+bit-reproducible.
 
 The panels run on one of two executors.  The array executor evaluates a
 whole level of panels at once with numpy, in chunks; the float executor
 evaluates one panel at a time, its 36 nodes (G24's and G12's) in one call
 of the integrand, with ``math`` and ``cmath``.  Both run the same integrand
 formula, Gauss rules, done test, bisection budget, stall check and
-panel-order sum; their values differ only by the rounding of numpy's and
-libm's exp and sin and of the rule sums: by 2 ulp on verify's and
+exactly rounded sum; their values differ only by the rounding of numpy's
+and libm's exp and sin and of the rule sums: by 2 ulp on verify's and
 decompose's half periods, by up to ~100 ulp where t nears 700 and e^-t
 amplifies the rounding of t, and by ~1e-15 relative on the ray (err covers
 each).  A call whose integrals all run on floats never loads numpy, which
@@ -354,11 +355,12 @@ def _spent(vals, err: float, head) -> QuadratureError:
 
 def _total(vals, panel_err: float, floor_sum: float, head, cond: float):
     """(value, panel error, rounding floor) of head plus the done panels,
-    from their values in panel order, summed by ``math.fsum``, and the sums
-    of their errors and floors.  The floor adds cond eps |value| for the
-    rounding of the sum and of the factors applied to it.  Raises
-    :class:`QuadratureError`, carrying the value and its error, when the
-    panel error stays above max(64 floor, _STALL_TOL |value|)."""
+    from their values, summed by ``math.fsum`` (exactly rounded, so in any
+    order), and the sums of their errors and floors.  The floor adds
+    cond eps |value| for the rounding of the sum and of the factors applied
+    to it.  Raises :class:`QuadratureError`, carrying the value and its
+    error, when the panel error stays above max(64 floor,
+    _STALL_TOL |value|)."""
     value = _fsum(vals) + head
     noise = floor_sum + _EPS * cond * abs(value)
     if panel_err > max(64.0 * noise, _STALL_TOL * abs(value)):
@@ -428,22 +430,22 @@ def _integrate_panels(integrand: Callable, lo, hi, head, cond: float):
     kept = []
     while True:
         done = is_done(errs, floors)
-        kept.append((lo[done], vals[done], errs[done], floors[done]))
+        kept.append((vals[done], errs[done], floors[done]))
         todo = ~done
         lo, hi = lo[todo], hi[todo]
         if not len(lo):
             break
         budget -= len(lo)
         if budget < 0:
-            kept.append((lo, vals[todo], errs[todo], floors[todo]))
-            _, vals, errs, floors = (np.concatenate(c) for c in zip(*kept))
+            kept.append((vals[todo], errs[todo], floors[todo]))
+            vals, errs, floors = (np.concatenate(c) for c in zip(*kept))
             raise _spent(vals, float(np.sum(errs) + np.sum(floors)), head)
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         vals, errs, floors = _panel_batch(integrand, lo, hi)
-    lo, vals, errs, floors = (np.concatenate(c) for c in zip(*kept))
-    return _total(vals[np.argsort(lo, kind="stable")], float(np.sum(errs)),
-                  float(np.sum(floors)), head, cond)
+    vals, errs, floors = (np.concatenate(c) for c in zip(*kept))
+    return _total(vals, float(np.sum(errs)), float(np.sum(floors)), head,
+                  cond)
 
 
 # ---- the float executor: one panel at a time, with math and cmath -------
@@ -501,7 +503,6 @@ def _integrate_floats(integrand: Callable, lo, hi, head, cond: float):
                          math.fsum(p[3] + p[4] for p in kept), head)
         level = [_float_panel(integrand, *ends, nodes) for a, b, *_ in todo
                  for ends in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
-    kept.sort(key=operator.itemgetter(0))
     return _total([p[2] for p in kept], math.fsum(p[3] for p in kept),
                   math.fsum(p[4] for p in kept), head, cond)
 

@@ -23,10 +23,9 @@ where Z changes sign.  Two independent routes evaluate it:
 Each route carries its own error bound on Z, which also bounds the rounding
 left in Im(e^(i theta) zeta).  Like F and Gamma, eta returns (value, err),
 and its err, a truncation bound plus a rounding floor, is the oracle route's
-bound.  An eta call of at most _FLOAT_TERMS = 128 terms (b up to ~55 on the
-critical line) sums lists of floats with cmath, each part exactly rounded;
-a longer one sums numpy arrays pairwise.  Both take the same terms, weights
-and rounding floor, and the choice goes by 2n alone.
+bound.  An eta call sums its 2n terms as lists of floats with cmath, each
+part exactly rounded, at every height, so the oracle route never loads
+numpy.
 
 The oracle route locates the zeros: it scans Z on the grid and refines each
 bracket once by ITP steps (regula falsi, truncated toward the midpoint and
@@ -77,14 +76,12 @@ class ZeroRefinementError(RuntimeError):
 # ---------------------------------------------------------------------------
 # The accelerated alternating series.
 
-# An eta call of at most this many terms (2n) runs on floats with cmath, a
-# larger one on numpy arrays: 2n <= 128 holds up to b ~ 55 on the critical
-# line, where a float call takes 40-75 us, and a call that needs arrays
-# loads numpy anyway (see :mod:`etazeros.quadrature`).
-_FLOAT_TERMS = 128
-
-
-def _tail_weights(n: int) -> list[float]:
+# A scan's calls share n over ~1.3 in b, and refinement goes back to each
+# bracket's n once the scan has passed it: find_zeros(1000, 1010) takes 8 n,
+# built once each with 8 entries (14 times with 4).  An entry at b = 2e4
+# holds 0.5 MB.
+@functools.lru_cache(maxsize=8)
+def _tail_weights(n: int) -> tuple[float, ...]:
     """tail[j] = P(X >= j) for X ~ Binomial(n, 1/2), j = 0 .. n, from one
     pass down from j = n over two exact integers, C(n, j) and the tail sum;
     C(n, j - 1) = C(n, j) j / (n - j + 1) divides exactly.  Each entry is
@@ -99,46 +96,25 @@ def _tail_weights(n: int) -> list[float]:
         comb = comb * j // (n - j + 1)
         total += comb
     tail[0] = total / denom
-    return tail
+    return tuple(tail)
 
 
-@functools.cache
-def _float_weights(n: int) -> tuple[float, ...]:
-    """:func:`_tail_weights` for the float path: n <= _FLOAT_TERMS / 2, so
-    the cache holds at most 64 entries."""
-    return tuple(_tail_weights(n))
-
-
-# A scan's calls share n over ~1.3 in b, and refinement goes back to each
-# bracket's n once the scan has passed it: find_zeros(1000, 1010) takes 8 n,
-# built once each with 8 entries (14 times with 4).  An entry at b = 2e4
-# holds 0.12 MB.
-@functools.lru_cache(maxsize=8)
-def _binomial_tail(n: int):
-    """:func:`_tail_weights` as a read-only numpy array, for the array
-    path."""
-    import numpy as np
-    tail = np.array(_tail_weights(n))
-    tail.flags.writeable = False    # shared via the cache
-    return tail
-
-
-_LOG_L = [math.log(l) for l in range(1, _FLOAT_TERMS + 1)]
+# log l for l = 1, 2, ..., grown on demand; a longer table replaces a
+# shorter one whole, so a reader never sees one half built
+_LOG_L = ()
 
 
 def _alternating_terms(s: complex, m: int):
-    """(-1)^(l-1) l^(-s) and log l for l = 1 .. m: lists of floats up to
-    _FLOAT_TERMS terms, numpy arrays beyond."""
-    if m <= _FLOAT_TERMS:
-        log_l = _LOG_L[:m]
-        neg_s = -s
-        terms = [cmath.exp(neg_s * x) for x in log_l]
-        terms[1::2] = [-t for t in terms[1::2]]
-        return terms, log_l
-    import numpy as np
-    log_l = np.log(np.arange(1, m + 1, dtype=np.float64))
-    terms = np.exp(-s * log_l)
-    terms[1::2] *= -1.0
+    """(-1)^(l-1) l^(-s) as a list and log l as a tuple, l = 1 .. m."""
+    global _LOG_L
+    log_l = _LOG_L
+    if m > len(log_l):
+        log_l += tuple(map(math.log, range(len(log_l) + 1, m + 1)))
+        _LOG_L = log_l
+    log_l = log_l[:m]
+    neg_s = -s
+    terms = [cmath.exp(neg_s * x) for x in log_l]
+    terms[1::2] = [-t for t in terms[1::2]]
     return terms, log_l
 
 
@@ -147,22 +123,17 @@ def _eta_sum(s: complex, n: int) -> tuple[complex, float]:
     l <= n and by P(X > l - n - 1), X ~ Binomial(n, 1/2), beyond (the last
     entry of n pairwise averaging passes over the partial sums), and a bound
     on its rounding, eps sum |w_l a_l| (3 + |s| log(l) / 2 + log2(2n)), for
-    log l carried through |s|, exp, weight, product and a pairwise sum.  The
-    float path sums each part exactly rounded, inside that bound.
+    log l carried through |s|, exp, weight, product and a pairwise sum.  Each
+    part is summed exactly rounded, inside that bound.
     """
     terms, log_l = _alternating_terms(s, 2 * n)
-    if isinstance(terms, list):
-        terms[n - 1:] = map(operator.mul, terms[n - 1:], _float_weights(n))
-        size = list(map(abs, terms))
-        floor = math.ulp(1.0) * (
-            (3.0 + math.log2(2 * n)) * math.fsum(size)
-            + 0.5 * abs(s) * math.fsum(map(operator.mul, size, log_l)))
-        return complex(math.fsum([t.real for t in terms]),
-                       math.fsum([t.imag for t in terms])), floor
-    terms[n - 1:] *= _binomial_tail(n)
-    cond = 3.0 + 0.5 * abs(s) * log_l + math.log2(2 * n)
-    floor = math.ulp(1.0) * float((abs(terms) * cond).sum())
-    return complex(terms.sum()), floor
+    terms[n - 1:] = map(operator.mul, terms[n - 1:], _tail_weights(n))
+    size = list(map(abs, terms))
+    floor = math.ulp(1.0) * (
+        (3.0 + math.log2(2 * n)) * math.fsum(size)
+        + 0.5 * abs(s) * math.fsum(map(operator.mul, size, log_l)))
+    return complex(math.fsum([t.real for t in terms]),
+                   math.fsum([t.imag for t in terms])), floor
 
 
 def eta_oracle(s) -> tuple[complex, float]:
@@ -237,10 +208,11 @@ MAX_GRID_POINTS = 10 ** 6
 
 
 def _line_evals(bs, method: str) -> list:
-    """:func:`_line_eval` at every b of ``bs``, their rays as one request
-    (:func:`etazeros.quadrature.line_request`)."""
-    rays = [complex(0.5, abs(b)) for b in bs] if method == "integral" else []
-    with line_request(rays):
+    """:func:`_line_eval` at every b of ``bs``; on the integral route their
+    rays as one request (:func:`etazeros.quadrature.line_request`)."""
+    if method != "integral":
+        return [_line_eval(b, method) for b in bs]
+    with line_request([complex(0.5, abs(b)) for b in bs]):
         return [_line_eval(b, method) for b in bs]
 
 

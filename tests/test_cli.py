@@ -792,15 +792,24 @@ _NEVER_NEEDED = ("numpy.polynomial", "fractions", "decimal", "etazeros.coeffs")
     # 12-16: both small enough for floats
     (["verify", "--theorem", "2", "--grid", "10,12,30,1000"],
      ("numpy.polynomial", "numpy")),
+    # eta sums lists of floats at every height, out to the height bound's
+    # 30,040 terms
+    (["eval", "--a", "0.5", "--b", "2e4", "--method", "oracle"],
+     (*_NEVER_NEEDED, "numpy")),
+    # eta's scan and refinement near b = 100 with one certificate pair of
+    # rays, ~900 panels, small enough for floats
+    (["zeros", "--b-min", "100", "--b-max", "102"],
+     (*_NEVER_NEEDED, "numpy")),
 ], ids=["zeros", "eval-integral", "eval-oracle", "decompose", "eval-series",
-        "decompose-smallest-b", "decompose-height-bound", "verify-theorem2"])
+        "decompose-smallest-b", "decompose-height-bound", "verify-theorem2",
+        "eval-oracle-height-bound", "zeros-100"])
 def test_commands_load_only_what_they_compute_with(argv, unloaded):
     # the Gauss rules and Stirling's coefficients are literal tables, and
     # choose_K_R lives in decomposition, so these calls need neither
     # numpy.polynomial nor the exact-rational layer; decompose needs no
     # head series, and its half periods, a low zeros window's certificate
-    # rays and eta sums, and one eval's ray or eta at b = 14 are small
-    # enough to run on floats, without numpy
+    # rays and one eval's ray at b = 14 are small enough to run on floats,
+    # without numpy; eta runs on floats at every height
     import subprocess
     import sys
     proc = subprocess.run(
@@ -925,8 +934,8 @@ def test_output_is_the_same_under_every_openblas_kernel():
     cores = _openblas_cores()
     if len(cores) < 2:
         pytest.skip("OpenBLAS has one kernel set on this host")
-    # zeros 10..40 runs on floats; 10..60 takes its eta sums and its
-    # certificate rays on arrays
+    # zeros 10..40 runs on floats; 10..60 takes its certificate rays on
+    # arrays
     calls = (["zeros", "--b-min", "10", "--b-max", "40"],
              ["zeros", "--b-min", "10", "--b-max", "60"],
              ["zeros", "--b-min", "10", "--b-max", "40", "--format", "csv"],

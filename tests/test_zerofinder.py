@@ -4,7 +4,6 @@ import math
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -136,16 +135,16 @@ def _binomial_tail_from_lists(n):
     for j in range(n):
         comb[j + 1] = comb[j] * (n - j) // (j + 1)
     tails = [*itertools.accumulate(reversed(comb))][::-1]
-    return np.array([t / (1 << n) for t in tails])
+    return [t / (1 << n) for t in tails]
 
 
 def test_find_zeros_builds_each_eta_weight_once():
     # the scan on [1000, 1010] passes 8 n of eta's weights and refinement
     # goes back to each bracket's: every n is built once, as many builds as
     # entries (with room for 4 entries there were 14 builds)
-    zerofinder._binomial_tail.cache_clear()
+    zerofinder._tail_weights.cache_clear()
     zerofinder.find_zeros(1000.0, 1010.0)
-    info = zerofinder._binomial_tail.cache_info()
+    info = zerofinder._tail_weights.cache_info()
     assert info.misses == info.currsize == 8, info
 
 
@@ -153,11 +152,11 @@ def test_find_zeros_builds_each_eta_weight_once():
 def test_binomial_weights(m):
     # m > 1023: 2^m overflows a float, the rounded weights must not; the
     # single pass rounds the same exact integers as the reference lists
-    tail = zerofinder._binomial_tail(m)
-    assert tail.tobytes() == _binomial_tail_from_lists(m).tobytes()
+    tail = zerofinder._tail_weights(m)
+    assert list(tail) == _binomial_tail_from_lists(m)
     assert len(tail) == m + 1
     assert tail[0] == 1.0 and tail[m] == 2.0 ** -m
-    assert np.all(np.diff(tail) <= 0.0)
+    assert all(x >= y for x, y in zip(tail, tail[1:]))
     for j in range(1, m + 1):
         assert abs(tail[j] + tail[m + 1 - j] - 1.0) <= EPS
 
@@ -183,31 +182,6 @@ def test_eta_builds_its_terms_once(monkeypatch):
         assert log_bound <= -40 < log_bound + math.log(8)
 
 
-# 2n = 128 terms at b = 55.5 and 130 at b = 56.9 for each a below: the
-# last call on floats and the first on arrays
-@pytest.mark.parametrize("b,on_floats", [(55.5, True), (56.9, False)])
-@pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
-def test_eta_on_both_paths_within_err_of_mpmath(monkeypatch, a, b,
-                                                on_floats):
-    mpmath = pytest.importorskip("mpmath")
-    made = []
-    terms = zerofinder._alternating_terms
-
-    def recorded(s, m):
-        out = terms(s, m)
-        made.append((m, isinstance(out[0], list)))
-        return out
-
-    monkeypatch.setattr(zerofinder, "_alternating_terms", recorded)
-    v, v_err = eta_oracle(complex(a, b))
-    limit = zerofinder._FLOAT_TERMS
-    assert made == [(limit if on_floats else limit + 2, on_floats)]
-    with mpmath.workdps(40):
-        err = abs(mpmath.mpc(v.real, v.imag)
-                  - mpmath.altzeta(mpmath.mpc(a, b)))
-    assert err <= v_err, (a, b, float(err), v_err)
-
-
 def test_eta_at_the_smallest_sigma():
     # t / sigma overflows to inf here; the bound's log form does not
     v, v_err = eta_oracle(complex(5e-324, 10.0))
@@ -218,7 +192,8 @@ def test_eta_at_the_smallest_sigma():
 # (n + 4 b) 3e-16 max(1, |eta|), came closest to the error or fell below it
 @pytest.mark.parametrize("a, b", [
     *itertools.product([0.2, 0.5, 0.8],
-                       [14.13, 37.0, 100.3, 480.3, 700.5, 1000.7]),
+                       [14.13, 37.0, 55.5, 56.9, 100.3, 480.3, 700.5,
+                        1000.7]),
     (0.48697, 723.7320), (0.2341, 650.516)])
 def test_eta_within_tol_of_mpmath(a, b):
     mpmath = pytest.importorskip("mpmath")
