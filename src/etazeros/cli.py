@@ -24,14 +24,15 @@ rendering); CSV carries 17 significant digits.
 # loading the CLI loads no layer, a rebinding of a layer function (special.F,
 # say) sees every call, and coeffs, --help and usage errors run without
 # numpy; so do eta sums, and integrals small enough for the float executor
-# (etazeros.quadrature).  OPENBLAS_NUM_THREADS defaults to 1 (a value
-# already set is kept): no arithmetic goes through BLAS, but OpenBLAS
-# starts a second thread on a 2-core host when numpy loads.  Finalization's
-# collections would trace the ~22k objects left by the imports pass after
-# pass, so the CLI freezes the collector at exit (gc.freeze as an atexit
-# hook): the import heap goes to the permanent generation and is freed by
-# teardown and the OS instead.  Code that imports the layers without the
-# CLI never touches the collector.
+# (etazeros.quadrature): a ray up to b ~ 300, the series route's paired tail
+# up to b ~ 1890, decompose's half periods.  OPENBLAS_NUM_THREADS defaults
+# to 1 (a value already set is kept): no arithmetic goes through BLAS, but
+# OpenBLAS starts a second thread on a 2-core host when numpy loads.
+# Finalization's collections would trace the ~22k objects left by the
+# imports pass after pass, so the CLI freezes the collector at exit
+# (gc.freeze as an atexit hook): the import heap goes to the permanent
+# generation and is freed by teardown and the OS instead.  Code that
+# imports the layers without the CLI never touches the collector.
 
 from __future__ import annotations
 
@@ -68,11 +69,12 @@ class _Parser(argparse.ArgumentParser):
 # binomial weights come from one pass that holds two exact integers, and
 # the ray's ~4.5|b| panels stream through the Gauss rules in fixed chunks,
 # leaving ~130 bytes per panel.  At |b| = 2e4 one eval peaks near 40 MiB of
-# RSS on the integral route (28 MiB once numpy is imported) and 20 MiB on
-# the oracle route, which loads no numpy (14.5 MiB after import); in process
-# the ray takes 57 MiB at 4e4.  A cold eta call takes 0.13-0.16 s at 2e4,
-# most of it building the binomial weights, and a warm one 17-26 ms; past
-# 2.6e4 it stops at 40,000 terms and err grows.
+# RSS on the integral route (28 MiB once numpy is imported), 33 MiB on the
+# series route, whose ~10,800-panel paired tail runs on arrays, and 21 MiB
+# on the oracle route, which loads no numpy (14.5 MiB after import); in
+# process the ray takes 57 MiB at 4e4.  A cold eta call takes 0.09-0.10 s
+# at 2e4, most of it in the exact recurrence of the binomial weights, and a
+# warm one 15-26 ms; past 2.6e4 it stops at 40,000 terms and err grows.
 MAX_HEIGHT = 2.0e4
 
 

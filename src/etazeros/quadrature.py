@@ -22,20 +22,15 @@ amplifies the rounding of t, and by ~1e-15 relative on the ray (err covers
 each).  A call whose integrals all run on floats never loads numpy, which
 costs a fresh process 65-100 ms, so :func:`_run` picks the executor once per
 integral, by the size of what is asked for at once, never by what happens
-to be loaded:
-
-* A real-axis integral, or the arc of :func:`_arc_head`, of at most
-  _FLOAT_PANELS = 8 initial panels runs on floats.  Over 60 random
-  ``decompose --count 300`` calls with a in (0.01, 0.99) and b log-uniform
-  in [9.07, 2e4], 14,523 integrals, none needed more than 6; the arc takes
-  3-5.
-* The rays of one request (:func:`line_request`; a lone
-  :func:`integrate_line`, or the arc's segment 0 -> iR, is a request of
-  one) run on floats when their initial panels add up to at most
-  _FLOAT_RAY_PANELS = 1024, ~4.5 |b| per ray.  A float panel of the ray
-  takes 30-45 us against ~5 us on arrays, so 1024 panels take about
-  35-45 ms, half of what importing numpy costs; larger requests come out
-  ahead on arrays.
+to be loaded: an integral, or a request, of at most _FLOAT_PANELS = 1024
+initial panels runs on floats, a larger one on arrays.  A float panel takes
+35-45 us on the ray and 30-45 us on the real axis (the paired kernel's the
+most), against 2-5 us on arrays, so 1024 of them take about 35-45 ms, half
+of what importing numpy costs.  That is one ray up to b ~ 300 (~4.5 |b|
+panels), one paired tail up to b ~ 1890 (~0.54 b) and the arc's 3-5.  A
+request (:func:`line_request`) holds rays and real-axis integrals together:
+a caller that needs many of them, and so loads numpy anyway, runs them all
+on arrays, not small integral after small integral on floats.
 
 Each integral has a budget of _BISECT_PER_PANEL bisections per initial
 panel plus _BISECT_EXTRA, shared by all its panels on either executor: a
@@ -91,6 +86,7 @@ import cmath
 import contextlib
 import contextvars
 import functools
+import itertools
 import math
 import operator
 import sys
@@ -182,22 +178,35 @@ class IntegrandSpec(namedtuple("IntegrandSpec", "kernel trig a b",
         """kernel(t) without its power t^(a-1): bounded near 0, decaying at
         infinity.  ``xp`` is the namespace of t's arithmetic: ``math`` for a
         float, ``numpy`` for an array.  The unit kernel gives 1.0."""
+        return self.smooth(xp)(t)
+
+    def smooth(self, xp):
+        """:meth:`smooth_factor` as a function of t alone, with the kernel's
+        constants computed once."""
         k = self.kernel
         if k == "unit":
-            return 1.0
+            return lambda t: 1.0
+        exp = xp.exp
         if k == "fermi":
-            e = xp.exp(-t)
-            return e / (1.0 + e)
+            def fermi(t):
+                e = exp(-t)
+                return e / (1.0 + e)
+            return fermi
         # pair_fermi: q(t) - lambda q(c t), c = e^(pi/b), lambda = e^(a pi/b);
         # numerator written with expm1 so the near-cancellation at large b
         # costs no precision
+        expm1 = xp.expm1
         apb = self.a * math.pi / self.b
         d = math.expm1(math.pi / self.b)          # c - 1
+        c = 1.0 + d
         lam_m1 = math.expm1(apb)
-        e1 = xp.exp(-t)
-        e2 = xp.exp(-(1.0 + d) * t)
-        num = -e1 * (xp.expm1(apb - d * t) + e2 * lam_m1)
-        return num / ((1.0 + e1) * (1.0 + e2))
+
+        def pair_fermi(t):
+            e1 = exp(-t)
+            e2 = exp(-c * t)
+            num = -e1 * (expm1(apb - d * t) + e2 * lam_m1)
+            return num / ((1.0 + e1) * (1.0 + e2))
+        return pair_fermi
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +459,11 @@ def _integrate_panels(integrand: Callable, lo, hi, head, cond: float):
 
 # ---- the float executor: one panel at a time, with math and cmath -------
 
-# A real-axis or arc integral of at most this many initial panels runs on
-# the float executor (see the module docstring).
-_FLOAT_PANELS = 8
+# An integral, or a request, of at most this many initial panels runs on
+# the float executor (see the module docstring).  On the critical line that
+# is one ray up to b ~ 300, or the 12 certificate rays of a zeros window up
+# to b ~ 41; on the real axis, one paired tail up to b ~ 1890.
+_FLOAT_PANELS = 1024
 
 
 def _float_dot(f, n):
@@ -507,11 +518,10 @@ def _integrate_floats(integrand: Callable, lo, hi, head, cond: float):
                   math.fsum(p[4] for p in kept), head, cond)
 
 
-def _run(panels: int, limit: int) -> Callable:
+def _run(panels: int) -> Callable:
     """The executor of an integral, or a request, of ``panels`` initial
-    panels: floats up to ``limit`` (_FLOAT_PANELS or _FLOAT_RAY_PANELS),
-    arrays beyond."""
-    return _integrate_floats if panels <= limit else _integrate_panels
+    panels: floats up to _FLOAT_PANELS, arrays beyond."""
+    return _integrate_floats if panels <= _FLOAT_PANELS else _integrate_panels
 
 
 def _upper_tail_bound(a: float, t_cut: float, extra: float = 1.0) -> float:
@@ -663,28 +673,27 @@ def _ray(s):
     return s, rot, theta, head, head_bound, tail_bound, xs
 
 
-# A request for rays whose initial panels add up to at most this many runs
-# on the float executor, and a larger one on arrays (see the module
-# docstring).  On the critical line that is one ray up to b ~ 300, or the
-# 12 certificate rays of a zeros window up to b ~ 41 (~920 panels).
-_FLOAT_RAY_PANELS = 1024
 # The executor of the innermost open line_request; None outside one.
 _REQUEST = contextvars.ContextVar("request", default=None)
 
 
 @contextlib.contextmanager
-def line_request(points):
-    """Evaluate :func:`integrate_line` at ``points`` as one request: inside
-    the block every ray runs on the executor that :func:`_run` picks for the
-    rays at ``points`` together, so a caller that needs many rays, and
-    loads numpy for them anyway, does not run ray after small ray on
-    floats.  Raises what the rays at ``points`` would."""
+def line_request(points=(), axes=()):
+    """Evaluate :func:`integrate_line` at ``points`` and the real-axis
+    integrals ``axes``, each (spec, lo, hi, paired) with hi = inf for
+    :func:`integrate_to_infinity`, as one request: inside the block every
+    ray and real-axis integral runs on the executor that :func:`_run` picks
+    for all of them together, so a caller that needs many integrals, and
+    loads numpy for them anyway, does not run small integral after small
+    integral on floats.  Raises what the integrals would."""
+    sizes = itertools.chain((len(_ray(s)[-1]) - 1 for s in points),
+                            (len(_axis(*item)[0]) for item in axes))
     panels = 0
-    for s in points:
-        panels += len(_ray(s)[-1]) - 1
-        if panels > _FLOAT_RAY_PANELS:
+    for size in sizes:
+        panels += size
+        if panels > _FLOAT_PANELS:
             break
-    token = _REQUEST.set(_run(panels, _FLOAT_RAY_PANELS))
+    token = _REQUEST.set(_run(panels))
     try:
         yield
     finally:
@@ -698,7 +707,7 @@ def _ray_integral(s: complex) -> tuple[complex, float, float]:
     underflows.  It runs on the open request's executor or, outside one, on
     the one for this ray alone."""
     s, rot, theta, head, head_bound, tail_bound, xs = _ray(s)
-    run = _REQUEST.get() or _run(len(xs) - 1, _FLOAT_RAY_PANELS)
+    run = _REQUEST.get() or _run(len(xs) - 1)
     if run is _integrate_panels:
         # an array at once: the ~4.5|b| breakpoints as float objects would
         # outlive the batch
@@ -748,7 +757,7 @@ def _arc_head(s: complex, R: float) -> tuple[complex, float]:
     # panels in phi: the integrand's log moves by at most |s| + R per unit
     # of phi, and the pole pi i sits at phi = pi/2 - i log(pi/R)
     xs = _panels(abs(s) + R, 0.0, math.log(_POLE / R), half_pi, 0.0, top)
-    arc_val, arc_err, arc_noise = _run(len(xs) - 1, _FLOAT_PANELS)(
+    arc_val, arc_err, arc_noise = _run(len(xs) - 1)(
         lambda lo, hi, x: _ray_integrand(_arc_values, s, R, lo, hi, x),
         xs[:-1], xs[1:], 0.0, 4.0 + abs(s * log_r))
     value = -1j * cmath.exp(s * log_r) * arc_val
@@ -761,7 +770,7 @@ def _arc_head(s: complex, R: float) -> tuple[complex, float]:
         return value, err + seg_bound
     u_lo, head, head_bound = _ray_head(s, 1j)
     xs = _panels(abs(s), 1.0, 0.0, math.log(_POLE), u_lo, log_r)
-    seg, seg_err, seg_noise = _run(len(xs) - 1, _FLOAT_RAY_PANELS)(
+    seg, seg_err, seg_noise = _run(len(xs) - 1)(
         lambda lo, hi, x: _ray_integrand(_ray_values, s, 1j, lo, hi, x),
         xs[:-1], xs[1:], head, 4.0 + half_pi * abs(s))
     scale = cmath.exp(0.5j * math.pi * s)
@@ -772,9 +781,12 @@ def _arc_head(s: complex, R: float) -> tuple[complex, float]:
 # ---------------------------------------------------------------------------
 # Real-axis integrals, in the phase counted from a finite endpoint.
 
-def _axis_integral(spec: IntegrandSpec, lo: float, hi: float,
-                   paired: bool = False) -> tuple[float, float]:
-    """int_lo^hi spec(t) dt for 0 < lo < hi <= inf: (value, err).
+def _axis(spec: IntegrandSpec, lo: float, hi: float, paired: bool = False):
+    """The set-up of int_lo^hi spec(t) dt for 0 < lo < hi <= inf: (lo_v,
+    hi_v, tail bound, integrand), its initial panels [lo_v, hi_v] (none when
+    e^-t underflows from lo on), the bound on the rest beyond them, and
+    ``integrand(xp)``, the panels' integrand in the arithmetic of ``xp``,
+    ``math`` or ``numpy``.
 
     The panels run in v = (u - u0) / unit, u = log t, from the anchor
     u0 = log lo, with unit = pi/b for the sine kinds and 1 otherwise.  The
@@ -807,7 +819,7 @@ def _axis_integral(spec: IntegrandSpec, lo: float, hi: float,
     top, tail_bound = hi, 0.0
     if decay:
         if lo > _UNDERFLOW:
-            return 0.0, _upper_tail_bound(spec.a, lo, tail_mul)
+            return (), (), _upper_tail_bound(spec.a, lo, tail_mul), None
         top = min(hi, max(TAIL_CUTOFF, lo + min(lo, TAIL_CUTOFF)))
     v_hi = math.log(top / lo) / unit
     if paired:
@@ -824,38 +836,56 @@ def _axis_integral(spec: IntegrandSpec, lo: float, hi: float,
     if paired:
         lo_v, hi_v = zip(*[(a, b) for a, b in zip(lo_v, hi_v)
                            if math.floor(a) % 2 == 0])
+    grow = 1.0 + abs(u0)
 
-    # the one formula below takes a float offset with math, or a block of
-    # them with numpy
-    run = _run(len(lo_v), _FLOAT_PANELS)
+    def integrand(xp):
+        # one formula: a float offset with math, or a block of them with
+        # numpy
+        exp, sin, floor = xp.exp, xp.sin, xp.floor
+        smooth = work.smooth(xp)
+
+        def values(k, sign, off):
+            u = u0 + unit * (k + off)
+            t = exp(u)
+            g = unit * exp(sr * u) * smooth(t)
+            # relative rounding of g: e^(sr u) and the kernel move with the
+            # rounding of u, by at most sr + decay t per unit of u
+            rel = 4.0 + (sr + decay * t) * (grow + abs(u))
+            if not osc:
+                return g, abs(g) * rel
+            phase = f0 + off                 # b u / pi = n0 + k + phase
+            return (g * sign * sin(math.pi * phase),
+                    abs(g) * (rel + 2.0 * math.pi * abs(phase)))
+
+        def panels(lo, hi, x):
+            # nodes at v = k + off, offsets from the panel's integer floor
+            # k, where the sine's sign is (-1)^(n0 + k)
+            k = floor(lo)
+            sign = 1.0 - 2.0 * ((n0 + k) % 2.0)
+            base, half = lo - k, 0.5 * (hi - lo)
+            if xp is math:      # one panel, its tuple of nodes
+                return zip(*[values(k, sign, base + half * (t + 1.0))
+                             for t in x])
+            return values(k, sign, base + half * (x + 1.0))
+        return panels
+
+    return lo_v, hi_v, tail_bound, integrand
+
+
+def _axis_integral(spec: IntegrandSpec, lo: float, hi: float,
+                   paired: bool = False) -> tuple[float, float]:
+    """int_lo^hi spec(t) dt for 0 < lo < hi <= inf: (value, err), set up by
+    :func:`_axis`.  It runs on the open request's executor or, outside one,
+    on the one for this integral alone."""
+    lo_v, hi_v, tail_bound, integrand = _axis(spec, lo, hi, paired)
+    if not lo_v:
+        return 0.0, tail_bound
+    run = _REQUEST.get() or _run(len(lo_v))
     if run is _integrate_floats:
         xp = math
     else:
         import numpy as xp
-
-    def values(k, off):
-        u = u0 + unit * (k + off)
-        t = xp.exp(u)
-        g = unit * xp.exp(sr * u) * work.smooth_factor(t, xp)
-        # relative rounding of g: e^(sr u) and the kernel move with the
-        # rounding of u, by at most sr + decay t per unit of u
-        rel = 4.0 + (sr + decay * t) * (1.0 + abs(u0) + abs(u))
-        if not osc:
-            return g, abs(g) * rel
-        phase = f0 + off                 # b u / pi = n0 + k + phase
-        sign = 1.0 - 2.0 * ((n0 + k) % 2.0)
-        return (g * sign * xp.sin(math.pi * phase),
-                abs(g) * (rel + 2.0 * math.pi * abs(phase)))
-
-    def integrand(lo, hi, x):
-        # nodes at v = k + off, offsets from the panel's integer floor k
-        k = xp.floor(lo)
-        base, half = lo - k, 0.5 * (hi - lo)
-        if xp is math:      # one panel, its tuple of nodes
-            return zip(*[values(k, base + half * (t + 1.0)) for t in x])
-        return values(k, base + half * (x + 1.0))
-
-    value, panel_err, noise = run(integrand, lo_v, hi_v, 0.0, 4.0)
+    value, panel_err, noise = run(integrand(xp), lo_v, hi_v, 0.0, 4.0)
     return value, panel_err + tail_bound + noise
 
 

@@ -128,16 +128,21 @@ def _run_theorem5(b_grid=None) -> VerificationReport:
 
 
 def _run_theorem6(b_grid=None) -> VerificationReport:
+    # the paired and the direct tail of every b, as one request
     rep = VerificationReport(name="theorem6")
-    bs = b_grid or THEOREM6_GRID_B
-    for b in bs:
-        plan = decomposition.make_plan(0.5, b)
-        v_pair, e_pair = decomposition.upper_integral(plan)
-        v_dir, e_dir = integrate_to_infinity(
-            IntegrandSpec("fermi", "sin", a=0.5, b=b), plan.R)
-        rep.add_equality(f"paired sum vs direct tail a=0.5 b={b:g}",
-                         v_pair, v_dir, _claimed(e_pair, e_dir, v_pair, v_dir),
-                         note=f"err estimates {e_pair:.1e} / {e_dir:.1e}")
+    plans = [decomposition.make_plan(0.5, b)
+             for b in b_grid or THEOREM6_GRID_B]
+    specs = [IntegrandSpec("fermi", "sin", a=0.5, b=plan.b) for plan in plans]
+    tails = [(spec, plan.R, math.inf, paired)
+             for spec, plan in zip(specs, plans) for paired in (True, False)]
+    with line_request(axes=tails):
+        for spec, plan in zip(specs, plans):
+            v_pair, e_pair = decomposition.upper_integral(plan)
+            v_dir, e_dir = integrate_to_infinity(spec, plan.R)
+            rep.add_equality(f"paired sum vs direct tail a=0.5 b={plan.b:g}",
+                             v_pair, v_dir,
+                             _claimed(e_pair, e_dir, v_pair, v_dir),
+                             note=f"err estimates {e_pair:.1e} / {e_dir:.1e}")
     return rep
 
 

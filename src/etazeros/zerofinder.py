@@ -85,18 +85,34 @@ def _tail_weights(n: int) -> tuple[float, ...]:
     """tail[j] = P(X >= j) for X ~ Binomial(n, 1/2), j = 0 .. n, from one
     pass down from j = n over two exact integers, C(n, j) and the tail sum;
     C(n, j - 1) = C(n, j) j / (n - j + 1) divides exactly.  Each entry is
-    int / int, rounded once and unable to overflow, so n > 1023, where 2^n
-    leaves the float range, needs no scaling.
+    the tail sum over 2^n, rounded once by :func:`_over_power_of_two`, so
+    n > 1023, where 2^n leaves the float range, needs no scaling.
     """
     tail = [0.0] * (n + 1)
-    denom = 1 << n
     comb = total = 1
     for j in range(n, 0, -1):
-        tail[j] = total / denom
+        tail[j] = _over_power_of_two(total, n)
         comb = comb * j // (n - j + 1)
         total += comb
-    tail[0] = total / denom
+    tail[0] = _over_power_of_two(total, n)
     return tuple(tail)
+
+
+def _over_power_of_two(x: int, n: int) -> float:
+    """x / 2^n for integers 0 <= x <= 2^n, rounded to nearest with ties to
+    even as the float ``x / (1 << n)`` is, from the top bits of x: the bits
+    down to the result's ulp (2^-1074 in the subnormal range) and a guard
+    bit below it.  Only a set guard bit under an even result needs the rest,
+    the sticky bit: whether any bit below the guard is set."""
+    ulp = max(x.bit_length() - n - 53, -1074)   # log2 of the result's ulp
+    shift = n + ulp                             # bits of x below that ulp
+    if shift <= 0:
+        return math.ldexp(x, -n)                # x < 2^53: exact
+    top = x >> (shift - 1)
+    q = top >> 1
+    if top & 1 and (q & 1 or x & ((1 << (shift - 1)) - 1)):
+        q += 1
+    return math.ldexp(q, ulp)
 
 
 # log l for l = 1, 2, ..., grown on demand; a longer table replaces a

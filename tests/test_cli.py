@@ -778,8 +778,7 @@ _NEVER_NEEDED = ("numpy.polynomial", "fractions", "decimal", "etazeros.coeffs")
      (*_NEVER_NEEDED, "numpy")),
     (["decompose", "--a", "0.5", "--b", "100"],
      (*_NEVER_NEEDED, "etazeros.series", "numpy")),
-    # at b = 10 the paired tail is a few periods and the whole series route
-    # runs on floats
+    # at b = 10 the paired tail is a few periods
     (["eval", "--a", "0.5", "--b", "10", "--method", "series+decomposition"],
      ("numpy",)),
     # the smallest admitted b and the height bound: every half period, out
@@ -800,16 +799,24 @@ _NEVER_NEEDED = ("numpy.polynomial", "fractions", "decimal", "etazeros.coeffs")
     # rays, ~900 panels, small enough for floats
     (["zeros", "--b-min", "100", "--b-max", "102"],
      (*_NEVER_NEEDED, "numpy")),
+    # the series route's paired tail, ~540 panels at b = 1000, runs on
+    # floats up to b ~ 1890
+    (["eval", "--a", "0.2075", "--b", "862.6904", "--method",
+      "series+decomposition"], ("numpy",)),
+    (["eval", "--a", "0.5", "--b", "1000", "--method",
+      "series+decomposition"], ("numpy",)),
 ], ids=["zeros", "eval-integral", "eval-oracle", "decompose", "eval-series",
         "decompose-smallest-b", "decompose-height-bound", "verify-theorem2",
-        "eval-oracle-height-bound", "zeros-100"])
+        "eval-oracle-height-bound", "zeros-100", "eval-series-862",
+        "eval-series-1000"])
 def test_commands_load_only_what_they_compute_with(argv, unloaded):
     # the Gauss rules and Stirling's coefficients are literal tables, and
     # choose_K_R lives in decomposition, so these calls need neither
     # numpy.polynomial nor the exact-rational layer; decompose needs no
     # head series, and its half periods, a low zeros window's certificate
-    # rays and one eval's ray at b = 14 are small enough to run on floats,
-    # without numpy; eta runs on floats at every height
+    # rays, one eval's ray at b = 14 and the series route's tail up to
+    # b = 1000 are small enough to run on floats, without numpy; eta runs on
+    # floats at every height
     import subprocess
     import sys
     proc = subprocess.run(

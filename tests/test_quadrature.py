@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etazeros import quadrature
-from etazeros.decomposition import pair_kernel
+from etazeros.decomposition import choose_K_R, pair_kernel
 from etazeros.special import Gamma
 from etazeros.quadrature import (
     _GAUSS,
@@ -467,6 +467,18 @@ def test_chunk_boundaries_change_no_value(monkeypatch, n):
 # ---------------------------------------------------------------------------
 # The float and the array executor.
 
+_EXECUTORS = ("_integrate_floats", "_integrate_panels")
+
+
+def _on(monkeypatch, run, f, *args):
+    """f(*args) with every integral on the executor named ``run``, picked
+    through the size limit as any caller's would be."""
+    limit = math.inf if run == "_integrate_floats" else 0
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_FLOAT_PANELS", limit)
+        return f(*args)
+
+
 @functools.cache
 def _float_cases():
     """(spec, lo, hi, paired) of every real-axis integral that runs on the
@@ -501,11 +513,9 @@ def _float_cases():
 
 
 def _both_executors(monkeypatch, spec, lo, hi, paired):
-    on_floats = quadrature._axis_integral(spec, lo, hi, paired)
-    with monkeypatch.context() as m:
-        m.setattr(quadrature, "_FLOAT_PANELS", 0)
-        on_arrays = quadrature._axis_integral(spec, lo, hi, paired)
-    return on_floats, on_arrays
+    """(value, err) of the real-axis integral on floats, then on arrays."""
+    return [_on(monkeypatch, run, quadrature._axis_integral, spec, lo, hi,
+                paired) for run in _EXECUTORS]
 
 
 def test_small_integrals_run_on_floats():
@@ -563,19 +573,6 @@ def test_float_executor_overflow_is_a_quadrature_error():
 # ---------------------------------------------------------------------------
 # The ray on both executors, requests and the bisection budget.
 
-_EXECUTORS = ("_integrate_floats", "_integrate_panels")
-
-
-def _on(monkeypatch, run, f, *args):
-    """f(*args) with every integral on the executor named ``run``, picked
-    through the size limits as any caller's would be."""
-    limit = math.inf if run == "_integrate_floats" else 0
-    with monkeypatch.context() as m:
-        m.setattr(quadrature, "_FLOAT_PANELS", limit)
-        m.setattr(quadrature, "_FLOAT_RAY_PANELS", limit)
-        return f(*args)
-
-
 @pytest.mark.parametrize("b", [5.0, 14.1347, 25.0, 40.9, 200.0])
 @pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
 def test_ray_executors_agree_within_err_of_mpmath(monkeypatch, a, b):
@@ -611,7 +608,7 @@ def test_a_request_runs_all_its_rays_on_one_executor(monkeypatch):
     small = [complex(0.5, b) for b in (14.0, 21.0, 25.0)]
     large = [complex(0.5, b) for b in range(10, 60)]
     panels = [len(quadrature._ray(s)[-1]) - 1 for s in large]
-    assert sum(panels) > quadrature._FLOAT_RAY_PANELS >= max(panels)
+    assert sum(panels) > quadrature._FLOAT_PANELS >= max(panels)
     runs = _recorded_runs(monkeypatch)
     for points, want in ((small, "_integrate_floats"),
                          (large, "_integrate_panels")):
@@ -632,8 +629,62 @@ def test_a_lone_ray_takes_floats_up_to_the_request_size():
     for b, run in ((300.0, quadrature._integrate_floats),
                    (320.0, quadrature._integrate_panels)):
         panels = len(ray(complex(0.5, b))[-1]) - 1
-        assert quadrature._run(panels, quadrature._FLOAT_RAY_PANELS) is run, \
-            (b, panels)
+        assert quadrature._run(panels) is run, (b, panels)
+
+
+def test_suite6_asks_for_its_tails_at_once(monkeypatch):
+    # suite 6's default grid holds four tails, ~1,790 panels together: they
+    # run on arrays as one request, where the two at b = 100 alone would
+    # take floats; a lone paired tail at b = 1000, ~540 panels, takes floats
+    from etazeros import decomposition, verify
+    plans = [decomposition.make_plan(0.5, b) for b in verify.THEOREM6_GRID_B]
+    tails = [(IntegrandSpec("fermi", "sin", a=0.5, b=plan.b), plan.R,
+              math.inf, paired) for plan in plans for paired in (True, False)]
+    sizes = [len(quadrature._axis(*tail)[0]) for tail in tails]
+    assert sum(sizes) > quadrature._FLOAT_PANELS >= max(sizes[:2])
+    runs = _recorded_runs(monkeypatch)
+    assert verify.run_theorem(6).passed
+    assert runs == ["_integrate_panels"] * 4
+    runs.clear()
+    decomposition.upper_integral(plans[-1])
+    assert runs == ["_integrate_floats"]
+    assert quadrature._REQUEST.get() is None
+
+
+def _mp_tail(mp, a, b, R):
+    """int_R^inf t^(a-1) sin(b log t) / (e^t + 1) dt at 30 digits: Im of
+    F(s) = Gamma(s) eta(s), s = a + ib, less Im of the head from 0 to R
+    (R < pi), whose kernel's Maclaurin series,
+    c_n = (1 - 2^(n+1)) B_(n+1) / (n+1)!, integrates term by term."""
+    with mp.workdps(30):
+        s, R = mp.mpc(a, b), mp.mpf(R)
+        head, r_pow, n = mp.mpc(0), R ** s, 0
+        while (R / mp.pi) ** n > mp.mpf(10) ** -32:
+            c = (1 - mp.mpf(2) ** (n + 1)) * mp.bernoulli(n + 1) \
+                / mp.factorial(n + 1)
+            head += c * r_pow / (s + n)
+            r_pow *= R
+            n += 1
+        return mp.im(mp.gamma(s) * mp.altzeta(s) - head)
+
+
+@pytest.mark.parametrize("b", [100.0, 500.0, 1000.0, 1900.0])
+@pytest.mark.parametrize("a", [0.2, 0.5, 0.8])
+def test_tail_executors_agree_within_err_of_mpmath(monkeypatch, a, b):
+    # the series route's paired tail and suite 6's direct one, from R to
+    # infinity, on both executors: they agree within both errs, and each
+    # is within its err of the tail Gamma eta leaves beyond the head
+    mp = pytest.importorskip("mpmath")
+    _, R = choose_K_R(b)
+    ref = _mp_tail(mp, a, b, R)
+    spec = IntegrandSpec("fermi", "sin", a=a, b=b)
+    for paired in (True, False):
+        tails = _both_executors(monkeypatch, spec, R, math.inf, paired)
+        (v_f, e_f), (v_a, e_a) = tails
+        assert abs(v_f - v_a) <= e_f + e_a, paired
+        with mp.workdps(30):
+            for v, e in tails:
+                assert abs(v - ref) <= e, (paired, v, e)
 
 
 @pytest.mark.parametrize("run", _EXECUTORS)

@@ -158,12 +158,11 @@ def test_arc_head_small_b_against_mpmath(monkeypatch, b):
     # below b ~ 30 the segment 0 -> iR is integrated, above it its bound
     # e^(-pi b/2) R^a / (2 a cos(R/2)) is folded in; R runs up to 2.85,
     # where the pole at i pi is 0.1 off the arc's end in phi.  Both pieces
-    # run on floats, and then on arrays once the size limits send them there
+    # run on floats, and then on arrays once the size limit sends them there
     mp = pytest.importorskip("mpmath")
     for on_arrays in (False, True):
         if on_arrays:
             monkeypatch.setattr(quadrature, "_FLOAT_PANELS", 0)
-            monkeypatch.setattr(quadrature, "_FLOAT_RAY_PANELS", 0)
         for a in (0.1, 0.5, 0.9):
             for R in (1.0, 2.0, 2.5, 2.85):
                 assert _mp_head_check(mp, a, b, R) < 1e-15

@@ -161,6 +161,16 @@ def test_binomial_weights(m):
         assert abs(tail[j] + tail[m + 1 - j] - 1.0) <= EPS
 
 
+def test_tail_weights_round_as_int_over_int():
+    # each entry is rounded from the top bits of its exact tail sum, with a
+    # guard and a sticky bit, into the subnormal range at large n; int / int
+    # rounds the same sums once, correctly, for every n up to 2048 and at the
+    # n of b near 1e4 and 2e4
+    build = zerofinder._tail_weights.__wrapped__
+    for n in (*range(2049), 7579, 15020):
+        assert list(build(n)) == _binomial_tail_from_lists(n), n
+
+
 def test_eta_builds_its_terms_once(monkeypatch):
     # one call makes its 2n terms in one piece and sums them once; n is the
     # least with 8^(-n) (1 + b / a) e^(pi b / 2) <= e^-40
