@@ -3,12 +3,15 @@
 Both routes watch Hardy's function Z(b) = e^(i theta(b)) zeta(1/2 + ib),
 which is real on the critical line, so every simple zero is a sign change
 of one real function and a bracket is any scan step where Z changes sign.
-The oracle route (accelerated alternating series for eta) scans the line
-and shrinks each bracket once to width 1e-9 by ITP steps (regula falsi kept
-within a bisection-derived radius).  The integral route (quadrature of F on
-a rotated ray, divided by Gamma in log form) then certifies each zero on its
-own values: its Z has opposite signs at b* - h and b* + h, each beyond its
-own error bound, for some h from 1e-10 up to 1e-6.  Because the ray
+One rule proves a zero on either route: Z has opposite signs at two points,
+each beyond its own error bound there.  The oracle route (accelerated
+alternating series for eta) scans the line and shrinks each bracket once to
+width 1e-9 by ITP steps (regula falsi kept within a bisection-derived
+radius); it accepts the zero when some bracket of that sequence passes the
+rule, and a bracket where none does is an error.  The integral route
+(quadrature of F on a rotated ray, divided by Gamma in log form) then
+certifies each zero on its own values: the same rule at b* - h and b* + h,
+for some h from 1e-10 up to 1e-6.  Because the ray
 integral and Stirling's log Gamma meet in log form, the integral route
 keeps its resolution where F and Gamma themselves underflow (past b ~ 470).
 """

@@ -9,11 +9,12 @@ verify     run a numbered verification suite (or all of them)
 decompose  dump the pairing plan and per-interval contributions
 zeros      scan the critical line and refine the bracketed zeros
 
-Exit status: 0 success, 1 a gating verification cell failed, 2 numerical
-non-convergence, 3 usage error, which includes a number option that is not
-finite, a height b with |b| above 2e4, a zeros grid of more than 1e6
-points, a negative --count or one whose half periods end past the float
-range, and an --out path that cannot be opened.
+Exit status: 0 success, 1 a gating verification cell failed or a zeros
+bracket proved no zero (named on stderr), 2 numerical non-convergence,
+3 usage error, which includes a number option that is not finite, a height
+b with |b| above 2e4, a zeros grid of more than 1e6 points, a negative
+--count or one whose half periods end past the float range, and an --out
+path that cannot be opened.
 
 Output is deterministic: repeated runs with the same arguments produce
 byte-identical bytes (no timestamps, sorted JSON keys, fixed float
@@ -45,7 +46,7 @@ import os
 import re
 import sys
 
-from .errors import NonConvergenceError
+from .errors import NonConvergenceError, ZeroRefinementError
 from .report import fmt17
 
 __all__ = ["main"]
@@ -347,6 +348,9 @@ def main(argv=None) -> int:
     except NonConvergenceError as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         return 2
+    except ZeroRefinementError as exc:
+        print(f"unproven zero: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3

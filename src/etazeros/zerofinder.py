@@ -31,13 +31,16 @@ The oracle route locates the zeros: it scans Z on the grid and refines each
 bracket once by ITP steps (regula falsi, truncated toward the midpoint and
 projected into a radius that keeps bisection's worst case within one step),
 about 9 evaluations per zero with the one at b*, at most 30 from a
-0.25-wide scan step.  A refined point is kept where |Z(b*)| and 8 times the
-route's bound are both below :data:`ZERO_TOL`.  Once every bracket is
-refined, the integral route certifies the zeros on its own values: its Z
-takes opposite signs at b* - h and b* + h, each beyond its own error bound,
-for some h from 1e-10 doubling up to 1e-6.  That proves a zero within h of
-b*.  The certificate runs in rounds, one h for every zero still open, and
-the 2 rays per zero of a round are one quadrature request
+0.25-wide scan step.  One rule proves a zero on either route: Z takes
+opposite signs at two points, each beyond its own error bound there
+(:func:`_proves`).  The oracle route applies it to every bracket of its ITP
+sequence and keeps the narrowest that passes as the zero's proven interval;
+a scan bracket whose sequence has none raises :class:`ZeroRefinementError`.
+Once every bracket is refined, the integral route certifies the zeros on
+its own values: the same rule at b* - h and b* + h for some h from 1e-10
+doubling up to 1e-6, which proves a zero within h of b*.  The certificate
+runs in rounds, one h for every zero still open, and the 2 rays per zero
+of a round are one quadrature request
 (:func:`etazeros.quadrature.line_request`), whose executor is picked for
 them together.
 """
@@ -50,6 +53,7 @@ import math
 import operator
 from collections import namedtuple
 
+from .errors import ZeroRefinementError
 from .quadrature import line_request
 from .special import (F, log_gamma, one_minus_two_pow, riemann_siegel_theta,
                       zeta_from_F)
@@ -60,17 +64,6 @@ __all__ = [
     "eta_oracle",
     "scan_critical_line", "refine_zero", "find_zeros", "scan_F",
 ]
-
-
-class ZeroRefinementError(RuntimeError):
-    """Refinement could not certify a zero; carries the best point found."""
-
-    def __init__(self, message: str, b_best: float, residual: float,
-                 residual_eta: float):
-        super().__init__(message)
-        self.b_best = b_best
-        self.residual = residual
-        self.residual_eta = residual_eta
 
 
 # ---------------------------------------------------------------------------
@@ -180,19 +173,33 @@ def eta_oracle(s) -> tuple[complex, float]:
 # Scan indicator.
 
 class ZeroBracket(namedtuple(
-        "ZeroBracket", "b_lo b_hi indicator_lo indicator_hi method")):
-    """A scan step over which Z changes sign, with Z at its ends; method is
-    "integral" or "oracle"."""
+        "ZeroBracket", "b_lo b_hi indicator_lo indicator_hi method "
+        "err_lo err_hi", defaults=(math.inf, math.inf))):
+    """A scan step over which Z changes sign, with Z at its ends and the
+    route's error bounds there; method is "integral" or "oracle".  The
+    bounds default to inf, so the ends of a bracket made by hand prove
+    nothing."""
 
     __slots__ = ()
 
 
 class LocatedZero(namedtuple(
-        "LocatedZero", "b_star residual method residual_eta")):
+        "LocatedZero",
+        "b_star residual method residual_eta proven_lo proven_hi")):
     """A refined zero: residual is |F(1/2 + i b_star)|, from |Z| and
-    |Gamma|, and residual_eta |Z(b_star)| = |zeta(1/2 + i b_star)|."""
+    |Gamma|, and residual_eta |Z(b_star)| = |zeta(1/2 + i b_star)|.  Z has
+    a zero in [proven_lo, proven_hi], which holds b_star: the narrowest
+    bracket of the refinement whose ends' values prove it."""
 
     __slots__ = ()
+
+
+def _proves(f_lo: float, err_lo: float, f_hi: float, err_hi: float) -> bool:
+    """Whether two values of Z, each with its error bound, prove a zero
+    between their points: opposite signs, and each |Z| above its own bound.
+    A value of 0.0 proves nothing."""
+    return ((f_lo > 0) != (f_hi > 0) and abs(f_lo) > err_lo
+            and abs(f_hi) > err_hi)
 
 
 def _line_eval(b: float, method: str):
@@ -251,13 +258,16 @@ def _grid(b_min: float, b_max: float, step: float) -> list[float]:
 def scan_critical_line(b_min: float, b_max: float, step: float,
                        method: str = "integral") -> list[ZeroBracket]:
     """March s = 1/2 + ib over the grid b_min + i step and emit a bracket
-    at every step where Z(b) changes sign."""
+    at every step where Z(b) changes sign, by :func:`refine_zero`'s test:
+    a step whose ends differ in whether Z > 0."""
     bs = _grid(b_min, b_max, step)
-    z = [zc.real for zc, _ in _line_evals(bs, method)]
+    evals = _line_evals(bs, method)
+    z = [zc.real for zc, _ in evals]
     return [ZeroBracket(b_lo=bs[i], b_hi=bs[i + 1], indicator_lo=z[i],
-                        indicator_hi=z[i + 1], method=method)
+                        indicator_hi=z[i + 1], method=method,
+                        err_lo=evals[i][1], err_hi=evals[i + 1][1])
             for i in range(len(bs) - 1)
-            if z[i] == 0.0 or (z[i] > 0) != (z[i + 1] > 0)]
+            if (z[i] > 0) != (z[i + 1] > 0)]
 
 
 def scan_F(b_min: float, b_max: float, step: float
@@ -277,7 +287,6 @@ def scan_F(b_min: float, b_max: float, step: float
 # Refinement.
 
 REFINE_WIDTH = 1e-9     # refinement stops once the bracket is narrower
-ZERO_TOL = 1e-6         # a refined point needs |Z| and 8 x its bound below
 _ITP_KAPPA1 = 0.2       # truncation step 0.2 w^2 / w0 (Oliveira & Takahashi)
 # Floor of the truncation step.  Once w^2 falls below an ulp of b the
 # truncation vanishes in rounding and regula falsi returns the same point
@@ -288,10 +297,12 @@ _MIN_STEP = REFINE_WIDTH / 4
 
 def refine_zero(bracket: ZeroBracket) -> LocatedZero:
     """Shrink the bracket around the sign change of Z to width < 1e-9 by ITP
-    steps, take b* by one regula falsi step inside the final bracket, then
-    certify the point: |Z(b*)| must be below :data:`ZERO_TOL`, and so must
-    8 x the refining method's error bound on Z at b*, so no gate passes on
-    noise.
+    steps and take b* by one regula falsi step inside the final bracket.
+    The zero is accepted on a proof: some bracket of the sequence, the
+    first one included, has ends whose values of Z pass :func:`_proves`
+    with the route's own error bounds.  The narrowest such bracket is the
+    zero's proven interval.  At height |Z| near the zero sinks toward its
+    bound, so the final bracket may prove nothing while a wider one did.
 
     ITP (interpolate, truncate, project; Oliveira & Takahashi, ACM TOMS 47,
     2020) takes the regula falsi point of the bracket w = hi - lo, moves it
@@ -303,14 +314,16 @@ def refine_zero(bracket: ZeroBracket) -> LocatedZero:
     n + 1 steps, where n is bisection's count (28 from width 0.25), so one
     refinement costs at most n + 2 evaluations with the one at b*.
 
-    Failure raises :class:`ZeroRefinementError` carrying the best point (the
-    designed outcome for a bracket whose ends do not bound a zero).
+    A sequence with no proven bracket raises :class:`ZeroRefinementError`
+    carrying b*, before Z is evaluated there.
     """
     method = bracket.method
     lo, hi = bracket.b_lo, bracket.b_hi
     f_lo, f_hi = bracket.indicator_lo, bracket.indicator_hi
+    err_lo, err_hi = bracket.err_lo, bracket.err_hi
     if not (f_lo > 0) != (f_hi > 0):
         raise ValueError("bracket endpoints do not straddle a sign change")
+    proven = (lo, hi) if _proves(f_lo, err_lo, f_hi, err_hi) else None
     w0 = hi - lo
     step = 0
     while hi - lo >= REFINE_WIDTH:
@@ -323,31 +336,34 @@ def refine_zero(bracket: ZeroBracket) -> LocatedZero:
         radius = w0 / 2 ** step - 0.5 * w     # n0 = 1 step over bisection
         x = x_t if abs(x_t - mid) <= radius else mid - toward * radius
         step += 1
-        f_x = _line_eval(x, method)[0].real
+        zc, err = _line_eval(x, method)
+        f_x = zc.real
         if f_x == 0.0:
             lo = hi = x
             break
         if (f_x > 0) == (f_lo > 0):
-            lo, f_lo = x, f_x
+            lo, f_lo, err_lo = x, f_x, err
         else:
-            hi, f_hi = x, f_x
+            hi, f_hi, err_hi = x, f_x, err
+        if _proves(f_lo, err_lo, f_hi, err_hi):
+            proven = (lo, hi)
     # one regula falsi step from the values in hand, at no evaluation; a
     # bracket closed by f_x == 0 clamps it to x
     b_star = min(max((f_hi * lo - f_lo * hi) / (f_hi - f_lo), lo), hi)
+    if proven is None:
+        raise ZeroRefinementError(
+            f"bracket [{bracket.b_lo:.4f}, {bracket.b_hi:.4f}] proves no "
+            f"zero: after {step} ITP steps no bracket has Z of opposite "
+            f"signs beyond its error bound at both ends",
+            b_best=b_star)
 
-    zc, noise = _line_eval(b_star, method)
-    z_residual = abs(zc.real)
+    z_residual = abs(_line_eval(b_star, method)[0].real)
     s_star = complex(0.5, b_star)
     residual_raw = (z_residual * abs(one_minus_two_pow(s_star))
                     * math.exp(log_gamma(s_star)[0].real))
-    if not max(z_residual, 8.0 * noise) < ZERO_TOL:
-        raise ZeroRefinementError(
-            f"bracket [{bracket.b_lo:.4f}, {bracket.b_hi:.4f}] did not "
-            f"certify: |Z| {z_residual:.3e}, 8 x bound {8.0 * noise:.3e}, "
-            f"gate {ZERO_TOL:.0e}",
-            b_best=b_star, residual=residual_raw, residual_eta=z_residual)
     return LocatedZero(b_star=b_star, residual=residual_raw, method=method,
-                       residual_eta=z_residual)
+                       residual_eta=z_residual, proven_lo=proven[0],
+                       proven_hi=proven[1])
 
 
 _CERTIFY_H0 = 1e-10     # first half-width of the sign-change certificate
@@ -359,10 +375,9 @@ def _certify(b_stars: list[float], method: str) -> list[float | None]:
 
     Z is evaluated at b* - h and b* + h for h = 1e-10, 2e-10, ... up to
     1e-6, in rounds: each round takes one h for every b* still open, its
-    points as one request.  At the first h where the two values have
-    opposite signs and each exceeds the route's own error bound there, Z
-    has a zero between them; the result is one regula falsi step through
-    the two values.  None where no h gives such a pair.
+    points as one request.  At the first h where the two values prove a
+    zero between them (:func:`_proves`), the result is one regula falsi
+    step through the two values.  None where no h gives such a pair.
     """
     found = [None] * len(b_stars)
     pending = list(range(len(b_stars)))
@@ -374,8 +389,7 @@ def _certify(b_stars: list[float], method: str) -> list[float | None]:
         for i, (lo, hi) in zip(pending, ends):
             (zc_lo, err_lo), (zc_hi, err_hi) = next(evals), next(evals)
             f_lo, f_hi = zc_lo.real, zc_hi.real
-            if ((f_lo > 0) != (f_hi > 0) and abs(f_lo) > err_lo
-                    and abs(f_hi) > err_hi):
+            if _proves(f_lo, err_lo, f_hi, err_hi):
                 found[i] = (f_hi * lo - f_lo * hi) / (f_hi - f_lo)
             else:
                 left.append(i)
@@ -386,7 +400,9 @@ def _certify(b_stars: list[float], method: str) -> list[float | None]:
 
 def find_zeros(b_min: float, b_max: float, step: float = 0.25) -> list[dict]:
     """Full pipeline: scan Z on the oracle route, refine each bracket once,
-    then certify the refined zeros on the integral route, in rounds.
+    then certify the refined zeros on the integral route, in rounds.  A
+    bracket the oracle route cannot prove raises
+    :class:`ZeroRefinementError`.
 
     Returns one dict per located zero: the oracle ordinate ``b_star`` with
     its ``residual`` and ``residual_eta``, and ``b_star_integral``, the
@@ -394,12 +410,8 @@ def find_zeros(b_min: float, b_max: float, step: float = 0.25) -> list[dict]:
     distance from ``b_star``.  Where the integral route cannot certify the
     zero, ``integral_certified`` is False and both are None.
     """
-    located = []
-    for bracket in scan_critical_line(b_min, b_max, step, method="oracle"):
-        try:
-            located.append(refine_zero(bracket))
-        except ZeroRefinementError:
-            continue  # the oracle cannot certify a zero here
+    located = [refine_zero(bracket) for bracket in
+               scan_critical_line(b_min, b_max, step, method="oracle")]
     certified = _certify([z.b_star for z in located], "integral")
     return [{
         "b_star": z.b_star, "method": z.method, "residual": z.residual,

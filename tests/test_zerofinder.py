@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import etazeros.cli as cli
 import etazeros.quadrature as quadrature
 import etazeros.special as special
 import etazeros.zerofinder as zerofinder
@@ -314,17 +315,101 @@ def test_refine_rejects_spurious_bracket():
     lo = zerofinder._line_eval(18.0, "oracle")[0].real
     hi = zerofinder._line_eval(18.25, "oracle")[0].real
     assert lo > 0 and hi > 0        # no sign change of Z in this step
-    with pytest.raises(ZeroRefinementError) as ei:
+    with pytest.raises(ZeroRefinementError,
+                       match=r"\[18\.0000, 18\.2500\] proves no zero"
+                       ) as ei:
         refine_zero(_fabricated_bracket(18.0, 18.25, "oracle"))
-    assert 18.0 <= ei.value.b_best <= 18.25
-    assert ei.value.residual_eta > 0.1  # |Z| stayed at O(1): not a zero
+    # every ITP value is positive, so the bracket closes on its made-up
+    # negative end, whose unbounded error proves nothing
+    assert ei.value.b_best == pytest.approx(18.25, abs=1e-9)
 
 
 def test_refine_rejects_spurious_integral_bracket():
-    with pytest.raises(ZeroRefinementError) as ei:
+    with pytest.raises(ZeroRefinementError,
+                       match=r"\[18\.5000, 18\.7500\] proves no zero"
+                       ) as ei:
         refine_zero(_fabricated_bracket(18.50, 18.75, "integral"))
-    assert 18.50 <= ei.value.b_best <= 18.75
-    assert ei.value.residual_eta > 0.1
+    assert ei.value.b_best == pytest.approx(18.75, abs=1e-9)
+
+
+@pytest.mark.parametrize("flip_next", [False, True],
+                         ids=["next-positive", "next-negative"])
+def test_a_zero_value_on_the_grid_proves_nothing(monkeypatch, capsys,
+                                                 flip_next):
+    # Z read as 0.0 at the grid point b = 20, between Z(19.75) > 0 and
+    # Z(20.25) of either sign: the scan takes refine_zero's sign test, so
+    # no bracket it emits is refused as a usage error (exit 3), and an end
+    # at 0.0 proves no zero, so 20.0 is neither accepted nor counted twice
+    line_eval = zerofinder._line_eval
+
+    def zero_at_20(b, method):
+        zc, err = line_eval(b, method)
+        if b == 20.0:
+            zc = 0j
+        elif flip_next and b == 20.25:
+            zc = -zc
+        return zc, err
+
+    monkeypatch.setattr(zerofinder, "_line_eval", zero_at_20)
+    brackets = scan_critical_line(10.0, 30.0, 0.25, method="oracle")
+    assert all((br.indicator_lo > 0) != (br.indicator_hi > 0)
+               for br in brackets)
+    code = cli.main(["zeros", "--b-min", "10", "--b-max", "30"])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert "bracket [19.7500, 20.0000] proves no zero" in out.err
+
+
+def test_no_proof_raises_and_exits_1(monkeypatch, capsys):
+    # eta's error bound inflated 1e15 times: no value of Z near a zero
+    # clears it, so the first bracket fails, visibly
+    eta = zerofinder.eta_oracle
+
+    def inflated(s):
+        value, err = eta(s)
+        return value, err * 1e15
+
+    monkeypatch.setattr(zerofinder, "eta_oracle", inflated)
+    with pytest.raises(ZeroRefinementError) as ei:
+        find_zeros(10.0, 30.0)
+    assert ei.value.b_best == pytest.approx(ZERO_1, abs=1e-5)
+    code = cli.main(["zeros", "--b-min", "10", "--b-max", "30"])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert "bracket [14.0000, 14.2500] proves no zero" in out.err
+
+
+@pytest.mark.parametrize("b_min,b_max", [
+    (10.0, 40.0), (100.0, 110.0), (1000.0, 1010.0), (5000.0, 5003.0),
+    (19996.0, 19998.0)])
+def test_proven_intervals_hold_mpmath_zeros(b_min, b_max):
+    # the proven interval of each oracle zero holds mpmath's ordinate, and
+    # the signs of Z at its ends are mpmath's.  The proof margin falls with
+    # height: below 19996 the final bracket, narrower than REFINE_WIDTH,
+    # proves its zero; near 19997.3 it does not, and the interval is the
+    # narrowest bracket of the same ITP sequence that does (4e-6 wide)
+    mpmath = pytest.importorskip("mpmath")
+    zeros = [refine_zero(br) for br in
+             scan_critical_line(b_min, b_max, 0.25, method="oracle")]
+    first = int(mpmath.nzeros(b_min)) + 1
+    assert len(zeros) == int(mpmath.nzeros(b_max)) - first + 1
+    for k, z in enumerate(zeros, start=first):
+        lo, hi = z.proven_lo, z.proven_hi
+        assert lo <= z.b_star <= hi
+        assert lo < float(mpmath.zetazero(k).imag) < hi
+        (zc_lo, err_lo), (zc_hi, err_hi) = (
+            zerofinder._line_eval(b, "oracle") for b in (lo, hi))
+        assert zerofinder._proves(zc_lo.real, err_lo, zc_hi.real, err_hi)
+        with mpmath.workdps(25):
+            signs = [mpmath.siegelz(b) > 0 for b in (lo, hi)]
+        assert signs == [zc_lo.real > 0, zc_hi.real > 0]
+        width = hi - lo
+        if b_min == 19996.0:
+            assert zerofinder.REFINE_WIDTH < width < 1e-5
+        else:
+            assert width < zerofinder.REFINE_WIDTH
 
 
 def _count_evals(monkeypatch):
