@@ -1,4 +1,5 @@
-"""Hunting critical-line zeros with two independent routes.
+"""Hunting critical-line zeros with two independent routes: eta locates
+and proves each zero, F certifies it.
 
 Both routes watch Hardy's function Z(b) = e^(i theta(b)) zeta(1/2 + ib),
 which is real on the critical line, so every simple zero is a sign change
@@ -19,7 +20,7 @@ keeps its resolution where F and Gamma themselves underflow (past b ~ 470).
 from etazeros import scan_critical_line
 from etazeros.zerofinder import find_zeros
 
-brackets = scan_critical_line(10.0, 30.0, 0.25, method="oracle")
+brackets = scan_critical_line(10.0, 30.0, 0.25)
 print("oracle-scan brackets on [10, 30] (Z at the step ends):")
 for br in brackets:
     print(f"  [{br.b_lo:.2f}, {br.b_hi:.2f}]  Z = {br.indicator_lo:+.3e} -> "

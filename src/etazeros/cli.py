@@ -13,8 +13,9 @@ Exit status: 0 success, 1 a gating verification cell failed or a zeros
 bracket proved no zero (named on stderr), 2 numerical non-convergence,
 3 usage error, which includes a number option that is not finite, a height
 b with |b| above 2e4, a zeros grid of more than 1e6 points, a negative
---count or one whose half periods end past the float range, and an --out
-path that cannot be opened.
+--count or one whose half periods end past the float range, verify --all
+with --theorem or --grid, a --grid for suite 4, which has no b grid, and
+an --out path that cannot be opened.
 
 Output is deterministic: repeated runs with the same arguments produce
 byte-identical bytes (no timestamps, sorted JSON keys, fixed float
@@ -250,6 +251,8 @@ def _cmd_coeffs(args):
 def _cmd_verify(args):
     from .verify import run_all, run_theorem
     if args.all:
+        if args.theorem is not None or args.grid:
+            raise UsageError("verify --all takes neither --theorem nor --grid")
         reports = run_all()
     elif args.theorem is not None:
         reports = [run_theorem(args.theorem, args.grid)]

@@ -95,10 +95,6 @@ def g_over_factorial(n: int) -> Fraction:
     return g_deriv_at_zero(n) / factorial(n)
 
 
-def g_over_factorial_f64(n: int) -> float:
-    return float(g_over_factorial(n))
-
-
 class CoefficientTable(namedtuple(
         "CoefficientTable",
         "max_index bernoulli g_deriv g_over_factorial_f64")):

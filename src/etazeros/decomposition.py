@@ -77,7 +77,7 @@ def pair_kernel(t, a: float, b: float):
     import numpy as np
     t = np.asarray(t, dtype=np.float64)
     spec = IntegrandSpec("pair_fermi", a=a, b=b)
-    return t ** (a - 1.0) * spec.smooth_factor(t, np)
+    return t ** (a - 1.0) * spec.smooth(np)(t)
 
 
 class DecompositionPlan(namedtuple("DecompositionPlan",

@@ -174,15 +174,11 @@ class IntegrandSpec(namedtuple("IntegrandSpec", "kernel trig a b",
 
     # ---- stable evaluation (t > 0) ----
 
-    def smooth_factor(self, t, xp):
-        """kernel(t) without its power t^(a-1): bounded near 0, decaying at
+    def smooth(self, xp):
+        """kernel(t) without its power t^(a-1), as a function of t with the
+        kernel's constants computed once: bounded near 0, decaying at
         infinity.  ``xp`` is the namespace of t's arithmetic: ``math`` for a
         float, ``numpy`` for an array.  The unit kernel gives 1.0."""
-        return self.smooth(xp)(t)
-
-    def smooth(self, xp):
-        """:meth:`smooth_factor` as a function of t alone, with the kernel's
-        constants computed once."""
         k = self.kernel
         if k == "unit":
             return lambda t: 1.0

@@ -2,8 +2,9 @@
 
 Each runner pins its default grid here, so a bare ``verify --theorem N`` is
 reproducible without flag archaeology; a ``--grid`` override replaces the b
-grid where that makes sense.  Suites 1, 2 and 6 compose their two routes
-here, the others run a layer's own check.  Suite numbering:
+grid of every suite but 4, which has none and refuses one.  Suites 1, 2
+and 6 compose their two routes here, the others run a layer's own check.
+Suite numbering:
 
   1  bridge identity F = (1 - 2^(1-s)) gamma zeta = gamma eta on a strip grid
   2  head-integral series vs arc-contour quadrature
@@ -195,11 +196,16 @@ _RUNNERS = {
 
 THEOREM_NUMBERS = tuple(sorted(_RUNNERS))
 
+# suite 4 checks exact coefficient identities, with no b to override
+_GRIDLESS = (4,)
+
 
 def run_theorem(n: int, b_grid=None) -> VerificationReport:
     if n not in _RUNNERS:
         raise ValueError(f"no verification suite numbered {n}; "
                          f"available: {THEOREM_NUMBERS}")
+    if b_grid and n in _GRIDLESS:
+        raise ValueError(f"verification suite {n} has no b grid to override")
     return _RUNNERS[n](b_grid)
 
 

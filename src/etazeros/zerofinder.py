@@ -1,6 +1,6 @@
 """Critical-line zero location for the Riemann zeta function through the
 alternating-kernel integral F: inside the strip, zeta and F share zeros, so
-a zero located on one route can be confirmed on the other.
+a zero located on one route can be certified on the other.
 
 On the critical line the indicator is Hardy's function
 
@@ -27,22 +27,22 @@ bound.  An eta call sums its 2n terms as lists of floats with cmath, each
 part exactly rounded, at every height, so the oracle route never loads
 numpy.
 
-The oracle route locates the zeros: it scans Z on the grid and refines each
-bracket once by ITP steps (regula falsi, truncated toward the midpoint and
-projected into a radius that keeps bisection's worst case within one step),
-about 9 evaluations per zero with the one at b*, at most 30 from a
-0.25-wide scan step.  One rule proves a zero on either route: Z takes
-opposite signs at two points, each beyond its own error bound there
-(:func:`_proves`).  The oracle route applies it to every bracket of its ITP
-sequence and keeps the narrowest that passes as the zero's proven interval;
-a scan bracket whose sequence has none raises :class:`ZeroRefinementError`.
-Once every bracket is refined, the integral route certifies the zeros on
-its own values: the same rule at b* - h and b* + h for some h from 1e-10
-doubling up to 1e-6, which proves a zero within h of b*.  The certificate
-runs in rounds, one h for every zero still open, and the 2 rays per zero
-of a round are one quadrature request
-(:func:`etazeros.quadrature.line_request`), whose executor is picked for
-them together.
+Each route has one job: eta locates and proves, F certifies.  The oracle
+route scans Z on the grid and refines each bracket once by ITP steps
+(regula falsi, truncated toward the midpoint and projected into a radius
+that keeps bisection's worst case within one step), about 9 evaluations
+per zero with the one at b*, at most 30 from a 0.25-wide scan step.  One
+rule proves a zero on either route: Z takes opposite signs at two points,
+each beyond its own error bound there (:func:`_proves`).  The oracle route
+applies it to every bracket of its ITP sequence and keeps the narrowest
+that passes as the zero's proven interval; a scan bracket whose sequence
+has none raises :class:`ZeroRefinementError`.  Once every bracket is
+refined, the integral route certifies the zeros on its own values: the
+same rule at b* - h and b* + h for some h from 1e-10 doubling up to 1e-6,
+which proves a zero within h of b*.  The certificate runs in rounds, one h
+for every zero still open, and the 2 rays per zero of a round are one
+quadrature request (:func:`etazeros.quadrature.line_request`), whose
+executor is picked for them together.
 """
 
 from __future__ import annotations
@@ -173,23 +173,22 @@ def eta_oracle(s) -> tuple[complex, float]:
 # Scan indicator.
 
 class ZeroBracket(namedtuple(
-        "ZeroBracket", "b_lo b_hi indicator_lo indicator_hi method "
-        "err_lo err_hi", defaults=(math.inf, math.inf))):
-    """A scan step over which Z changes sign, with Z at its ends and the
-    route's error bounds there; method is "integral" or "oracle".  The
-    bounds default to inf, so the ends of a bracket made by hand prove
-    nothing."""
+        "ZeroBracket", "b_lo b_hi indicator_lo indicator_hi err_lo err_hi",
+        defaults=(math.inf, math.inf))):
+    """A scan step over which the oracle route's Z changes sign, with Z at
+    its ends and eta's error bounds there.  The bounds default to inf, so
+    the ends of a bracket made by hand prove nothing."""
 
     __slots__ = ()
 
 
 class LocatedZero(namedtuple(
-        "LocatedZero",
-        "b_star residual method residual_eta proven_lo proven_hi")):
-    """A refined zero: residual is |F(1/2 + i b_star)|, from |Z| and
-    |Gamma|, and residual_eta |Z(b_star)| = |zeta(1/2 + i b_star)|.  Z has
-    a zero in [proven_lo, proven_hi], which holds b_star: the narrowest
-    bracket of the refinement whose ends' values prove it."""
+        "LocatedZero", "b_star residual residual_eta proven_lo proven_hi")):
+    """A zero located and proved on the oracle route: residual is
+    |F(1/2 + i b_star)|, from |Z| and |Gamma|, and residual_eta
+    |Z(b_star)| = |zeta(1/2 + i b_star)|.  Z has a zero in
+    [proven_lo, proven_hi], which holds b_star: the narrowest bracket of
+    the refinement whose ends' values prove it."""
 
     __slots__ = ()
 
@@ -230,15 +229,6 @@ def _line_eval(b: float, method: str):
 MAX_GRID_POINTS = 10 ** 6
 
 
-def _line_evals(bs, method: str) -> list:
-    """:func:`_line_eval` at every b of ``bs``; on the integral route their
-    rays as one request (:func:`etazeros.quadrature.line_request`)."""
-    if method != "integral":
-        return [_line_eval(b, method) for b in bs]
-    with line_request([complex(0.5, abs(b)) for b in bs]):
-        return [_line_eval(b, method) for b in bs]
-
-
 def _grid(b_min: float, b_max: float, step: float) -> list[float]:
     """The scan grid b_min + i step, i = 0, 1, ..., up to b_max; raises
     ValueError, before building it, for more than MAX_GRID_POINTS points."""
@@ -255,16 +245,17 @@ def _grid(b_min: float, b_max: float, step: float) -> list[float]:
     return [b_min + i * step for i in range(n)]
 
 
-def scan_critical_line(b_min: float, b_max: float, step: float,
-                       method: str = "integral") -> list[ZeroBracket]:
+def scan_critical_line(b_min: float, b_max: float,
+                       step: float) -> list[ZeroBracket]:
     """March s = 1/2 + ib over the grid b_min + i step and emit a bracket
-    at every step where Z(b) changes sign, by :func:`refine_zero`'s test:
-    a step whose ends differ in whether Z > 0."""
+    at every step where the oracle route's Z(b) changes sign, by
+    :func:`refine_zero`'s test: a step whose ends differ in whether Z > 0.
+    The integral route does not scan; it certifies (:func:`_certify`)."""
     bs = _grid(b_min, b_max, step)
-    evals = _line_evals(bs, method)
+    evals = [_line_eval(b, "oracle") for b in bs]
     z = [zc.real for zc, _ in evals]
     return [ZeroBracket(b_lo=bs[i], b_hi=bs[i + 1], indicator_lo=z[i],
-                        indicator_hi=z[i + 1], method=method,
+                        indicator_hi=z[i + 1],
                         err_lo=evals[i][1], err_hi=evals[i + 1][1])
             for i in range(len(bs) - 1)
             if (z[i] > 0) != (z[i + 1] > 0)]
@@ -296,13 +287,14 @@ _MIN_STEP = REFINE_WIDTH / 4
 
 
 def refine_zero(bracket: ZeroBracket) -> LocatedZero:
-    """Shrink the bracket around the sign change of Z to width < 1e-9 by ITP
-    steps and take b* by one regula falsi step inside the final bracket.
-    The zero is accepted on a proof: some bracket of the sequence, the
-    first one included, has ends whose values of Z pass :func:`_proves`
-    with the route's own error bounds.  The narrowest such bracket is the
-    zero's proven interval.  At height |Z| near the zero sinks toward its
-    bound, so the final bracket may prove nothing while a wider one did.
+    """Shrink the bracket around the sign change of the oracle route's Z to
+    width < 1e-9 by ITP steps and take b* by one regula falsi step inside
+    the final bracket.  The zero is accepted on a proof: some bracket of the
+    sequence, the first one included, has ends whose values of Z pass
+    :func:`_proves` with eta's own error bounds.  The narrowest such
+    bracket is the zero's proven interval.  At height |Z| near the zero
+    sinks toward its bound, so the final bracket may prove nothing while a
+    wider one did.
 
     ITP (interpolate, truncate, project; Oliveira & Takahashi, ACM TOMS 47,
     2020) takes the regula falsi point of the bracket w = hi - lo, moves it
@@ -317,7 +309,6 @@ def refine_zero(bracket: ZeroBracket) -> LocatedZero:
     A sequence with no proven bracket raises :class:`ZeroRefinementError`
     carrying b*, before Z is evaluated there.
     """
-    method = bracket.method
     lo, hi = bracket.b_lo, bracket.b_hi
     f_lo, f_hi = bracket.indicator_lo, bracket.indicator_hi
     err_lo, err_hi = bracket.err_lo, bracket.err_hi
@@ -336,7 +327,7 @@ def refine_zero(bracket: ZeroBracket) -> LocatedZero:
         radius = w0 / 2 ** step - 0.5 * w     # n0 = 1 step over bisection
         x = x_t if abs(x_t - mid) <= radius else mid - toward * radius
         step += 1
-        zc, err = _line_eval(x, method)
+        zc, err = _line_eval(x, "oracle")
         f_x = zc.real
         if f_x == 0.0:
             lo = hi = x
@@ -357,11 +348,11 @@ def refine_zero(bracket: ZeroBracket) -> LocatedZero:
             f"signs beyond its error bound at both ends",
             b_best=b_star)
 
-    z_residual = abs(_line_eval(b_star, method)[0].real)
+    z_residual = abs(_line_eval(b_star, "oracle")[0].real)
     s_star = complex(0.5, b_star)
     residual_raw = (z_residual * abs(one_minus_two_pow(s_star))
                     * math.exp(log_gamma(s_star)[0].real))
-    return LocatedZero(b_star=b_star, residual=residual_raw, method=method,
+    return LocatedZero(b_star=b_star, residual=residual_raw,
                        residual_eta=z_residual, proven_lo=proven[0],
                        proven_hi=proven[1])
 
@@ -370,21 +361,25 @@ _CERTIFY_H0 = 1e-10     # first half-width of the sign-change certificate
 _CERTIFY_H_MAX = 1e-6   # ... doubled up to this
 
 
-def _certify(b_stars: list[float], method: str) -> list[float | None]:
-    """A zero of ``method``'s Z near each b*, proved by a sign change.
+def _certify(b_stars: list[float]) -> list[float | None]:
+    """A zero of the integral route's Z near each b* the oracle route
+    located, proved by a sign change on F's values alone.
 
     Z is evaluated at b* - h and b* + h for h = 1e-10, 2e-10, ... up to
     1e-6, in rounds: each round takes one h for every b* still open, its
-    points as one request.  At the first h where the two values prove a
-    zero between them (:func:`_proves`), the result is one regula falsi
-    step through the two values.  None where no h gives such a pair.
+    rays as one request (:func:`etazeros.quadrature.line_request`).  At the
+    first h where the two values prove a zero between them
+    (:func:`_proves`), the result is one regula falsi step through the two
+    values.  None where no h gives such a pair.
     """
     found = [None] * len(b_stars)
     pending = list(range(len(b_stars)))
     h = _CERTIFY_H0
     while pending and h <= _CERTIFY_H_MAX:
         ends = [(b_stars[i] - h, b_stars[i] + h) for i in pending]
-        evals = iter(_line_evals([b for pair in ends for b in pair], method))
+        points = [b for pair in ends for b in pair]
+        with line_request([complex(0.5, abs(b)) for b in points]):
+            evals = iter([_line_eval(b, "integral") for b in points])
         left = []
         for i, (lo, hi) in zip(pending, ends):
             (zc_lo, err_lo), (zc_hi, err_hi) = next(evals), next(evals)
@@ -410,11 +405,11 @@ def find_zeros(b_min: float, b_max: float, step: float = 0.25) -> list[dict]:
     distance from ``b_star``.  Where the integral route cannot certify the
     zero, ``integral_certified`` is False and both are None.
     """
-    located = [refine_zero(bracket) for bracket in
-               scan_critical_line(b_min, b_max, step, method="oracle")]
-    certified = _certify([z.b_star for z in located], "integral")
+    located = [refine_zero(bracket)
+               for bracket in scan_critical_line(b_min, b_max, step)]
+    certified = _certify([z.b_star for z in located])
     return [{
-        "b_star": z.b_star, "method": z.method, "residual": z.residual,
+        "b_star": z.b_star, "method": "oracle", "residual": z.residual,
         "residual_eta": z.residual_eta, "b_star_integral": b_int,
         "route_gap": None if b_int is None else abs(b_int - z.b_star),
         "integral_certified": b_int is not None,

@@ -325,6 +325,25 @@ def test_verify_requires_selector(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--all", "--grid", "10"],
+    ["--theorem", "4", "--grid", "10"],
+    ["--theorem", "1", "--all"],
+], ids=lambda argv: " ".join(argv))
+def test_verify_refuses_a_flag_it_would_ignore(capsys, monkeypatch, argv):
+    # --all runs every suite on its default grid, and suite 4 has no b grid:
+    # a flag these would drop is a usage error, raised before any suite runs
+    import etazeros.verify as verify
+
+    def ran(b_grid=None):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(verify, "_RUNNERS", dict.fromkeys(verify._RUNNERS, ran))
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 3
+    assert out == "" and "usage error" in err
+
+
 def test_verify_unknown_theorem(capsys):
     code, _, err = run(capsys, "verify", "--theorem", "3")
     assert code == 3

@@ -31,7 +31,7 @@ def test_fermi_kernel_tanh_form():
     # 1/(e^t + 1) = 1/2 - tanh(t/2)/2
     spec = IntegrandSpec("fermi")
     for t in (0.5, 1.0, 2.0, 10.0):
-        assert spec.smooth_factor(t, math) == pytest.approx(
+        assert spec.smooth(math)(t) == pytest.approx(
             0.5 - 0.5 * math.tanh(0.5 * t), rel=1e-15)
 
 
@@ -49,7 +49,7 @@ def test_overflow_safety_and_decay():
     for spec in (IntegrandSpec("fermi", a=0.5),
                  IntegrandSpec("fermi", a=0.9),
                  IntegrandSpec("pair_fermi", a=0.5, b=100.0)):
-        vals = ts ** (spec.a - 1.0) * spec.smooth_factor(ts, np)
+        vals = ts ** (spec.a - 1.0) * spec.smooth(np)(ts)
         assert np.all(np.isfinite(vals))
         assert np.all(np.diff(vals[decay]) <= 0.0)
         assert np.all(vals[decay] >= 0.0)

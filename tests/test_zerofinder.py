@@ -248,34 +248,54 @@ def test_zeta_oracle_known_values():
 # ---------------------------------------------------------------------------
 # Scanning.
 
-def test_scan_finds_three_brackets_both_methods():
-    for method in ("oracle", "integral"):
-        brackets = scan_critical_line(10.0, 30.0, 0.25, method=method)
-        assert len(brackets) == 3, (method, brackets)
-        spans = [(b.b_lo, b.b_hi) for b in brackets]
-        for (lo, hi), z in zip(spans, (ZERO_1, ZERO_2, ZERO_3)):
-            assert lo <= z <= hi
+def test_scan_finds_three_brackets():
+    brackets = scan_critical_line(10.0, 30.0, 0.25)
+    assert len(brackets) == 3, brackets
+    spans = [(b.b_lo, b.b_hi) for b in brackets]
+    for (lo, hi), z in zip(spans, (ZERO_1, ZERO_2, ZERO_3)):
+        assert lo <= z <= hi
+
+
+@pytest.mark.parametrize("b_min,b_max,points,count", [
+    (10.0, 30.0, 81, 3), (100.0, 110.0, 41, 4), (1000.0, 1003.0, 13, 2)])
+def test_integral_z_shares_the_scan_signs(b_min, b_max, points, count):
+    # at every point of the eta scan grid the integral route's Z clears its
+    # own bound and has the oracle route's sign, so F's Z changes sign in
+    # exactly the scan's brackets: the shared zeros at scan resolution
+    bs = zerofinder._grid(b_min, b_max, 0.25)
+    assert len(bs) == points
+    with quadrature.line_request([complex(0.5, b) for b in bs]):
+        integral = [zerofinder._line_eval(b, "integral") for b in bs]
+    for b, (zc, err) in zip(bs, integral):
+        oracle = zerofinder._line_eval(b, "oracle")[0].real
+        assert abs(zc.real) > err, (b, zc, err)
+        assert (zc.real > 0) == (oracle > 0), (b, zc, oracle)
+    brackets = scan_critical_line(b_min, b_max, 0.25)
+    assert len(brackets) == count
+    assert [(br.b_lo, br.b_hi) for br in brackets] == [
+        (bs[i], bs[i + 1]) for i in range(len(bs) - 1)
+        if (integral[i][0].real > 0) != (integral[i + 1][0].real > 0)]
 
 
 def test_scan_empty_below_first_zero():
-    assert scan_critical_line(1.0, 10.0, 0.25, method="oracle") == []
+    assert scan_critical_line(1.0, 10.0, 0.25) == []
 
 
 def test_scan_fine_window():
-    brackets = scan_critical_line(14.0, 14.3, 0.01, method="oracle")
+    brackets = scan_critical_line(14.0, 14.3, 0.01)
     assert len(brackets) == 1
     assert brackets[0].b_lo <= ZERO_1 <= brackets[0].b_hi
 
 
 def test_scan_bracket_invariant():
-    for br in scan_critical_line(10.0, 30.0, 0.25, method="oracle"):
+    for br in scan_critical_line(10.0, 30.0, 0.25):
         assert br.indicator_lo * br.indicator_hi < 0
 
 
 def test_scan_mirrored_range():
-    # F2 is odd in b, so the mirrored window brackets the mirrored ordinates
-    neg = scan_critical_line(-30.0, -10.0, 0.25, method="integral")
-    pos = scan_critical_line(10.0, 30.0, 0.25, method="integral")
+    # Z is even in b, so the mirrored window brackets the mirrored ordinates
+    neg = scan_critical_line(-30.0, -10.0, 0.25)
+    pos = scan_critical_line(10.0, 30.0, 0.25)
     assert len(neg) == len(pos) == 3
     for nb, pb in zip(sorted(-b.b_hi for b in neg), sorted(b.b_lo for b in pos)):
         assert nb == pytest.approx(pb, abs=1e-12)
@@ -290,25 +310,18 @@ def test_scan_validates_step():
 # Refinement.
 
 def test_refine_first_zero_oracle():
-    brackets = scan_critical_line(14.0, 14.3, 0.01, method="oracle")
+    brackets = scan_critical_line(14.0, 14.3, 0.01)
     z = refine_zero(brackets[0])
     assert z.b_star == pytest.approx(ZERO_1, abs=1e-5)
     assert z.residual < 1e-6
     assert z.residual_eta < 1e-6
 
 
-def test_refine_first_zero_integral():
-    brackets = scan_critical_line(14.0, 14.3, 0.01, method="integral")
-    z = refine_zero(brackets[0])
-    assert z.b_star == pytest.approx(ZERO_1, abs=1e-5)
-    assert z.residual < 1e-6
-
-
-def _fabricated_bracket(lo_b, hi_b, method):
+def _fabricated_bracket(lo_b, hi_b):
     # endpoint signs made up for a step where Z keeps one sign (|Z| ~ 2.3
     # between the zeros at 14.13 and 21.02): a bracket that is not a zero
     return ZeroBracket(b_lo=lo_b, b_hi=hi_b, indicator_lo=1.0,
-                       indicator_hi=-1.0, method=method)
+                       indicator_hi=-1.0)
 
 
 def test_refine_rejects_spurious_bracket():
@@ -318,18 +331,10 @@ def test_refine_rejects_spurious_bracket():
     with pytest.raises(ZeroRefinementError,
                        match=r"\[18\.0000, 18\.2500\] proves no zero"
                        ) as ei:
-        refine_zero(_fabricated_bracket(18.0, 18.25, "oracle"))
+        refine_zero(_fabricated_bracket(18.0, 18.25))
     # every ITP value is positive, so the bracket closes on its made-up
     # negative end, whose unbounded error proves nothing
     assert ei.value.b_best == pytest.approx(18.25, abs=1e-9)
-
-
-def test_refine_rejects_spurious_integral_bracket():
-    with pytest.raises(ZeroRefinementError,
-                       match=r"\[18\.5000, 18\.7500\] proves no zero"
-                       ) as ei:
-        refine_zero(_fabricated_bracket(18.50, 18.75, "integral"))
-    assert ei.value.b_best == pytest.approx(18.75, abs=1e-9)
 
 
 @pytest.mark.parametrize("flip_next", [False, True],
@@ -351,7 +356,7 @@ def test_a_zero_value_on_the_grid_proves_nothing(monkeypatch, capsys,
         return zc, err
 
     monkeypatch.setattr(zerofinder, "_line_eval", zero_at_20)
-    brackets = scan_critical_line(10.0, 30.0, 0.25, method="oracle")
+    brackets = scan_critical_line(10.0, 30.0, 0.25)
     assert all((br.indicator_lo > 0) != (br.indicator_hi > 0)
                for br in brackets)
     code = cli.main(["zeros", "--b-min", "10", "--b-max", "30"])
@@ -392,7 +397,7 @@ def test_proven_intervals_hold_mpmath_zeros(b_min, b_max):
     # narrowest bracket of the same ITP sequence that does (4e-6 wide)
     mpmath = pytest.importorskip("mpmath")
     zeros = [refine_zero(br) for br in
-             scan_critical_line(b_min, b_max, 0.25, method="oracle")]
+             scan_critical_line(b_min, b_max, 0.25)]
     first = int(mpmath.nzeros(b_min)) + 1
     assert len(zeros) == int(mpmath.nzeros(b_max)) - first + 1
     for k, z in enumerate(zeros, start=first):
@@ -435,11 +440,12 @@ def _count_evals(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("method", ["oracle", "integral"])
+# refinement runs on the oracle route alone; the id names it
+@pytest.mark.parametrize("method", ["oracle"])
 def test_refine_first_zero_takes_few_evaluations(monkeypatch, method):
     # the scan step's bracket [14, 14.25]: bisection to width 1e-9 would
     # take 28 steps, plus the evaluation at b*
-    bracket = scan_critical_line(10.0, 30.0, 0.25, method=method)[0]
+    bracket = scan_critical_line(10.0, 30.0, 0.25)[0]
     assert bracket.b_hi - bracket.b_lo == 0.25
     counts = _count_evals(monkeypatch)
     z = refine_zero(bracket)
@@ -467,7 +473,7 @@ def test_refine_worst_case_is_bounded(monkeypatch, shape, b0):
 
     monkeypatch.setattr(zerofinder, "_line_eval", line_eval)
     bracket = ZeroBracket(b_lo=14.0, b_hi=14.25, indicator_lo=shape(14.0 - b0),
-                          indicator_hi=shape(14.25 - b0), method="integral")
+                          indicator_hi=shape(14.25 - b0))
     b_star = refine_zero(bracket).b_star
     assert abs(b_star - b0) < 5e-10
     assert len(line_evals) + counts["F"] + counts["eta"] <= _WORST_CASE_EVALS
