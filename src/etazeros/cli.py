@@ -48,7 +48,7 @@ import re
 import sys
 
 from .errors import NonConvergenceError, ZeroRefinementError
-from .report import fmt17
+from .report import csv_row, fmt17
 
 __all__ = ["main"]
 
@@ -74,9 +74,10 @@ class _Parser(argparse.ArgumentParser):
 # RSS on the integral route (28 MiB once numpy is imported), 33 MiB on the
 # series route, whose ~10,800-panel paired tail runs on arrays, and 21 MiB
 # on the oracle route, which loads no numpy (14.5 MiB after import); in
-# process the ray takes 57 MiB at 4e4.  A cold eta call takes 0.09-0.10 s
-# at 2e4, most of it in the exact recurrence of the binomial weights, and a
-# warm one 15-26 ms; past 2.6e4 it stops at 40,000 terms and err grows.
+# process the ray takes 57 MiB at 4e4.  A cold eta call at 2e4 takes a
+# median 81 ms (9 runs, 73-100 ms, Python 3.11 on a 2-core Xeon), most of
+# it in the exact recurrence of the binomial weights, and a warm one 12 ms;
+# past 2.6e4 it stops at 40,000 terms and err grows.
 MAX_HEIGHT = 2.0e4
 
 
@@ -207,10 +208,7 @@ def _cmd_eval(args):
     if args.fmt == "csv":
         keys = ["a", "b", "F_re", "F_im", "F_abs", "zeta_re", "zeta_im",
                 "err_est"]
-        head = ",".join(keys)
-        row = ",".join("" if payload[k] is None else fmt17(payload[k])
-                       for k in keys)
-        return 0, f"{head}\n{row}\n"
+        return 0, f"{csv_row(keys)}\n{csv_row(payload[k] for k in keys)}\n"
     if args.fmt == "text":
         lines = [f"{k} = {v if v is not None else 'unresolved'}"
                  for k, v in payload.items()]
@@ -231,10 +229,7 @@ def _cmd_coeffs(args):
     if args.fmt == "json":
         return 0, json.dumps(rows, sort_keys=True, indent=2) + "\n"
     if args.fmt == "csv":
-        out = ["n,g_n_numerator,g_n_denominator,g_n_over_n_factorial"]
-        for r in rows:
-            out.append(f"{r['n']},{r['g_n_numerator']},{r['g_n_denominator']},"
-                       f"{fmt17(r['g_n_over_n_factorial'])}")
+        out = [csv_row(rows[0])] + [csv_row(r.values()) for r in rows]
         return 0, "\n".join(out) + "\n"
     frac = [("0" if table.g_deriv[n] == 0 else
              f"{table.g_deriv[n].numerator}/{table.g_deriv[n].denominator}")
@@ -279,10 +274,8 @@ def _cmd_decompose(args):
     rows = interval_contributions(plan, args.count)
     if args.fmt == "csv":
         out = ["k,t_2k,t_2k_plus_1,contribution,cumulative"]
-        for r in rows:
-            out.append(",".join([str(r["k"]), fmt17(r["t_lo"]),
-                                 fmt17(r["t_hi"]), fmt17(r["contribution"]),
-                                 fmt17(r["cumulative"])]))
+        out += [csv_row(r[k] for k in ("k", "t_lo", "t_hi", "contribution",
+                                       "cumulative")) for r in rows]
         return 0, "\n".join(out) + "\n"
     payload = {
         "a": plan.a, "b": plan.b, "K": plan.K, "R": plan.R, "c": plan.c,
@@ -309,9 +302,8 @@ def _cmd_zeros(args):
         raise UsageError("need 0 < b_min < b_max")
     from .zerofinder import find_zeros, scan_F
     if args.fmt == "csv":
-        out = ["b,F1,F2,absF"]
-        for row in scan_F(args.b_min, args.b_max, args.step):
-            out.append(",".join(fmt17(x) for x in row))
+        out = ["b,F1,F2,absF"] + [csv_row(row) for row in scan_F(
+            args.b_min, args.b_max, args.step)]
         return 0, "\n".join(out) + "\n"
     payload = find_zeros(args.b_min, args.b_max, args.step)
     if args.fmt == "text":
@@ -345,7 +337,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         code, text = _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3
     except NonConvergenceError as exc:
@@ -354,9 +346,6 @@ def main(argv=None) -> int:
     except ZeroRefinementError as exc:
         print(f"unproven zero: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 3
     if args.out:
         try:
             with open(args.out, "w") as fh:

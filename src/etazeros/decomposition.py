@@ -219,13 +219,10 @@ def average_bound_margins(b: float) -> tuple[float, float]:
     return A - lower, 2.0 / math.pi - A
 
 
-def check_theorem8(b_values=(10.0, 31.6, 100.0, 316.0, 1000.0),
-                   closed_vs_quad=((10.0, 0), (10.0, 5), (100.0, 0),
-                                   (100.0, 5), (100.0, 50), (1000.0, 0),
-                                   (1000.0, 5), (1000.0, 50))
-                   ) -> VerificationReport:
-    """Closed form vs quadrature for the sine average, plus its strict
-    bracketing between 2/pi - 2/(pi b^2) and 2/pi."""
+def check_theorem8(b_values, closed_vs_quad) -> VerificationReport:
+    """Closed form vs quadrature for the sine average on the (b, k) pairs
+    ``closed_vs_quad``, plus its strict bracketing between
+    2/pi - 2/(pi b^2) and 2/pi at each of ``b_values``."""
     rep = VerificationReport(name="theorem8")
     for b, k in closed_vs_quad:
         closed, by_quad = interval_average(int(k), b)
@@ -281,13 +278,12 @@ def check_theorem9(k: int, b: float, a: float) -> VerificationReport:
 
 DEFAULT_T_GRID = (1.0, 1.5, 2.0, 4.0, 8.0, 16.0, 32.0)
 DEFAULT_A_GRID = (0.01, 0.1, 0.3, 0.5, 0.731)
-DEFAULT_B_GRID = (1.0, 10.0, 100.0, 1000.0)
 
 
-def check_theorem10(t_grid=DEFAULT_T_GRID, a_grid=DEFAULT_A_GRID,
-                    b_grid=DEFAULT_B_GRID) -> VerificationReport:
+def check_theorem10(b_grid, t_grid=DEFAULT_T_GRID,
+                    a_grid=DEFAULT_A_GRID) -> VerificationReport:
     """Positivity of the paired kernel on t >= 1, 0 < a <= e/(e+1), any
-    b > 0, on the default grid, with the minimum and its location reported.
+    b > 0, on the grid, with the minimum and its location reported.
     One probe just outside the hypothesis region (a = 0.9, t = 1) is
     informational: the kernel does go negative there, which is what makes
     the a-threshold meaningful."""

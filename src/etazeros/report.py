@@ -16,6 +16,23 @@ def fmt17(x: float) -> str:
     return "%.17g" % x
 
 
+def _cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return fmt17(v)
+    return str(v)
+
+
+def csv_row(values) -> str:
+    """One CSV line, by the rule every writer shares: None is empty, a bool
+    is true/false, a float has 17 significant digits (:func:`fmt17`) and
+    anything else is its ``str``."""
+    return ",".join(map(_cell, values))
+
+
 class CheckRow(namedtuple(
         "CheckRow", "label passed gating margin discrepancy tol lhs rhs note",
         defaults=(True, None, None, None, None, None, ""))):
@@ -94,22 +111,9 @@ class VerificationReport:
         }
 
     def to_csv(self) -> str:
-        def cell(v):
-            if v is None:
-                return ""
-            if isinstance(v, bool):
-                return "true" if v else "false"
-            if isinstance(v, float):
-                return fmt17(v)
-            return str(v)
-
         lines = ["report,label,passed,gating,margin,discrepancy,tol,lhs,rhs,note"]
         for r in self.rows:
-            lines.append(",".join([
-                self.name, r.label, cell(r.passed), cell(r.gating), cell(r.margin),
-                cell(r.discrepancy), cell(r.tol), cell(r.lhs), cell(r.rhs),
-                r.note.replace(",", ";"),
-            ]))
+            lines.append(csv_row((self.name, *r[:-1], r.note.replace(",", ";"))))
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:

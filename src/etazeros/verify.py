@@ -1,9 +1,10 @@
 """Registry of the numbered verification suites exposed by ``verify``.
 
-Each runner pins its default grid here, so a bare ``verify --theorem N`` is
-reproducible without flag archaeology; a ``--grid`` override replaces the b
-grid of every suite but 4, which has none and refuses one.  Suites 1, 2
-and 6 compose their two routes here, the others run a layer's own check.
+:data:`B_GRIDS` pins every suite's default b grid here, so a bare
+``verify --theorem N`` is reproducible without flag archaeology; a
+``--grid`` override replaces the b grid of every suite but 4, which has
+none and refuses one.  Suites 1, 2 and 6 compose their two routes here,
+the others run a layer's own check.
 Suite numbering:
 
   1  bridge identity F = (1 - 2^(1-s)) gamma zeta = gamma eta on a strip grid
@@ -33,23 +34,31 @@ __all__ = ["run_theorem", "run_all", "THEOREM_NUMBERS", "check_theorem1"]
 
 _EPS = math.ulp(1.0)
 
+# Each suite's default b grid; suite 4 checks exact coefficient identities
+# and has none.
+B_GRIDS = {
+    1: (5.0, 10.0, 14.1347, 50.0, 100.0),
+    2: (100.0, 316.0, 1000.0),
+    4: None,
+    5: (100.0, 300.0, 1000.0),
+    6: (100.0, 1000.0),
+    7: (100.0, 1000.0),
+    8: (10.0, 31.6, 100.0, 316.0, 1000.0),
+    9: (100.0, 1000.0),
+    10: (1.0, 10.0, 100.0, 1000.0),
+}
+
 THEOREM1_GRID_A = (0.2, 0.5, 0.8)
-THEOREM1_GRID_B = (5.0, 10.0, 14.1347, 50.0, 100.0)
-
 THEOREM2_GRID_A = (0.1, 0.5, 0.9)
-THEOREM2_GRID_B = (100.0, 316.0, 1000.0)
-
 THEOREM5_GRID_A = (0.01, 0.05, 0.1)
-THEOREM5_GRID_B = (100.0, 300.0, 1000.0)
-
-THEOREM6_GRID_B = (100.0, 1000.0)
-
 THEOREM7_GRID_R = (1.0, 2.0)
 THEOREM7_GRID_A = (0.2, 0.5, 0.731)
-THEOREM7_GRID_B = (100.0, 1000.0)
-
 THEOREM9_GRID_A = (0.2, 0.5)
-THEOREM9_GRID_B = (100.0, 1000.0)
+
+# The (b, k) half periods suite 8's default run compares closed form and
+# quadrature on; a --grid compares every b at k = 0, 5 and 50.
+THEOREM8_CLOSED_VS_QUAD = ((10.0, 0), (10.0, 5), (100.0, 0), (100.0, 5),
+                           (100.0, 50), (1000.0, 0), (1000.0, 5), (1000.0, 50))
 
 
 def _claimed(err1: float, err2: float, lhs: float, rhs: float) -> float:
@@ -88,22 +97,20 @@ def check_theorem1(points) -> VerificationReport:
             rel = tol = None
             if lhs_abs:
                 rel = abs(lhs - eta) / lhs_abs
-                tol = (abs(denom) * zeta_err + eta_err
-                       + 4.0 * _EPS * max(lhs_abs, abs(eta))) / lhs_abs
+                tol = _claimed(abs(denom) * zeta_err, eta_err,
+                               lhs, eta) / lhs_abs
             rep.add(f"a={a:g} b={b:g}",
                     abs(integral) > 4.0 * i_err and rel <= tol,
                     discrepancy=rel, tol=tol, lhs=lhs_abs, rhs=abs(eta))
     return rep
 
 
-def _run_theorem1(b_grid=None) -> VerificationReport:
-    bs = b_grid or THEOREM1_GRID_B
+def _run_theorem1(bs) -> VerificationReport:
     return check_theorem1([complex(a, b) for a in THEOREM1_GRID_A for b in bs])
 
 
-def _run_theorem2(b_grid=None) -> VerificationReport:
+def _run_theorem2(bs) -> VerificationReport:
     rep = VerificationReport(name="theorem2")
-    bs = b_grid or THEOREM2_GRID_B
     for a in THEOREM2_GRID_A:
         for b in bs:
             K, R = choose_K_R(b)
@@ -115,24 +122,22 @@ def _run_theorem2(b_grid=None) -> VerificationReport:
     return rep
 
 
-def _run_theorem4(b_grid=None) -> VerificationReport:
+def _run_theorem4(bs) -> VerificationReport:
     return coeffs.check_theorem4(m_max=20, tol=1e-12)
 
 
-def _run_theorem5(b_grid=None) -> VerificationReport:
+def _run_theorem5(bs) -> VerificationReport:
     rep = VerificationReport(name="theorem5")
-    bs = b_grid or THEOREM5_GRID_B
     for a in THEOREM5_GRID_A:
         for b in bs:
             rep.extend(series.check_theorem5(a, b))
     return rep
 
 
-def _run_theorem6(b_grid=None) -> VerificationReport:
+def _run_theorem6(bs) -> VerificationReport:
     # the paired and the direct tail of every b, as one request
     rep = VerificationReport(name="theorem6")
-    plans = [decomposition.make_plan(0.5, b)
-             for b in b_grid or THEOREM6_GRID_B]
+    plans = [decomposition.make_plan(0.5, b) for b in bs]
     specs = [IntegrandSpec("fermi", "sin", a=0.5, b=plan.b) for plan in plans]
     tails = [(spec, plan.R, math.inf, paired)
              for spec, plan in zip(specs, plans) for paired in (True, False)]
@@ -147,9 +152,8 @@ def _run_theorem6(b_grid=None) -> VerificationReport:
     return rep
 
 
-def _run_theorem7(b_grid=None) -> VerificationReport:
+def _run_theorem7(bs) -> VerificationReport:
     rep = VerificationReport(name="theorem7")
-    bs = b_grid or THEOREM7_GRID_B
     for R in THEOREM7_GRID_R:
         for a in THEOREM7_GRID_A:
             for b in bs:
@@ -157,17 +161,15 @@ def _run_theorem7(b_grid=None) -> VerificationReport:
     return rep
 
 
-def _run_theorem8(b_grid=None) -> VerificationReport:
-    if b_grid:
-        return decomposition.check_theorem8(
-            b_values=tuple(b_grid),
-            closed_vs_quad=tuple((b, k) for b in b_grid for k in (0, 5, 50)))
-    return decomposition.check_theorem8()
+def _run_theorem8(bs) -> VerificationReport:
+    # the table's own grid, not a --grid equal to it, keeps the eight pairs
+    pairs = (THEOREM8_CLOSED_VS_QUAD if bs is B_GRIDS[8]
+             else [(b, k) for b in bs for k in (0, 5, 50)])
+    return decomposition.check_theorem8(bs, pairs)
 
 
-def _run_theorem9(b_grid=None) -> VerificationReport:
+def _run_theorem9(bs) -> VerificationReport:
     rep = VerificationReport(name="theorem9")
-    bs = b_grid or THEOREM9_GRID_B
     for a in THEOREM9_GRID_A:
         for b in bs:
             K, _ = choose_K_R(b)
@@ -176,10 +178,8 @@ def _run_theorem9(b_grid=None) -> VerificationReport:
     return rep
 
 
-def _run_theorem10(b_grid=None) -> VerificationReport:
-    if b_grid:
-        return decomposition.check_theorem10(b_grid=tuple(b_grid))
-    return decomposition.check_theorem10()
+def _run_theorem10(bs) -> VerificationReport:
+    return decomposition.check_theorem10(bs)
 
 
 _RUNNERS = {
@@ -196,17 +196,16 @@ _RUNNERS = {
 
 THEOREM_NUMBERS = tuple(sorted(_RUNNERS))
 
-# suite 4 checks exact coefficient identities, with no b to override
-_GRIDLESS = (4,)
-
 
 def run_theorem(n: int, b_grid=None) -> VerificationReport:
+    """Run suite ``n`` on ``b_grid``, or on its default grid in
+    :data:`B_GRIDS` when ``b_grid`` is empty."""
     if n not in _RUNNERS:
         raise ValueError(f"no verification suite numbered {n}; "
                          f"available: {THEOREM_NUMBERS}")
-    if b_grid and n in _GRIDLESS:
+    if b_grid and B_GRIDS[n] is None:
         raise ValueError(f"verification suite {n} has no b grid to override")
-    return _RUNNERS[n](b_grid)
+    return _RUNNERS[n](b_grid or B_GRIDS[n])
 
 
 def run_all() -> list[VerificationReport]:

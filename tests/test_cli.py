@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from etazeros.cli import main
-from etazeros.verify import THEOREM_NUMBERS
+from etazeros.report import csv_row
+from etazeros.verify import B_GRIDS, THEOREM_NUMBERS
 
 
 def run(capsys, *argv):
@@ -353,6 +354,30 @@ def test_verify_theorem_numbers():
     assert THEOREM_NUMBERS == (1, 2, 4, 5, 6, 7, 8, 9, 10)
 
 
+@pytest.mark.parametrize("n", [n for n in THEOREM_NUMBERS if n not in (4, 8)])
+def test_verify_default_grid_is_the_table(capsys, n):
+    # a --grid equal to the suite's entry in B_GRIDS prints the bytes of the
+    # run without one
+    grid = ",".join(map(repr, B_GRIDS[n]))
+    default = run(capsys, "verify", "--theorem", str(n))
+    assert default[0] == 0
+    assert run(capsys, "verify", "--theorem", str(n), "--grid", grid) == default
+
+
+def test_verify_theorem8_default_keeps_its_pairs(capsys):
+    # the default run compares closed form and quadrature on eight (b, k)
+    # pairs; a --grid, even the default one, pairs each b with k = 0, 5, 50
+    grid = ",".join(map(repr, B_GRIDS[8]))
+    counts = []
+    for argv in ((), ("--grid", grid)):
+        code, out, _ = run(capsys, "verify", "--theorem", "8", *argv)
+        assert code == 0
+        checks = json.loads(out)["reports"][0]["checks"]
+        counts.append(sum(c["label"].startswith("closed form vs quadrature")
+                          for c in checks))
+    assert counts == [8, 15]
+
+
 def test_verify_theorem8_grid(capsys):
     code, out, _ = run(capsys, "verify", "--theorem", "8",
                        "--b-grid", "10,100,1000")
@@ -454,6 +479,15 @@ def test_verify_csv_17_digits(capsys):
     assert any(len(f.split(".")[-1]) >= 15
                for line in out.splitlines()[1:] for f in line.split(",")
                if "." in f and "e" not in f and f.count(".") == 1)
+
+
+def test_csv_row_cells():
+    # the cells every CSV writer prints: empty for null, true/false, str of
+    # an int or a str, 17 significant digits of a float
+    values = [None, True, False, 7, "theorem8", 0.1, -0.0, 5e-324]
+    assert csv_row(values) == ",".join([
+        "", "true", "false", "7", "theorem8", "0.10000000000000001", "-0",
+        "4.9406564584124654e-324"])
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from etazeros.quadrature import (
     integrate_finite,
     integrate_to_infinity,
 )
+from etazeros.verify import B_GRIDS, THEOREM8_CLOSED_VS_QUAD
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +138,7 @@ def test_average_limit_large_b():
 
 
 def test_check_theorem8():
-    rep = check_theorem8()
+    rep = check_theorem8(B_GRIDS[8], THEOREM8_CLOSED_VS_QUAD)
     assert rep.passed, rep.to_text()
 
 
@@ -176,7 +177,7 @@ def test_sandwich_hypothesis_guard():
 # Kernel positivity.
 
 def test_positivity_default_grid():
-    rep = check_theorem10()
+    rep = check_theorem10(B_GRIDS[10])
     assert rep.passed, rep.to_text()
 
 
@@ -185,7 +186,7 @@ def test_positivity_near_the_edge():
 
 
 def test_probe_outside_region_goes_negative():
-    rep = check_theorem10()
+    rep = check_theorem10(B_GRIDS[10])
     probes = [r for r in rep.rows if not r.gating and "probe" in r.label]
     assert probes
     assert any(r.margin < 0 for r in probes)

@@ -637,7 +637,7 @@ def test_suite6_asks_for_its_tails_at_once(monkeypatch):
     # run on arrays as one request, where the two at b = 100 alone would
     # take floats; a lone paired tail at b = 1000, ~540 panels, takes floats
     from etazeros import decomposition, verify
-    plans = [decomposition.make_plan(0.5, b) for b in verify.THEOREM6_GRID_B]
+    plans = [decomposition.make_plan(0.5, b) for b in verify.B_GRIDS[6]]
     tails = [(IntegrandSpec("fermi", "sin", a=0.5, b=plan.b), plan.R,
               math.inf, paired) for plan in plans for paired in (True, False)]
     sizes = [len(quadrature._axis(*tail)[0]) for tail in tails]
